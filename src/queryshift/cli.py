@@ -104,7 +104,6 @@ def _pipeline_config(cfg: dict, dim: int, boundary_override: str | None) -> Pipe
     return PipelineConfig(
         shift=shift,
         matching=_parse_matching(cfg.get("matching", True)),
-        mask_threshold=float(cfg.get("mask_threshold", 0.5)),
     )
 
 
@@ -147,7 +146,6 @@ def _cmd_run(args) -> int:
         "channels_shifted": config.shift.channels_shifted,
         "boundary": config.shift.boundary.value,
         "matching": config.matching,
-        "mask_threshold": config.mask_threshold,
     }
     report = evaluate_clip(scene.gt_labels, preds, recovery, echo)
     _write_text(args.out, report.to_json())
@@ -177,11 +175,11 @@ def _cmd_match(args) -> int:
 
 def _sweep_cell(task: tuple) -> list[str]:
     """One grid cell: fresh scene, one pipeline run, one CSV row."""
-    scene_dict, frac_str, matching, seed, boundary, threshold = task
+    scene_dict, frac_str, matching, seed, boundary = task
     spec = SceneSpec.from_dict({**scene_dict, "seed": seed})
     scene = generate_scene(spec)
     shift = plan_shift(Fraction(frac_str), spec.dim, BoundaryPolicy(boundary))
-    config = PipelineConfig(shift=shift, matching=matching, mask_threshold=threshold)
+    config = PipelineConfig(shift=shift, matching=matching)
     preds, alignment = run_clip(scene, config)
     recovery = recovery_rate(alignment, scene)
     report = evaluate_clip(scene.gt_labels, preds, recovery, {})
@@ -260,16 +258,13 @@ def _cmd_sweep(args) -> int:
         BoundaryPolicy(boundary)
     except ValueError:
         raise DataError(f"boundary must be 'zero' or 'hold', got {boundary!r}") from None
-    threshold = float(sweep.get("mask_threshold", 0.5))
 
     tasks = []
     for frac in fractions:
         for matching in matchings:
             for r in range(repeats):
                 seed = (base_spec.seed + r) & MASK64
-                tasks.append(
-                    (base_spec.to_dict(), frac, matching, seed, boundary, threshold)
-                )
+                tasks.append((base_spec.to_dict(), frac, matching, seed, boundary))
 
     rows: list[list[str]] = []
     with open(args.out, "w") as f:

@@ -43,11 +43,6 @@ class PipelineConfig:
 
     shift: ShiftConfig
     matching: bool = True
-    mask_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.mask_threshold < 1.0:
-            raise ValueError(f"mask_threshold must lie in (0, 1), got {self.mask_threshold}")
 
 
 @dataclass(frozen=True)
@@ -89,11 +84,6 @@ class SoftMaskSet:
     @property
     def num_classes(self) -> int:
         return self.class_logits.shape[1]
-
-    def binarize(self, threshold: float = 0.5) -> np.ndarray:
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-        return self.scores >= threshold
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

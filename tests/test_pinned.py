@@ -47,7 +47,7 @@ PINS = {
             "queries.qtn": "d7d81f3afcc2269321e525047a1c065e5d939ed0085cccb1f0784022f2147f09",
             "tracks.json": "7e7238b92fc9b3366ea793d6fe9ec6c7a18c17d821d599798b5df65c46c3e532",
         },
-        "run": "8aba8714efbbf3e00825e5c6b2aae7ec9afdbab7e04b393bfeb4ea9e85f7db65",
+        "run": "435c851ca7e37cec2e86585f4fb81f45ad35a6d761c7d216e53c7543823842ad",
         "match": "49e1a73ee81bc39f15a6fe51a50efdda7516cfff2def143786fed0fa22a703f4",
         "sweep": "7d593310d44105ebcfc78ad5c67fcc4dbec9374975162d9fe10633b1ce711715",
     },
@@ -62,7 +62,7 @@ PINS = {
             "queries.qtn": "57c6af42cbb447cf7ffb90711e3b5db400a84bde0df1b78713214c99fe26325a",
             "tracks.json": "eb3160ea42e391bd3fbb8422798018df4ddb85722cf91cb2aaec76bb464dc3c5",
         },
-        "run": "37d51135825f1c04e0f0fe27ec5564d43ec0e032aa594ba1a1977be5861f3ebf",
+        "run": "9cbf58bc2db1d0e897c02832442f61edbd6d24478071e8fcc2b6ef30924fde01",
         "match": "708c61fb85edfc2ed8c9fa7d1611ac48a1383a623a45320f99b5860fe11a8009",
         "sweep": "7d7c7d1733c6466382fdf38515350e45741d72d54307fa43d512c53639d27f03",
     },

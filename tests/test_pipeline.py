@@ -117,20 +117,6 @@ def test_soft_mask_set_validation():
         SoftMaskSet(np.full((1, 1, 1), 0.0), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         SoftMaskSet(np.full((1, 1, 1), 0.5), np.full((1, 2), np.inf))
-    masks = SoftMaskSet(np.full((2, 2, 2), 0.75), np.zeros((2, 3)))
-    assert masks.binarize(0.5).all()
-    assert not masks.binarize(0.8).any()
-    with pytest.raises(ValueError):
-        masks.binarize(0.0)
-
-
-def test_pipeline_config_threshold_range():
-    cfg = plan_shift(0, 8)
-    PipelineConfig(shift=cfg, mask_threshold=0.5)
-    with pytest.raises(ValueError):
-        PipelineConfig(shift=cfg, mask_threshold=1.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(shift=cfg, mask_threshold=0.0)
 
 
 # ---------------------------------------------------------------------------
