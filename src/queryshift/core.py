@@ -4,6 +4,8 @@ Everything downstream (shifting, matching, decoding, metrics) works on the
 four array types defined here.  All numeric payloads are float64 and every
 wrapped array is frozen after validation, so a constructed value can be shared
 freely between threads and between pipeline stages without defensive copies.
+The public constructors copy, freeze and finite-scan their input once; a
+clip's frames, and a scene's pixel maps, are read-only views of one array.
 
 On-disk formats:
 
@@ -22,10 +24,11 @@ On-disk formats:
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator, Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -67,7 +70,11 @@ class NonFiniteTensorError(TensorFormatError):
 
 
 def _frozen_f64(data, shape_rank: int, what: str) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64, copy=True)
+    return _freeze(np.array(data, dtype=np.float64, copy=True), shape_rank, what)
+
+
+def _freeze(arr: np.ndarray, shape_rank: int, what: str) -> np.ndarray:
+    """Validate a float64 array no one else holds, then make it read-only in place."""
     if arr.ndim != shape_rank:
         raise ValueError(f"{what} must be {shape_rank}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -76,6 +83,17 @@ def _frozen_f64(data, shape_rank: int, what: str) -> np.ndarray:
         raise NonFiniteTensorError(f"{what} contains non-finite values")
     arr.setflags(write=False)
     return arr
+
+
+def _view(cls, data: np.ndarray):
+    """Wrap a read-only slice of an array this package already validated.
+
+    No copy and no rescan: ``data`` must come from an array that went through
+    :func:`_freeze`.
+    """
+    view = object.__new__(cls)
+    object.__setattr__(view, "data", data)
+    return view
 
 
 @dataclass(frozen=True)
@@ -98,50 +116,29 @@ class FrameQuerySet:
 
 @dataclass(frozen=True)
 class ClipQueryTensor:
-    """T frames of query sets sharing one (N, D) shape."""
+    """T frames of N queries with D channels, as one (T, N, D) float64 array."""
 
-    frames: tuple[FrameQuerySet, ...]
+    data: np.ndarray
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if len(frames) < 1:
-            raise ValueError("a clip needs at least one frame")
-        shape0 = frames[0].data.shape
-        for i, f in enumerate(frames):
-            if not isinstance(f, FrameQuerySet):
-                raise TypeError("clip frames must be FrameQuerySet instances")
-            if f.data.shape != shape0:
-                raise ValueError(
-                    f"frame {i} has shape {f.data.shape}, expected {shape0}"
-                )
-        object.__setattr__(self, "frames", frames)
-
-    @classmethod
-    def from_array(cls, arr) -> "ClipQueryTensor":
-        """Build from a (T, N, D) array."""
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim != 3:
-            raise ValueError(f"expected a (T, N, D) array, got shape {a.shape}")
-        return cls(tuple(FrameQuerySet(a[t]) for t in range(a.shape[0])))
-
-    def to_array(self) -> np.ndarray:
-        """Stack to a fresh, writable (T, N, D) array."""
-        return np.stack([f.data for f in self.frames]).copy()
+        object.__setattr__(self, "data", _frozen_f64(self.data, 3, "clip query tensor"))
 
     @property
     def t_len(self) -> int:
-        return len(self.frames)
+        return self.data.shape[0]
 
     @property
     def n_queries(self) -> int:
-        return self.frames[0].n_queries
+        return self.data.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.frames[0].dim
+        return self.data.shape[2]
 
-    def __iter__(self) -> Iterator[FrameQuerySet]:
-        return iter(self.frames)
+    @property
+    def frames(self) -> tuple[FrameQuerySet, ...]:
+        """One read-only view per frame; no copy."""
+        return tuple(_view(FrameQuerySet, frame) for frame in self.data)
 
 
 @dataclass(frozen=True)
@@ -218,12 +215,9 @@ def write_tensor(clip: ClipQueryTensor, dest: PathOrIO) -> None:
     """Serialize a clip to the .qtn layout described in the module docstring."""
     sink, owns = _open_for(dest, "wb")
     try:
-        payload = np.ascontiguousarray(
-            np.stack([f.data for f in clip.frames]), dtype="<f8"
-        )
         sink.write(QTN_MAGIC)
         sink.write(struct.pack("<III", clip.t_len, clip.n_queries, clip.dim))
-        sink.write(payload.tobytes(order="C"))
+        sink.write(np.ascontiguousarray(clip.data, dtype="<f8"))
         sink.write(QTN_TRAILER)
     finally:
         if owns:
@@ -239,6 +233,20 @@ def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
+def _check_payload_fits(f: BinaryIO, count: int) -> None:
+    """Fail before read() is asked for more bytes than a seekable stream holds."""
+    if not f.seekable():
+        return
+    here = f.tell()
+    left = f.seek(0, io.SEEK_END) - here
+    f.seek(here)
+    if left < 8 * count + len(QTN_TRAILER):
+        raise TruncatedTensorError(
+            f"header declares {count} float64 values, "
+            f"but only {left} bytes follow it including the trailer"
+        )
+
+
 def read_tensor(src: PathOrIO) -> ClipQueryTensor:
     """Parse a .qtn stream, validating magic, dims, payload and trailer."""
     f, owns = _open_for(src, "rb")
@@ -252,14 +260,13 @@ def read_tensor(src: PathOrIO) -> ClipQueryTensor:
                 f"dimensions must all be >= 1, header declares ({t_len}, {n_q}, {dim})"
             )
         count = t_len * n_q * dim
+        _check_payload_fits(f, count)
         raw = _read_exact(f, 8 * count, f"payload of {count} float64 values")
         trailer = _read_exact(f, len(QTN_TRAILER), "trailer")
         if trailer != QTN_TRAILER:
             raise WrongMagicError(f"bad trailer {trailer!r}, expected {QTN_TRAILER!r}")
-        values = np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64)
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteTensorError("payload contains non-finite values")
-        return ClipQueryTensor.from_array(values.reshape(t_len, n_q, dim))
+        values = np.frombuffer(raw, dtype="<f8", count=count)
+        return ClipQueryTensor(values.reshape(t_len, n_q, dim))
     finally:
         if owns:
             f.close()

@@ -331,11 +331,12 @@ def align_clip(clip: ClipQueryTensor) -> ClipAlignment:
     For a single-frame clip the alignment is the bare identity anchor.
     """
     n = clip.n_queries
+    frames = clip.frames
     per_frame = [Permutation.identity(n)]
     adjacent: list[Permutation] = []
     totals: list[float] = []
     for t in range(clip.t_len - 1):
-        sim = cosine_similarity(clip.frames[t], clip.frames[t + 1])
+        sim = cosine_similarity(frames[t], frames[t + 1])
         match, total = optimal_match(sim)
         adjacent.append(match)
         totals.append(total)

@@ -126,8 +126,8 @@ def global_static_masks(gt_labels: Sequence[LabelMap]) -> tuple[np.ndarray, ...]
     """Per-frame masks of pixels whose ground-truth label never changes."""
     if len(gt_labels) == 0:
         raise ValueError("empty clip")
-    stack = np.stack([g.labels for g in gt_labels])
-    static = np.all(stack == stack[0], axis=0)
+    first = gt_labels[0].labels
+    static = np.logical_and.reduce([g.labels == first for g in gt_labels])
     return tuple(static.copy() for _ in gt_labels)
 
 

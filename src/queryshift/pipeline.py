@@ -157,18 +157,12 @@ def shift_with_matching(
     else:
         alignment = ClipAlignment.identity(clip.t_len, clip.n_queries)
 
-    arr = clip.to_array()
-    aligned = np.empty_like(arr)
-    for t, pf in enumerate(alignment.per_frame):
-        idx = np.asarray(pf.mapping, dtype=np.intp)
-        aligned[t, idx] = arr[t]
-    shifted = feature_shift(ClipQueryTensor.from_array(aligned), config.shift)
-    shifted_arr = shifted.to_array()
-    out = np.empty_like(shifted_arr)
-    for t, pf in enumerate(alignment.per_frame):
-        idx = np.asarray(pf.mapping, dtype=np.intp)
-        out[t] = shifted_arr[t, idx]
-    return ClipQueryTensor.from_array(out), alignment
+    # idx[t, i, 0]: the track-space slot of frame t's query i
+    idx = np.array([pf.mapping for pf in alignment.per_frame], dtype=np.intp)[:, :, None]
+    aligned = np.empty_like(clip.data)
+    np.put_along_axis(aligned, idx, clip.data, axis=1)
+    shifted = feature_shift(ClipQueryTensor(aligned), config.shift)
+    return ClipQueryTensor(np.take_along_axis(shifted.data, idx, axis=1)), alignment
 
 
 def run_clip(
@@ -182,8 +176,8 @@ def run_clip(
     """
     head = class_head_for(scene) if class_head is None else class_head
     shifted, alignment = shift_with_matching(scene.queries, config)
-    labels = []
-    for t in range(scene.spec.t_len):
-        masks = decode_masks(shifted.frames[t], scene.pixels[t], head)
-        labels.append(semantic_inference(masks))
-    return tuple(labels), alignment
+    labels = tuple(
+        semantic_inference(decode_masks(queries, pixels, head))
+        for queries, pixels in zip(shifted.frames, scene.pixels)
+    )
+    return labels, alignment

@@ -106,19 +106,18 @@ def plan_shift(
 def feature_shift(clip: ClipQueryTensor, config: ShiftConfig) -> ClipQueryTensor:
     """Apply the temporal shift to every query index of a clip.
 
-    Pure: the input tensor is untouched, a new ClipQueryTensor is returned.
-    With ``d_forward == 0`` the result equals the input bit for bit.
+    Pure: the input tensor is untouched.  A plan that shifts no channels
+    returns the (immutable) input itself.
     """
     if config.dim != clip.dim:
         raise ValueError(
             f"shift was planned for dim {config.dim}, clip has dim {clip.dim}"
         )
-    z = clip.to_array()  # (T, N, D) writable copy
-    t_len = z.shape[0]
     df = config.d_forward
     db = config.d_backward
     if df == 0 and db == 0:
-        return ClipQueryTensor.from_array(z)
+        return clip
+    z = clip.data
     out = z.copy()
     if df:
         out[1:, :, :df] = z[:-1, :, :df]
@@ -129,4 +128,4 @@ def feature_shift(clip: ClipQueryTensor, config: ShiftConfig) -> ClipQueryTensor
         out[:-1, :, -db:] = z[1:, :, -db:]
         if config.boundary is BoundaryPolicy.ZERO_FILL:
             out[-1, :, -db:] = 0.0
-    return ClipQueryTensor.from_array(out)
+    return ClipQueryTensor(out)

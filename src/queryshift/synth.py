@@ -66,6 +66,8 @@ from .core import (
     PixelEmbeddingMap,
     read_labelmap,
     read_tensor,
+    _freeze,
+    _view,
     write_labelmap,
     write_tensor,
 )
@@ -347,37 +349,36 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
                 frames[t, i] = base + spec.noise_sigma * np.asarray(noise)
             else:
                 frames[t, i] = base
-    queries = ClipQueryTensor.from_array(frames)
 
     rh = max(1, h // 5)
     rw = max(1, w // 5)
-    pixel_maps = []
-    label_maps = []
-    background = c - 1
+    labels = np.full((t_len, h, w), c - 1, dtype=np.int64)
+    pix = np.zeros((t_len, h, w, d), dtype=np.float64)
     for t in range(t_len):
-        labels = np.full((h, w), background, dtype=np.int64)
-        pix = np.zeros((h, w, d), dtype=np.float64)
         for track in range(k):
             vy, vx = _DIRS[track % len(_DIRS)]
             r0, c0 = anchors[track]
             rows = (r0 + t * vy * spec.motion + np.arange(rh)) % h
             cols = (c0 + t * vx * spec.motion + np.arange(rw)) % w
-            labels[np.ix_(rows, cols)] = track_classes[track]
-            pix[np.ix_(rows, cols)] = prototypes[track]
-        pixel_maps.append(PixelEmbeddingMap(pix))
-        label_maps.append(LabelMap(labels, c))
+            labels[t][np.ix_(rows, cols)] = track_classes[track]
+            pix[t][np.ix_(rows, cols)] = prototypes[track]
 
     return SceneClip(
         spec=spec,
-        queries=queries,
-        pixels=tuple(pixel_maps),
-        gt_labels=tuple(label_maps),
+        queries=ClipQueryTensor(frames),
+        pixels=_pixel_maps(_freeze(pix, 4, "pixel embeddings")),
+        gt_labels=tuple(LabelMap(frame, c) for frame in labels),
         gt_tracks=tuple(gt_tracks),
         prototypes=prototypes,
         no_object=no_object,
         track_classes=track_classes,
         signature_scale=rho,
     )
+
+
+def _pixel_maps(grids: np.ndarray) -> tuple[PixelEmbeddingMap, ...]:
+    """Per-frame views of one validated, read-only (T, H, W, D) array."""
+    return tuple(_view(PixelEmbeddingMap, frame) for frame in grids)
 
 
 def recovery_rate(alignment: ClipAlignment, scene: SceneClip) -> float:
@@ -504,9 +505,9 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
     written.append(qpath)
 
     h, w = scene.spec.grid
-    flat = np.stack([p.data.reshape(h * w, scene.spec.dim) for p in scene.pixels])
+    flat = ClipQueryTensor([p.data.reshape(h * w, scene.spec.dim) for p in scene.pixels])
     ppath = out / "pixels.qtn"
-    write_tensor(ClipQueryTensor.from_array(flat), ppath)
+    write_tensor(flat, ppath)
     written.append(ppath)
 
     for t, lmap in enumerate(scene.gt_labels):
@@ -550,14 +551,12 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     queries = read_tensor(src / "queries.qtn")
     flat = read_tensor(src / "pixels.qtn")
     h, w = spec.grid
-    if flat.n_queries != h * w or flat.t_len != spec.t_len:
+    if (flat.t_len, flat.n_queries, flat.dim) != (spec.t_len, h * w, spec.dim):
         raise ValueError(
             f"pixels.qtn shape ({flat.t_len}, {flat.n_queries}, {flat.dim}) does not "
-            f"match a {spec.t_len}-frame {h}x{w} grid"
+            f"match a {spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
         )
-    pixels = tuple(
-        PixelEmbeddingMap(frame.data.reshape(h, w, spec.dim)) for frame in flat.frames
-    )
+    pixels = _pixel_maps(flat.data.reshape(spec.t_len, h, w, spec.dim))
     labels = tuple(
         read_labelmap(src / f"labels_{t}.pgm", spec.num_classes) for t in range(spec.t_len)
     )

@@ -104,11 +104,11 @@ def test_criterion_2_shift_matches_naive_reference():
         n = int(rng.integers(1, 65))
         d = int(rng.integers(2, 257))
         arr = rng.standard_normal((t, n, d))
-        clip = ClipQueryTensor.from_array(arr)
+        clip = ClipQueryTensor(arr)
         frac = Fraction(int(rng.integers(0, 257)), 512)
         for boundary in (ZERO, HOLD):
             cfg = plan_shift(frac, d, boundary)
-            got = feature_shift(clip, cfg).to_array()
+            got = feature_shift(clip, cfg).data
             want = np.array(
                 _naive_shift_lists(
                     arr.tolist(), cfg.d_forward, cfg.d_backward, boundary is HOLD
@@ -333,10 +333,10 @@ def test_criterion_7_scale_invariance():
         n = int(rng.integers(2, 9))
         d = int(rng.integers(n, 33))
         arr = rng.standard_normal((t, n, d))
-        base = align_clip(ClipQueryTensor.from_array(arr))
+        base = align_clip(ClipQueryTensor(arr))
         frame_scales = scales[rng.integers(0, 3, size=t)]
         scaled = align_clip(
-            ClipQueryTensor.from_array(arr * frame_scales[:, None, None])
+            ClipQueryTensor(arr * frame_scales[:, None, None])
         )
         for p_base, p_scaled in zip(base.per_frame, scaled.per_frame):
             assert p_base.mapping == p_scaled.mapping

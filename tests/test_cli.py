@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_run_corrupt_tensor_exits_2(scene_dir, tmp_path, capsys):
 def test_match_identical_frames(tmp_path, capsys):
     frame = np.random.default_rng(0).standard_normal((3, 8))
     qtn = tmp_path / "q.qtn"
-    write_tensor(ClipQueryTensor.from_array(np.stack([frame] * 4)), qtn)
+    write_tensor(ClipQueryTensor(np.stack([frame] * 4)), qtn)
     assert main(["match", "--queries", str(qtn)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["t_len"] == 4
@@ -253,7 +254,7 @@ def test_match_recovers_scatter_permutations(tmp_path, capsys):
             frame[pi(i)] = protos[i]
         frames.append(frame)
     qtn = tmp_path / "q.qtn"
-    write_tensor(ClipQueryTensor.from_array(np.stack(frames)), qtn)
+    write_tensor(ClipQueryTensor(np.stack(frames)), qtn)
     assert main(["match", "--queries", str(qtn)]) == 0
     payload = json.loads(capsys.readouterr().out)
     for t, pi in enumerate(pis):
@@ -262,7 +263,7 @@ def test_match_recovers_scatter_permutations(tmp_path, capsys):
 
 def test_match_single_frame(tmp_path, capsys):
     qtn = tmp_path / "q.qtn"
-    write_tensor(ClipQueryTensor.from_array(np.ones((1, 2, 3))), qtn)
+    write_tensor(ClipQueryTensor(np.ones((1, 2, 3))), qtn)
     assert main(["match", "--queries", str(qtn)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["per_frame"] == [[0, 1]]
@@ -274,6 +275,14 @@ def test_match_corrupt_input_exits_2(tmp_path, capsys):
     bad.write_bytes(b"QTNv9999" + bytes(28))
     assert main(["match", "--queries", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_match_oversized_header_exits_2_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "huge.qtn"
+    bad.write_bytes(b"QTNv0001" + struct.pack("<III", *[0xFFFFFFFF] * 3) + bytes(16))
+    assert main(["match", "--queries", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: header declares") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

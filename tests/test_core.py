@@ -37,7 +37,7 @@ def _qtn_bytes(clip):
 
 def _clip(t, n, d, seed=0):
     rng = np.random.default_rng(seed)
-    return ClipQueryTensor.from_array(rng.standard_normal((t, n, d)))
+    return ClipQueryTensor(rng.standard_normal((t, n, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def _clip(t, n, d, seed=0):
 
 def test_minimal_file_is_36_bytes():
     # magic 8 + dims 12 + one float64 8 + trailer 8
-    clip = ClipQueryTensor.from_array(np.zeros((1, 1, 1)))
+    clip = ClipQueryTensor(np.zeros((1, 1, 1)))
     data = _qtn_bytes(clip)
     assert len(data) == 36
     assert data[:8] == MAGIC
@@ -58,7 +58,7 @@ def test_minimal_file_is_36_bytes():
 
 def test_layout_is_frame_major_little_endian():
     arr = np.arange(2 * 2 * 3, dtype=np.float64).reshape(2, 2, 3)
-    data = _qtn_bytes(ClipQueryTensor.from_array(arr))
+    data = _qtn_bytes(ClipQueryTensor(arr))
     assert struct.unpack("<III", data[8:20]) == (2, 2, 3)
     payload = np.frombuffer(data[20:-8], dtype="<f8")
     assert payload.tolist() == list(range(12))
@@ -86,13 +86,13 @@ def test_round_trip_through_file(tmp_path):
     path = tmp_path / "clip.qtn"
     write_tensor(clip, path)
     back = read_tensor(path)
-    assert np.array_equal(back.to_array(), clip.to_array())
+    assert np.array_equal(back.data, clip.data)
 
 
 def test_round_trip_preserves_special_values():
     arr = np.array([[[0.0, -0.0, 2.0**-1074, 1.7976931348623157e308]]])
-    back = read_tensor(io.BytesIO(_qtn_bytes(ClipQueryTensor.from_array(arr))))
-    assert np.array_equal(back.to_array().view(np.uint64), arr.view(np.uint64))
+    back = read_tensor(io.BytesIO(_qtn_bytes(ClipQueryTensor(arr))))
+    assert np.array_equal(back.data.view(np.uint64), arr.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,13 @@ def test_payload_one_float_short():
     body = struct.pack("<8d", *range(8))[:-8]
     data = MAGIC + struct.pack("<III", 2, 2, 2) + body + TRAILER
     with pytest.raises(TruncatedTensorError):
+        read_tensor(io.BytesIO(data))
+
+
+def test_oversized_header_is_truncated_before_reading():
+    # 0xFFFFFFFF^3 float64 values do not even fit a read() size argument
+    data = MAGIC + struct.pack("<III", *[0xFFFFFFFF] * 3) + bytes(16) + TRAILER
+    with pytest.raises(TruncatedTensorError, match="header declares"):
         read_tensor(io.BytesIO(data))
 
 
@@ -173,23 +180,44 @@ def test_frames_are_frozen():
         clip.frames[0].data[0, 0] = 9.0
 
 
-def test_to_array_returns_writable_copy():
-    clip = _clip(2, 3, 4)
-    arr = clip.to_array()
-    arr[0, 0, 0] = 123.0
-    assert clip.frames[0].data[0, 0] != 123.0
+@pytest.mark.parametrize(
+    "cls, shape",
+    [(ClipQueryTensor, (2, 3, 4)), (FrameQuerySet, (3, 4)), (PixelEmbeddingMap, (2, 3, 4))],
+)
+def test_public_constructors_copy_freeze_and_scan(cls, shape):
+    arr = np.ones(shape)
+    value = cls(arr)
+    arr[(0,) * len(shape)] = 123.0
+    assert value.data[(0,) * len(shape)] == 1.0
+    assert not value.data.flags.writeable
+    arr[(0,) * len(shape)] = np.inf
+    with pytest.raises(NonFiniteTensorError):
+        cls(arr)
 
 
-def test_clip_rejects_mixed_shapes():
+def test_clip_frames_are_read_only_views_of_one_array():
+    clip = _clip(3, 2, 4)
+    assert not clip.data.flags.writeable
+    assert clip.data.shape == (clip.t_len, clip.n_queries, clip.dim) == (3, 2, 4)
+    for t, frame in enumerate(clip.frames):
+        assert isinstance(frame, FrameQuerySet)
+        assert not frame.data.flags.writeable
+        assert np.shares_memory(frame.data, clip.data)
+        assert np.array_equal(frame.data, clip.data[t])
+
+
+def test_clip_rejects_ragged_or_misshapen_input():
     with pytest.raises(ValueError):
-        ClipQueryTensor(
-            (FrameQuerySet(np.zeros((2, 3))), FrameQuerySet(np.zeros((2, 4))))
-        )
+        ClipQueryTensor([np.zeros((2, 3)), np.zeros((2, 4))])
+    with pytest.raises(ValueError):
+        ClipQueryTensor(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        ClipQueryTensor(np.zeros((0, 2, 3)))
 
 
 def test_clip_rejects_nonfinite():
     with pytest.raises(NonFiniteTensorError):
-        ClipQueryTensor.from_array(np.array([[[np.nan]]]))
+        ClipQueryTensor(np.array([[[np.nan]]]))
 
 
 def test_pixel_map_dims():

@@ -204,7 +204,7 @@ def test_match_total_is_achieved_sum():
 
 
 def test_align_single_frame():
-    clip = ClipQueryTensor.from_array(np.random.default_rng(0).standard_normal((1, 4, 8)))
+    clip = ClipQueryTensor(np.random.default_rng(0).standard_normal((1, 4, 8)))
     alignment = align_clip(clip)
     assert alignment.t_len == 1
     assert alignment.per_frame[0].is_identity()
@@ -214,7 +214,7 @@ def test_align_single_frame():
 
 def test_align_identical_frames_all_identity():
     frame = np.random.default_rng(1).standard_normal((5, 12))
-    clip = ClipQueryTensor.from_array(np.stack([frame] * 4))
+    clip = ClipQueryTensor(np.stack([frame] * 4))
     alignment = align_clip(clip)
     for p in alignment.per_frame:
         assert p.is_identity()
@@ -236,7 +236,7 @@ def test_align_recovers_known_permutations():
         for i in range(6):
             frame[pi(i)] = protos[i]
         frames.append(frame)
-    alignment = align_clip(ClipQueryTensor.from_array(np.stack(frames)))
+    alignment = align_clip(ClipQueryTensor(np.stack(frames)))
     for t, pi in enumerate(pis):
         assert alignment.per_frame[t].mapping == pi.inverse().mapping
     # each adjacent total is the full similarity mass of a perfect match
@@ -248,7 +248,7 @@ def test_align_recovers_known_permutations():
 @settings(max_examples=30, deadline=None)
 def test_align_composition_invariant(seed):
     rng = np.random.default_rng(seed)
-    clip = ClipQueryTensor.from_array(rng.standard_normal((5, 4, 6)))
+    clip = ClipQueryTensor(rng.standard_normal((5, 4, 6)))
     alignment = align_clip(clip)
     assert alignment.per_frame[0].is_identity()
     for t in range(alignment.t_len - 1):

@@ -180,7 +180,7 @@ def test_inference_tie_breaks_to_lowest_class():
 
 def _random_clip(t, n, d, seed=0):
     rng = np.random.default_rng(seed)
-    return ClipQueryTensor.from_array(rng.standard_normal((t, n, d)))
+    return ClipQueryTensor(rng.standard_normal((t, n, d)))
 
 
 def test_shift_fraction_zero_is_identity():
@@ -188,18 +188,18 @@ def test_shift_fraction_zero_is_identity():
     for matching in (True, False):
         out, alignment = shift_with_matching(clip, _config(0, 8, matching=matching))
         assert np.array_equal(
-            out.to_array().view(np.uint64), clip.to_array().view(np.uint64)
+            out.data.view(np.uint64), clip.data.view(np.uint64)
         )
         assert alignment.t_len == 4
 
 
 def test_shift_identical_frames_matching_irrelevant():
     frame = np.random.default_rng(2).standard_normal((4, 8))
-    clip = ClipQueryTensor.from_array(np.stack([frame] * 3))
+    clip = ClipQueryTensor(np.stack([frame] * 3))
     for boundary in (ZERO, HOLD):
         on, _ = shift_with_matching(clip, _config("1/2", 8, boundary, True))
         off, _ = shift_with_matching(clip, _config("1/2", 8, boundary, False))
-        assert np.array_equal(on.to_array(), off.to_array())
+        assert np.array_equal(on.data, off.data)
 
 
 def test_shift_matching_off_equals_plain_shift():
@@ -209,7 +209,7 @@ def test_shift_matching_off_equals_plain_shift():
         out, alignment = shift_with_matching(clip, cfg)
         plain = feature_shift(clip, cfg.shift)
         assert np.array_equal(
-            out.to_array().view(np.uint64), plain.to_array().view(np.uint64)
+            out.data.view(np.uint64), plain.data.view(np.uint64)
         )
         for p in alignment.per_frame:
             assert p.is_identity()
@@ -221,8 +221,8 @@ def test_shift_restores_original_order():
     clip = _random_clip(5, 6, 16, seed=4)
     cfg = _config("1/4", 16, HOLD, matching=True)  # 2 channels each way
     out, _ = shift_with_matching(clip, cfg)
-    z_in = clip.to_array()
-    z_out = out.to_array()
+    z_in = clip.data
+    z_out = out.data
     assert np.array_equal(z_out[:, :, 2:-2], z_in[:, :, 2:-2])
 
 
@@ -233,7 +233,7 @@ def _scatter_clip(protos, pis):
         for i in range(len(protos)):
             frame[pi(i)] = protos[i]
         frames.append(frame)
-    return ClipQueryTensor.from_array(np.stack(frames))
+    return ClipQueryTensor(np.stack(frames))
 
 
 def test_shift_channel_provenance():
@@ -255,13 +255,13 @@ def test_shift_channel_provenance():
     assert df == 1
 
     out_on, alignment = shift_with_matching(clip, cfg_on)
-    assert np.array_equal(out_on.to_array(), clip.to_array())
+    assert np.array_equal(out_on.data, clip.data)
     for t, pi in enumerate(pis):
         assert alignment.per_frame[t].mapping == pi.inverse().mapping
 
     out_off, _ = shift_with_matching(clip, cfg_off)
-    z = clip.to_array()
-    z_off = out_off.to_array()
+    z = clip.data
+    z_off = out_off.data
     for t in range(1, 3):
         for i in range(n):
             # forward block comes from the neighbour's occupant of index i
@@ -269,7 +269,7 @@ def test_shift_channel_provenance():
             src = pis[t - 1].inverse()(i)
             assert np.array_equal(z_off[t, i, :df], protos[src][:df])
     # and it really differs from the matched result somewhere
-    assert not np.array_equal(z_off, clip.to_array())
+    assert not np.array_equal(z_off, clip.data)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def naive_shift(z, d_f, d_b, boundary):
 
 def _clip(t, n, d, seed=0):
     rng = np.random.default_rng(seed)
-    return ClipQueryTensor.from_array(rng.standard_normal((t, n, d)))
+    return ClipQueryTensor(rng.standard_normal((t, n, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_worked_example_zero_fill():
         for c in range(d):
             z[t, 0, c] = 10 * (t + 1) + (c + 1)
     cfg = ShiftConfig(Fraction(1, 2), d, 1, 1, ZERO)
-    out = feature_shift(ClipQueryTensor.from_array(z), cfg).to_array()
+    out = feature_shift(ClipQueryTensor(z), cfg).data
     assert out[:, 0, 0].tolist() == [0.0, 11.0, 21.0]
     assert out[:, 0, 3].tolist() == [24.0, 34.0, 0.0]
     # middle channels unchanged
@@ -153,7 +153,7 @@ def test_worked_example_hold():
         for c in range(d):
             z[t, 0, c] = 10 * (t + 1) + (c + 1)
     cfg = ShiftConfig(Fraction(1, 2), d, 1, 1, HOLD)
-    out = feature_shift(ClipQueryTensor.from_array(z), cfg).to_array()
+    out = feature_shift(ClipQueryTensor(z), cfg).data
     assert out[:, 0, 0].tolist() == [11.0, 11.0, 21.0]
     assert out[:, 0, 3].tolist() == [24.0, 34.0, 34.0]
 
@@ -162,31 +162,31 @@ def test_single_frame_hold_is_identity():
     clip = _clip(1, 3, 8)
     cfg = ShiftConfig(Fraction(1, 2), 8, 2, 2, HOLD)
     out = feature_shift(clip, cfg)
-    assert np.array_equal(out.to_array(), clip.to_array())
+    assert np.array_equal(out.data, clip.data)
 
 
 def test_single_frame_zero_fill_blanks_both_bands():
     clip = _clip(1, 3, 8)
     cfg = ShiftConfig(Fraction(1, 2), 8, 2, 2, ZERO)
-    out = feature_shift(clip, cfg).to_array()
+    out = feature_shift(clip, cfg).data
     assert np.all(out[0, :, :2] == 0.0)
     assert np.all(out[0, :, -2:] == 0.0)
-    assert np.array_equal(out[0, :, 2:-2], clip.to_array()[0, :, 2:-2])
+    assert np.array_equal(out[0, :, 2:-2], clip.data[0, :, 2:-2])
 
 
 def test_zero_fraction_is_identity_bit_exact():
     clip = _clip(4, 5, 16, seed=7)
     out = feature_shift(clip, plan_shift(0, 16))
     assert np.array_equal(
-        out.to_array().view(np.uint64), clip.to_array().view(np.uint64)
+        out.data.view(np.uint64), clip.data.view(np.uint64)
     )
 
 
 def test_input_not_mutated():
     clip = _clip(3, 2, 6, seed=9)
-    before = clip.to_array()
+    before = clip.data.copy()
     feature_shift(clip, ShiftConfig(Fraction(1, 2), 6, 1, 1, ZERO))
-    assert np.array_equal(clip.to_array(), before)
+    assert np.array_equal(clip.data, before)
 
 
 def test_dim_mismatch_rejected():
@@ -207,16 +207,16 @@ def test_matches_naive_reference(t, n, d, seed, boundary):
     clip = _clip(t, n, d, seed)
     half = np.random.default_rng(seed + 1).integers(0, d // 2 + 1)
     cfg = ShiftConfig(Fraction(1, 2), d, int(half), int(half), boundary)
-    got = feature_shift(clip, cfg).to_array()
-    want = naive_shift(clip.to_array(), cfg.d_forward, cfg.d_backward, boundary)
+    got = feature_shift(clip, cfg).data
+    want = naive_shift(clip.data, cfg.d_forward, cfg.d_backward, boundary)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_untouched_band_bit_identical():
     clip = _clip(5, 4, 32, seed=3)
     cfg = plan_shift(Fraction(1, 8), 32, ZERO)  # 2 channels each way
-    out = feature_shift(clip, cfg).to_array()
-    z = clip.to_array()
+    out = feature_shift(clip, cfg).data
+    z = clip.data
     assert np.array_equal(
         out[:, :, 2:-2].view(np.uint64), z[:, :, 2:-2].view(np.uint64)
     )
@@ -225,8 +225,8 @@ def test_untouched_band_bit_identical():
 def test_hold_conserves_channel_multisets():
     clip = _clip(6, 3, 10, seed=5)
     cfg = ShiftConfig(Fraction(1, 2), 10, 2, 2, HOLD)
-    out = feature_shift(clip, cfg).to_array()
-    z = clip.to_array()
+    out = feature_shift(clip, cfg).data
+    z = clip.data
     for i in range(3):
         for c in range(2, 8):
             assert sorted(out[:, i, c]) == sorted(z[:, i, c])
@@ -245,7 +245,7 @@ def test_zero_fill_zero_count():
     # strictly positive input so injected zeros are identifiable
     z = rng.uniform(0.5, 1.5, size=(t_len, n, d))
     cfg = ShiftConfig(Fraction(1, 2), d, 3, 3, ZERO)
-    out = feature_shift(ClipQueryTensor.from_array(z), cfg).to_array()
+    out = feature_shift(ClipQueryTensor(z), cfg).data
     assert int((out == 0.0).sum()) == n * (cfg.d_forward + cfg.d_backward)
 
 
@@ -254,10 +254,10 @@ def test_commutes_with_query_permutation():
     z = rng.standard_normal((4, 6, 16))
     perm = rng.permutation(6)
     cfg = plan_shift(Fraction(1, 4), 16, HOLD)
-    shifted_then_permuted = feature_shift(ClipQueryTensor.from_array(z), cfg).to_array()[
+    shifted_then_permuted = feature_shift(ClipQueryTensor(z), cfg).data[
         :, perm, :
     ]
     permuted_then_shifted = feature_shift(
-        ClipQueryTensor.from_array(z[:, perm, :]), cfg
-    ).to_array()
+        ClipQueryTensor(z[:, perm, :]), cfg
+    ).data
     assert np.array_equal(shifted_then_permuted, permuted_then_shifted)

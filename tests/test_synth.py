@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from queryshift.core import PixelEmbeddingMap
 from queryshift.matching import ClipAlignment, Permutation, align_clip
 from queryshift.synth import (
     InfeasibleSceneError,
@@ -130,7 +131,7 @@ def test_same_seed_bit_identical():
     a = generate_scene(spec)
     b = generate_scene(spec)
     assert np.array_equal(
-        a.queries.to_array().view(np.uint64), b.queries.to_array().view(np.uint64)
+        a.queries.data.view(np.uint64), b.queries.data.view(np.uint64)
     )
     assert np.array_equal(a.prototypes.view(np.uint64), b.prototypes.view(np.uint64))
     for pa, pb in zip(a.pixels, b.pixels):
@@ -148,7 +149,7 @@ def test_different_seeds_differ():
 
 def test_permute_off_frames_identical():
     scene = generate_scene(_spec(permute_per_frame=False))
-    frames = scene.queries.to_array()
+    frames = scene.queries.data
     for t in range(1, scene.spec.t_len):
         assert np.array_equal(frames[t], frames[0])
     for p in scene.gt_tracks:
@@ -164,7 +165,7 @@ def test_permute_on_adjacent_tracks_always_differ():
 
 def test_noise_zero_queries_equal_prototypes():
     scene = generate_scene(_spec(n_queries=5, seed=3))
-    frames = scene.queries.to_array()
+    frames = scene.queries.data
     for t in range(scene.spec.t_len):
         for i in range(scene.spec.n_queries):
             track = scene.gt_tracks[t](i)
@@ -298,8 +299,8 @@ def test_scene_round_trip(tmp_path):
     back = load_scene(tmp_path)
     assert back.spec == scene.spec
     assert np.array_equal(
-        back.queries.to_array().view(np.uint64),
-        scene.queries.to_array().view(np.uint64),
+        back.queries.data.view(np.uint64),
+        scene.queries.data.view(np.uint64),
     )
     for pa, pb in zip(back.pixels, scene.pixels):
         assert np.array_equal(pa.data.view(np.uint64), pb.data.view(np.uint64))
@@ -310,6 +311,19 @@ def test_scene_round_trip(tmp_path):
     assert np.allclose(back.prototypes, scene.prototypes, atol=0)
     assert np.allclose(back.no_object, scene.no_object, atol=0)
     assert back.signature_scale == scene.signature_scale
+
+
+def test_pixel_maps_are_read_only_views_of_one_buffer(tmp_path):
+    scene = generate_scene(_spec())
+    save_scene(scene, tmp_path)
+    for s in (scene, load_scene(tmp_path)):
+        base = s.pixels[0].data.base
+        assert base is not None
+        assert not base.flags.writeable
+        for pm in s.pixels:
+            assert isinstance(pm, PixelEmbeddingMap)
+            assert pm.data.base is base
+            assert not pm.data.flags.writeable
 
 
 def test_scene_file_inventory(tmp_path):
@@ -333,7 +347,7 @@ def test_load_rejects_mismatched_pixels(tmp_path):
     from queryshift.core import ClipQueryTensor, write_tensor
 
     write_tensor(
-        ClipQueryTensor.from_array(np.zeros((4, 3, 16))), tmp_path / "pixels.qtn"
+        ClipQueryTensor(np.zeros((4, 3, 16))), tmp_path / "pixels.qtn"
     )
     with pytest.raises(ValueError):
         load_scene(tmp_path)
