@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 broken input data or file format,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,11 +26,12 @@ from .core import TensorFormatError, read_tensor
 from .matching import align_clip
 from .metrics import evaluate_clip
 from .pipeline import PipelineConfig, run_clip
-from .rng import MASK64
 from .shift import BoundaryPolicy, plan_shift
 from .synth import (
     InfeasibleSceneError,
     SceneSpec,
+    _check_keys,
+    _json_value,
     generate_scene,
     load_scene,
     recovery_rate,
@@ -91,20 +93,26 @@ def _parse_matching(value) -> bool:
     raise DataError(f"matching must be true/false or 'on'/'off', got {value!r}")
 
 
-def _pipeline_config(cfg: dict, dim: int, boundary_override: str | None) -> PipelineConfig:
+def _parse_boundary(value) -> BoundaryPolicy:
+    try:
+        return BoundaryPolicy(value)
+    except ValueError:
+        raise DataError(f"boundary must be 'zero' or 'hold', got {value!r}") from None
+
+
+def _pipeline_config(cfg: dict, dim: int) -> PipelineConfig:
+    _check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"))
     if "fraction" not in cfg:
         raise DataError("pipeline config needs a 'fraction' field")
     frac = _parse_fraction(cfg["fraction"])
-    boundary = boundary_override or cfg.get("boundary", "zero")
-    try:
-        policy = BoundaryPolicy(boundary)
-    except ValueError:
-        raise DataError(f"boundary must be 'zero' or 'hold', got {boundary!r}") from None
-    shift = plan_shift(frac, dim, policy)
-    return PipelineConfig(
-        shift=shift,
-        matching=_parse_matching(cfg.get("matching", True)),
-    )
+    shift = plan_shift(frac, dim, _parse_boundary(cfg.get("boundary", "zero")))
+    return PipelineConfig(shift=shift, matching=_parse_matching(cfg.get("matching", True)))
+
+
+def _scene_spec(scene, seed: int | None) -> SceneSpec:
+    """Parse a scene spec object; ``seed``, when given, replaces its seed."""
+    spec = SceneSpec.from_dict(scene)
+    return spec if seed is None else dataclasses.replace(spec, seed=seed)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -120,16 +128,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_synth(args) -> int:
-    spec_dict = _load_json(args.spec)
-    if args.seed_override is not None:
-        spec_dict = {**spec_dict, "seed": args.seed_override}
-    try:
-        spec = SceneSpec.from_dict(spec_dict)
-    except InfeasibleSceneError:
-        raise
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    scene = generate_scene(spec)
+    scene = generate_scene(_scene_spec(_load_json(args.spec), args.seed_override))
     for path in save_scene(scene, args.out):
         print(path)
     return 0
@@ -137,7 +136,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     scene = load_scene(args.scene)
-    config = _pipeline_config(_load_json(args.config), scene.spec.dim, args.boundary)
+    cfg = _load_json(args.config)
+    if args.boundary is not None:
+        cfg["boundary"] = args.boundary
+    config = _pipeline_config(cfg, scene.spec.dim)
     preds, alignment = run_clip(scene, config)
     recovery = recovery_rate(alignment, scene)
     echo = {
@@ -173,22 +175,20 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _sweep_cell(task: tuple) -> list[str]:
+def _sweep_cell(task: tuple[SceneSpec, dict]) -> list[str]:
     """One grid cell: fresh scene, one pipeline run, one CSV row."""
-    scene_dict, frac_str, matching, seed, boundary = task
-    spec = SceneSpec.from_dict({**scene_dict, "seed": seed})
+    spec, cfg = task
     scene = generate_scene(spec)
-    shift = plan_shift(Fraction(frac_str), spec.dim, BoundaryPolicy(boundary))
-    config = PipelineConfig(shift=shift, matching=matching)
+    config = _pipeline_config(cfg, spec.dim)
     preds, alignment = run_clip(scene, config)
     recovery = recovery_rate(alignment, scene)
     report = evaluate_clip(scene.gt_labels, preds, recovery, {})
     tc = report.temporal_consistency
     return [
-        frac_str,
-        str(shift.channels_shifted),
-        "on" if matching else "off",
-        str(seed),
+        cfg["fraction"],
+        str(config.shift.channels_shifted),
+        "on" if config.matching else "off",
+        str(spec.seed),
         repr(report.miou),
         repr(report.pixel_accuracy),
         "" if tc is None else repr(tc),
@@ -234,37 +234,26 @@ def _sweep_summary(rows: list[list[str]]) -> str:
 
 def _cmd_sweep(args) -> int:
     sweep = _load_json(args.spec)
+    _check_keys("sweep spec", sweep, ("scene", "fractions", "matching", "repeats", "boundary"))
     if "scene" not in sweep:
         raise DataError("sweep spec needs a 'scene' object")
-    scene_dict = dict(sweep["scene"])
-    if args.seed_override is not None:
-        scene_dict["seed"] = args.seed_override
-    try:
-        base_spec = SceneSpec.from_dict(scene_dict)
-    except InfeasibleSceneError:
-        raise
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    base_spec = _scene_spec(sweep["scene"], args.seed_override)
 
     fractions = [str(_parse_fraction(f)) for f in sweep.get("fractions", _DEFAULT_FRACTIONS)]
     matchings = [_parse_matching(m) for m in sweep.get("matching", (False, True))]
-    repeats = int(sweep.get("repeats", 1))
+    repeats = _json_value("repeats", sweep.get("repeats", 1), int)
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
     if args.parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
-    boundary = args.boundary or sweep.get("boundary", "zero")
-    try:
-        BoundaryPolicy(boundary)
-    except ValueError:
-        raise DataError(f"boundary must be 'zero' or 'hold', got {boundary!r}") from None
+    boundary = _parse_boundary(args.boundary or sweep.get("boundary", "zero")).value
 
     tasks = []
     for frac in fractions:
         for matching in matchings:
+            cfg = {"fraction": frac, "matching": matching, "boundary": boundary}
             for r in range(repeats):
-                seed = (base_spec.seed + r) & MASK64
-                tasks.append((base_spec.to_dict(), frac, matching, seed, boundary))
+                tasks.append((dataclasses.replace(base_spec, seed=base_spec.seed + r), cfg))
 
     rows: list[list[str]] = []
     with open(args.out, "w") as f:
@@ -341,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleSceneError as exc:
         print(f"infeasible scene: {exc}", file=sys.stderr)
         return 3
-    except (DataError, TensorFormatError, OSError, ValueError) as exc:
+    except (DataError, TensorFormatError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -93,13 +93,10 @@ def plan_shift(
     fraction below 2/dim degenerates to a no-op shift.
     """
     frac = _as_fraction(fraction)
-    if not 0 <= frac <= Fraction(1, 2):
-        raise ValueError(f"shift fraction must lie in [0, 1/2], got {frac}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     budget = int(frac * dim)  # exact rational floor for non-negative values
     budget -= budget % 2
     half = budget // 2
+    # ShiftConfig rejects a fraction outside [0, 1/2] and a dim below 1
     return ShiftConfig(frac, dim, half, half, boundary)
 
 

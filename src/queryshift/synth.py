@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -97,6 +97,24 @@ _HEAD_PEAK_LOGIT = 24.0
 
 class InfeasibleSceneError(ValueError):
     """The scene description cannot be realised."""
+
+
+def _check_keys(what: str, d: dict, allowed) -> None:
+    """Reject keys of a parsed JSON object that are not in ``allowed``."""
+    unknown = sorted(str(k) for k in d if k not in allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
+def _json_value(what: str, value, *kinds: type):
+    """``value`` if its exact type is one of ``kinds``, so JSON true is no int."""
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{what} must be of type {names}, got {value!r}")
+    return value
+
+
+_INT_FIELDS = ("t_len", "n_tracks", "n_queries", "dim", "num_classes", "motion", "seed")
 
 
 @dataclass(frozen=True)
@@ -162,21 +180,24 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
+        """Parse a JSON object; unknown keys and inexact types are errors."""
+        if not isinstance(d, dict):
+            raise ValueError(f"scene spec must be a JSON object, got {d!r}")
+        _check_keys("scene spec", d, [f.name for f in fields(cls)])
+        d = {f.name: f.default for f in fields(cls) if f.default is not MISSING} | d
         try:
-            return cls(
-                t_len=int(d["t_len"]),
-                n_tracks=int(d["n_tracks"]),
-                n_queries=int(d["n_queries"]),
-                dim=int(d["dim"]),
-                num_classes=int(d["num_classes"]),
-                grid=(int(d["grid"][0]), int(d["grid"][1])),
-                noise_sigma=float(d.get("noise_sigma", 0.0)),
-                permute_per_frame=bool(d.get("permute_per_frame", True)),
-                motion=int(d.get("motion", 1)),
-                seed=int(d.get("seed", 0)),
-            )
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValueError(f"malformed scene spec: {exc}") from exc
+            sizes = {k: _json_value(k, d[k], int) for k in _INT_FIELDS}
+            grid = _json_value("grid", d["grid"], list, tuple)
+        except KeyError as exc:
+            raise ValueError(f"scene spec needs a {exc} field") from None
+        if len(grid) != 2:
+            raise ValueError(f"grid must be a [rows, cols] pair, got {grid!r}")
+        return cls(
+            **sizes,
+            grid=(_json_value("grid rows", grid[0], int), _json_value("grid cols", grid[1], int)),
+            noise_sigma=float(_json_value("noise_sigma", d["noise_sigma"], int, float)),
+            permute_per_frame=_json_value("permute_per_frame", d["permute_per_frame"], bool),
+        )
 
 
 @dataclass(frozen=True)

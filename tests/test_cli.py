@@ -116,6 +116,40 @@ def test_synth_missing_file_exits_2(tmp_path):
     assert main(["synth", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 2
 
 
+def _assert_one_line_error(capsys, fragment):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        ({"noise_sigam": 0.1}, "unknown scene spec key(s): noise_sigam"),
+        ({"t_len": 2.9}, "t_len must be of type int"),
+        ({"dim": True}, "dim must be of type int"),
+        ({"grid": [16, 16.0]}, "grid cols must be of type int"),
+        ({"permute_per_frame": "false"}, "permute_per_frame must be of type bool"),
+        ({"noise_sigma": "0.1"}, "noise_sigma must be of type int or float"),
+        ({"noise_sigma": 10**400}, "too large"),
+    ],
+    ids=["misspelled_key", "float_int", "bool_int", "float_grid", "string_bool", "string_sigma",
+         "huge_sigma"],
+)
+def test_synth_rejects_inexact_spec(tmp_path, capsys, change, fragment):
+    spec = _write_json(tmp_path / "spec.json", {**_scene_spec(), **change})
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "x")]) == 2
+    _assert_one_line_error(capsys, fragment)
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_accepts_integer_noise_sigma(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json", _scene_spec(noise_sigma=0))
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "x")]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "x" / "tracks.json").read_text())["spec"]["noise_sigma"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------
@@ -212,6 +246,12 @@ def test_run_bad_fraction_exits_2(scene_dir, tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "3/4"})
     assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
     capsys.readouterr()
+
+
+def test_run_rejects_removed_mask_threshold(scene_dir, tmp_path, capsys):
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4", "mask_threshold": 0.5})
+    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "unknown pipeline config key(s): mask_threshold")
 
 
 def test_run_corrupt_tensor_exits_2(scene_dir, tmp_path, capsys):
@@ -391,6 +431,23 @@ def test_sweep_missing_scene_key_exits_2(tmp_path, capsys):
     spec = _write_json(tmp_path / "sweep.json", {"fractions": ["0"]})
     assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        ({"matchng": ["on"]}, "unknown sweep spec key(s): matchng"),
+        ({"repeats": 1.5}, "repeats must be of type int"),
+        ({"scene": [1, 2]}, "scene spec must be a JSON object"),
+        ({"scene": _scene_spec(t_len=2.9)}, "t_len must be of type int"),
+    ],
+    ids=["misspelled_key", "float_repeats", "scene_not_object", "float_scene_int"],
+)
+def test_sweep_rejects_inexact_spec(tmp_path, capsys, change, fragment):
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(**change))
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
+    _assert_one_line_error(capsys, fragment)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_infeasible_scene_exits_3(tmp_path, capsys):
