@@ -107,7 +107,7 @@ def _check_keys(what: str, d: dict, allowed) -> None:
 
 
 def _json_value(what: str, value, *kinds: type):
-    """``value`` if its exact type is one of ``kinds``, so JSON true is no int."""
+    """``value`` if its exact type is one of ``kinds``; ``True`` is not an int here."""
     if type(value) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
         raise ValueError(f"{what} must be of type {names}, got {value!r}")
@@ -383,11 +383,12 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
             cols = (c0 + t * vx * spec.motion + np.arange(rw)) % w
             labels[t][np.ix_(rows, cols)] = track_classes[track]
             pix[t][np.ix_(rows, cols)] = prototypes[track]
+    _freeze(pix, 4, "pixel embeddings")  # in place: the maps below are views of pix
 
     return SceneClip(
         spec=spec,
         queries=ClipQueryTensor(frames),
-        pixels=_pixel_maps(_freeze(pix, 4, "pixel embeddings")),
+        pixels=tuple(_view(PixelEmbeddingMap, frame) for frame in pix),
         gt_labels=tuple(LabelMap(frame, c) for frame in labels),
         gt_tracks=tuple(gt_tracks),
         prototypes=prototypes,
@@ -395,11 +396,6 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         track_classes=track_classes,
         signature_scale=rho,
     )
-
-
-def _pixel_maps(grids: np.ndarray) -> tuple[PixelEmbeddingMap, ...]:
-    """Per-frame views of one validated, read-only (T, H, W, D) array."""
-    return tuple(_view(PixelEmbeddingMap, frame) for frame in grids)
 
 
 def recovery_rate(alignment: ClipAlignment, scene: SceneClip) -> float:
@@ -577,7 +573,8 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             f"pixels.qtn shape ({flat.t_len}, {flat.n_queries}, {flat.dim}) does not "
             f"match a {spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
         )
-    pixels = _pixel_maps(flat.data.reshape(spec.t_len, h, w, spec.dim))
+    grids = flat.data.reshape(spec.t_len, h, w, spec.dim)
+    pixels = tuple(_view(PixelEmbeddingMap, frame) for frame in grids)
     labels = tuple(
         read_labelmap(src / f"labels_{t}.pgm", spec.num_classes) for t in range(spec.t_len)
     )

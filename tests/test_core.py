@@ -183,6 +183,7 @@ def test_frames_are_frozen():
 @pytest.mark.parametrize(
     "cls, shape",
     [(ClipQueryTensor, (2, 3, 4)), (FrameQuerySet, (3, 4)), (PixelEmbeddingMap, (2, 3, 4))],
+    ids=["clip", "frame", "pixels"],
 )
 def test_public_constructors_copy_freeze_and_scan(cls, shape):
     arr = np.ones(shape)
