@@ -180,6 +180,7 @@ def test_zero_fraction_is_identity_bit_exact():
     assert np.array_equal(
         out.data.view(np.uint64), clip.data.view(np.uint64)
     )
+    assert out is clip  # immutable, so nothing to copy
 
 
 def test_input_not_mutated():
