@@ -32,6 +32,7 @@ from .synth import (
     SceneSpec,
     _check_keys,
     _json_value,
+    class_head_for,
     generate_scene,
     load_scene,
     recovery_rate,
@@ -175,25 +176,27 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _sweep_cell(task: tuple[SceneSpec, dict]) -> list[str]:
-    """One grid cell: fresh scene, one pipeline run, one CSV row."""
-    spec, cfg = task
+def _sweep_seed(spec: SceneSpec, configs: list[PipelineConfig]) -> list[list[str]]:
+    """One seed: generate its scene once, then one CSV row per grid cell."""
     scene = generate_scene(spec)
-    config = _pipeline_config(cfg, spec.dim)
-    preds, alignment = run_clip(scene, config)
-    recovery = recovery_rate(alignment, scene)
-    report = evaluate_clip(scene.gt_labels, preds, recovery, {})
-    tc = report.temporal_consistency
-    return [
-        cfg["fraction"],
-        str(config.shift.channels_shifted),
-        "on" if config.matching else "off",
-        str(spec.seed),
-        repr(report.miou),
-        repr(report.pixel_accuracy),
-        "" if tc is None else repr(tc),
-        repr(report.recovery),
-    ]
+    head = class_head_for(scene)
+    rows = []
+    for config in configs:
+        preds, alignment = run_clip(scene, config, head)
+        recovery = recovery_rate(alignment, scene)
+        report = evaluate_clip(scene.gt_labels, preds, recovery, {})
+        tc = report.temporal_consistency
+        rows.append([
+            str(config.shift.fraction),
+            str(config.shift.channels_shifted),
+            "on" if config.matching else "off",
+            str(spec.seed),
+            repr(report.miou),
+            repr(report.pixel_accuracy),
+            "" if tc is None else repr(tc),
+            repr(report.recovery),
+        ])
+    return rows
 
 
 def _mean(values: list[float]) -> float | None:
@@ -239,38 +242,32 @@ def _cmd_sweep(args) -> int:
         raise DataError("sweep spec needs a 'scene' object")
     base_spec = _scene_spec(sweep["scene"], args.seed_override)
 
-    fractions = [str(_parse_fraction(f)) for f in sweep.get("fractions", _DEFAULT_FRACTIONS)]
+    fractions = [_parse_fraction(f) for f in sweep.get("fractions", _DEFAULT_FRACTIONS)]
     matchings = [_parse_matching(m) for m in sweep.get("matching", (False, True))]
     repeats = _json_value("repeats", sweep.get("repeats", 1), int)
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
     if args.parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
-    boundary = _parse_boundary(args.boundary or sweep.get("boundary", "zero")).value
+    boundary = _parse_boundary(args.boundary or sweep.get("boundary", "zero"))
 
-    tasks = []
-    for frac in fractions:
-        for matching in matchings:
-            cfg = {"fraction": frac, "matching": matching, "boundary": boundary}
-            for r in range(repeats):
-                tasks.append((dataclasses.replace(base_spec, seed=base_spec.seed + r), cfg))
-
-    rows: list[list[str]] = []
+    configs = [
+        PipelineConfig(shift=plan_shift(frac, base_spec.dim, boundary), matching=matching)
+        for frac in fractions
+        for matching in matchings
+    ]
+    specs = [dataclasses.replace(base_spec, seed=base_spec.seed + r) for r in range(repeats)]
+    workers = min(args.parallel, repeats)
     with open(args.out, "w") as f:
         f.write(_CSV_HEADER + "\n")
-        f.flush()
-        if args.parallel > 1:
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                for row in pool.map(_sweep_cell, tasks, chunksize=1):
-                    rows.append(row)
-                    f.write(",".join(row) + "\n")
-                    f.flush()
+        if workers == 1:
+            per_seed = list(map(_sweep_seed, specs, [configs] * repeats))
         else:
-            for task in tasks:
-                row = _sweep_cell(task)
-                rows.append(row)
-                f.write(",".join(row) + "\n")
-                f.flush()
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                per_seed = list(pool.map(_sweep_seed, specs, [configs] * repeats))
+        # per_seed is seed-major; the CSV lists fraction, then matching, then seed
+        rows = [row for cell in zip(*per_seed) for row in cell]
+        f.writelines(",".join(row) + "\n" for row in rows)
     sys.stdout.write(_sweep_summary(rows))
     return 0
 

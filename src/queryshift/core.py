@@ -25,6 +25,7 @@ On-disk formats:
 from __future__ import annotations
 
 import io
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +50,8 @@ __all__ = [
 
 QTN_MAGIC = b"QTNv0001"
 QTN_TRAILER = b"QTNEND\x00\x00"
+# one PGM header token, after any whitespace and '#'-to-end-of-line comments
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 PathOrIO = Union[str, Path, BinaryIO]
 
@@ -292,7 +295,7 @@ def write_labelmap(lmap: LabelMap, dest: PathOrIO) -> None:
 
 
 def read_labelmap(src: PathOrIO, num_classes: int) -> LabelMap:
-    """Read a binary PGM written by :func:`write_labelmap`."""
+    """Read a binary PGM such as :func:`write_labelmap` writes."""
     f, owns = _open_for(src, "rb")
     try:
         data = f.read()
@@ -305,14 +308,11 @@ def read_labelmap(src: PathOrIO, num_classes: int) -> LabelMap:
     tokens: list[bytes] = []
     pos = 2
     while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        token = _PGM_TOKEN.match(data, pos)
+        if not token.group(1):
             raise TruncatedTensorError("PGM header ended early")
-        tokens.append(data[start:pos])
+        tokens.append(token.group(1))
+        pos = token.end()
     pos += 1  # single whitespace byte after maxval
     try:
         width, height, maxval = (int(t) for t in tokens)

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from queryshift import cli
 from queryshift.cli import main
 from queryshift.core import ClipQueryTensor, write_tensor
 from queryshift.matching import Permutation
@@ -330,6 +331,20 @@ def test_match_oversized_header_exits_2_with_one_line(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture()
+def scene_calls(monkeypatch):
+    """Seeds of the scenes the CLI generates in this process, in call order."""
+    calls = []
+    generate = cli.generate_scene
+
+    def counted(spec):
+        calls.append(spec.seed)
+        return generate(spec)
+
+    monkeypatch.setattr(cli, "generate_scene", counted)
+    return calls
+
+
 def _sweep_spec(**kw):
     base = dict(
         scene=_scene_spec(grid=[12, 12], t_len=3),
@@ -403,13 +418,46 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
 
 
 def test_sweep_parallel_equals_serial(tmp_path, capsys):
-    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=1))
+    # three seeds over two workers must come back in the serial row order
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=3))
     serial = tmp_path / "serial.csv"
     par = tmp_path / "par.csv"
     assert main(["sweep", "--spec", spec, "--out", str(serial)]) == 0
     assert main(["sweep", "--spec", spec, "--out", str(par), "--parallel", "2"]) == 0
     capsys.readouterr()
     assert serial.read_bytes() == par.read_bytes()
+
+
+def test_sweep_generates_each_seed_once(tmp_path, capsys, scene_calls):
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=3))
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert scene_calls == [0, 1, 2]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    cells = [(f, m) for f in ("0", "1/8") for m in ("off", "on")]
+    assert [(r[0], r[2]) for r in rows] == [cell for cell in cells for _ in range(3)]
+    assert [r[3] for r in rows] == ["0", "1", "2"] * len(cells)
+
+
+def test_sweep_one_seed_runs_in_process(tmp_path, capsys, scene_calls):
+    # --parallel 2 with a single seed starts no pool
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=1))
+    par = tmp_path / "par.csv"
+    serial = tmp_path / "serial.csv"
+    assert main(["sweep", "--spec", spec, "--out", str(par), "--parallel", "2"]) == 0
+    assert scene_calls == [0]
+    assert main(["sweep", "--spec", spec, "--out", str(serial)]) == 0
+    capsys.readouterr()
+    assert par.read_bytes() == serial.read_bytes()
+
+
+def test_sweep_unwritable_out_fails_before_generating(tmp_path, capsys, scene_calls):
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec())
+    out = tmp_path / "missing" / "grid.csv"
+    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "grid.csv")
+    assert scene_calls == []
 
 
 def test_sweep_seed_column_tracks_repeats(tmp_path, capsys):

@@ -283,6 +283,25 @@ def test_pgm_truncated_body():
         read_labelmap(io.BytesIO(b"P5\n4 4\n255\n" + bytes(5)), 2)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P5\n# written by netpbm\n2 2\n255\n",
+        b"P5\n2 2\n# maxval next\n255\n",
+        b"P5 # one\r\n2\t# two\n#\n2\n255\n",
+    ],
+    ids=["before_width", "before_maxval", "after_each_token"],
+)
+def test_pgm_skips_header_comments(header):
+    lm = read_labelmap(io.BytesIO(header + bytes([0, 1, 1, 0])), 2)
+    assert lm.labels.tolist() == [[0, 1], [1, 0]]
+
+
+def test_pgm_comment_reaching_eof_is_truncated():
+    with pytest.raises(TruncatedTensorError):
+        read_labelmap(io.BytesIO(b"P5\n2 2\n# maxval never comes"), 2)
+
+
 def test_pgm_caps_classes_at_256():
     lm = LabelMap(np.zeros((1, 1), dtype=np.int64), 257)
     with pytest.raises(ValueError):
