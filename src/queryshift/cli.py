@@ -18,7 +18,6 @@ import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -76,16 +75,6 @@ def _load_json(path: str) -> dict:
     return loaded
 
 
-def _parse_fraction(text) -> Fraction:
-    try:
-        frac = Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DataError(f"bad shift fraction {text!r}: {exc}") from None
-    if not 0 <= frac <= Fraction(1, 2):
-        raise DataError(f"shift fraction must lie in [0, 1/2], got {frac}")
-    return frac
-
-
 def _parse_matching(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -105,9 +94,18 @@ def _pipeline_config(cfg: dict, dim: int) -> PipelineConfig:
     _check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"))
     if "fraction" not in cfg:
         raise DataError("pipeline config needs a 'fraction' field")
-    frac = _parse_fraction(cfg["fraction"])
-    shift = plan_shift(frac, dim, _parse_boundary(cfg.get("boundary", "zero")))
+    shift = plan_shift(cfg["fraction"], dim, _parse_boundary(cfg.get("boundary", "zero")))
     return PipelineConfig(shift=shift, matching=_parse_matching(cfg.get("matching", True)))
+
+
+def _grid_axis(sweep: dict, key: str, default: Sequence) -> Sequence:
+    """A sweep grid axis: a non-empty JSON list, or ``default`` when absent."""
+    if key not in sweep:
+        return default
+    values = _json_value(key, sweep[key], list)
+    if not values:
+        raise DataError(f"{key} must be a non-empty list")
+    return values
 
 
 def _scene_spec(scene, seed: int | None) -> SceneSpec:
@@ -242,8 +240,8 @@ def _cmd_sweep(args) -> int:
         raise DataError("sweep spec needs a 'scene' object")
     base_spec = _scene_spec(sweep["scene"], args.seed_override)
 
-    fractions = [_parse_fraction(f) for f in sweep.get("fractions", _DEFAULT_FRACTIONS)]
-    matchings = [_parse_matching(m) for m in sweep.get("matching", (False, True))]
+    fractions = _grid_axis(sweep, "fractions", _DEFAULT_FRACTIONS)
+    matchings = [_parse_matching(m) for m in _grid_axis(sweep, "matching", (False, True))]
     repeats = _json_value("repeats", sweep.get("repeats", 1), int)
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")

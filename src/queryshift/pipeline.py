@@ -13,7 +13,6 @@ which is the ablation the evaluation compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,8 +32,6 @@ __all__ = [
 
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
 _SCORE_CEIL = np.nextafter(1.0, 0.0)
-
-ClassHead = Callable[[np.ndarray], np.ndarray] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,12 +99,11 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def decode_masks(
-    queries: FrameQuerySet, pixels: PixelEmbeddingMap, class_head: ClassHead
+    queries: FrameQuerySet, pixels: PixelEmbeddingMap, class_head: np.ndarray
 ) -> SoftMaskSet:
     """Dot every query against every pixel embedding; sigmoid to (0, 1).
 
-    ``class_head`` is either a (D, C) weight matrix or a callable mapping the
-    (N, D) query block to (N, C) logits.
+    ``class_head`` is a (D, C) weight matrix mapping queries to class logits.
     """
     q = queries.data
     if pixels.dim != queries.dim:
@@ -116,17 +112,12 @@ def decode_masks(
         )
     raw = np.einsum("nd,hwd->nhw", q, pixels.data)
     scores = np.clip(_sigmoid(raw), _SCORE_FLOOR, _SCORE_CEIL)
-    if callable(class_head):
-        logits = np.asarray(class_head(q), dtype=np.float64)
-    else:
-        head = np.asarray(class_head, dtype=np.float64)
-        if head.ndim != 2 or head.shape[0] != queries.dim:
-            raise ValueError(
-                f"class head must be (D, C) with D = {queries.dim}, got {head.shape}"
-            )
-        logits = np.einsum("nd,dc->nc", q, head)
-    if logits.ndim != 2 or logits.shape[0] != queries.n_queries:
-        raise ValueError(f"class head produced shape {logits.shape} for {queries.n_queries} queries")
+    head = np.asarray(class_head, dtype=np.float64)
+    if head.ndim != 2 or head.shape[0] != queries.dim:
+        raise ValueError(
+            f"class head must be (D, C) with D = {queries.dim}, got {head.shape}"
+        )
+    logits = np.einsum("nd,dc->nc", q, head)
     return SoftMaskSet(scores=scores, class_logits=logits)
 
 
@@ -168,7 +159,7 @@ def shift_with_matching(
 def run_clip(
     scene: SceneClip,
     config: PipelineConfig,
-    class_head: ClassHead | None = None,
+    class_head: np.ndarray | None = None,
 ) -> tuple[tuple[LabelMap, ...], ClipAlignment]:
     """Process a scene end to end and return per-frame predicted labels.
 

@@ -42,6 +42,8 @@ Derived draws:
 
 from __future__ import annotations
 
+import math
+
 MASK64 = (1 << 64) - 1
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -101,8 +103,6 @@ class Rng:
 
     def gauss(self) -> float:
         """Standard normal draw via Box-Muller (see module docstring)."""
-        import math
-
         spare = self._gauss_spare
         if spare is not None:
             self._gauss_spare = None

@@ -20,8 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import Union
 
 import numpy as np
 
@@ -29,39 +27,23 @@ from .core import ClipQueryTensor
 
 __all__ = ["BoundaryPolicy", "ShiftConfig", "plan_shift", "feature_shift"]
 
-FractionLike = Union[Fraction, int, float, str]
-
 
 class BoundaryPolicy(enum.Enum):
     ZERO_FILL = "zero"
     HOLD = "hold"
 
 
-def _as_fraction(fraction: FractionLike) -> Fraction:
-    if isinstance(fraction, Fraction):
-        return fraction
-    if isinstance(fraction, str):
-        return Fraction(fraction)
-    if isinstance(fraction, (int, Rational)):
-        return Fraction(fraction)
-    if isinstance(fraction, float):
-        return Fraction(fraction)  # exact binary value of the float
-    raise TypeError(f"cannot interpret {fraction!r} as a shift fraction")
-
-
 @dataclass(frozen=True)
 class ShiftConfig:
     """Validated shift plan for a fixed channel count.
 
-    ``d_forward`` and ``d_backward`` are equal by construction: the channel
-    budget ``floor(fraction * dim)`` is rounded down to an even number and
-    split half/half between the two directions.
+    The channel counts are derived from the fraction: the budget
+    ``floor(fraction * dim)`` is rounded down to an even number and split
+    half/half, so ``d_forward == d_backward == floor(fraction * dim) // 2``.
     """
 
     fraction: Fraction
     dim: int
-    d_forward: int
-    d_backward: int
     boundary: BoundaryPolicy = BoundaryPolicy.ZERO_FILL
 
     def __post_init__(self):
@@ -69,35 +51,37 @@ class ShiftConfig:
             raise ValueError(f"shift fraction must lie in [0, 1/2], got {self.fraction}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.d_forward != self.d_backward:
-            raise ValueError("forward and backward channel counts must match")
-        if self.d_forward + self.d_backward > self.dim:
-            raise ValueError(
-                f"channel budget {self.d_forward + self.d_backward} exceeds dim {self.dim}"
-            )
+
+    @property
+    def d_forward(self) -> int:
+        return int(self.fraction * self.dim) // 2  # exact rational floor, then halve
+
+    @property
+    def d_backward(self) -> int:
+        return self.d_forward
 
     @property
     def channels_shifted(self) -> int:
-        return self.d_forward + self.d_backward
+        return 2 * self.d_forward
 
 
 def plan_shift(
-    fraction: FractionLike,
+    fraction,
     dim: int,
     boundary: BoundaryPolicy = BoundaryPolicy.ZERO_FILL,
 ) -> ShiftConfig:
-    """Derive per-direction channel counts from a shift fraction.
+    """Read a shift fraction as written and plan the shift for ``dim`` channels.
 
-    budget = floor(fraction * dim), rounded down to even; each direction gets
-    half.  E.g. fraction 1/128 at dim 256 gives one channel each way, and any
-    fraction below 2/dim degenerates to a no-op shift.
+    ``fraction`` is a ``Fraction``, an int, a float or a string such as
+    ``"1/8"``; a float is read by its decimal text, so 0.3 is 3/10.  E.g.
+    fraction 1/128 at dim 256 gives one channel each way, and any fraction
+    below 2/dim degenerates to a no-op shift.
     """
-    frac = _as_fraction(fraction)
-    budget = int(frac * dim)  # exact rational floor for non-negative values
-    budget -= budget % 2
-    half = budget // 2
-    # ShiftConfig rejects a fraction outside [0, 1/2] and a dim below 1
-    return ShiftConfig(frac, dim, half, half, boundary)
+    try:
+        frac = Fraction(str(fraction))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad shift fraction {fraction!r}: {exc}") from None
+    return ShiftConfig(frac, dim, boundary)
 
 
 def feature_shift(clip: ClipQueryTensor, config: ShiftConfig) -> ClipQueryTensor:
@@ -110,19 +94,15 @@ def feature_shift(clip: ClipQueryTensor, config: ShiftConfig) -> ClipQueryTensor
         raise ValueError(
             f"shift was planned for dim {config.dim}, clip has dim {clip.dim}"
         )
-    df = config.d_forward
-    db = config.d_backward
-    if df == 0 and db == 0:
+    d = config.d_forward  # as many channels go each way
+    if d == 0:
         return clip
     z = clip.data
     out = z.copy()
-    if df:
-        out[1:, :, :df] = z[:-1, :, :df]
-        if config.boundary is BoundaryPolicy.ZERO_FILL:
-            out[0, :, :df] = 0.0
-        # HOLD keeps the copied input values in place
-    if db:
-        out[:-1, :, -db:] = z[1:, :, -db:]
-        if config.boundary is BoundaryPolicy.ZERO_FILL:
-            out[-1, :, -db:] = 0.0
+    out[1:, :, :d] = z[:-1, :, :d]
+    out[:-1, :, -d:] = z[1:, :, -d:]
+    if config.boundary is BoundaryPolicy.ZERO_FILL:
+        out[0, :, :d] = 0.0
+        out[-1, :, -d:] = 0.0
+    # HOLD keeps the copied input values in the boundary cells
     return ClipQueryTensor(out)

@@ -360,16 +360,13 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         mapping = [(i + r) % k if i < k else i for i in range(n)]
         gt_tracks.append(Permutation(tuple(mapping)))
 
-    frames = np.empty((t_len, n, d), dtype=np.float64)
-    for t in range(t_len):
-        for i in range(n):
-            track = gt_tracks[t](i)
-            base = prototypes[track] if track < k else no_object
-            if spec.noise_sigma > 0.0:
-                noise = rng.gauss_vector(d)
-                frames[t, i] = base + spec.noise_sigma * np.asarray(noise)
-            else:
-                frames[t, i] = base
+    # row k of the table is the no-object prototype every surplus query takes
+    table = prototypes if no_object is None else np.vstack([prototypes, no_object])
+    frames = table[np.minimum([p.mapping for p in gt_tracks], k)]
+    if spec.noise_sigma > 0.0:
+        # one draw, in (frame, query, channel) order
+        noise = np.asarray(rng.gauss_vector(t_len * n * d)).reshape(t_len, n, d)
+        frames = frames + spec.noise_sigma * noise
 
     rh = max(1, h // 5)
     rw = max(1, w // 5)

@@ -244,9 +244,13 @@ def test_run_missing_scene_exits_2(tmp_path, capsys):
 
 
 def test_run_bad_fraction_exits_2(scene_dir, tmp_path, capsys):
-    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "3/4"})
-    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    capsys.readouterr()
+    for fraction, fragment in (
+        ("3/4", "shift fraction must lie in [0, 1/2], got 3/4"),
+        ("1/0", "bad shift fraction '1/0'"),
+    ):
+        cfg = _write_json(tmp_path / "cfg.json", {"fraction": fraction})
+        assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
+        _assert_one_line_error(capsys, fragment)
 
 
 def test_run_rejects_removed_mask_threshold(scene_dir, tmp_path, capsys):
@@ -488,14 +492,23 @@ def test_sweep_missing_scene_key_exits_2(tmp_path, capsys):
         ({"repeats": 1.5}, "repeats must be of type int"),
         ({"scene": [1, 2]}, "scene spec must be a JSON object"),
         ({"scene": _scene_spec(t_len=2.9)}, "t_len must be of type int"),
+        ({"fractions": 5}, "fractions must be of type list"),
+        ({"fractions": None}, "fractions must be of type list"),
+        ({"fractions": "0"}, "fractions must be of type list"),
+        ({"fractions": []}, "fractions must be a non-empty list"),
+        ({"matching": 1}, "matching must be of type list"),
+        ({"matching": []}, "matching must be a non-empty list"),
     ],
-    ids=["misspelled_key", "float_repeats", "scene_not_object", "float_scene_int"],
+    ids=["misspelled_key", "float_repeats", "scene_not_object", "float_scene_int",
+         "int_fractions", "null_fractions", "string_fractions", "empty_fractions",
+         "int_matching", "empty_matching"],
 )
-def test_sweep_rejects_inexact_spec(tmp_path, capsys, change, fragment):
+def test_sweep_rejects_inexact_spec(tmp_path, capsys, scene_calls, change, fragment):
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(**change))
     assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
     _assert_one_line_error(capsys, fragment)
     assert not (tmp_path / "x.csv").exists()
+    assert scene_calls == []
 
 
 def test_sweep_infeasible_scene_exits_3(tmp_path, capsys):

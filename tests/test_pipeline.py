@@ -84,17 +84,6 @@ def test_decode_matrix_head_is_linear_map():
     assert np.allclose(masks.class_logits, q @ head, atol=1e-12)
 
 
-def test_decode_callable_head():
-    q = np.ones((2, 4))
-    masks = decode_masks(
-        FrameQuerySet(q),
-        PixelEmbeddingMap(np.zeros((1, 1, 4))),
-        lambda block: np.full((block.shape[0], 5), 2.0),
-    )
-    assert masks.class_logits.shape == (2, 5)
-    assert np.all(masks.class_logits == 2.0)
-
-
 def test_decode_dimension_mismatch():
     with pytest.raises(ValueError):
         decode_masks(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -105,11 +106,25 @@ def test_plan_rejects_out_of_range_fraction():
         plan_shift(Fraction(1, 8), 0)
 
 
-def test_config_validates_budget():
-    with pytest.raises(ValueError):
-        ShiftConfig(Fraction(1, 2), 4, 3, 3, ZERO)
-    with pytest.raises(ValueError):
-        ShiftConfig(Fraction(1, 2), 8, 2, 1, ZERO)
+def test_plan_reads_numbers_as_written():
+    # a float is read by its decimal text, as the CLI reads a JSON number
+    for value in (0.3, "3/10", Fraction(3, 10)):
+        cfg = plan_shift(value, 20)
+        assert cfg.fraction == Fraction(3, 10)
+        assert cfg.channels_shifted == 6
+
+
+def test_plan_rejects_unparsable_fraction():
+    for value in ("1/0", None, [1]):
+        with pytest.raises(ValueError, match="bad shift fraction"):
+            plan_shift(value, 20)
+
+
+def test_config_derives_channel_counts():
+    assert [f.name for f in dataclasses.fields(ShiftConfig)] == ["fraction", "dim", "boundary"]
+    cfg = ShiftConfig(Fraction(1, 4), 64, HOLD)
+    assert (cfg.d_forward, cfg.d_backward, cfg.channels_shifted) == (8, 8, 16)
+    assert ShiftConfig(Fraction(5, 256), 256).channels_shifted == 4
 
 
 @given(
@@ -138,7 +153,7 @@ def test_worked_example_zero_fill():
     for t in range(t_len):
         for c in range(d):
             z[t, 0, c] = 10 * (t + 1) + (c + 1)
-    cfg = ShiftConfig(Fraction(1, 2), d, 1, 1, ZERO)
+    cfg = ShiftConfig(Fraction(2, d), d, ZERO)
     out = feature_shift(ClipQueryTensor(z), cfg).data
     assert out[:, 0, 0].tolist() == [0.0, 11.0, 21.0]
     assert out[:, 0, 3].tolist() == [24.0, 34.0, 0.0]
@@ -152,7 +167,7 @@ def test_worked_example_hold():
     for t in range(t_len):
         for c in range(d):
             z[t, 0, c] = 10 * (t + 1) + (c + 1)
-    cfg = ShiftConfig(Fraction(1, 2), d, 1, 1, HOLD)
+    cfg = ShiftConfig(Fraction(2, d), d, HOLD)
     out = feature_shift(ClipQueryTensor(z), cfg).data
     assert out[:, 0, 0].tolist() == [11.0, 11.0, 21.0]
     assert out[:, 0, 3].tolist() == [24.0, 34.0, 34.0]
@@ -160,14 +175,14 @@ def test_worked_example_hold():
 
 def test_single_frame_hold_is_identity():
     clip = _clip(1, 3, 8)
-    cfg = ShiftConfig(Fraction(1, 2), 8, 2, 2, HOLD)
+    cfg = ShiftConfig(Fraction(4, 8), 8, HOLD)
     out = feature_shift(clip, cfg)
     assert np.array_equal(out.data, clip.data)
 
 
 def test_single_frame_zero_fill_blanks_both_bands():
     clip = _clip(1, 3, 8)
-    cfg = ShiftConfig(Fraction(1, 2), 8, 2, 2, ZERO)
+    cfg = ShiftConfig(Fraction(4, 8), 8, ZERO)
     out = feature_shift(clip, cfg).data
     assert np.all(out[0, :, :2] == 0.0)
     assert np.all(out[0, :, -2:] == 0.0)
@@ -186,7 +201,7 @@ def test_zero_fraction_is_identity_bit_exact():
 def test_input_not_mutated():
     clip = _clip(3, 2, 6, seed=9)
     before = clip.data.copy()
-    feature_shift(clip, ShiftConfig(Fraction(1, 2), 6, 1, 1, ZERO))
+    feature_shift(clip, ShiftConfig(Fraction(2, 6), 6, ZERO))
     assert np.array_equal(clip.data, before)
 
 
@@ -206,8 +221,9 @@ def test_dim_mismatch_rejected():
 @settings(max_examples=60, deadline=None)
 def test_matches_naive_reference(t, n, d, seed, boundary):
     clip = _clip(t, n, d, seed)
-    half = np.random.default_rng(seed + 1).integers(0, d // 2 + 1)
-    cfg = ShiftConfig(Fraction(1, 2), d, int(half), int(half), boundary)
+    half = int(np.random.default_rng(seed + 1).integers(0, d // 4 + 1))
+    cfg = ShiftConfig(Fraction(2 * half, d), d, boundary)
+    assert cfg.d_forward == half
     got = feature_shift(clip, cfg).data
     want = naive_shift(clip.data, cfg.d_forward, cfg.d_backward, boundary)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -225,7 +241,7 @@ def test_untouched_band_bit_identical():
 
 def test_hold_conserves_channel_multisets():
     clip = _clip(6, 3, 10, seed=5)
-    cfg = ShiftConfig(Fraction(1, 2), 10, 2, 2, HOLD)
+    cfg = ShiftConfig(Fraction(4, 10), 10, HOLD)
     out = feature_shift(clip, cfg).data
     z = clip.data
     for i in range(3):
@@ -245,7 +261,7 @@ def test_zero_fill_zero_count():
     rng = np.random.default_rng(8)
     # strictly positive input so injected zeros are identifiable
     z = rng.uniform(0.5, 1.5, size=(t_len, n, d))
-    cfg = ShiftConfig(Fraction(1, 2), d, 3, 3, ZERO)
+    cfg = ShiftConfig(Fraction(6, d), d, ZERO)
     out = feature_shift(ClipQueryTensor(z), cfg).data
     assert int((out == 0.0).sum()) == n * (cfg.d_forward + cfg.d_backward)
 
