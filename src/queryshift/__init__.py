@@ -24,7 +24,6 @@ from .core import (
 )
 from .matching import (
     ClipAlignment,
-    Permutation,
     SimilarityMatrix,
     align_clip,
     brute_force_match,
@@ -42,7 +41,6 @@ from .metrics import (
     temporal_consistency,
 )
 from .pipeline import (
-    PipelineConfig,
     SoftMaskSet,
     decode_masks,
     run_clip,
@@ -74,8 +72,6 @@ __all__ = [
     "InfeasibleSceneError",
     "LabelMap",
     "NonFiniteTensorError",
-    "Permutation",
-    "PipelineConfig",
     "PixelEmbeddingMap",
     "Rng",
     "SceneClip",

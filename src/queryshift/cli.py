@@ -19,13 +19,13 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .core import TensorFormatError, read_tensor
-from .matching import align_clip
+from .core import ClipQueryTensor, TensorFormatError, read_tensor
+from .matching import ClipAlignment, align_clip
 from .metrics import evaluate_clip
-from .pipeline import PipelineConfig, run_clip
-from .shift import BoundaryPolicy, plan_shift
+from .pipeline import run_clip
+from .shift import BoundaryPolicy, ShiftConfig, plan_shift
 from .synth import (
     InfeasibleSceneError,
     SceneSpec,
@@ -90,22 +90,40 @@ def _parse_boundary(value) -> BoundaryPolicy:
         raise DataError(f"boundary must be 'zero' or 'hold', got {value!r}") from None
 
 
-def _pipeline_config(cfg: dict, dim: int) -> PipelineConfig:
+def _pipeline_config(cfg: dict, dim: int) -> tuple[ShiftConfig, bool]:
+    """A ``run`` config file as its shift plan and matching flag."""
     _check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"))
     if "fraction" not in cfg:
         raise DataError("pipeline config needs a 'fraction' field")
     shift = plan_shift(cfg["fraction"], dim, _parse_boundary(cfg.get("boundary", "zero")))
-    return PipelineConfig(shift=shift, matching=_parse_matching(cfg.get("matching", True)))
+    return shift, _parse_matching(cfg.get("matching", True))
 
 
-def _grid_axis(sweep: dict, key: str, default: Sequence) -> Sequence:
-    """A sweep grid axis: a non-empty JSON list, or ``default`` when absent."""
-    if key not in sweep:
-        return default
-    values = _json_value(key, sweep[key], list)
-    if not values:
-        raise DataError(f"{key} must be a non-empty list")
-    return values
+def _alignment(queries: ClipQueryTensor, matching: bool) -> ClipAlignment:
+    """The clip's matched alignment, or the identity when matching is off."""
+    if matching:
+        return align_clip(queries)
+    return ClipAlignment.identity(queries.t_len, queries.n_queries)
+
+
+def _grid_axis(sweep: dict, key: str, default: Sequence, parse: Callable) -> list:
+    """A sweep grid axis, parsed: a non-empty JSON list, or ``default`` when absent.
+
+    Two entries that parse to the same value would run one cell twice, so
+    they are an error.
+    """
+    values = default
+    if key in sweep:
+        values = _json_value(key, sweep[key], list)
+        if not values:
+            raise DataError(f"{key} must be a non-empty list")
+    seen = {}
+    for value in values:
+        parsed = parse(value)
+        if parsed in seen:
+            raise DataError(f"{key} lists one value twice: {seen[parsed]!r} and {value!r}")
+        seen[parsed] = value
+    return list(seen)
 
 
 def _scene_spec(scene, seed: int | None) -> SceneSpec:
@@ -138,15 +156,16 @@ def _cmd_run(args) -> int:
     cfg = _load_json(args.config)
     if args.boundary is not None:
         cfg["boundary"] = args.boundary
-    config = _pipeline_config(cfg, scene.spec.dim)
-    preds, alignment = run_clip(scene, config)
+    shift, matching = _pipeline_config(cfg, scene.spec.dim)
+    alignment = _alignment(scene.queries, matching)
+    preds = run_clip(scene, shift, alignment)
     recovery = recovery_rate(alignment, scene)
     echo = {
         "scene": scene.spec.to_dict(),
-        "fraction": str(config.shift.fraction),
-        "channels_shifted": config.shift.channels_shifted,
-        "boundary": config.shift.boundary.value,
-        "matching": config.matching,
+        "fraction": str(shift.fraction),
+        "channels_shifted": shift.channels_shifted,
+        "boundary": shift.boundary.value,
+        "matching": matching,
     }
     report = evaluate_clip(scene.gt_labels, preds, recovery, echo)
     _write_text(args.out, report.to_json())
@@ -166,34 +185,38 @@ def _cmd_match(args) -> int:
     payload = {
         "t_len": alignment.t_len,
         "n_queries": alignment.n_queries,
-        "per_frame": [list(p.mapping) for p in alignment.per_frame],
-        "adjacent": [list(p.mapping) for p in alignment.adjacent],
+        "per_frame": alignment.per_frame.tolist(),
+        "adjacent": alignment.adjacent.tolist(),
         "pair_totals": list(alignment.pair_totals),
     }
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return 0
 
 
-def _sweep_seed(spec: SceneSpec, configs: list[PipelineConfig]) -> list[list[str]]:
-    """One seed: generate its scene once, then one CSV row per grid cell."""
+def _sweep_seed(
+    spec: SceneSpec, shifts: list[ShiftConfig], matchings: list[bool]
+) -> list[list[str]]:
+    """One seed: its scene, alignments and recoveries once, then one CSV row per cell."""
     scene = generate_scene(spec)
     head = class_head_for(scene)
+    alignments = {m: _alignment(scene.queries, m) for m in matchings}
+    recoveries = {m: recovery_rate(a, scene) for m, a in alignments.items()}
     rows = []
-    for config in configs:
-        preds, alignment = run_clip(scene, config, head)
-        recovery = recovery_rate(alignment, scene)
-        report = evaluate_clip(scene.gt_labels, preds, recovery, {})
-        tc = report.temporal_consistency
-        rows.append([
-            str(config.shift.fraction),
-            str(config.shift.channels_shifted),
-            "on" if config.matching else "off",
-            str(spec.seed),
-            repr(report.miou),
-            repr(report.pixel_accuracy),
-            "" if tc is None else repr(tc),
-            repr(report.recovery),
-        ])
+    for shift in shifts:
+        for matching in matchings:
+            preds = run_clip(scene, shift, alignments[matching], head)
+            report = evaluate_clip(scene.gt_labels, preds, recoveries[matching], {})
+            tc = report.temporal_consistency
+            rows.append([
+                str(shift.fraction),
+                str(shift.channels_shifted),
+                "on" if matching else "off",
+                str(spec.seed),
+                repr(report.miou),
+                repr(report.pixel_accuracy),
+                "" if tc is None else repr(tc),
+                repr(report.recovery),
+            ])
     return rows
 
 
@@ -240,29 +263,27 @@ def _cmd_sweep(args) -> int:
         raise DataError("sweep spec needs a 'scene' object")
     base_spec = _scene_spec(sweep["scene"], args.seed_override)
 
-    fractions = _grid_axis(sweep, "fractions", _DEFAULT_FRACTIONS)
-    matchings = [_parse_matching(m) for m in _grid_axis(sweep, "matching", (False, True))]
+    boundary = _parse_boundary(args.boundary or sweep.get("boundary", "zero"))
+    shifts = _grid_axis(
+        sweep, "fractions", _DEFAULT_FRACTIONS, lambda f: plan_shift(f, base_spec.dim, boundary)
+    )
+    matchings = _grid_axis(sweep, "matching", (False, True), _parse_matching)
     repeats = _json_value("repeats", sweep.get("repeats", 1), int)
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
     if args.parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
-    boundary = _parse_boundary(args.boundary or sweep.get("boundary", "zero"))
 
-    configs = [
-        PipelineConfig(shift=plan_shift(frac, base_spec.dim, boundary), matching=matching)
-        for frac in fractions
-        for matching in matchings
-    ]
     specs = [dataclasses.replace(base_spec, seed=base_spec.seed + r) for r in range(repeats)]
+    grid = ([shifts] * repeats, [matchings] * repeats)
     workers = min(args.parallel, repeats)
     with open(args.out, "w") as f:
         f.write(_CSV_HEADER + "\n")
         if workers == 1:
-            per_seed = list(map(_sweep_seed, specs, [configs] * repeats))
+            per_seed = list(map(_sweep_seed, specs, *grid))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                per_seed = list(pool.map(_sweep_seed, specs, [configs] * repeats))
+                per_seed = list(pool.map(_sweep_seed, specs, *grid))
         # per_seed is seed-major; the CSV lists fraction, then matching, then seed
         rows = [row for cell in zip(*per_seed) for row in cell]
         f.writelines(",".join(row) + "\n" for row in rows)

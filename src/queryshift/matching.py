@@ -25,7 +25,6 @@ from .core import ClipQueryTensor, FrameQuerySet
 
 __all__ = [
     "SimilarityMatrix",
-    "Permutation",
     "ClipAlignment",
     "cosine_similarity",
     "optimal_match",
@@ -38,47 +37,6 @@ __all__ = [
 _TIGHT_TOL = 1e-9
 
 _BRUTE_FORCE_LIMIT = 9
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {0..N-1}, stored as the image array ``mapping``."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        m = tuple(int(x) for x in self.mapping)
-        n = len(m)
-        if n == 0:
-            raise ValueError("empty permutation")
-        if sorted(m) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {m}")
-        object.__setattr__(self, "mapping", m)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return self o other, i.e. ``i -> self(other(i))``."""
-        if len(other) != len(self):
-            raise ValueError("size mismatch in permutation composition")
-        return Permutation(tuple(self.mapping[j] for j in other.mapping))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.mapping))
 
 
 @dataclass(frozen=True)
@@ -226,26 +184,33 @@ def _lex_smallest_tight_matching(
     return row_to_col
 
 
-def optimal_match(sim: SimilarityMatrix) -> tuple[Permutation, float]:
+def _matched(sim: SimilarityMatrix, mapping) -> tuple[np.ndarray, float]:
+    """``mapping`` as a read-only intp array, and the similarity it achieves."""
+    arr = np.array(mapping, dtype=np.intp)
+    arr.setflags(write=False)
+    return arr, float(sum(sim.values[i, arr[i]] for i in range(sim.n)))
+
+
+def optimal_match(sim: SimilarityMatrix) -> tuple[np.ndarray, float]:
     """Assignment maximising total similarity; ties break to the smallest mapping.
 
-    Internally minimises ``1 - sim`` with a Hungarian solver, then uses the
-    optimal potentials to enumerate the tight graph (cells whose reduced cost
-    is within 1e-9 of zero); every optimal assignment lives in that graph, and
-    the lexicographically smallest perfect matching in it is returned.  Ties
-    that differ by less than the tolerance resolve the same way.
+    Returns the (N,) mapping (row i is matched to column ``mapping[i]``) and
+    its total similarity.  Internally minimises ``1 - sim`` with a Hungarian
+    solver, then uses the optimal potentials to enumerate the tight graph
+    (cells whose reduced cost is within 1e-9 of zero); every optimal
+    assignment lives in that graph, and the lexicographically smallest perfect
+    matching in it is returned.  Ties that differ by less than the tolerance
+    resolve the same way.
     """
     cost = 1.0 - sim.values
     n = sim.n
     assignment, u, v = _solve_min_cost(cost)
     reduced = cost - u[:, None] - v[None, :]
     tight = [list(np.flatnonzero(reduced[i] <= _TIGHT_TOL)) for i in range(n)]
-    mapping = _lex_smallest_tight_matching(tight, list(assignment))
-    total = float(sum(sim.values[i, mapping[i]] for i in range(n)))
-    return Permutation(tuple(mapping)), total
+    return _matched(sim, _lex_smallest_tight_matching(tight, list(assignment)))
 
 
-def brute_force_match(sim: SimilarityMatrix) -> tuple[Permutation, float]:
+def brute_force_match(sim: SimilarityMatrix) -> tuple[np.ndarray, float]:
     """Exhaustive reference matcher for N <= 9.
 
     Walks permutations in lexicographic order keeping the first strict
@@ -259,9 +224,7 @@ def brute_force_match(sim: SimilarityMatrix) -> tuple[Permutation, float]:
         )
     perms = _perm_table(n)
     totals = sim.values[np.arange(n), perms].sum(axis=1)
-    best = int(np.argmax(totals))  # first occurrence wins on ties
-    mapping = tuple(int(x) for x in perms[best])
-    return Permutation(mapping), float(sum(sim.values[i, mapping[i]] for i in range(n)))
+    return _matched(sim, perms[int(np.argmax(totals))])  # first occurrence wins on ties
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -275,54 +238,73 @@ def _perm_table(n: int) -> np.ndarray:
     return table
 
 
+def _permutation_rows(what: str, rows, t_len: int, n: int) -> np.ndarray:
+    """``rows`` as a read-only (t_len, n) intp array whose rows permute 0..n-1.
+
+    ``rows`` is an integer array or nested lists of ints (parsed JSON); a
+    ragged row, a float or a bool array is an error, never truncated.
+    """
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged rows
+        arr = np.array(None)
+    if arr.size == 0:  # an empty list has no integer dtype of its own
+        arr = arr.astype(np.intp).reshape(-1, n)
+    if arr.shape != (t_len, n) or arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be {t_len} rows of {n} integers")
+    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(np.arange(n), arr.shape)):
+        raise ValueError(f"{what}: every row must permute 0..{n - 1}")
+    arr = arr.astype(np.intp, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ClipAlignment:
     """Clip-wide query correspondence, anchored at frame 0.
 
-    ``per_frame[t]`` maps a frame-t query index to its track slot, where the
+    ``per_frame[t, i]`` is the track slot of frame t's query i, where the
     track space is frame 0's own index space (``per_frame[0]`` is always the
     identity).  ``adjacent[t]`` is the raw frame-t -> frame-(t+1) match and
     ``pair_totals[t]`` its total similarity; they satisfy
-    ``per_frame[t+1] = per_frame[t] o adjacent[t]^-1``.
+    ``per_frame[t + 1, adjacent[t]] == per_frame[t]``.  Both index arrays are
+    read-only intp, (T, N) and (T-1, N).
     """
 
-    per_frame: tuple[Permutation, ...]
-    adjacent: tuple[Permutation, ...]
+    per_frame: np.ndarray
+    adjacent: np.ndarray
     pair_totals: tuple[float, ...]
 
     def __post_init__(self):
-        pf = tuple(self.per_frame)
-        adj = tuple(self.adjacent)
+        try:
+            t_len, n = np.shape(self.per_frame)
+        except ValueError:  # ragged, or not two-dimensional
+            t_len = n = 0
+        if t_len == 0 or n == 0:
+            raise ValueError("per_frame must be a non-empty (T, N) array")
         totals = tuple(float(x) for x in self.pair_totals)
-        if len(pf) < 1:
-            raise ValueError("alignment needs at least one frame")
-        if len(adj) != len(pf) - 1 or len(totals) != len(pf) - 1:
-            raise ValueError("need exactly T-1 adjacent matches and totals")
-        n = len(pf[0])
-        if any(len(p) != n for p in pf) or any(len(p) != n for p in adj):
-            raise ValueError("all permutations must share one size")
-        if not pf[0].is_identity():
+        if len(totals) != t_len - 1:
+            raise ValueError(f"need exactly T-1 = {t_len - 1} pair totals, got {len(totals)}")
+        per_frame = _permutation_rows("per_frame", self.per_frame, t_len, n)
+        adjacent = _permutation_rows("adjacent", self.adjacent, t_len - 1, n)
+        if not np.array_equal(per_frame[0], np.arange(n)):
             raise ValueError("frame 0 must map to itself (anchor frame)")
-        object.__setattr__(self, "per_frame", pf)
-        object.__setattr__(self, "adjacent", adj)
+        object.__setattr__(self, "per_frame", per_frame)
+        object.__setattr__(self, "adjacent", adjacent)
         object.__setattr__(self, "pair_totals", totals)
 
     @classmethod
     def identity(cls, t_len: int, n: int) -> "ClipAlignment":
-        ident = Permutation.identity(n)
-        return cls(
-            (ident,) * t_len,
-            (ident,) * (t_len - 1),
-            (float(n),) * (t_len - 1),
-        )
+        ident = np.broadcast_to(np.arange(n), (t_len, n))
+        return cls(ident, ident[1:], (float(n),) * (t_len - 1))
 
     @property
     def t_len(self) -> int:
-        return len(self.per_frame)
+        return self.per_frame.shape[0]
 
     @property
     def n_queries(self) -> int:
-        return len(self.per_frame[0])
+        return self.per_frame.shape[1]
 
 
 def align_clip(clip: ClipQueryTensor) -> ClipAlignment:
@@ -332,13 +314,13 @@ def align_clip(clip: ClipQueryTensor) -> ClipAlignment:
     """
     n = clip.n_queries
     frames = clip.frames
-    per_frame = [Permutation.identity(n)]
-    adjacent: list[Permutation] = []
+    per_frame = np.empty((clip.t_len, n), dtype=np.intp)
+    per_frame[0] = np.arange(n)
+    adjacent = np.empty((clip.t_len - 1, n), dtype=np.intp)
     totals: list[float] = []
     for t in range(clip.t_len - 1):
-        sim = cosine_similarity(frames[t], frames[t + 1])
-        match, total = optimal_match(sim)
-        adjacent.append(match)
+        adjacent[t], total = optimal_match(cosine_similarity(frames[t], frames[t + 1]))
         totals.append(total)
-        per_frame.append(per_frame[-1].compose(match.inverse()))
-    return ClipAlignment(tuple(per_frame), tuple(adjacent), tuple(totals))
+        # query adjacent[t][i] of frame t+1 continues query i of frame t
+        per_frame[t + 1, adjacent[t]] = per_frame[t]
+    return ClipAlignment(per_frame, adjacent, tuple(totals))

@@ -7,7 +7,9 @@ therefore first aligns the clip (cross-frame matching), re-indexes every
 frame into frame 0's index space, shifts there, and maps the result back to
 each frame's native order.  With matching disabled the alignment is the
 identity and the result is bit-for-bit a plain shift of the raw clip,
-which is the ablation the evaluation compares against.
+which is the ablation the evaluation compares against.  The caller makes the
+alignment (``align_clip`` or ``ClipAlignment.identity``), so one alignment
+serves every shift run on the same clip.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClipQueryTensor, FrameQuerySet, LabelMap, PixelEmbeddingMap
-from .matching import ClipAlignment, align_clip
+from .matching import ClipAlignment
 from .shift import ShiftConfig, feature_shift
 from .synth import SceneClip, class_head_for
 
 __all__ = [
-    "PipelineConfig",
     "SoftMaskSet",
     "decode_masks",
     "semantic_inference",
@@ -32,14 +33,6 @@ __all__ = [
 
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
 _SCORE_CEIL = np.nextafter(1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """What to do to a clip before decoding."""
-
-    shift: ShiftConfig
-    matching: bool = True
 
 
 @dataclass(frozen=True)
@@ -134,41 +127,39 @@ def semantic_inference(masks: SoftMaskSet) -> LabelMap:
 
 
 def shift_with_matching(
-    clip: ClipQueryTensor, config: PipelineConfig
-) -> tuple[ClipQueryTensor, ClipAlignment]:
-    """Align the clip, shift in the aligned index space, restore frame order.
+    clip: ClipQueryTensor, shift: ShiftConfig, alignment: ClipAlignment
+) -> ClipQueryTensor:
+    """Shift in the aligned index space, then restore each frame's query order.
 
-    Returns the shifted clip (frames in their ORIGINAL per-frame query order)
-    and the alignment used.  With ``config.matching`` false the alignment is
-    the identity and the output equals ``feature_shift(clip, config.shift)``
-    exactly.
+    The result lists every frame's queries in their ORIGINAL order.  With the
+    identity alignment it equals ``feature_shift(clip, shift)`` exactly.
     """
-    if config.matching:
-        alignment = align_clip(clip)
-    else:
-        alignment = ClipAlignment.identity(clip.t_len, clip.n_queries)
-
+    if alignment.per_frame.shape != (clip.t_len, clip.n_queries):
+        raise ValueError(
+            f"alignment shape {alignment.per_frame.shape} does not match the clip's "
+            f"{(clip.t_len, clip.n_queries)}"
+        )
     # idx[t, i, 0]: the track-space slot of frame t's query i
-    idx = np.array([pf.mapping for pf in alignment.per_frame], dtype=np.intp)[:, :, None]
+    idx = alignment.per_frame[:, :, None]
     aligned = np.empty_like(clip.data)
     np.put_along_axis(aligned, idx, clip.data, axis=1)
-    shifted = feature_shift(ClipQueryTensor(aligned), config.shift)
-    return ClipQueryTensor(np.take_along_axis(shifted.data, idx, axis=1)), alignment
+    shifted = feature_shift(ClipQueryTensor(aligned), shift)
+    return ClipQueryTensor(np.take_along_axis(shifted.data, idx, axis=1))
 
 
 def run_clip(
     scene: SceneClip,
-    config: PipelineConfig,
+    shift: ShiftConfig,
+    alignment: ClipAlignment,
     class_head: np.ndarray | None = None,
-) -> tuple[tuple[LabelMap, ...], ClipAlignment]:
+) -> tuple[LabelMap, ...]:
     """Process a scene end to end and return per-frame predicted labels.
 
     ``class_head`` defaults to the head derived from the scene's prototypes.
     """
     head = class_head_for(scene) if class_head is None else class_head
-    shifted, alignment = shift_with_matching(scene.queries, config)
-    labels = tuple(
+    shifted = shift_with_matching(scene.queries, shift, alignment)
+    return tuple(
         semantic_inference(decode_masks(queries, pixels, head))
         for queries, pixels in zip(shifted.frames, scene.pixels)
     )
-    return labels, alignment

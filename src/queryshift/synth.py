@@ -71,7 +71,7 @@ from .core import (
     write_labelmap,
     write_tensor,
 )
-from .matching import ClipAlignment, Permutation
+from .matching import ClipAlignment, _permutation_rows
 from .rng import MASK64, Rng
 
 __all__ = [
@@ -192,23 +192,30 @@ class SceneSpec:
             raise ValueError(f"scene spec needs a {exc} field") from None
         if len(grid) != 2:
             raise ValueError(f"grid must be a [rows, cols] pair, got {grid!r}")
+        sigma = float(_json_value("noise_sigma", d["noise_sigma"], int, float))
+        if not math.isfinite(sigma):  # JSON NaN/Infinity is broken input, not a scene
+            raise ValueError(f"noise_sigma must be finite, got {sigma}")
         return cls(
             **sizes,
             grid=(_json_value("grid rows", grid[0], int), _json_value("grid cols", grid[1], int)),
-            noise_sigma=float(_json_value("noise_sigma", d["noise_sigma"], int, float)),
+            noise_sigma=sigma,
             permute_per_frame=_json_value("permute_per_frame", d["permute_per_frame"], bool),
         )
 
 
 @dataclass(frozen=True)
 class SceneClip:
-    """A generated scene: data plus full ground truth."""
+    """A generated scene: data plus full ground truth.
+
+    ``gt_tracks[t, i]`` is the true track of frame t's query i, a read-only
+    (T, N) intp array; slots >= K hold surplus (no-object) queries.
+    """
 
     spec: SceneSpec
     queries: ClipQueryTensor
     pixels: tuple[PixelEmbeddingMap, ...]
     gt_labels: tuple[LabelMap, ...]
-    gt_tracks: tuple[Permutation, ...]
+    gt_tracks: np.ndarray
     prototypes: np.ndarray  # (K, D), orthonormal rows
     no_object: np.ndarray | None  # (D,) shared surplus prototype, or None
     track_classes: tuple[int, ...]
@@ -224,7 +231,9 @@ class SceneClip:
             object.__setattr__(self, "no_object", no)
         object.__setattr__(self, "pixels", tuple(self.pixels))
         object.__setattr__(self, "gt_labels", tuple(self.gt_labels))
-        object.__setattr__(self, "gt_tracks", tuple(self.gt_tracks))
+        tracks = np.array(self.gt_tracks, dtype=np.intp)
+        tracks.setflags(write=False)
+        object.__setattr__(self, "gt_tracks", tracks)
         object.__setattr__(self, "track_classes", tuple(int(c) for c in self.track_classes))
 
 
@@ -354,15 +363,13 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
     no_object = None if no_obj_py is None else np.array(no_obj_py, dtype=np.float64)
     track_classes = tuple(_track_class(i, c) for i in range(k))
 
-    gt_tracks = []
-    for t in range(t_len):
-        r = rotations[t]
-        mapping = [(i + r) % k if i < k else i for i in range(n)]
-        gt_tracks.append(Permutation(tuple(mapping)))
+    # frame t rotates the first K slots by rotations[t]; surplus slots stay put
+    slots = np.arange(n, dtype=np.intp)
+    gt_tracks = np.where(slots < k, (slots + np.array(rotations)[:, None]) % k, slots)
 
     # row k of the table is the no-object prototype every surplus query takes
     table = prototypes if no_object is None else np.vstack([prototypes, no_object])
-    frames = table[np.minimum([p.mapping for p in gt_tracks], k)]
+    frames = table[np.minimum(gt_tracks, k)]
     if spec.noise_sigma > 0.0:
         # one draw, in (frame, query, channel) order
         noise = np.asarray(rng.gauss_vector(t_len * n * d)).reshape(t_len, n, d)
@@ -387,7 +394,7 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         queries=ClipQueryTensor(frames),
         pixels=tuple(_view(PixelEmbeddingMap, frame) for frame in pix),
         gt_labels=tuple(LabelMap(frame, c) for frame in labels),
-        gt_tracks=tuple(gt_tracks),
+        gt_tracks=gt_tracks,
         prototypes=prototypes,
         no_object=no_object,
         track_classes=track_classes,
@@ -402,19 +409,12 @@ def recovery_rate(alignment: ClipAlignment, scene: SceneClip) -> float:
     alignment into frame 0's index space and reading frame 0's true track
     there.
     """
-    if alignment.t_len != len(scene.gt_tracks):
-        raise ValueError("alignment and scene disagree on frame count")
-    if alignment.n_queries != len(scene.gt_tracks[0]):
-        raise ValueError("alignment and scene disagree on query count")
-    gt0 = scene.gt_tracks[0]
-    hits = 0
-    total = 0
-    for t, pf in enumerate(alignment.per_frame):
-        gt_t = scene.gt_tracks[t]
-        for i in range(len(pf)):
-            hits += gt0(pf(i)) == gt_t(i)
-            total += 1
-    return hits / total
+    gt = scene.gt_tracks
+    if alignment.per_frame.shape != gt.shape:
+        raise ValueError(
+            f"alignment shape {alignment.per_frame.shape} does not match the scene's {gt.shape}"
+        )
+    return int(np.count_nonzero(gt[0][alignment.per_frame] == gt)) / gt.size
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +531,7 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
 
     meta = {
         "spec": scene.spec.to_dict(),
-        "per_frame_tracks": [list(p.mapping) for p in scene.gt_tracks],
+        "per_frame_tracks": scene.gt_tracks.tolist(),
         "track_classes": list(scene.track_classes),
         "prototypes": [list(row) for row in scene.prototypes.tolist()],
         "no_object": None if scene.no_object is None else list(scene.no_object.tolist()),
@@ -552,7 +552,9 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
         meta = json.load(f)
     try:
         spec = SceneSpec.from_dict(meta["spec"])
-        per_frame = [Permutation(tuple(m)) for m in meta["per_frame_tracks"]]
+        gt_tracks = _permutation_rows(
+            "tracks.json per_frame_tracks", meta["per_frame_tracks"], spec.t_len, spec.n_queries
+        )
         track_classes = tuple(int(x) for x in meta["track_classes"])
         prototypes = np.array(meta["prototypes"], dtype=np.float64)
         no_object = (
@@ -580,7 +582,7 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
         queries=queries,
         pixels=pixels,
         gt_labels=labels,
-        gt_tracks=tuple(per_frame),
+        gt_tracks=gt_tracks,
         prototypes=prototypes,
         no_object=no_object,
         track_classes=track_classes,

@@ -11,7 +11,6 @@ import pytest
 from queryshift import cli
 from queryshift.cli import main
 from queryshift.core import ClipQueryTensor, write_tensor
-from queryshift.matching import Permutation
 
 CSV_HEADER = (
     "fraction,channels_shifted,matching,seed,"
@@ -133,15 +132,24 @@ def _assert_one_line_error(capsys, fragment):
         ({"permute_per_frame": "false"}, "permute_per_frame must be of type bool"),
         ({"noise_sigma": "0.1"}, "noise_sigma must be of type int or float"),
         ({"noise_sigma": 10**400}, "too large"),
+        ({"noise_sigma": float("nan")}, "noise_sigma must be finite, got nan"),
+        ({"noise_sigma": float("inf")}, "noise_sigma must be finite, got inf"),
+        ({"noise_sigma": float("-inf")}, "noise_sigma must be finite, got -inf"),
     ],
     ids=["misspelled_key", "float_int", "bool_int", "float_grid", "string_bool", "string_sigma",
-         "huge_sigma"],
+         "huge_sigma", "nan_sigma", "inf_sigma", "neg_inf_sigma"],
 )
 def test_synth_rejects_inexact_spec(tmp_path, capsys, change, fragment):
     spec = _write_json(tmp_path / "spec.json", {**_scene_spec(), **change})
     assert main(["synth", "--spec", spec, "--out", str(tmp_path / "x")]) == 2
     _assert_one_line_error(capsys, fragment)
     assert not (tmp_path / "x").exists()
+
+
+def test_synth_negative_sigma_is_infeasible(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json", _scene_spec(noise_sigma=-0.5))
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "x")]) == 3
+    assert "bad noise_sigma -0.5" in capsys.readouterr().err
 
 
 def test_synth_accepts_integer_noise_sigma(tmp_path, capsys):
@@ -259,6 +267,45 @@ def test_run_rejects_removed_mask_threshold(scene_dir, tmp_path, capsys):
     _assert_one_line_error(capsys, "unknown pipeline config key(s): mask_threshold")
 
 
+def _edit_tracks(scene_dir, edit):
+    path = scene_dir / "tracks.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
+def _set_row(t, row):
+    def edit(meta):
+        meta["per_frame_tracks"][t] = row(meta["per_frame_tracks"][t])
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_row(1, lambda row: [0, 1]),
+        _set_row(1, lambda row: [x + 0.5 for x in row]),
+        _set_row(1, lambda row: [False, True, True, True]),
+        lambda meta: meta["per_frame_tracks"].pop(),
+        lambda meta: meta.update(per_frame_tracks=[r[:3] for r in meta["per_frame_tracks"]]),
+        _set_row(2, lambda row: [row[0]] * 2 + row[2:]),
+    ],
+    ids=["ragged", "float", "bool", "row_count", "short_rows", "repeated_index"],
+)
+def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit):
+    _edit_tracks(scene_dir, edit)
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "per_frame_tracks")
+
+
+def test_run_rejects_non_finite_sigma_in_tracks(scene_dir, tmp_path, capsys):
+    _edit_tracks(scene_dir, lambda meta: meta["spec"].update(noise_sigma=float("inf")))
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "noise_sigma must be finite")
+
+
 def test_run_corrupt_tensor_exits_2(scene_dir, tmp_path, capsys):
     (scene_dir / "queries.qtn").write_bytes(b"garbage")
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "0"})
@@ -288,22 +335,21 @@ def test_match_identical_frames(tmp_path, capsys):
 def test_match_recovers_scatter_permutations(tmp_path, capsys):
     protos = np.eye(5)
     pis = [
-        Permutation((0, 1, 2, 3, 4)),
-        Permutation((2, 0, 4, 1, 3)),
-        Permutation((1, 3, 0, 4, 2)),
+        [0, 1, 2, 3, 4],
+        [2, 0, 4, 1, 3],
+        [1, 3, 0, 4, 2],
     ]
     frames = []
     for pi in pis:
         frame = np.empty((5, 5))
-        for i in range(5):
-            frame[pi(i)] = protos[i]
+        frame[pi] = protos
         frames.append(frame)
     qtn = tmp_path / "q.qtn"
     write_tensor(ClipQueryTensor(np.stack(frames)), qtn)
     assert main(["match", "--queries", str(qtn)]) == 0
     payload = json.loads(capsys.readouterr().out)
     for t, pi in enumerate(pis):
-        assert payload["per_frame"][t] == list(pi.inverse().mapping)
+        assert payload["per_frame"][t] == [pi.index(i) for i in range(5)]
 
 
 def test_match_single_frame(tmp_path, capsys):
@@ -346,6 +392,20 @@ def scene_calls(monkeypatch):
         return generate(spec)
 
     monkeypatch.setattr(cli, "generate_scene", counted)
+    return calls
+
+
+@pytest.fixture()
+def align_calls(monkeypatch):
+    """Frame counts of the clips the CLI aligns in this process, in call order."""
+    calls = []
+    align = cli.align_clip
+
+    def counted(clip):
+        calls.append(clip.t_len)
+        return align(clip)
+
+    monkeypatch.setattr(cli, "align_clip", counted)
     return calls
 
 
@@ -444,6 +504,19 @@ def test_sweep_generates_each_seed_once(tmp_path, capsys, scene_calls):
     assert [r[3] for r in rows] == ["0", "1", "2"] * len(cells)
 
 
+def test_sweep_aligns_each_seed_once(tmp_path, capsys, align_calls):
+    # 2 fractions x 2 matchings x 3 seeds: one alignment per seed serves
+    # every matched cell of that seed's grid
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=3))
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "on.csv")]) == 0
+    assert align_calls == [3, 3, 3]
+    align_calls.clear()
+    spec = _write_json(tmp_path / "off.json", _sweep_spec(matching=["off"], repeats=3))
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "off.csv")]) == 0
+    capsys.readouterr()
+    assert align_calls == []
+
+
 def test_sweep_one_seed_runs_in_process(tmp_path, capsys, scene_calls):
     # --parallel 2 with a single seed starts no pool
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=1))
@@ -498,10 +571,17 @@ def test_sweep_missing_scene_key_exits_2(tmp_path, capsys):
         ({"fractions": []}, "fractions must be a non-empty list"),
         ({"matching": 1}, "matching must be of type list"),
         ({"matching": []}, "matching must be a non-empty list"),
+        ({"fractions": ["1/8", 0.125]}, "fractions lists one value twice: '1/8' and 0.125"),
+        ({"fractions": ["0", "1/4", 0]}, "fractions lists one value twice: '0' and 0"),
+        ({"matching": ["on", "on"]}, "matching lists one value twice: 'on' and 'on'"),
+        ({"matching": [True, "on"]}, "matching lists one value twice: True and 'on'"),
+        ({"scene": _scene_spec(noise_sigma=float("nan"))}, "noise_sigma must be finite"),
+        ({"scene": _scene_spec(noise_sigma=float("-inf"))}, "noise_sigma must be finite"),
     ],
     ids=["misspelled_key", "float_repeats", "scene_not_object", "float_scene_int",
          "int_fractions", "null_fractions", "string_fractions", "empty_fractions",
-         "int_matching", "empty_matching"],
+         "int_matching", "empty_matching", "repeated_fraction", "repeated_zero_fraction",
+         "repeated_matching", "bool_and_string_matching", "nan_sigma", "neg_inf_sigma"],
 )
 def test_sweep_rejects_inexact_spec(tmp_path, capsys, scene_calls, change, fragment):
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(**change))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from queryshift.core import ClipQueryTensor, FrameQuerySet
 from queryshift.matching import (
     ClipAlignment,
-    Permutation,
     SimilarityMatrix,
     align_clip,
     brute_force_match,
@@ -29,30 +28,6 @@ def _random_orthonormal(n, d, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, n)))
     return q.T[:n]
-
-
-# ---------------------------------------------------------------------------
-# Permutation
-# ---------------------------------------------------------------------------
-
-
-def test_permutation_rejects_non_bijections():
-    with pytest.raises(ValueError):
-        Permutation((0, 0))
-    with pytest.raises(ValueError):
-        Permutation((1, 2))
-    with pytest.raises(ValueError):
-        Permutation(())
-
-
-def test_permutation_inverse_and_compose():
-    p = Permutation((2, 0, 1))
-    q = Permutation((1, 2, 0))
-    assert p.inverse().mapping == (1, 2, 0)
-    assert p.compose(p.inverse()).is_identity()
-    # compose is "apply other first": (p o q)(i) = p(q(i))
-    assert p.compose(q).mapping == tuple(p(q(i)) for i in range(3))
-    assert Permutation.identity(4).mapping == (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +99,14 @@ def test_similarity_matrix_validation():
 
 def test_match_identity_matrix():
     perm, total = optimal_match(SimilarityMatrix(np.eye(4)))
-    assert perm.is_identity()
+    assert np.array_equal(perm, np.arange(4))
     assert total == pytest.approx(4.0, abs=1e-12)
 
 
 def test_match_swap_example():
     sim = SimilarityMatrix(np.array([[0.1, 0.9], [0.9, 0.1]]))
     perm, total = optimal_match(sim)
-    assert perm.mapping == (1, 0)
+    assert np.array_equal(perm, [1, 0])
     assert total == pytest.approx(1.8, abs=1e-12)
 
 
@@ -139,24 +114,24 @@ def test_match_constant_ties_break_to_identity():
     for c in (-0.25, 0.0, 0.5):
         for n in (1, 2, 3, 5, 8):
             perm, total = optimal_match(SimilarityMatrix(np.full((n, n), c)))
-            assert perm.is_identity()
+            assert np.array_equal(perm, np.arange(n))
             assert total == pytest.approx(n * c, abs=1e-12)
             perm_b, _ = brute_force_match(SimilarityMatrix(np.full((n, n), c)))
-            assert perm_b.is_identity()
+            assert np.array_equal(perm_b, np.arange(n))
 
 
 def test_match_structured_tie_prefers_smaller_first_image():
     # both (0,1) and (1,0) are optimal; the lex rule keeps (0,1)
     sim = SimilarityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert optimal_match(sim)[0].mapping == (0, 1)
+    assert np.array_equal(optimal_match(sim)[0], [0, 1])
     # push the optimum onto the antidiagonal pair only
     sim = SimilarityMatrix(np.array([[0.5, 0.8], [0.8, 0.1]]))
-    assert optimal_match(sim)[0].mapping == (1, 0)
+    assert np.array_equal(optimal_match(sim)[0], [1, 0])
 
 
 def test_brute_force_single_query():
     perm, total = brute_force_match(SimilarityMatrix(np.array([[0.3]])))
-    assert perm.mapping == (0,)
+    assert np.array_equal(perm, [0])
     assert total == pytest.approx(0.3)
 
 
@@ -172,7 +147,7 @@ def test_dual_route_agreement_random(n, seed):
     sim = SimilarityMatrix(rng.uniform(-1.0, 1.0, size=(n, n)))
     p_fast, t_fast = optimal_match(sim)
     p_slow, t_slow = brute_force_match(sim)
-    assert p_fast.mapping == p_slow.mapping
+    assert np.array_equal(p_fast, p_slow)
     assert abs(t_fast - t_slow) <= 1e-9
 
 
@@ -186,7 +161,7 @@ def test_dual_route_agreement_tie_prone(n, seed):
     sim = SimilarityMatrix(values)
     p_fast, t_fast = optimal_match(sim)
     p_slow, t_slow = brute_force_match(sim)
-    assert p_fast.mapping == p_slow.mapping
+    assert np.array_equal(p_fast, p_slow)
     assert abs(t_fast - t_slow) <= 1e-9
 
 
@@ -194,7 +169,7 @@ def test_match_total_is_achieved_sum():
     rng = np.random.default_rng(2)
     sim = SimilarityMatrix(rng.uniform(-1, 1, size=(6, 6)))
     perm, total = optimal_match(sim)
-    direct = sum(sim.values[i, perm(i)] for i in range(6))
+    direct = sum(sim.values[i, perm[i]] for i in range(6))
     assert total == pytest.approx(direct, abs=1e-12)
 
 
@@ -207,8 +182,8 @@ def test_align_single_frame():
     clip = ClipQueryTensor(np.random.default_rng(0).standard_normal((1, 4, 8)))
     alignment = align_clip(clip)
     assert alignment.t_len == 1
-    assert alignment.per_frame[0].is_identity()
-    assert alignment.adjacent == ()
+    assert np.array_equal(alignment.per_frame, [[0, 1, 2, 3]])
+    assert alignment.adjacent.shape == (0, 4)
     assert alignment.pair_totals == ()
 
 
@@ -216,10 +191,8 @@ def test_align_identical_frames_all_identity():
     frame = np.random.default_rng(1).standard_normal((5, 12))
     clip = ClipQueryTensor(np.stack([frame] * 4))
     alignment = align_clip(clip)
-    for p in alignment.per_frame:
-        assert p.is_identity()
-    for p in alignment.adjacent:
-        assert p.is_identity()
+    assert np.array_equal(alignment.per_frame, np.broadcast_to(np.arange(5), (4, 5)))
+    assert np.array_equal(alignment.adjacent, np.broadcast_to(np.arange(5), (3, 5)))
 
 
 def test_align_recovers_known_permutations():
@@ -227,18 +200,15 @@ def test_align_recovers_known_permutations():
     # the per-frame maps must equal pi_t^-1
     protos = _random_orthonormal(6, 24, seed=3)
     rng = np.random.default_rng(4)
-    pis = [Permutation(tuple(range(6)))]
-    for _ in range(4):
-        pis.append(Permutation(tuple(int(x) for x in rng.permutation(6))))
+    pis = [list(range(6))] + [list(rng.permutation(6)) for _ in range(4)]
     frames = []
     for pi in pis:
         frame = np.empty_like(protos)
-        for i in range(6):
-            frame[pi(i)] = protos[i]
+        frame[pi] = protos
         frames.append(frame)
     alignment = align_clip(ClipQueryTensor(np.stack(frames)))
     for t, pi in enumerate(pis):
-        assert alignment.per_frame[t].mapping == pi.inverse().mapping
+        assert np.array_equal(alignment.per_frame[t], np.argsort(pi))
     # each adjacent total is the full similarity mass of a perfect match
     for total in alignment.pair_totals:
         assert total == pytest.approx(6.0, abs=1e-9)
@@ -250,17 +220,57 @@ def test_align_composition_invariant(seed):
     rng = np.random.default_rng(seed)
     clip = ClipQueryTensor(rng.standard_normal((5, 4, 6)))
     alignment = align_clip(clip)
-    assert alignment.per_frame[0].is_identity()
+    assert np.array_equal(alignment.per_frame[0], np.arange(4))
     for t in range(alignment.t_len - 1):
-        composed = alignment.per_frame[t].compose(alignment.adjacent[t].inverse())
-        assert alignment.per_frame[t + 1].mapping == composed.mapping
+        assert np.array_equal(
+            alignment.per_frame[t + 1, alignment.adjacent[t]], alignment.per_frame[t]
+        )
 
 
 def test_alignment_type_validation():
-    ident = Permutation.identity(3)
-    swap = Permutation((1, 0, 2))
-    with pytest.raises(ValueError):
-        ClipAlignment((swap, ident), (ident,), (3.0,))  # anchor not identity
-    with pytest.raises(ValueError):
-        ClipAlignment((ident, ident), (), (3.0,))  # count mismatch
+    ident = [0, 1, 2]
+    swap = [1, 0, 2]
+    with pytest.raises(ValueError, match="anchor"):
+        ClipAlignment([swap, ident], [ident], (3.0,))
+    with pytest.raises(ValueError, match="T-1"):
+        ClipAlignment([ident, ident], [], (3.0, 3.0))  # count mismatch
+    with pytest.raises(ValueError, match="adjacent must be 1 rows"):
+        ClipAlignment([ident, ident], [], (3.0,))
     ClipAlignment.identity(3, 4)  # well-formed
+    ClipAlignment([ident], [], ())  # one frame, from plain lists
+
+
+@pytest.mark.parametrize(
+    "per_frame, fragment",
+    [
+        ([[0, 0], [0, 1]], "every row must permute 0..1"),
+        ([[0, 1], [1, 2]], "every row must permute 0..1"),
+        ([[0, 1], [0, -1]], "every row must permute 0..1"),
+        ([[]], "non-empty (T, N)"),
+        ([], "non-empty (T, N)"),
+        ([[0, 1], [0.0, 1.0]], "2 rows of 2 integers"),
+        ([[True, False], [False, True]], "2 rows of 2 integers"),
+        ([[0, 1], [1]], "non-empty (T, N)"),
+    ],
+    ids=["repeated", "out_of_range", "negative", "empty_row", "no_rows", "float", "bool",
+         "ragged"],
+)
+def test_alignment_rejects_non_permutations(per_frame, fragment):
+    # the permutation checks that used to live on a per-mapping class
+    with pytest.raises(ValueError) as exc:
+        ClipAlignment(per_frame, [[0, 1]], (2.0,))
+    assert fragment in str(exc.value)
+
+
+def test_alignment_arrays_are_read_only_copies():
+    per_frame = np.array([[0, 1, 2], [2, 0, 1]])
+    alignment = ClipAlignment(per_frame, per_frame[1:], (1.0,))
+    per_frame[1] = [1, 2, 0]
+    assert np.array_equal(alignment.per_frame[1], [2, 0, 1])
+    assert alignment.per_frame.dtype == np.intp and alignment.adjacent.dtype == np.intp
+    with pytest.raises(ValueError):
+        alignment.per_frame[1, 0] = 0
+    with pytest.raises(ValueError):
+        alignment.adjacent[0, 0] = 0
+    mapping, _ = optimal_match(SimilarityMatrix(np.eye(3)))
+    assert mapping.dtype == np.intp and not mapping.flags.writeable

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from queryshift.core import ClipQueryTensor, FrameQuerySet, PixelEmbeddingMap
-from queryshift.matching import Permutation
+from queryshift.matching import ClipAlignment, align_clip
 from queryshift.pipeline import (
-    PipelineConfig,
     SoftMaskSet,
     decode_masks,
     run_clip,
@@ -25,8 +24,12 @@ ZERO = BoundaryPolicy.ZERO_FILL
 HOLD = BoundaryPolicy.HOLD
 
 
-def _config(fraction, dim, boundary=ZERO, matching=True):
-    return PipelineConfig(shift=plan_shift(Fraction(fraction), dim, boundary), matching=matching)
+def _shift(fraction, dim, boundary=ZERO):
+    return plan_shift(Fraction(fraction), dim, boundary)
+
+
+def _aligned(clip, matching):
+    return align_clip(clip) if matching else ClipAlignment.identity(clip.t_len, clip.n_queries)
 
 
 # ---------------------------------------------------------------------------
@@ -175,41 +178,45 @@ def _random_clip(t, n, d, seed=0):
 def test_shift_fraction_zero_is_identity():
     clip = _random_clip(4, 3, 8, seed=1)
     for matching in (True, False):
-        out, alignment = shift_with_matching(clip, _config(0, 8, matching=matching))
+        out = shift_with_matching(clip, _shift(0, 8), _aligned(clip, matching))
         assert np.array_equal(
             out.data.view(np.uint64), clip.data.view(np.uint64)
         )
-        assert alignment.t_len == 4
 
 
 def test_shift_identical_frames_matching_irrelevant():
     frame = np.random.default_rng(2).standard_normal((4, 8))
     clip = ClipQueryTensor(np.stack([frame] * 3))
     for boundary in (ZERO, HOLD):
-        on, _ = shift_with_matching(clip, _config("1/2", 8, boundary, True))
-        off, _ = shift_with_matching(clip, _config("1/2", 8, boundary, False))
+        on = shift_with_matching(clip, _shift("1/2", 8, boundary), _aligned(clip, True))
+        off = shift_with_matching(clip, _shift("1/2", 8, boundary), _aligned(clip, False))
         assert np.array_equal(on.data, off.data)
 
 
 def test_shift_matching_off_equals_plain_shift():
     clip = _random_clip(5, 4, 12, seed=3)
     for boundary in (ZERO, HOLD):
-        cfg = _config("1/4", 12, boundary, matching=False)
-        out, alignment = shift_with_matching(clip, cfg)
-        plain = feature_shift(clip, cfg.shift)
+        shift = _shift("1/4", 12, boundary)
+        out = shift_with_matching(clip, shift, _aligned(clip, False))
+        plain = feature_shift(clip, shift)
         assert np.array_equal(
             out.data.view(np.uint64), plain.data.view(np.uint64)
         )
-        for p in alignment.per_frame:
-            assert p.is_identity()
+
+
+def test_shift_rejects_alignment_of_another_shape():
+    clip = _random_clip(3, 4, 8)
+    for t_len, n in ((2, 4), (3, 5)):
+        with pytest.raises(ValueError, match="does not match the clip"):
+            shift_with_matching(clip, _shift("1/4", 8), ClipAlignment.identity(t_len, n))
 
 
 def test_shift_restores_original_order():
     # untouched middle channels prove position: they must sit at the same
     # query index before and after, whatever the alignment did internally
     clip = _random_clip(5, 6, 16, seed=4)
-    cfg = _config("1/4", 16, HOLD, matching=True)  # 2 channels each way
-    out, _ = shift_with_matching(clip, cfg)
+    shift = _shift("1/4", 16, HOLD)  # 2 channels each way
+    out = shift_with_matching(clip, shift, _aligned(clip, True))
     z_in = clip.data
     z_out = out.data
     assert np.array_equal(z_out[:, :, 2:-2], z_in[:, :, 2:-2])
@@ -219,8 +226,7 @@ def _scatter_clip(protos, pis):
     frames = []
     for pi in pis:
         frame = np.empty_like(protos)
-        for i in range(len(protos)):
-            frame[pi(i)] = protos[i]
+        frame[pi] = protos
         frames.append(frame)
     return ClipQueryTensor(np.stack(frames))
 
@@ -233,29 +239,29 @@ def test_shift_channel_provenance():
     n = d = 6
     protos = np.eye(n)
     pis = [
-        Permutation((0, 1, 2, 3, 4, 5)),
-        Permutation((1, 2, 3, 4, 5, 0)),
-        Permutation((3, 0, 1, 5, 2, 4)),
+        [0, 1, 2, 3, 4, 5],
+        [1, 2, 3, 4, 5, 0],
+        [3, 0, 1, 5, 2, 4],
     ]
     clip = _scatter_clip(protos, pis)
-    cfg_on = _config("1/2", d, HOLD, matching=True)
-    cfg_off = _config("1/2", d, HOLD, matching=False)
-    df = cfg_on.shift.d_forward
+    shift = _shift("1/2", d, HOLD)
+    df = shift.d_forward
     assert df == 1
 
-    out_on, alignment = shift_with_matching(clip, cfg_on)
+    alignment = align_clip(clip)
+    out_on = shift_with_matching(clip, shift, alignment)
     assert np.array_equal(out_on.data, clip.data)
     for t, pi in enumerate(pis):
-        assert alignment.per_frame[t].mapping == pi.inverse().mapping
+        assert np.array_equal(alignment.per_frame[t], np.argsort(pi))
 
-    out_off, _ = shift_with_matching(clip, cfg_off)
+    out_off = shift_with_matching(clip, shift, _aligned(clip, False))
     z = clip.data
     z_off = out_off.data
     for t in range(1, 3):
         for i in range(n):
             # forward block comes from the neighbour's occupant of index i
             assert np.array_equal(z_off[t, i, :df], z[t - 1, i, :df])
-            src = pis[t - 1].inverse()(i)
+            src = pis[t - 1].index(i)
             assert np.array_equal(z_off[t, i, :df], protos[src][:df])
     # and it really differs from the matched result somewhere
     assert not np.array_equal(z_off, clip.data)
@@ -285,7 +291,7 @@ def _scene(fraction="1/4", **kw):
 
 def test_run_clip_fraction_zero_matches_frame_independent():
     scene = _scene()
-    preds, _ = run_clip(scene, _config(0, 64, HOLD, matching=True))
+    preds = run_clip(scene, _shift(0, 64, HOLD), align_clip(scene.queries))
     from queryshift.synth import class_head_for
 
     head = class_head_for(scene)
@@ -298,22 +304,23 @@ def test_run_clip_fraction_zero_matches_frame_independent():
 def test_run_clip_identity_permutations_matching_irrelevant():
     scene = _scene(permute_per_frame=False)
     for boundary in (ZERO, HOLD):
-        on, _ = run_clip(scene, _config("1/4", 64, boundary, True))
-        off, _ = run_clip(scene, _config("1/4", 64, boundary, False))
+        on = run_clip(scene, _shift("1/4", 64, boundary), _aligned(scene.queries, True))
+        off = run_clip(scene, _shift("1/4", 64, boundary), _aligned(scene.queries, False))
         for a, b in zip(on, off):
             assert np.array_equal(a.labels, b.labels)
 
 
 def test_run_clip_matched_is_exact_unmatched_is_not():
     scene = _scene(seed=3)
-    preds_on, alignment = run_clip(scene, _config("1/4", 64, HOLD, True))
+    alignment = align_clip(scene.queries)
+    preds_on = run_clip(scene, _shift("1/4", 64, HOLD), alignment)
     for pred, gt in zip(preds_on, scene.gt_labels):
         assert np.array_equal(pred.labels, gt.labels)
     from queryshift.synth import recovery_rate
 
     assert recovery_rate(alignment, scene) == 1.0
 
-    preds_off, _ = run_clip(scene, _config("1/4", 64, HOLD, False))
+    preds_off = run_clip(scene, _shift("1/4", 64, HOLD), _aligned(scene.queries, False))
     wrong = sum(
         int((pred.labels != gt.labels).sum())
         for pred, gt in zip(preds_off, scene.gt_labels)

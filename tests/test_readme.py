@@ -1,0 +1,29 @@
+"""The README's Library example runs and prints what its comments say."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_block() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library"):]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match is not None, "README has no python block under '## Library'"
+    return match.group(1)
+
+
+def test_library_example_prints_its_comments():
+    block = _library_block()
+    # each print line ends in a comment with the output it should give
+    promised = re.findall(r"^print\(.*#\s*(.*?)\s*$", block, re.MULTILINE)
+    assert promised == ["1.0", "(4, 8, 32) (8, 32)"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == promised
