@@ -6,6 +6,8 @@ wrapped array is frozen after validation, so a constructed value can be shared
 freely between threads and between pipeline stages without defensive copies.
 The public constructors copy, freeze and finite-scan their input once; a
 clip's frames, and a scene's pixel maps, are read-only views of one array.
+A pixel map also carries a (P, D) palette and an (H, W) index into it, so
+decoding can run once per distinct embedding.
 
 On-disk formats:
 
@@ -88,14 +90,16 @@ def _freeze(arr: np.ndarray, shape_rank: int, what: str) -> np.ndarray:
     return arr
 
 
-def _view(cls, data: np.ndarray):
+def _view(cls, data: np.ndarray, **arrays: np.ndarray):
     """Wrap a read-only slice of an array this package already validated.
 
     No copy and no rescan: ``data`` must come from an array that went through
-    :func:`_freeze`.
+    :func:`_freeze`, and so must the other ``arrays`` (a pixel map's
+    ``palette`` and ``index``, which must satisfy ``palette[index] == data``).
     """
     view = object.__new__(cls)
-    object.__setattr__(view, "data", data)
+    for name, value in {"data": data, **arrays}.items():
+        object.__setattr__(view, name, value)
     return view
 
 
@@ -146,12 +150,23 @@ class ClipQueryTensor:
 
 @dataclass(frozen=True)
 class PixelEmbeddingMap:
-    """Per-pixel embedding grid of one frame, (H, W, D) float64."""
+    """Per-pixel embedding grid of one frame, (H, W, D) float64.
+
+    ``data == palette[index]``: ``palette`` is a read-only (P, D) table of
+    embeddings and ``index`` a read-only (H, W) intp grid of palette rows, so
+    a decoder can work on the P rows and gather per-pixel results through the
+    index.  The public constructor gives the identity palette, a (H*W, D)
+    view of ``data`` indexed by ``arange(H*W)``.
+    """
 
     data: np.ndarray
+    palette: np.ndarray = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f64(self.data, 3, "pixel embedding map"))
+        data = _frozen_f64(self.data, 3, "pixel embedding map")
+        for name, value in {"data": data, **_identity_palette(data)}.items():
+            object.__setattr__(self, name, value)
 
     @property
     def height(self) -> int:
@@ -164,6 +179,14 @@ class PixelEmbeddingMap:
     @property
     def dim(self) -> int:
         return self.data.shape[2]
+
+
+def _identity_palette(data: np.ndarray) -> dict[str, np.ndarray]:
+    """An (H, W, D) frame's identity palette: its (H*W, D) view and an ``arange`` index."""
+    h, w, d = data.shape
+    index = np.arange(h * w, dtype=np.intp).reshape(h, w)
+    index.setflags(write=False)
+    return {"palette": data.reshape(h * w, d), "index": index}
 
 
 @dataclass(frozen=True)

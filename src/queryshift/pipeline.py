@@ -39,19 +39,23 @@ _SCORE_CEIL = np.nextafter(1.0, 0.0)
 class SoftMaskSet:
     """Per-query soft masks plus class logits for one frame.
 
-    Scores live strictly inside (0, 1); sigmoid output is clamped to the
-    nearest representable neighbours of the open interval so downstream
-    consumers can rely on 0 < s < 1 even for saturated logits.
+    A mask is stored once per palette row of the frame's pixel map:
+    ``scores[:, index]`` is the (N, H, W) per-pixel mask stack.  Scores live
+    strictly inside (0, 1); sigmoid output is clamped to the nearest
+    representable neighbours of the open interval so downstream consumers
+    can rely on 0 < s < 1 even for saturated logits.
     """
 
-    scores: np.ndarray  # (N, H, W)
+    scores: np.ndarray  # (N, P)
     class_logits: np.ndarray  # (N, C)
+    index: np.ndarray  # (H, W), values in [0, P)
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        logits = np.asarray(self.class_logits, dtype=np.float64)
-        if scores.ndim != 3:
-            raise ValueError(f"scores must be (N, H, W), got shape {scores.shape}")
+        scores = np.array(self.scores, dtype=np.float64)
+        logits = np.array(self.class_logits, dtype=np.float64)
+        index = np.asarray(self.index)
+        if scores.ndim != 2:
+            raise ValueError(f"scores must be (N, P), got shape {scores.shape}")
         if logits.ndim != 2 or logits.shape[0] != scores.shape[0]:
             raise ValueError(
                 f"class_logits must be (N, C) matching scores, got {logits.shape}"
@@ -60,12 +64,16 @@ class SoftMaskSet:
             raise ValueError("mask scores must lie strictly inside (0, 1)")
         if not np.all(np.isfinite(logits)):
             raise ValueError("class logits must be finite")
-        scores = scores.copy()
-        scores.setflags(write=False)
-        logits = logits.copy()
-        logits.setflags(write=False)
+        if index.ndim != 2 or index.size == 0 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"index must be a non-empty 2-D integer grid, got {index.shape}")
+        if index.min() < 0 or index.max() >= scores.shape[1]:
+            raise ValueError(f"index values must lie in [0, {scores.shape[1]})")
+        index = index.astype(np.intp)
+        for arr in (scores, logits, index):
+            arr.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "class_logits", logits)
+        object.__setattr__(self, "index", index)
 
     @property
     def n_queries(self) -> int:
@@ -94,16 +102,18 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 def decode_masks(
     queries: FrameQuerySet, pixels: PixelEmbeddingMap, class_head: np.ndarray
 ) -> SoftMaskSet:
-    """Dot every query against every pixel embedding; sigmoid to (0, 1).
+    """Dot every query against every palette row of ``pixels``; sigmoid to (0, 1).
 
     ``class_head`` is a (D, C) weight matrix mapping queries to class logits.
+    The masks keep the pixel map's index, so a pixel's score is its palette
+    row's score.
     """
     q = queries.data
     if pixels.dim != queries.dim:
         raise ValueError(
             f"channel mismatch: queries have {queries.dim}, pixels have {pixels.dim}"
         )
-    raw = np.einsum("nd,hwd->nhw", q, pixels.data)
+    raw = np.einsum("nd,pd->np", q, pixels.palette)
     scores = np.clip(_sigmoid(raw), _SCORE_FLOOR, _SCORE_CEIL)
     head = np.asarray(class_head, dtype=np.float64)
     if head.ndim != 2 or head.shape[0] != queries.dim:
@@ -111,19 +121,19 @@ def decode_masks(
             f"class head must be (D, C) with D = {queries.dim}, got {head.shape}"
         )
     logits = np.einsum("nd,dc->nc", q, head)
-    return SoftMaskSet(scores=scores, class_logits=logits)
+    return SoftMaskSet(scores=scores, class_logits=logits, index=pixels.index)
 
 
 def semantic_inference(masks: SoftMaskSet) -> LabelMap:
     """Fuse soft masks into one label map.
 
     Each pixel takes the class maximising sum_i softmax(logits_i)[c] *
-    score_i; ties resolve to the lowest class index.
+    score_i; ties resolve to the lowest class index.  The vote runs once per
+    palette row and reaches the pixels through the index.
     """
     probs = _softmax_rows(masks.class_logits)
-    votes = np.einsum("nc,nhw->chw", probs, masks.scores)
-    labels = np.argmax(votes, axis=0)
-    return LabelMap(labels, masks.num_classes)
+    votes = np.einsum("nc,np->cp", probs, masks.scores)
+    return LabelMap(np.argmax(votes, axis=0)[masks.index], masks.num_classes)
 
 
 def shift_with_matching(

@@ -17,6 +17,8 @@ Pixels: track k paints a moving rh x rw rectangle (position wraps around the
 grid, tracks painted in ascending k, later tracks on top).  A rectangle pixel
 carries the owning track's prototype as its embedding and the track's class
 as its label; everything else is background: zero embedding, class C-1.
+Only a (T, H, W) index is painted: every frame's pixel map shares one
+(K + 1, D) palette, row 0 zero and row 1 + k track k's prototype.
 
 Prototype layout.  Plain Gram-Schmidt over Gaussian draws would spread each
 prototype's energy evenly over all D channels, which makes a small temporal
@@ -67,6 +69,7 @@ from .core import (
     read_labelmap,
     read_tensor,
     _freeze,
+    _identity_palette,
     _view,
     write_labelmap,
     write_tensor,
@@ -112,6 +115,13 @@ def _json_value(what: str, value, *kinds: type):
         names = " or ".join(k.__name__ for k in kinds)
         raise ValueError(f"{what} must be of type {names}, got {value!r}")
     return value
+
+
+def _json_ints(what: str, values) -> list:
+    """``values`` if it is a JSON list of integers; ``true``/``false`` are not integers here."""
+    if type(values) is not list or any(type(x) is not int for x in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return values
 
 
 _INT_FIELDS = ("t_len", "n_tracks", "n_queries", "dim", "num_classes", "motion", "seed")
@@ -375,24 +385,30 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         noise = np.asarray(rng.gauss_vector(t_len * n * d)).reshape(t_len, n, d)
         frames = frames + spec.noise_sigma * noise
 
+    # index[t, y, x]: palette row of a pixel, 0 for background, 1 + k for track k
     rh = max(1, h // 5)
     rw = max(1, w // 5)
-    labels = np.full((t_len, h, w), c - 1, dtype=np.int64)
-    pix = np.zeros((t_len, h, w, d), dtype=np.float64)
-    for t in range(t_len):
-        for track in range(k):
-            vy, vx = _DIRS[track % len(_DIRS)]
-            r0, c0 = anchors[track]
-            rows = (r0 + t * vy * spec.motion + np.arange(rh)) % h
-            cols = (c0 + t * vx * spec.motion + np.arange(rw)) % w
-            labels[t][np.ix_(rows, cols)] = track_classes[track]
-            pix[t][np.ix_(rows, cols)] = prototypes[track]
-    _freeze(pix, 4, "pixel embeddings")  # in place: the maps below are views of pix
+    t = np.arange(t_len)[:, None]
+    index = np.zeros((t_len, h, w), dtype=np.intp)
+    for track in range(k):  # later tracks paint on top
+        vy, vx = _DIRS[track % len(_DIRS)]
+        r0, c0 = anchors[track]
+        rows = (r0 + t * vy * spec.motion + np.arange(rh)) % h
+        cols = (c0 + t * vx * spec.motion + np.arange(rw)) % w
+        index[t[:, :, None], rows[:, :, None], cols[:, None, :]] = 1 + track
+    index.setflags(write=False)
+    palette = _freeze(np.vstack([np.zeros(d), prototypes]), 2, "pixel palette")
+    pix = palette[index]
+    pix.setflags(write=False)  # finite because the palette is; the maps are views
+    labels = np.array([c - 1, *track_classes], dtype=np.int64)[index]
 
     return SceneClip(
         spec=spec,
         queries=ClipQueryTensor(frames),
-        pixels=tuple(_view(PixelEmbeddingMap, frame) for frame in pix),
+        pixels=tuple(
+            _view(PixelEmbeddingMap, frame, palette=palette, index=idx)
+            for frame, idx in zip(pix, index)
+        ),
         gt_labels=tuple(LabelMap(frame, c) for frame in labels),
         gt_tracks=gt_tracks,
         prototypes=prototypes,
@@ -552,10 +568,12 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
         meta = json.load(f)
     try:
         spec = SceneSpec.from_dict(meta["spec"])
+        what = "tracks.json per_frame_tracks"
+        rows = _json_value(what, meta["per_frame_tracks"], list)
         gt_tracks = _permutation_rows(
-            "tracks.json per_frame_tracks", meta["per_frame_tracks"], spec.t_len, spec.n_queries
+            what, [_json_ints(f"{what} row", row) for row in rows], spec.t_len, spec.n_queries
         )
-        track_classes = tuple(int(x) for x in meta["track_classes"])
+        track_classes = _json_ints("tracks.json track_classes", meta["track_classes"])
         prototypes = np.array(meta["prototypes"], dtype=np.float64)
         no_object = (
             None if meta["no_object"] is None else np.array(meta["no_object"], dtype=np.float64)
@@ -563,6 +581,13 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
         signature_scale = meta["signature_scale"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tracks.json: {exc}") from exc
+    if len(track_classes) != spec.n_tracks or not all(
+        0 <= c < spec.num_classes for c in track_classes
+    ):
+        raise ValueError(
+            f"tracks.json track_classes must list {spec.n_tracks} classes "
+            f"in [0, {spec.num_classes}), got {track_classes}"
+        )
 
     queries = read_tensor(src / "queries.qtn")
     flat = read_tensor(src / "pixels.qtn")
@@ -573,7 +598,7 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             f"match a {spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
         )
     grids = flat.data.reshape(spec.t_len, h, w, spec.dim)
-    pixels = tuple(_view(PixelEmbeddingMap, frame) for frame in grids)
+    pixels = tuple(_view(PixelEmbeddingMap, frame, **_identity_palette(frame)) for frame in grids)
     labels = tuple(
         read_labelmap(src / f"labels_{t}.pgm", spec.num_classes) for t in range(spec.t_len)
     )

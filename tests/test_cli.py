@@ -280,23 +280,53 @@ def _set_row(t, row):
     return edit
 
 
+def _set_classes(classes):
+    return lambda meta: meta.update(track_classes=classes)
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, fragment",
     [
-        _set_row(1, lambda row: [0, 1]),
-        _set_row(1, lambda row: [x + 0.5 for x in row]),
-        _set_row(1, lambda row: [False, True, True, True]),
-        lambda meta: meta["per_frame_tracks"].pop(),
-        lambda meta: meta.update(per_frame_tracks=[r[:3] for r in meta["per_frame_tracks"]]),
-        _set_row(2, lambda row: [row[0]] * 2 + row[2:]),
+        (_set_row(1, lambda row: [0, 1]), "per_frame_tracks"),
+        (_set_row(1, lambda row: [x + 0.5 for x in row]), "per_frame_tracks"),
+        (_set_row(1, lambda row: [False, True, True, True]), "per_frame_tracks"),
+        (_set_row(1, lambda row: [x if x > 1 else bool(x) for x in row]), "per_frame_tracks"),
+        (lambda meta: meta["per_frame_tracks"].pop(), "per_frame_tracks"),
+        (
+            lambda meta: meta.update(per_frame_tracks=[r[:3] for r in meta["per_frame_tracks"]]),
+            "per_frame_tracks",
+        ),
+        (_set_row(2, lambda row: [row[0]] * 2 + row[2:]), "per_frame_tracks"),
+        (lambda meta: meta.update(per_frame_tracks=7), "per_frame_tracks"),
+        (_set_classes([0.9, 1.5, 2, 3]), "track_classes"),
+        (_set_classes([True, 1, 2, 3]), "track_classes"),
+        (_set_classes([0, 1, 2, 99]), "track_classes"),
+        (_set_classes([-1, 0, 1, 2]), "track_classes"),
+        (_set_classes([0, 1, 2]), "track_classes"),
+        (_set_classes("0123"), "track_classes"),
     ],
-    ids=["ragged", "float", "bool", "row_count", "short_rows", "repeated_index"],
+    ids=[
+        "ragged",
+        "float",
+        "bool",
+        "bool_mixed_with_ints",
+        "row_count",
+        "short_rows",
+        "repeated_index",
+        "not_a_list",
+        "float_classes",
+        "bool_class",
+        "class_out_of_range",
+        "negative_class",
+        "class_count",
+        "string_classes",
+    ],
 )
-def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit):
+def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragment):
     _edit_tracks(scene_dir, edit)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
     assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    _assert_one_line_error(capsys, "per_frame_tracks")
+    _assert_one_line_error(capsys, fragment)
 
 
 def test_run_rejects_non_finite_sigma_in_tracks(scene_dir, tmp_path, capsys):

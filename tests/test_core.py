@@ -228,6 +228,16 @@ def test_pixel_map_dims():
         PixelEmbeddingMap(np.zeros((4, 5)))
 
 
+def test_pixel_map_takes_identity_palette_without_copy():
+    pm = PixelEmbeddingMap(np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4))
+    assert pm.palette.shape == (6, 4)
+    assert pm.palette.base is pm.data
+    assert pm.index.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert pm.index.dtype == np.intp
+    assert not pm.palette.flags.writeable and not pm.index.flags.writeable
+    assert np.array_equal(pm.palette[pm.index], pm.data)
+
+
 def test_labelmap_validates_range():
     LabelMap(np.zeros((2, 2), dtype=np.int64), 1)
     with pytest.raises(ValueError):

@@ -7,18 +7,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queryshift.core import ClipQueryTensor, FrameQuerySet, PixelEmbeddingMap
 from queryshift.matching import ClipAlignment, align_clip
 from queryshift.pipeline import (
     SoftMaskSet,
+    _SCORE_CEIL,
+    _SCORE_FLOOR,
+    _sigmoid,
+    _softmax_rows,
     decode_masks,
     run_clip,
     semantic_inference,
     shift_with_matching,
 )
 from queryshift.shift import BoundaryPolicy, feature_shift, plan_shift
-from queryshift.synth import SceneSpec, generate_scene
+from queryshift.synth import SceneSpec, class_head_for, generate_scene, load_scene, save_scene
 
 ZERO = BoundaryPolicy.ZERO_FILL
 HOLD = BoundaryPolicy.HOLD
@@ -42,14 +48,14 @@ def test_decode_orthogonal_gives_half():
     pixels = PixelEmbeddingMap(np.zeros((3, 4, 2)))
     masks = decode_masks(queries, pixels, np.zeros((2, 5)))
     assert np.all(masks.scores == 0.5)
-    assert masks.scores.shape == (2, 3, 4)
+    assert masks.scores[:, masks.index].shape == (2, 3, 4)
 
 
 def test_decode_saturation():
     q = np.array([[2.0, 1.0]])  # norm^2 = 5
     pixels = PixelEmbeddingMap((4.0 * q).reshape(1, 1, 2))  # dot = 20
     masks = decode_masks(FrameQuerySet(q), pixels, np.zeros((2, 1)))
-    s = masks.scores[0, 0, 0]
+    s = masks.scores[:, masks.index][0, 0, 0]
     assert s > 1.0 - 1e-6
     assert s < 1.0  # clamped inside the open interval
 
@@ -68,13 +74,14 @@ def test_decode_two_query_diagonal():
     queries = FrameQuerySet(np.stack([a, b]))
     pixels = PixelEmbeddingMap(np.stack([a, b]).reshape(2, 1, 3))
     masks = decode_masks(queries, pixels, np.zeros((3, 2)))
+    scores = masks.scores[:, masks.index]
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
-    assert masks.scores[0, 0, 0] == pytest.approx(sig1, abs=1e-12)
-    assert masks.scores[1, 1, 0] == pytest.approx(sig1, abs=1e-12)
+    assert scores[0, 0, 0] == pytest.approx(sig1, abs=1e-12)
+    assert scores[1, 1, 0] == pytest.approx(sig1, abs=1e-12)
     assert sig1 == pytest.approx(0.7311, abs=5e-5)
     cross = 1.0 / (1.0 + math.exp(-float(a @ b)))
-    assert masks.scores[0, 1, 0] == pytest.approx(cross, abs=1e-12)
-    assert masks.scores[1, 0, 0] == pytest.approx(cross, abs=1e-12)
+    assert scores[0, 1, 0] == pytest.approx(cross, abs=1e-12)
+    assert scores[1, 0, 0] == pytest.approx(cross, abs=1e-12)
 
 
 def test_decode_matrix_head_is_linear_map():
@@ -102,13 +109,49 @@ def test_decode_dimension_mismatch():
         )
 
 
+def _per_pixel(scores, logits):
+    """A mask set holding one palette row per pixel of an (N, H, W) stack."""
+    n, h, w = np.shape(scores)
+    return SoftMaskSet(
+        np.reshape(scores, (n, h * w)), logits, np.arange(h * w).reshape(h, w)
+    )
+
+
 def test_soft_mask_set_validation():
     with pytest.raises(ValueError):
-        SoftMaskSet(np.full((1, 1, 1), 1.0), np.zeros((1, 2)))
+        _per_pixel(np.full((1, 1, 1), 1.0), np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        SoftMaskSet(np.full((1, 1, 1), 0.0), np.zeros((1, 2)))
+        _per_pixel(np.full((1, 1, 1), 0.0), np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        SoftMaskSet(np.full((1, 1, 1), 0.5), np.full((1, 2), np.inf))
+        _per_pixel(np.full((1, 1, 1), 0.5), np.full((1, 2), np.inf))
+
+
+@pytest.mark.parametrize(
+    "index, match",
+    [
+        ([[0, 2]], r"lie in \[0, 2\)"),
+        ([[-1, 0]], r"lie in \[0, 2\)"),
+        ([[0.0, 1.0]], "2-D integer grid"),
+        ([[False, True]], "2-D integer grid"),
+        ([0, 1], "2-D integer grid"),
+        ([[[0, 1]]], "2-D integer grid"),
+        (np.zeros((0, 2), dtype=np.intp), "2-D integer grid"),
+    ],
+    ids=["too_high", "negative", "float", "bool", "one_dim", "three_dim", "empty"],
+)
+def test_soft_mask_set_rejects_bad_index(index, match):
+    with pytest.raises(ValueError, match=match):
+        SoftMaskSet(np.full((1, 2), 0.5), np.zeros((1, 2)), index)
+
+
+def test_soft_mask_set_freezes_copies():
+    scores, index = np.full((1, 2), 0.5), np.array([[1, 0]], dtype=np.int32)
+    masks = SoftMaskSet(scores, np.zeros((1, 2)), index)
+    scores[0, 0], index[0, 0] = 0.25, 0
+    assert masks.scores.tolist() == [[0.5, 0.5]]
+    assert masks.index.dtype == np.intp and masks.index.tolist() == [[1, 0]]
+    for arr in (masks.scores, masks.class_logits, masks.index):
+        assert not arr.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +160,7 @@ def test_soft_mask_set_validation():
 
 
 def test_inference_single_query_single_class():
-    masks = SoftMaskSet(np.full((1, 2, 3), 0.7), np.zeros((1, 1)))
+    masks = _per_pixel(np.full((1, 2, 3), 0.7), np.zeros((1, 1)))
     labels = semantic_inference(masks)
     assert np.all(labels.labels == 0)
     assert labels.num_classes == 1
@@ -129,7 +172,7 @@ def test_inference_disjoint_saturated_masks():
     scores[0] = [[hi, hi, lo, lo], [hi, hi, lo, lo]]
     scores[1] = [[lo, lo, hi, hi], [lo, lo, hi, hi]]
     logits = np.array([[40.0, 0.0], [0.0, 40.0]])  # effectively one-hot
-    labels = semantic_inference(SoftMaskSet(scores, logits)).labels
+    labels = semantic_inference(_per_pixel(scores, logits)).labels
     assert np.array_equal(labels, np.array([[0, 0, 1, 1], [0, 0, 1, 1]]))
 
 
@@ -151,18 +194,18 @@ def test_inference_hand_computed_2x2():
                 p0[c] * scores[0, h, w] + p1[c] * scores[1, h, w] for c in (0, 1)
             ]
             expected[h, w] = 0 if votes[0] >= votes[1] else 1
-    got = semantic_inference(SoftMaskSet(scores, logits)).labels
+    got = semantic_inference(_per_pixel(scores, logits)).labels
     assert np.array_equal(got, expected)
     assert expected.tolist() == [[0, 1], [0, 1]]  # freeze the hand result
 
 
 def test_inference_tie_breaks_to_lowest_class():
-    masks = SoftMaskSet(np.full((1, 1, 2), 0.6), np.zeros((1, 3)))
+    masks = _per_pixel(np.full((1, 1, 2), 0.6), np.zeros((1, 3)))
     assert np.all(semantic_inference(masks).labels == 0)
     # two queries voting symmetrically for classes 1 and 2
     scores = np.full((2, 1, 1), 0.5)
     logits = np.array([[0.0, 5.0, 0.0], [0.0, 0.0, 5.0]])
-    assert semantic_inference(SoftMaskSet(scores, logits)).labels[0, 0] == 1
+    assert semantic_inference(_per_pixel(scores, logits)).labels[0, 0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +369,81 @@ def test_run_clip_matched_is_exact_unmatched_is_not():
         for pred, gt in zip(preds_off, scene.gt_labels)
     )
     assert wrong > 0
+
+
+# ---------------------------------------------------------------------------
+# palette decode against the per-pixel decode
+# ---------------------------------------------------------------------------
+
+
+def _per_pixel_decode(queries, pixels, head):
+    """The per-pixel reference: every query dotted with every pixel's embedding."""
+    raw = np.einsum("nd,hwd->nhw", queries.data, pixels.data)
+    scores = np.clip(_sigmoid(raw), _SCORE_FLOOR, _SCORE_CEIL)
+    probs = _softmax_rows(np.einsum("nd,dc->nc", queries.data, head))
+    votes = np.einsum("nc,nhw->chw", probs, scores)
+    return scores, np.argmax(votes, axis=0)
+
+
+@st.composite
+def _palette_cases(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, k + 3))
+    spec = SceneSpec(
+        t_len=draw(st.integers(1, 4)),
+        n_tracks=k,
+        n_queries=n,
+        dim=draw(st.sampled_from(sorted({n, n + 5, 16, 64, 130}))),
+        num_classes=draw(st.integers(1, k + 1)),
+        grid=(draw(st.integers(1, 24)), draw(st.integers(1, 24))),
+        noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+        permute_per_frame=draw(st.booleans()),
+        motion=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    fraction = draw(st.sampled_from(["0", "1/8", "1/4", "1/2"]))
+    boundary = draw(st.sampled_from([ZERO, HOLD]))
+    return spec, plan_shift(fraction, spec.dim, boundary), draw(st.booleans())
+
+
+@given(_palette_cases())
+@settings(max_examples=80, deadline=None)
+def test_palette_decode_is_bit_identical_to_per_pixel(case):
+    spec, shift, matching = case
+    scene = generate_scene(spec)
+    head = class_head_for(scene)
+    alignment = _aligned(scene.queries, matching)
+    shifted = shift_with_matching(scene.queries, shift, alignment)
+    labels = run_clip(scene, shift, alignment)
+    assert scene.pixels[0].palette.shape == (spec.n_tracks + 1, spec.dim)
+    for queries, pixels, pred in zip(shifted.frames, scene.pixels, labels):
+        masks = decode_masks(queries, pixels, head)
+        ref_scores, ref_labels = _per_pixel_decode(queries, pixels, head)
+        assert masks.scores[:, masks.index].tobytes() == ref_scores.tobytes()
+        assert np.array_equal(semantic_inference(masks).labels, ref_labels)
+        assert np.array_equal(pred.labels, ref_labels)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(),
+        dict(n_tracks=3, n_queries=6, num_classes=3, grid=(20, 9), noise_sigma=0.3),
+        dict(n_tracks=1, n_queries=2, dim=16, num_classes=2, grid=(7, 30), noise_sigma=0.1),
+    ],
+    ids=["criterion", "surplus_noisy", "one_track"],
+)
+def test_loaded_scene_labels_equal_generated(tmp_path, kw):
+    scene = _scene(**kw)
+    save_scene(scene, tmp_path)
+    loaded = load_scene(tmp_path)
+    h, w = scene.spec.grid
+    assert loaded.pixels[0].palette.shape == (h * w, scene.spec.dim)
+    for fraction in ("0", "1/4"):
+        shift = _shift(fraction, scene.spec.dim, HOLD)
+        for matching in (True, False):
+            alignment = _aligned(scene.queries, matching)
+            ours = run_clip(scene, shift, alignment)
+            theirs = run_clip(loaded, shift, alignment)
+            for a, b in zip(ours, theirs):
+                assert np.array_equal(a.labels, b.labels)

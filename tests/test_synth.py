@@ -342,7 +342,8 @@ def test_scene_round_trip(tmp_path):
 def test_pixel_maps_are_read_only_views_of_one_buffer(tmp_path):
     scene = generate_scene(_spec())
     save_scene(scene, tmp_path)
-    for s in (scene, load_scene(tmp_path)):
+    loaded = load_scene(tmp_path)
+    for s in (scene, loaded):
         base = s.pixels[0].data.base
         assert base is not None
         assert not base.flags.writeable
@@ -350,6 +351,24 @@ def test_pixel_maps_are_read_only_views_of_one_buffer(tmp_path):
             assert isinstance(pm, PixelEmbeddingMap)
             assert pm.data.base is base
             assert not pm.data.flags.writeable
+            assert not pm.palette.flags.writeable
+            assert not pm.index.flags.writeable
+            assert pm.index.dtype == np.intp
+            assert np.array_equal(pm.palette[pm.index], pm.data)
+
+    # generated maps share one palette: background, then one row per track
+    palette = scene.pixels[0].palette
+    assert np.array_equal(palette, np.vstack([np.zeros(scene.spec.dim), scene.prototypes]))
+    for pm in scene.pixels:
+        assert pm.palette is palette
+
+    # loaded maps take the identity palette, a view of the tensor read back
+    h, w = scene.spec.grid
+    identity = np.arange(h * w).reshape(h, w)
+    for pm in loaded.pixels:
+        assert np.array_equal(pm.index, identity)
+        assert pm.palette.shape == (h * w, scene.spec.dim)
+        assert pm.palette.base is loaded.pixels[0].data.base
 
 
 def test_scene_file_inventory(tmp_path):
