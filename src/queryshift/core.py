@@ -5,9 +5,9 @@ four array types defined here.  All numeric payloads are float64 and every
 wrapped array is frozen after validation, so a constructed value can be shared
 freely between threads and between pipeline stages without defensive copies.
 The public constructors copy, freeze and finite-scan their input once; a
-clip's frames, and a scene's pixel maps, are read-only views of one array.
-A pixel map also carries a (P, D) palette and an (H, W) index into it, so
-decoding can run once per distinct embedding.
+clip's frames are read-only views of one array.  A pixel map is a (P, D)
+palette of embeddings and an (H, W) index into it, so decoding runs once
+per palette row.
 
 On-disk formats:
 
@@ -90,15 +90,15 @@ def _freeze(arr: np.ndarray, shape_rank: int, what: str) -> np.ndarray:
     return arr
 
 
-def _view(cls, data: np.ndarray, **arrays: np.ndarray):
-    """Wrap a read-only slice of an array this package already validated.
+def _view(cls, **arrays: np.ndarray):
+    """Wrap read-only arrays this package already validated, one per field.
 
-    No copy and no rescan: ``data`` must come from an array that went through
-    :func:`_freeze`, and so must the other ``arrays`` (a pixel map's
-    ``palette`` and ``index``, which must satisfy ``palette[index] == data``).
+    No copy and no rescan: each array must be (a slice of) one the public
+    constructors would accept, already frozen; a pixel map's ``index`` must
+    lie in ``[0, len(palette))``.
     """
     view = object.__new__(cls)
-    for name, value in {"data": data, **arrays}.items():
+    for name, value in arrays.items():
         object.__setattr__(view, name, value)
     return view
 
@@ -145,48 +145,45 @@ class ClipQueryTensor:
     @property
     def frames(self) -> tuple[FrameQuerySet, ...]:
         """One read-only view per frame; no copy."""
-        return tuple(_view(FrameQuerySet, frame) for frame in self.data)
+        return tuple(_view(FrameQuerySet, data=frame) for frame in self.data)
 
 
 @dataclass(frozen=True)
 class PixelEmbeddingMap:
-    """Per-pixel embedding grid of one frame, (H, W, D) float64.
+    """Per-pixel embeddings of one (H, W) frame, as a palette and an index.
 
-    ``data == palette[index]``: ``palette`` is a read-only (P, D) table of
-    embeddings and ``index`` a read-only (H, W) intp grid of palette rows, so
-    a decoder can work on the P rows and gather per-pixel results through the
-    index.  The public constructor gives the identity palette, a (H*W, D)
-    view of ``data`` indexed by ``arange(H*W)``.
+    ``palette`` is a read-only (P, D) float64 table of embeddings and
+    ``index`` a read-only (H, W) intp grid of palette rows: pixel (y, x)
+    carries ``palette[index[y, x]]``.  A decoder works on the P rows and
+    gathers per-pixel results through the index.
     """
 
-    data: np.ndarray
-    palette: np.ndarray = field(init=False, repr=False, compare=False)
-    index: np.ndarray = field(init=False, repr=False, compare=False)
+    palette: np.ndarray
+    index: np.ndarray
 
     def __post_init__(self):
-        data = _frozen_f64(self.data, 3, "pixel embedding map")
-        for name, value in {"data": data, **_identity_palette(data)}.items():
-            object.__setattr__(self, name, value)
+        palette = _frozen_f64(self.palette, 2, "pixel palette")
+        index = np.asarray(self.index)
+        if index.ndim != 2 or index.size == 0 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"index must be a non-empty 2-D integer grid, got {index.shape}")
+        if index.min() < 0 or index.max() >= palette.shape[0]:
+            raise ValueError(f"index values must lie in [0, {palette.shape[0]})")
+        index = index.astype(np.intp)
+        index.setflags(write=False)
+        object.__setattr__(self, "palette", palette)
+        object.__setattr__(self, "index", index)
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.index.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.index.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.data.shape[2]
-
-
-def _identity_palette(data: np.ndarray) -> dict[str, np.ndarray]:
-    """An (H, W, D) frame's identity palette: its (H*W, D) view and an ``arange`` index."""
-    h, w, d = data.shape
-    index = np.arange(h * w, dtype=np.intp).reshape(h, w)
-    index.setflags(write=False)
-    return {"palette": data.reshape(h * w, d), "index": index}
+        return self.palette.shape[1]
 
 
 @dataclass(frozen=True)

@@ -39,23 +39,23 @@ _SCORE_CEIL = np.nextafter(1.0, 0.0)
 class SoftMaskSet:
     """Per-query soft masks plus class logits for one frame.
 
-    A mask is stored once per palette row of the frame's pixel map:
-    ``scores[:, index]`` is the (N, H, W) per-pixel mask stack.  Scores live
-    strictly inside (0, 1); sigmoid output is clamped to the nearest
-    representable neighbours of the open interval so downstream consumers
-    can rely on 0 < s < 1 even for saturated logits.
+    A mask is stored once per palette row of the pixel map it was decoded
+    over: ``scores[:, pixels.index]`` is the (N, H, W) per-pixel mask stack.
+    Scores live strictly inside (0, 1); sigmoid output is clamped to the
+    nearest representable neighbours of the open interval so downstream
+    consumers can rely on 0 < s < 1 even for saturated logits.
     """
 
     scores: np.ndarray  # (N, P)
     class_logits: np.ndarray  # (N, C)
-    index: np.ndarray  # (H, W), values in [0, P)
+    pixels: PixelEmbeddingMap  # P palette rows
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=np.float64)
         logits = np.array(self.class_logits, dtype=np.float64)
-        index = np.asarray(self.index)
-        if scores.ndim != 2:
-            raise ValueError(f"scores must be (N, P), got shape {scores.shape}")
+        rows = self.pixels.palette.shape[0]
+        if scores.ndim != 2 or scores.shape[1] != rows:
+            raise ValueError(f"scores must be (N, P) with P = {rows}, got shape {scores.shape}")
         if logits.ndim != 2 or logits.shape[0] != scores.shape[0]:
             raise ValueError(
                 f"class_logits must be (N, C) matching scores, got {logits.shape}"
@@ -64,16 +64,10 @@ class SoftMaskSet:
             raise ValueError("mask scores must lie strictly inside (0, 1)")
         if not np.all(np.isfinite(logits)):
             raise ValueError("class logits must be finite")
-        if index.ndim != 2 or index.size == 0 or not np.issubdtype(index.dtype, np.integer):
-            raise ValueError(f"index must be a non-empty 2-D integer grid, got {index.shape}")
-        if index.min() < 0 or index.max() >= scores.shape[1]:
-            raise ValueError(f"index values must lie in [0, {scores.shape[1]})")
-        index = index.astype(np.intp)
-        for arr in (scores, logits, index):
+        for arr in (scores, logits):
             arr.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "class_logits", logits)
-        object.__setattr__(self, "index", index)
 
     @property
     def n_queries(self) -> int:
@@ -105,8 +99,8 @@ def decode_masks(
     """Dot every query against every palette row of ``pixels``; sigmoid to (0, 1).
 
     ``class_head`` is a (D, C) weight matrix mapping queries to class logits.
-    The masks keep the pixel map's index, so a pixel's score is its palette
-    row's score.
+    The masks keep the pixel map, so a pixel's score is its palette row's
+    score.
     """
     q = queries.data
     if pixels.dim != queries.dim:
@@ -121,7 +115,7 @@ def decode_masks(
             f"class head must be (D, C) with D = {queries.dim}, got {head.shape}"
         )
     logits = np.einsum("nd,dc->nc", q, head)
-    return SoftMaskSet(scores=scores, class_logits=logits, index=pixels.index)
+    return SoftMaskSet(scores=scores, class_logits=logits, pixels=pixels)
 
 
 def semantic_inference(masks: SoftMaskSet) -> LabelMap:
@@ -133,7 +127,7 @@ def semantic_inference(masks: SoftMaskSet) -> LabelMap:
     """
     probs = _softmax_rows(masks.class_logits)
     votes = np.einsum("nc,np->cp", probs, masks.scores)
-    return LabelMap(np.argmax(votes, axis=0)[masks.index], masks.num_classes)
+    return LabelMap(np.argmax(votes, axis=0)[masks.pixels.index], masks.num_classes)
 
 
 def shift_with_matching(

@@ -17,8 +17,9 @@ Pixels: track k paints a moving rh x rw rectangle (position wraps around the
 grid, tracks painted in ascending k, later tracks on top).  A rectangle pixel
 carries the owning track's prototype as its embedding and the track's class
 as its label; everything else is background: zero embedding, class C-1.
-Only a (T, H, W) index is painted: every frame's pixel map shares one
-(K + 1, D) palette, row 0 zero and row 1 + k track k's prototype.
+Only a (T, H, W) index is painted: every frame's pixel map is one frame of
+that index over one shared (K + 1, D) palette, row 0 zero and row 1 + k
+track k's prototype.
 
 Prototype layout.  Plain Gram-Schmidt over Gaussian draws would spread each
 prototype's energy evenly over all D channels, which makes a small temporal
@@ -69,7 +70,6 @@ from .core import (
     read_labelmap,
     read_tensor,
     _freeze,
-    _identity_palette,
     _view,
     write_labelmap,
     write_tensor,
@@ -122,6 +122,20 @@ def _json_ints(what: str, values) -> list:
     if type(values) is not list or any(type(x) is not int for x in values):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
     return values
+
+
+def _json_floats(what: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as float64 if it is nested JSON lists of ``shape`` finite numbers."""
+
+    def fits(v, dims):
+        if not dims:
+            return type(v) in (int, float)
+        return type(v) is list and len(v) == dims[0] and all(fits(x, dims[1:]) for x in v)
+
+    arr = np.array(value, dtype=np.float64) if fits(value, shape) else None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be a JSON list of shape {shape} of finite numbers")
+    return arr
 
 
 _INT_FIELDS = ("t_len", "n_tracks", "n_queries", "dim", "num_classes", "motion", "seed")
@@ -398,17 +412,12 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         index[t[:, :, None], rows[:, :, None], cols[:, None, :]] = 1 + track
     index.setflags(write=False)
     palette = _freeze(np.vstack([np.zeros(d), prototypes]), 2, "pixel palette")
-    pix = palette[index]
-    pix.setflags(write=False)  # finite because the palette is; the maps are views
     labels = np.array([c - 1, *track_classes], dtype=np.int64)[index]
 
     return SceneClip(
         spec=spec,
         queries=ClipQueryTensor(frames),
-        pixels=tuple(
-            _view(PixelEmbeddingMap, frame, palette=palette, index=idx)
-            for frame, idx in zip(pix, index)
-        ),
+        pixels=tuple(_view(PixelEmbeddingMap, palette=palette, index=idx) for idx in index),
         gt_labels=tuple(LabelMap(frame, c) for frame in labels),
         gt_tracks=gt_tracks,
         prototypes=prototypes,
@@ -534,10 +543,15 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
     write_tensor(scene.queries, qpath)
     written.append(qpath)
 
+    # gather each frame's per-pixel rows straight into the tensor written;
+    # finite because the palettes are
     h, w = scene.spec.grid
-    flat = ClipQueryTensor([p.data.reshape(h * w, scene.spec.dim) for p in scene.pixels])
+    flat = np.empty((len(scene.pixels), h * w, scene.spec.dim))
+    for rows, p in zip(flat, scene.pixels):
+        np.take(p.palette, p.index.reshape(h * w), axis=0, out=rows)
+    flat.setflags(write=False)
     ppath = out / "pixels.qtn"
-    write_tensor(flat, ppath)
+    write_tensor(_view(ClipQueryTensor, data=flat), ppath)
     written.append(ppath)
 
     for t, lmap in enumerate(scene.gt_labels):
@@ -574,11 +588,24 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             what, [_json_ints(f"{what} row", row) for row in rows], spec.t_len, spec.n_queries
         )
         track_classes = _json_ints("tracks.json track_classes", meta["track_classes"])
-        prototypes = np.array(meta["prototypes"], dtype=np.float64)
-        no_object = (
-            None if meta["no_object"] is None else np.array(meta["no_object"], dtype=np.float64)
+        prototypes = _json_floats(
+            "tracks.json prototypes", meta["prototypes"], (spec.n_tracks, spec.dim)
         )
+        no_object = meta["no_object"]
+        if (no_object is None) != (spec.n_queries == spec.n_tracks):
+            raise ValueError(
+                "tracks.json no_object must be null exactly when n_queries == n_tracks"
+            )
+        if no_object is not None:
+            no_object = _json_floats("tracks.json no_object", no_object, (spec.dim,))
         signature_scale = meta["signature_scale"]
+        if signature_scale is not None and not (
+            type(signature_scale) in (int, float) and 0 < signature_scale < math.inf
+        ):
+            raise ValueError(
+                "tracks.json signature_scale must be null or a finite number > 0, "
+                f"got {signature_scale!r}"
+            )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tracks.json: {exc}") from exc
     if len(track_classes) != spec.n_tracks or not all(
@@ -597,8 +624,10 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             f"pixels.qtn shape ({flat.t_len}, {flat.n_queries}, {flat.dim}) does not "
             f"match a {spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
         )
-    grids = flat.data.reshape(spec.t_len, h, w, spec.dim)
-    pixels = tuple(_view(PixelEmbeddingMap, frame, **_identity_palette(frame)) for frame in grids)
+    # each frame's (H*W, D) rows of the tensor read, one shared identity index
+    index = np.arange(h * w, dtype=np.intp).reshape(h, w)
+    index.setflags(write=False)
+    pixels = tuple(_view(PixelEmbeddingMap, palette=rows, index=index) for rows in flat.data)
     labels = tuple(
         read_labelmap(src / f"labels_{t}.pgm", spec.num_classes) for t in range(spec.t_len)
     )

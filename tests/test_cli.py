@@ -280,8 +280,20 @@ def _set_row(t, row):
     return edit
 
 
-def _set_classes(classes):
-    return lambda meta: meta.update(track_classes=classes)
+def _set(**fields):
+    return lambda meta: meta.update(fields)
+
+
+def _surplus(no_object):
+    """Declare the last of the 4 tracks a surplus query, with ``no_object`` for it."""
+    def edit(meta):
+        meta["spec"].update(n_tracks=3, num_classes=4)
+        meta.update(
+            track_classes=meta["track_classes"][:3],
+            prototypes=meta["prototypes"][:3],
+            no_object=no_object,
+        )
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -298,12 +310,28 @@ def _set_classes(classes):
         ),
         (_set_row(2, lambda row: [row[0]] * 2 + row[2:]), "per_frame_tracks"),
         (lambda meta: meta.update(per_frame_tracks=7), "per_frame_tracks"),
-        (_set_classes([0.9, 1.5, 2, 3]), "track_classes"),
-        (_set_classes([True, 1, 2, 3]), "track_classes"),
-        (_set_classes([0, 1, 2, 99]), "track_classes"),
-        (_set_classes([-1, 0, 1, 2]), "track_classes"),
-        (_set_classes([0, 1, 2]), "track_classes"),
-        (_set_classes("0123"), "track_classes"),
+        (_set(track_classes=[0.9, 1.5, 2, 3]), "track_classes"),
+        (_set(track_classes=[True, 1, 2, 3]), "track_classes"),
+        (_set(track_classes=[0, 1, 2, 99]), "track_classes"),
+        (_set(track_classes=[-1, 0, 1, 2]), "track_classes"),
+        (_set(track_classes=[0, 1, 2]), "track_classes"),
+        (_set(track_classes="0123"), "track_classes"),
+        (_set(signature_scale="abc"), "signature_scale"),
+        (_set(signature_scale=0), "signature_scale"),
+        (_set(signature_scale=-0.5), "signature_scale"),
+        (_set(signature_scale=True), "signature_scale"),
+        (_set(signature_scale=float("nan")), "signature_scale"),
+        (lambda meta: meta["prototypes"].pop(), "prototypes"),
+        (lambda meta: meta.update(prototypes=meta["prototypes"][:2]), "prototypes"),
+        (lambda meta: meta["prototypes"][1].pop(), "prototypes"),
+        (lambda meta: meta["prototypes"][1].__setitem__(0, "0.5"), "prototypes"),
+        (lambda meta: meta["prototypes"][1].__setitem__(0, True), "prototypes"),
+        (lambda meta: meta["prototypes"][1].__setitem__(0, float("nan")), "prototypes"),
+        (_set(prototypes=None), "prototypes"),
+        (_set(no_object=[0.0] * 64), "no_object"),
+        (_surplus(None), "no_object"),
+        (_surplus([0.0]), "no_object"),
+        (_surplus([0.0] * 63 + [float("inf")]), "no_object"),
     ],
     ids=[
         "ragged",
@@ -320,6 +348,22 @@ def _set_classes(classes):
         "negative_class",
         "class_count",
         "string_classes",
+        "string_scale",
+        "zero_scale",
+        "negative_scale",
+        "bool_scale",
+        "nan_scale",
+        "prototype_rows_3",
+        "prototype_rows_2",
+        "prototype_short_row",
+        "prototype_string",
+        "prototype_bool",
+        "prototype_nan",
+        "prototypes_null",
+        "no_object_without_surplus",
+        "no_object_null_with_surplus",
+        "no_object_one_element",
+        "no_object_inf",
     ],
 )
 def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragment):

@@ -19,6 +19,7 @@ from queryshift.core import (
     TensorFormatError,
     TruncatedTensorError,
     WrongMagicError,
+    _view,
     read_labelmap,
     read_tensor,
     write_labelmap,
@@ -180,20 +181,28 @@ def test_frames_are_frozen():
         clip.frames[0].data[0, 0] = 9.0
 
 
+def _palette_map(palette):
+    return PixelEmbeddingMap(palette, np.zeros((2, 3), dtype=np.intp))
+
+
 @pytest.mark.parametrize(
-    "cls, shape",
-    [(ClipQueryTensor, (2, 3, 4)), (FrameQuerySet, (3, 4)), (PixelEmbeddingMap, (2, 3, 4))],
+    "make, field, shape",
+    [
+        (ClipQueryTensor, "data", (2, 3, 4)),
+        (FrameQuerySet, "data", (3, 4)),
+        (_palette_map, "palette", (3, 4)),
+    ],
     ids=["clip", "frame", "pixels"],
 )
-def test_public_constructors_copy_freeze_and_scan(cls, shape):
+def test_public_constructors_copy_freeze_and_scan(make, field, shape):
     arr = np.ones(shape)
-    value = cls(arr)
+    value = make(arr)
     arr[(0,) * len(shape)] = 123.0
-    assert value.data[(0,) * len(shape)] == 1.0
-    assert not value.data.flags.writeable
+    assert getattr(value, field)[(0,) * len(shape)] == 1.0
+    assert not getattr(value, field).flags.writeable
     arr[(0,) * len(shape)] = np.inf
     with pytest.raises(NonFiniteTensorError):
-        cls(arr)
+        make(arr)
 
 
 def test_clip_frames_are_read_only_views_of_one_array():
@@ -222,20 +231,51 @@ def test_clip_rejects_nonfinite():
 
 
 def test_pixel_map_dims():
-    pm = PixelEmbeddingMap(np.zeros((4, 5, 6)))
+    pm = PixelEmbeddingMap(np.zeros((3, 6)), np.zeros((4, 5), dtype=np.intp))
     assert (pm.height, pm.width, pm.dim) == (4, 5, 6)
+    assert not hasattr(pm, "data")
     with pytest.raises(ValueError):
-        PixelEmbeddingMap(np.zeros((4, 5)))
+        PixelEmbeddingMap(np.zeros((4, 5, 6)), np.zeros((4, 5), dtype=np.intp))
 
 
 def test_pixel_map_takes_identity_palette_without_copy():
-    pm = PixelEmbeddingMap(np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4))
+    data = np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4)
+    pm = PixelEmbeddingMap(data.reshape(6, 4), np.arange(6).reshape(2, 3))
     assert pm.palette.shape == (6, 4)
-    assert pm.palette.base is pm.data
     assert pm.index.tolist() == [[0, 1, 2], [3, 4, 5]]
     assert pm.index.dtype == np.intp
     assert not pm.palette.flags.writeable and not pm.index.flags.writeable
-    assert np.array_equal(pm.palette[pm.index], pm.data)
+    assert np.array_equal(pm.palette[pm.index], data)
+    # a view of validated arrays, as scenes build them, keeps both as they are
+    view = _view(PixelEmbeddingMap, palette=pm.palette, index=pm.index)
+    assert view.palette is pm.palette and view.index is pm.index
+    assert (view.height, view.width, view.dim) == (2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "palette, match",
+    [
+        (np.array([[0.0, np.nan]]), "non-finite"),
+        (np.array([[np.inf, 0.0]]), "non-finite"),
+        (np.zeros(2), "2-dimensional"),
+        (np.zeros((1, 1, 2)), "2-dimensional"),
+        (np.zeros((0, 2)), "non-empty"),
+    ],
+    ids=["nan", "inf", "one_dim", "three_dim", "empty"],
+)
+def test_pixel_map_rejects_bad_palette(palette, match):
+    with pytest.raises(ValueError, match=match):
+        PixelEmbeddingMap(palette, [[0]])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.intp])
+def test_pixel_map_index_is_a_read_only_intp_copy(dtype):
+    palette, index = np.zeros((2, 3)), np.array([[1, 0]], dtype=dtype)
+    pm = PixelEmbeddingMap(palette, index)
+    palette[1, 0], index[0, 0] = 5.0, 0
+    assert pm.palette.tolist() == [[0.0] * 3] * 2
+    assert pm.index.dtype == np.intp and pm.index.tolist() == [[1, 0]]
+    assert not pm.palette.flags.writeable and not pm.index.flags.writeable
 
 
 def test_labelmap_validates_range():
@@ -324,3 +364,57 @@ def test_pgm_class_count_validated_on_read():
     buf.seek(0)
     with pytest.raises(ValueError):
         read_labelmap(buf, 4)  # stored value 5 exceeds the declared classes
+
+
+# ---------------------------------------------------------------------------
+# mutated files
+# ---------------------------------------------------------------------------
+
+
+def _pgm_bytes(lmap):
+    buf = io.BytesIO()
+    write_labelmap(lmap, buf)
+    return buf.getvalue()
+
+
+_VALID_FILES = {
+    "qtn": (_qtn_bytes(_clip(2, 2, 3)), read_tensor),
+    "pgm": (
+        _pgm_bytes(LabelMap(np.arange(6).reshape(2, 3), 256)),
+        lambda src: read_labelmap(src, 256),
+    ),
+}
+
+# (operation, position, byte); positions wrap around the current length
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["overwrite", "delete", "insert"]),
+        st.integers(0, 2**16),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _mutate(data, mutations):
+    buf = bytearray(data)
+    for op, pos, byte in mutations:
+        if op == "insert":
+            buf.insert(pos % (len(buf) + 1), byte)
+        elif buf and op == "overwrite":
+            buf[pos % len(buf)] = byte
+        elif buf:
+            del buf[pos % len(buf)]
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID_FILES))
+@given(mutations=_MUTATIONS)
+@settings(max_examples=300, deadline=None)
+def test_mutated_file_parses_or_raises_format_error(kind, mutations):
+    data, read = _VALID_FILES[kind]
+    try:
+        read(io.BytesIO(_mutate(data, mutations)))
+    except TensorFormatError:
+        pass

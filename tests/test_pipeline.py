@@ -38,6 +38,12 @@ def _aligned(clip, matching):
     return align_clip(clip) if matching else ClipAlignment.identity(clip.t_len, clip.n_queries)
 
 
+def _frame_pixels(data):
+    """The pixel map of an (H, W, D) grid with one palette row per pixel."""
+    h, w, d = np.shape(data)
+    return PixelEmbeddingMap(np.reshape(data, (h * w, d)), np.arange(h * w).reshape(h, w))
+
+
 # ---------------------------------------------------------------------------
 # decode_masks
 # ---------------------------------------------------------------------------
@@ -45,24 +51,24 @@ def _aligned(clip, matching):
 
 def test_decode_orthogonal_gives_half():
     queries = FrameQuerySet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    pixels = PixelEmbeddingMap(np.zeros((3, 4, 2)))
+    pixels = _frame_pixels(np.zeros((3, 4, 2)))
     masks = decode_masks(queries, pixels, np.zeros((2, 5)))
     assert np.all(masks.scores == 0.5)
-    assert masks.scores[:, masks.index].shape == (2, 3, 4)
+    assert masks.scores[:, masks.pixels.index].shape == (2, 3, 4)
 
 
 def test_decode_saturation():
     q = np.array([[2.0, 1.0]])  # norm^2 = 5
-    pixels = PixelEmbeddingMap((4.0 * q).reshape(1, 1, 2))  # dot = 20
+    pixels = _frame_pixels((4.0 * q).reshape(1, 1, 2))  # dot = 20
     masks = decode_masks(FrameQuerySet(q), pixels, np.zeros((2, 1)))
-    s = masks.scores[:, masks.index][0, 0, 0]
+    s = masks.scores[:, masks.pixels.index][0, 0, 0]
     assert s > 1.0 - 1e-6
     assert s < 1.0  # clamped inside the open interval
 
 
 def test_decode_never_leaves_open_interval():
     q = np.array([[1e4], [-1e4]])
-    pixels = PixelEmbeddingMap(np.array([[[1.0]], [[-1.0]]]))
+    pixels = _frame_pixels(np.array([[[1.0]], [[-1.0]]]))
     masks = decode_masks(FrameQuerySet(q), pixels, np.zeros((1, 3)))
     assert np.all(masks.scores > 0.0)
     assert np.all(masks.scores < 1.0)
@@ -72,9 +78,9 @@ def test_decode_two_query_diagonal():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.6, 0.8, 0.0])
     queries = FrameQuerySet(np.stack([a, b]))
-    pixels = PixelEmbeddingMap(np.stack([a, b]).reshape(2, 1, 3))
+    pixels = _frame_pixels(np.stack([a, b]).reshape(2, 1, 3))
     masks = decode_masks(queries, pixels, np.zeros((3, 2)))
-    scores = masks.scores[:, masks.index]
+    scores = masks.scores[:, masks.pixels.index]
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
     assert scores[0, 0, 0] == pytest.approx(sig1, abs=1e-12)
     assert scores[1, 1, 0] == pytest.approx(sig1, abs=1e-12)
@@ -89,7 +95,7 @@ def test_decode_matrix_head_is_linear_map():
     q = rng.standard_normal((4, 6))
     head = rng.standard_normal((6, 3))
     masks = decode_masks(
-        FrameQuerySet(q), PixelEmbeddingMap(np.zeros((2, 2, 6))), head
+        FrameQuerySet(q), _frame_pixels(np.zeros((2, 2, 6))), head
     )
     assert np.allclose(masks.class_logits, q @ head, atol=1e-12)
 
@@ -98,13 +104,13 @@ def test_decode_dimension_mismatch():
     with pytest.raises(ValueError):
         decode_masks(
             FrameQuerySet(np.ones((2, 4))),
-            PixelEmbeddingMap(np.zeros((1, 1, 5))),
+            _frame_pixels(np.zeros((1, 1, 5))),
             np.zeros((4, 2)),
         )
     with pytest.raises(ValueError):
         decode_masks(
             FrameQuerySet(np.ones((2, 4))),
-            PixelEmbeddingMap(np.zeros((1, 1, 4))),
+            _frame_pixels(np.zeros((1, 1, 4))),
             np.zeros((5, 2)),
         )
 
@@ -112,9 +118,7 @@ def test_decode_dimension_mismatch():
 def _per_pixel(scores, logits):
     """A mask set holding one palette row per pixel of an (N, H, W) stack."""
     n, h, w = np.shape(scores)
-    return SoftMaskSet(
-        np.reshape(scores, (n, h * w)), logits, np.arange(h * w).reshape(h, w)
-    )
+    return SoftMaskSet(np.reshape(scores, (n, h * w)), logits, _frame_pixels(np.zeros((h, w, 1))))
 
 
 def test_soft_mask_set_validation():
@@ -140,17 +144,29 @@ def test_soft_mask_set_validation():
     ids=["too_high", "negative", "float", "bool", "one_dim", "three_dim", "empty"],
 )
 def test_soft_mask_set_rejects_bad_index(index, match):
+    # the index is checked once, by the constructor of the map the masks hold
     with pytest.raises(ValueError, match=match):
-        SoftMaskSet(np.full((1, 2), 0.5), np.zeros((1, 2)), index)
+        SoftMaskSet(
+            np.full((1, 2), 0.5), np.zeros((1, 2)), PixelEmbeddingMap(np.zeros((2, 1)), index)
+        )
+
+
+def test_soft_mask_set_rejects_scores_of_another_palette():
+    pixels = PixelEmbeddingMap(np.zeros((2, 1)), [[0, 1]])
+    for cols in (1, 3):
+        with pytest.raises(ValueError, match=r"\(N, P\) with P = 2"):
+            SoftMaskSet(np.full((1, cols), 0.5), np.zeros((1, 2)), pixels)
 
 
 def test_soft_mask_set_freezes_copies():
-    scores, index = np.full((1, 2), 0.5), np.array([[1, 0]], dtype=np.int32)
-    masks = SoftMaskSet(scores, np.zeros((1, 2)), index)
-    scores[0, 0], index[0, 0] = 0.25, 0
+    scores, logits = np.full((1, 2), 0.5), np.zeros((1, 2))
+    pixels = PixelEmbeddingMap(np.zeros((2, 1)), [[1, 0]])
+    masks = SoftMaskSet(scores, logits, pixels)
+    scores[0, 0], logits[0, 0] = 0.25, 7.0
     assert masks.scores.tolist() == [[0.5, 0.5]]
-    assert masks.index.dtype == np.intp and masks.index.tolist() == [[1, 0]]
-    for arr in (masks.scores, masks.class_logits, masks.index):
+    assert masks.class_logits.tolist() == [[0.0, 0.0]]
+    assert masks.pixels is pixels
+    for arr in (masks.scores, masks.class_logits):
         assert not arr.flags.writeable
 
 
@@ -378,7 +394,7 @@ def test_run_clip_matched_is_exact_unmatched_is_not():
 
 def _per_pixel_decode(queries, pixels, head):
     """The per-pixel reference: every query dotted with every pixel's embedding."""
-    raw = np.einsum("nd,hwd->nhw", queries.data, pixels.data)
+    raw = np.einsum("nd,hwd->nhw", queries.data, pixels.palette[pixels.index])
     scores = np.clip(_sigmoid(raw), _SCORE_FLOOR, _SCORE_CEIL)
     probs = _softmax_rows(np.einsum("nd,dc->nc", queries.data, head))
     votes = np.einsum("nc,nhw->chw", probs, scores)
@@ -419,7 +435,7 @@ def test_palette_decode_is_bit_identical_to_per_pixel(case):
     for queries, pixels, pred in zip(shifted.frames, scene.pixels, labels):
         masks = decode_masks(queries, pixels, head)
         ref_scores, ref_labels = _per_pixel_decode(queries, pixels, head)
-        assert masks.scores[:, masks.index].tobytes() == ref_scores.tobytes()
+        assert masks.scores[:, masks.pixels.index].tobytes() == ref_scores.tobytes()
         assert np.array_equal(semantic_inference(masks).labels, ref_labels)
         assert np.array_equal(pred.labels, ref_labels)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ def _spec(**kw):
     )
     base.update(kw)
     return SceneSpec(**base)
+
+
+def _embeddings(pm):
+    """A pixel map's (H, W, D) per-pixel embeddings."""
+    return pm.palette[pm.index]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ def test_same_seed_bit_identical():
     )
     assert np.array_equal(a.prototypes.view(np.uint64), b.prototypes.view(np.uint64))
     for pa, pb in zip(a.pixels, b.pixels):
-        assert np.array_equal(pa.data.view(np.uint64), pb.data.view(np.uint64))
+        assert np.array_equal(_embeddings(pa).view(np.uint64), _embeddings(pb).view(np.uint64))
     for la, lb in zip(a.gt_labels, b.gt_labels):
         assert np.array_equal(la.labels, lb.labels)
     assert np.array_equal(a.gt_tracks, b.gt_tracks)
@@ -204,7 +210,7 @@ def test_pixels_carry_prototypes_on_rectangles():
     # every pixel vector is either the zero background or a unit prototype
     scene = generate_scene(_spec(seed=8))
     for t, pm in enumerate(scene.pixels):
-        norms = np.linalg.norm(pm.data, axis=2)
+        norms = np.linalg.norm(_embeddings(pm), axis=2)
         on = norms > 0.5
         assert np.allclose(norms[on], 1.0, atol=1e-9)
         assert np.all(norms[~on] == 0.0)
@@ -328,7 +334,7 @@ def test_scene_round_trip(tmp_path):
         scene.queries.data.view(np.uint64),
     )
     for pa, pb in zip(back.pixels, scene.pixels):
-        assert np.array_equal(pa.data.view(np.uint64), pb.data.view(np.uint64))
+        assert np.array_equal(_embeddings(pa).view(np.uint64), _embeddings(pb).view(np.uint64))
     for la, lb in zip(back.gt_labels, scene.gt_labels):
         assert np.array_equal(la.labels, lb.labels)
     assert np.array_equal(back.gt_tracks, scene.gt_tracks)
@@ -343,32 +349,48 @@ def test_pixel_maps_are_read_only_views_of_one_buffer(tmp_path):
     scene = generate_scene(_spec())
     save_scene(scene, tmp_path)
     loaded = load_scene(tmp_path)
+    h, w = scene.spec.grid
     for s in (scene, loaded):
-        base = s.pixels[0].data.base
-        assert base is not None
-        assert not base.flags.writeable
         for pm in s.pixels:
             assert isinstance(pm, PixelEmbeddingMap)
-            assert pm.data.base is base
-            assert not pm.data.flags.writeable
             assert not pm.palette.flags.writeable
             assert not pm.index.flags.writeable
-            assert pm.index.dtype == np.intp
-            assert np.array_equal(pm.palette[pm.index], pm.data)
+            assert pm.index.dtype == np.intp and pm.index.shape == (h, w)
 
-    # generated maps share one palette: background, then one row per track
+    # generated maps share one palette, background then one row per track,
+    # and their indices are frames of one (T, H, W) array
     palette = scene.pixels[0].palette
     assert np.array_equal(palette, np.vstack([np.zeros(scene.spec.dim), scene.prototypes]))
+    index = scene.pixels[0].index.base
+    assert index.shape == (scene.spec.t_len, h, w) and not index.flags.writeable
     for pm in scene.pixels:
         assert pm.palette is palette
+        assert pm.index.base is index
 
-    # loaded maps take the identity palette, a view of the tensor read back
-    h, w = scene.spec.grid
+    # loaded maps: each palette is one frame's rows of the tensor read back,
+    # and all share one identity index
+    base = loaded.pixels[0].palette.base
+    assert base is not None and not base.flags.writeable
     identity = np.arange(h * w).reshape(h, w)
-    for pm in loaded.pixels:
-        assert np.array_equal(pm.index, identity)
+    for pm, generated in zip(loaded.pixels, scene.pixels):
+        assert pm.palette.base is base
         assert pm.palette.shape == (h * w, scene.spec.dim)
-        assert pm.palette.base is loaded.pixels[0].data.base
+        assert pm.index is loaded.pixels[0].index
+        assert np.array_equal(pm.index, identity)
+        assert np.array_equal(_embeddings(pm), _embeddings(generated))
+
+
+def test_generate_scene_gathers_no_per_pixel_embeddings():
+    t, (h, w), d = 6, (64, 64), 128
+    spec = _spec(t_len=t, n_tracks=8, n_queries=8, dim=d, num_classes=9, grid=(h, w))
+    tracemalloc.start()
+    try:
+        generate_scene(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (T, H, W, D) float64 gather alone would take t * h * w * d * 8 bytes
+    assert peak < t * h * w * d * 8 / 4
 
 
 def test_scene_file_inventory(tmp_path):
