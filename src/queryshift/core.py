@@ -26,7 +26,6 @@ On-disk formats:
 
 from __future__ import annotations
 
-import io
 import re
 import struct
 from dataclasses import dataclass, field
@@ -52,6 +51,7 @@ __all__ = [
 
 QTN_MAGIC = b"QTNv0001"
 QTN_TRAILER = b"QTNEND\x00\x00"
+_QTN_CHUNK = 1 << 21  # float64 values (16 MiB) of a .qtn payload's first read
 # one PGM header token, after any whitespace and '#'-to-end-of-line comments
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
@@ -194,12 +194,10 @@ class LabelMap:
     num_classes: int = field(default=0)
 
     def __post_init__(self):
-        arr = np.array(self.labels, copy=True)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"label grid must be non-empty 2-D, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError("labels must be integers")
-        arr = arr.astype(np.int64)
+        arr = np.asarray(self.labels)
+        if arr.ndim != 2 or arr.size == 0 or not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"labels must be a non-empty 2-D integer grid, got {arr.shape}")
+        arr = arr.astype(np.int64, order="C")  # the one copy
         c = int(self.num_classes)
         if c < 1:
             raise ValueError("num_classes must be >= 1")
@@ -256,18 +254,21 @@ def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
-def _check_payload_fits(f: BinaryIO, count: int) -> None:
-    """Fail before read() is asked for more bytes than a seekable stream holds."""
-    if not f.seekable():
-        return
-    here = f.tell()
-    left = f.seek(0, io.SEEK_END) - here
-    f.seek(here)
-    if left < 8 * count + len(QTN_TRAILER):
-        raise TruncatedTensorError(
-            f"header declares {count} float64 values, "
-            f"but only {left} bytes follow it including the trailer"
-        )
+def _read_payload(f: BinaryIO, count: int) -> np.ndarray:
+    """Read ``count`` float64 values into one array, doubled each time the stream fills it."""
+    values = np.empty(min(count, _QTN_CHUNK), dtype="<f8")
+    got = 0  # bytes
+    while got < 8 * count:
+        if got == values.nbytes:
+            values = np.concatenate([values, np.empty_like(values[: count - values.size])])
+        n = f.readinto(memoryview(values).cast("B")[got:])
+        if not n:
+            raise TruncatedTensorError(
+                f"header declares {count} float64 values, "
+                f"but the stream ends after {got} bytes"
+            )
+        got += n
+    return values
 
 
 def read_tensor(src: PathOrIO) -> ClipQueryTensor:
@@ -282,14 +283,12 @@ def read_tensor(src: PathOrIO) -> ClipQueryTensor:
             raise TensorFormatError(
                 f"dimensions must all be >= 1, header declares ({t_len}, {n_q}, {dim})"
             )
-        count = t_len * n_q * dim
-        _check_payload_fits(f, count)
-        raw = _read_exact(f, 8 * count, f"payload of {count} float64 values")
+        values = _read_payload(f, t_len * n_q * dim)
         trailer = _read_exact(f, len(QTN_TRAILER), "trailer")
         if trailer != QTN_TRAILER:
             raise WrongMagicError(f"bad trailer {trailer!r}, expected {QTN_TRAILER!r}")
-        values = np.frombuffer(raw, dtype="<f8", count=count)
-        return ClipQueryTensor(values.reshape(t_len, n_q, dim))
+        data = _freeze(values, 1, "clip query tensor").reshape(t_len, n_q, dim)
+        return _view(ClipQueryTensor, data=data)
     finally:
         if owns:
             f.close()
@@ -308,7 +307,7 @@ def write_labelmap(lmap: LabelMap, dest: PathOrIO) -> None:
     try:
         header = f"P5\n{lmap.width} {lmap.height}\n255\n".encode("ascii")
         sink.write(header)
-        sink.write(lmap.labels.astype(np.uint8).tobytes(order="C"))
+        sink.write(lmap.labels.astype(np.uint8))
     finally:
         if owns:
             sink.close()
@@ -347,5 +346,4 @@ def read_labelmap(src: PathOrIO, num_classes: int) -> LabelMap:
         raise TruncatedTensorError(
             f"PGM payload holds {len(body)} bytes, needs {width * height}"
         )
-    labels = np.frombuffer(body, dtype=np.uint8).reshape(height, width).astype(np.int64)
-    return LabelMap(labels, num_classes)
+    return LabelMap(np.frombuffer(body, dtype=np.uint8).reshape(height, width), num_classes)

@@ -581,6 +581,8 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     with open(src / "tracks.json") as f:
         meta = json.load(f)
     try:
+        keys = "spec per_frame_tracks track_classes prototypes no_object signature_scale"
+        _check_keys("tracks.json", _json_value("tracks.json", meta, dict), keys.split())
         spec = SceneSpec.from_dict(meta["spec"])
         what = "tracks.json per_frame_tracks"
         rows = _json_value(what, meta["per_frame_tracks"], list)

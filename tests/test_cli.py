@@ -332,6 +332,8 @@ def _surplus(no_object):
         (_surplus(None), "no_object"),
         (_surplus([0.0]), "no_object"),
         (_surplus([0.0] * 63 + [float("inf")]), "no_object"),
+        (_set(prototypez=1), "unknown tracks.json key"),
+        (lambda meta: meta.pop("signature_scale"), "signature_scale"),
     ],
     ids=[
         "ragged",
@@ -364,6 +366,8 @@ def _surplus(no_object):
         "no_object_null_with_surplus",
         "no_object_one_element",
         "no_object_inf",
+        "unknown_key",
+        "missing_key",
     ],
 )
 def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragment):
@@ -371,6 +375,14 @@ def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragmen
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
     assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
     _assert_one_line_error(capsys, fragment)
+
+
+@pytest.mark.parametrize("text", ["[]", '"spec"', "7"], ids=["list", "string", "number"])
+def test_run_rejects_tracks_json_that_is_not_an_object(scene_dir, tmp_path, capsys, text):
+    (scene_dir / "tracks.json").write_text(text)
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "tracks.json must be of type dict")
 
 
 def test_run_rejects_non_finite_sigma_in_tracks(scene_dir, tmp_path, capsys):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from queryshift import core
 from queryshift.core import (
     ClipQueryTensor,
     FrameQuerySet,
@@ -39,6 +41,25 @@ def _qtn_bytes(clip):
 def _clip(t, n, d, seed=0):
     rng = np.random.default_rng(seed)
     return ClipQueryTensor(rng.standard_normal((t, n, d)))
+
+
+class _Trickle(io.RawIOBase):
+    """A non-seekable raw stream, such as a pipe, that hands out at most 3 bytes per read."""
+
+    def __init__(self, data):
+        self._rest = memoryview(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        n = min(3, len(b), len(self._rest))
+        b[:n], self._rest = self._rest[:n], self._rest[n:]
+        return n
+
+
+def _trickle(data):
+    return io.BufferedReader(_Trickle(data))
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +152,41 @@ def test_oversized_header_is_truncated_before_reading():
     data = MAGIC + struct.pack("<III", *[0xFFFFFFFF] * 3) + bytes(16) + TRAILER
     with pytest.raises(TruncatedTensorError, match="header declares"):
         read_tensor(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("chunk", [core._QTN_CHUNK, 5], ids=["one_buffer", "grown"])
+def test_trickled_clip_is_bit_identical_and_frozen(monkeypatch, chunk):
+    # a 5-value first buffer is doubled 5 -> 10 -> 20 -> 40 -> 60 as the stream fills it
+    monkeypatch.setattr(core, "_QTN_CHUNK", chunk)
+    clip = _clip(3, 4, 5, seed=2)
+    stream = _trickle(_qtn_bytes(clip))
+    assert not stream.seekable()
+    back = read_tensor(stream)
+    assert np.array_equal(back.data.view(np.uint64), clip.data.view(np.uint64))
+    assert not back.data.flags.writeable and not back.data.base.flags.writeable
+    assert back.data.base.base is None  # the frozen array owns the buffer
+
+
+def test_payload_cut_short_after_growing_is_truncated(monkeypatch):
+    monkeypatch.setattr(core, "_QTN_CHUNK", 5)
+    data = _qtn_bytes(_clip(3, 4, 5))[: 20 + 8 * 59]
+    with pytest.raises(
+        TruncatedTensorError, match="header declares 60 float64 values, .* after 472 bytes"
+    ):
+        read_tensor(_trickle(data))
+
+
+def test_overstated_header_on_a_pipe_is_truncated_within_bounded_memory():
+    # 2**25 values (256 MiB) declared, 64 bytes sent: no read may ask for them all up front
+    data = MAGIC + struct.pack("<III", 2**5, 2**10, 2**10) + bytes(64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedTensorError, match="header declares"):
+            read_tensor(_trickle(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_missing_trailer():
@@ -288,6 +344,23 @@ def test_labelmap_validates_range():
         LabelMap(np.zeros((2, 2), dtype=np.float64), 2)
 
 
+def test_labelmap_copies_its_input_once():
+    grid = np.arange(1024 * 1024, dtype=np.int64).reshape(1024, 1024) % 7
+    tracemalloc.start()
+    try:
+        lm = LabelMap(grid, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * grid.nbytes
+    grid[0, 0] = 6
+    assert lm.labels[0, 0] == 0 and not np.shares_memory(lm.labels, grid)
+    with pytest.raises(ValueError, match="integer grid"):
+        LabelMap(grid.astype(np.float64), 7)
+    with pytest.raises(ValueError, match="integer grid"):
+        LabelMap(grid.astype(bool), 7)
+
+
 def test_labelmap_frozen():
     lm = LabelMap(np.zeros((2, 2), dtype=np.int64), 2)
     with pytest.raises(ValueError):
@@ -316,6 +389,15 @@ def test_pgm_header_shape():
     # width before height in the header, row-major body
     assert data.startswith(b"P5\n3 2\n255\n")
     assert len(data) == len(b"P5\n3 2\n255\n") + 6
+
+
+def test_pgm_bytes_are_row_major_whatever_the_input_layout():
+    # a transposed (column-major) grid still writes its rows in order
+    lm = LabelMap(np.arange(6, dtype=np.uint8).reshape(3, 2).T, 6)
+    buf = io.BytesIO()
+    write_labelmap(lm, buf)
+    assert buf.getvalue() == b"P5\n3 2\n255\n" + bytes([0, 2, 4, 1, 3, 5])
+    assert read_labelmap(io.BytesIO(buf.getvalue()), 6).labels.tolist() == lm.labels.tolist()
 
 
 def test_pgm_wrong_magic():
@@ -409,12 +491,16 @@ def _mutate(data, mutations):
     return bytes(buf)
 
 
-@pytest.mark.parametrize("kind", sorted(_VALID_FILES))
+@pytest.mark.parametrize(
+    "kind, stream",
+    [(kind, stream) for stream in (io.BytesIO, _trickle) for kind in sorted(_VALID_FILES)],
+    ids=["pgm", "qtn", "pgm-trickle", "qtn-trickle"],
+)
 @given(mutations=_MUTATIONS)
 @settings(max_examples=300, deadline=None)
-def test_mutated_file_parses_or_raises_format_error(kind, mutations):
+def test_mutated_file_parses_or_raises_format_error(kind, stream, mutations):
     data, read = _VALID_FILES[kind]
     try:
-        read(io.BytesIO(_mutate(data, mutations)))
+        read(stream(_mutate(data, mutations)))
     except TensorFormatError:
         pass

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queryshift.core import ClipQueryTensor, FrameQuerySet
@@ -163,6 +163,26 @@ def test_dual_route_agreement_tie_prone(n, seed):
     p_slow, t_slow = brute_force_match(sim)
     assert np.array_equal(p_fast, p_slow)
     assert abs(t_fast - t_slow) <= 1e-9
+
+
+@given(
+    n=st.integers(min_value=1, max_value=256),
+    seed=st.integers(min_value=0, max_value=2**31),
+    ties=st.booleans(),
+)
+@example(n=256, seed=0, ties=False)
+@example(n=256, seed=0, ties=True)
+@settings(max_examples=20, deadline=None)
+def test_totals_match_scipy_linear_sum_assignment(n, seed, ties):
+    # an independent Jonker-Volgenant solver as the oracle past brute force's N <= 9;
+    # rounding to one decimal makes many optima tie
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n))
+    if ties:
+        values = np.round(values, 1)
+    _, total = optimal_match(SimilarityMatrix(values))
+    rows, cols = linear_sum_assignment(values, maximize=True)
+    assert abs(total - values[rows, cols].sum()) <= 1e-9
 
 
 def test_match_total_is_achieved_sum():
