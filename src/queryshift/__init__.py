@@ -24,18 +24,15 @@ from .core import (
 )
 from .matching import (
     ClipAlignment,
-    SimilarityMatrix,
     align_clip,
     brute_force_match,
     cosine_similarity,
     optimal_match,
 )
 from .metrics import (
-    ConfusionMatrix,
     EvalReport,
     accumulate,
     evaluate_clip,
-    global_static_masks,
     miou,
     pixel_accuracy,
     temporal_consistency,
@@ -66,7 +63,6 @@ __all__ = [
     "BoundaryPolicy",
     "ClipAlignment",
     "ClipQueryTensor",
-    "ConfusionMatrix",
     "EvalReport",
     "FrameQuerySet",
     "InfeasibleSceneError",
@@ -77,7 +73,6 @@ __all__ = [
     "SceneClip",
     "SceneSpec",
     "ShiftConfig",
-    "SimilarityMatrix",
     "SoftMaskSet",
     "TensorFormatError",
     "TruncatedTensorError",
@@ -91,7 +86,6 @@ __all__ = [
     "evaluate_clip",
     "feature_shift",
     "generate_scene",
-    "global_static_masks",
     "load_scene",
     "miou",
     "optimal_match",

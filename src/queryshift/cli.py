@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import ClipQueryTensor, TensorFormatError, read_tensor
+from .core import ClipQueryTensor, read_tensor
 from .matching import ClipAlignment, align_clip
 from .metrics import evaluate_clip
 from .pipeline import run_clip
@@ -31,6 +32,7 @@ from .synth import (
     SceneSpec,
     _check_keys,
     _json_value,
+    _load_json,
     class_head_for,
     generate_scene,
     load_scene,
@@ -51,28 +53,9 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as f:
-            loaded = json.load(f)
-    except FileNotFoundError:
-        raise DataError(f"no such file: {path}") from None
-    except IsADirectoryError:
-        raise DataError(f"expected a file, got a directory: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(loaded, dict):
-        raise DataError(f"{path}: expected a JSON object at top level")
-    return loaded
 
 
 def _parse_matching(value) -> bool:
@@ -80,21 +63,21 @@ def _parse_matching(value) -> bool:
         return value
     if value in ("on", "off"):
         return value == "on"
-    raise DataError(f"matching must be true/false or 'on'/'off', got {value!r}")
+    raise ValueError(f"matching must be true/false or 'on'/'off', got {value!r}")
 
 
 def _parse_boundary(value) -> BoundaryPolicy:
     try:
         return BoundaryPolicy(value)
     except ValueError:
-        raise DataError(f"boundary must be 'zero' or 'hold', got {value!r}") from None
+        raise ValueError(f"boundary must be 'zero' or 'hold', got {value!r}") from None
 
 
 def _pipeline_config(cfg: dict, dim: int) -> tuple[ShiftConfig, bool]:
     """A ``run`` config file as its shift plan and matching flag."""
     _check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"))
     if "fraction" not in cfg:
-        raise DataError("pipeline config needs a 'fraction' field")
+        raise ValueError("pipeline config needs a 'fraction' field")
     shift = plan_shift(cfg["fraction"], dim, _parse_boundary(cfg.get("boundary", "zero")))
     return shift, _parse_matching(cfg.get("matching", True))
 
@@ -116,12 +99,12 @@ def _grid_axis(sweep: dict, key: str, default: Sequence, parse: Callable) -> lis
     if key in sweep:
         values = _json_value(key, sweep[key], list)
         if not values:
-            raise DataError(f"{key} must be a non-empty list")
+            raise ValueError(f"{key} must be a non-empty list")
     seen = {}
     for value in values:
         parsed = parse(value)
         if parsed in seen:
-            raise DataError(f"{key} lists one value twice: {seen[parsed]!r} and {value!r}")
+            raise ValueError(f"{key} lists one value twice: {seen[parsed]!r} and {value!r}")
         seen[parsed] = value
     return list(seen)
 
@@ -260,7 +243,7 @@ def _cmd_sweep(args) -> int:
     sweep = _load_json(args.spec)
     _check_keys("sweep spec", sweep, ("scene", "fractions", "matching", "repeats", "boundary"))
     if "scene" not in sweep:
-        raise DataError("sweep spec needs a 'scene' object")
+        raise ValueError("sweep spec needs a 'scene' object")
     base_spec = _scene_spec(sweep["scene"], args.seed_override)
 
     boundary = _parse_boundary(args.boundary or sweep.get("boundary", "zero"))
@@ -270,13 +253,13 @@ def _cmd_sweep(args) -> int:
     matchings = _grid_axis(sweep, "matching", (False, True), _parse_matching)
     repeats = _json_value("repeats", sweep.get("repeats", 1), int)
     if repeats < 1:
-        raise DataError(f"repeats must be >= 1, got {repeats}")
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     if args.parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
 
     specs = [dataclasses.replace(base_spec, seed=base_spec.seed + r) for r in range(repeats)]
     grid = ([shifts] * repeats, [matchings] * repeats)
-    workers = min(args.parallel, repeats)
+    workers = min(args.parallel, repeats, os.cpu_count() or 1)
     with open(args.out, "w") as f:
         f.write(_CSV_HEADER + "\n")
         if workers == 1:
@@ -346,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleSceneError as exc:
         print(f"infeasible scene: {exc}", file=sys.stderr)
         return 3
-    except (DataError, TensorFormatError, OSError, ValueError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -341,7 +341,7 @@ def read_labelmap(src: PathOrIO, num_classes: int) -> LabelMap:
         raise TensorFormatError(f"expected maxval 255, got {maxval}")
     if width < 1 or height < 1:
         raise TensorFormatError(f"bad PGM size {width}x{height}")
-    body = data[pos : pos + width * height]
+    body = memoryview(data)[pos : pos + width * height]  # a view, not a copy
     if len(body) < width * height:
         raise TruncatedTensorError(
             f"PGM payload holds {len(body)} bytes, needs {width * height}"

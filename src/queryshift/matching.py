@@ -24,7 +24,6 @@ import numpy as np
 from .core import ClipQueryTensor, FrameQuerySet
 
 __all__ = [
-    "SimilarityMatrix",
     "ClipAlignment",
     "cosine_similarity",
     "optimal_match",
@@ -39,30 +38,20 @@ _TIGHT_TOL = 1e-9
 _BRUTE_FORCE_LIMIT = 9
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Square matrix of cosine similarities, entries in [-1, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError(f"similarity matrix must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("similarity matrix contains non-finite values")
-        if arr.min() < -1.0 or arr.max() > 1.0:
-            raise ValueError("similarities must lie in [-1, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
+def _checked_similarity(sim: np.ndarray) -> np.ndarray:
+    """``sim`` as float64 if it is a non-empty square array of finite values in [-1, 1]."""
+    sim = np.asarray(sim, dtype=np.float64)
+    if sim.ndim != 2 or sim.shape[0] != sim.shape[1] or sim.shape[0] == 0:
+        raise ValueError(f"similarity matrix must be square and non-empty, got {sim.shape}")
+    if not np.all(np.isfinite(sim)):
+        raise ValueError("similarity matrix contains non-finite values")
+    if sim.min() < -1.0 or sim.max() > 1.0:
+        raise ValueError("similarities must lie in [-1, 1]")
+    return sim
 
 
-def cosine_similarity(a: FrameQuerySet, b: FrameQuerySet) -> SimilarityMatrix:
-    """Pairwise cosine similarity between two frames' queries.
+def cosine_similarity(a: FrameQuerySet, b: FrameQuerySet) -> np.ndarray:
+    """Pairwise cosine similarity between two frames' queries, a read-only (N, N) array.
 
     Entry (i, j) compares query i of ``a`` with query j of ``b``.  A
     zero-norm query has no direction, so its row/column is 0 by convention.
@@ -81,7 +70,9 @@ def cosine_similarity(a: FrameQuerySet, b: FrameQuerySet) -> SimilarityMatrix:
     sims = ua @ ub.T
     sims[za, :] = 0.0
     sims[:, zb] = 0.0
-    return SimilarityMatrix(np.clip(sims, -1.0, 1.0))
+    np.clip(sims, -1.0, 1.0, out=sims)
+    sims.setflags(write=False)
+    return sims
 
 
 def _solve_min_cost(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -184,46 +175,49 @@ def _lex_smallest_tight_matching(
     return row_to_col
 
 
-def _matched(sim: SimilarityMatrix, mapping) -> tuple[np.ndarray, float]:
+def _matched(sim: np.ndarray, mapping) -> tuple[np.ndarray, float]:
     """``mapping`` as a read-only intp array, and the similarity it achieves."""
     arr = np.array(mapping, dtype=np.intp)
     arr.setflags(write=False)
-    return arr, float(sum(sim.values[i, arr[i]] for i in range(sim.n)))
+    return arr, float(sum(sim[i, arr[i]] for i in range(len(arr))))
 
 
-def optimal_match(sim: SimilarityMatrix) -> tuple[np.ndarray, float]:
+def optimal_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     """Assignment maximising total similarity; ties break to the smallest mapping.
 
-    Returns the (N,) mapping (row i is matched to column ``mapping[i]``) and
-    its total similarity.  Internally minimises ``1 - sim`` with a Hungarian
+    ``sim`` is an (N, N) array of finite similarities in [-1, 1].  Returns the
+    (N,) mapping (row i is matched to column ``mapping[i]``) and its total
+    similarity.  Internally minimises ``1 - sim`` with a Hungarian
     solver, then uses the optimal potentials to enumerate the tight graph
     (cells whose reduced cost is within 1e-9 of zero); every optimal
     assignment lives in that graph, and the lexicographically smallest perfect
     matching in it is returned.  Ties that differ by less than the tolerance
     resolve the same way.
     """
-    cost = 1.0 - sim.values
-    n = sim.n
+    sim = _checked_similarity(sim)
+    cost = 1.0 - sim
+    n = sim.shape[0]
     assignment, u, v = _solve_min_cost(cost)
     reduced = cost - u[:, None] - v[None, :]
     tight = [list(np.flatnonzero(reduced[i] <= _TIGHT_TOL)) for i in range(n)]
     return _matched(sim, _lex_smallest_tight_matching(tight, list(assignment)))
 
 
-def brute_force_match(sim: SimilarityMatrix) -> tuple[np.ndarray, float]:
+def brute_force_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     """Exhaustive reference matcher for N <= 9.
 
     Walks permutations in lexicographic order keeping the first strict
     maximum, which implements the same smallest-mapping tie rule as
     :func:`optimal_match`.
     """
-    n = sim.n
+    sim = _checked_similarity(sim)
+    n = sim.shape[0]
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"brute force matching is capped at N <= {_BRUTE_FORCE_LIMIT}, got {n}"
         )
     perms = _perm_table(n)
-    totals = sim.values[np.arange(n), perms].sum(axis=1)
+    totals = sim[np.arange(n), perms].sum(axis=1)
     return _matched(sim, perms[int(np.argmax(totals))])  # first occurrence wins on ties
 
 

@@ -102,6 +102,22 @@ class InfeasibleSceneError(ValueError):
     """The scene description cannot be realised."""
 
 
+def _load_json(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``; every failure is a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            loaded = json.load(f)
+    except FileNotFoundError:
+        raise ValueError(f"no such file: {path}") from None
+    except IsADirectoryError:
+        raise ValueError(f"expected a file, got a directory: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path}: expected a JSON object at top level")
+    return loaded
+
+
 def _check_keys(what: str, d: dict, allowed) -> None:
     """Reject keys of a parsed JSON object that are not in ``allowed``."""
     unknown = sorted(str(k) for k in d if k not in allowed)
@@ -578,11 +594,10 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
 def load_scene(scene_dir: str | Path) -> SceneClip:
     """Reload a scene written by :func:`save_scene`."""
     src = Path(scene_dir)
-    with open(src / "tracks.json") as f:
-        meta = json.load(f)
+    meta = _load_json(src / "tracks.json")
     try:
         keys = "spec per_frame_tracks track_classes prototypes no_object signature_scale"
-        _check_keys("tracks.json", _json_value("tracks.json", meta, dict), keys.split())
+        _check_keys("tracks.json", meta, keys.split())
         spec = SceneSpec.from_dict(meta["spec"])
         what = "tracks.json per_frame_tracks"
         rows = _json_value(what, meta["per_frame_tracks"], list)

@@ -382,7 +382,17 @@ def test_run_rejects_tracks_json_that_is_not_an_object(scene_dir, tmp_path, caps
     (scene_dir / "tracks.json").write_text(text)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
     assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    _assert_one_line_error(capsys, "tracks.json must be of type dict")
+    _assert_one_line_error(capsys, "tracks.json: expected a JSON object at top level")
+
+
+@pytest.mark.parametrize(
+    "data", [b'{"spec": {', b"\xff\xfe{}", b"[" * 100_000], ids=["truncated", "not_utf8", "too_deep"]
+)
+def test_run_names_tracks_json_when_it_does_not_parse(scene_dir, tmp_path, capsys, data):
+    (scene_dir / "tracks.json").write_bytes(data)
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "tracks.json is not valid JSON")
 
 
 def test_run_rejects_non_finite_sigma_in_tracks(scene_dir, tmp_path, capsys):
@@ -612,6 +622,48 @@ def test_sweep_one_seed_runs_in_process(tmp_path, capsys, scene_calls):
     assert scene_calls == [0]
     assert main(["sweep", "--spec", spec, "--out", str(serial)]) == 0
     capsys.readouterr()
+    assert par.read_bytes() == serial.read_bytes()
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool the sweep opens; the pool maps in-process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "cpus, parallel, want",
+    [(2, 5000, [2]), (8, 5000, [4]), (8, 3, [3]), (None, 5000, [])],
+    ids=["cpus", "seeds", "parallel", "cpu_count_unknown"],
+)
+def test_sweep_workers_capped_at_cpus_and_seeds(
+    tmp_path, capsys, monkeypatch, pool_sizes, cpus, parallel, want
+):
+    # a pool starts all its workers at once, so --parallel 5000 must not ask for 5000
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=4))
+    serial = tmp_path / "serial.csv"
+    assert main(["sweep", "--spec", spec, "--out", str(serial)]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    par = tmp_path / "par.csv"
+    assert main(["sweep", "--spec", spec, "--out", str(par), "--parallel", str(parallel)]) == 0
+    capsys.readouterr()
+    assert pool_sizes == want
     assert par.read_bytes() == serial.read_bytes()
 
 

@@ -361,6 +361,23 @@ def test_labelmap_copies_its_input_once():
         LabelMap(grid.astype(bool), 7)
 
 
+def test_read_labelmap_keeps_no_second_copy_of_the_body():
+    # the int64 labels are 8x the PGM body; slicing the body out of the file bytes made it 9x
+    grid = np.arange(2048 * 2048, dtype=np.int64).reshape(2048, 2048) % 7
+    buf = io.BytesIO()
+    write_labelmap(LabelMap(grid, 7), buf)
+    data = buf.getvalue()
+    src = io.BytesIO(data)
+    tracemalloc.start()
+    try:
+        lm = read_labelmap(src, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * len(data)
+    assert np.array_equal(lm.labels, grid)
+
+
 def test_labelmap_frozen():
     lm = LabelMap(np.zeros((2, 2), dtype=np.int64), 2)
     with pytest.raises(ValueError):

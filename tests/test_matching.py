@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from queryshift.core import ClipQueryTensor, FrameQuerySet
 from queryshift.matching import (
     ClipAlignment,
-    SimilarityMatrix,
     align_clip,
     brute_force_match,
     cosine_similarity,
@@ -38,21 +37,21 @@ def _random_orthonormal(n, d, seed):
 def test_cosine_orthonormal_identity():
     a = _frame(np.eye(3))
     sim = cosine_similarity(a, a)
-    assert np.array_equal(sim.values, np.eye(3))
+    assert np.array_equal(sim, np.eye(3))
 
 
 def test_cosine_antipodal_diagonal():
     a = _frame(np.eye(3) * 2.5)
     b = _frame(np.eye(3) * -0.5)
     sim = cosine_similarity(a, b)
-    assert np.allclose(np.diag(sim.values), -1.0)
+    assert np.allclose(np.diag(sim), -1.0)
 
 
 def test_cosine_closed_form_2x2():
     s = math.sqrt(0.5)
     a = _frame([(1.0, 0.0), (0.0, 1.0)])
     b = _frame([(s, s), (s, -s)])
-    sim = cosine_similarity(a, b).values
+    sim = cosine_similarity(a, b)
     want = np.array([[s, s], [s, -s]])
     assert np.max(np.abs(sim - want)) <= 1e-12
 
@@ -60,7 +59,7 @@ def test_cosine_closed_form_2x2():
 def test_cosine_zero_norm_rows_give_zero():
     a = _frame([(0.0, 0.0), (1.0, 0.0)])
     b = _frame([(0.0, 1.0), (0.0, 0.0)])
-    sim = cosine_similarity(a, b).values
+    sim = cosine_similarity(a, b)
     assert sim[0].tolist() == [0.0, 0.0]
     assert sim[:, 1].tolist() == [0.0, 0.0]
     assert sim[1, 0] == 0.0
@@ -78,18 +77,33 @@ def test_cosine_scale_invariance(seed):
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((5, 7))
     scales_a = rng.uniform(0.1, 10.0, size=(5, 1))
-    s1 = cosine_similarity(_frame(a), _frame(b)).values
-    s2 = cosine_similarity(_frame(a * scales_a), _frame(b * 3.7)).values
+    s1 = cosine_similarity(_frame(a), _frame(b))
+    s2 = cosine_similarity(_frame(a * scales_a), _frame(b * 3.7))
     assert np.allclose(s1, s2, atol=1e-12)
 
 
+def test_cosine_similarity_is_a_read_only_array():
+    sim = cosine_similarity(_frame(np.eye(3)), _frame(np.eye(3)))
+    assert isinstance(sim, np.ndarray) and sim.dtype == np.float64 and sim.shape == (3, 3)
+    with pytest.raises(ValueError):
+        sim[0, 0] = 0.5
+
+
 def test_similarity_matrix_validation():
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.full((2, 2), 1.5))
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.full((2, 2), np.nan))
+    # each solver checks the similarity array it is given
+    bad = [
+        (np.zeros((2, 3)), "square"),
+        (np.zeros((0, 0)), "square"),
+        (np.zeros(3), "square"),
+        (np.full((2, 2), np.nan), "non-finite"),
+        (np.full((2, 2), np.inf), "non-finite"),
+        (np.full((2, 2), 1.5), r"\[-1, 1\]"),
+        (np.array([[0.0, -1.0 - 1e-12], [0.0, 0.0]]), r"\[-1, 1\]"),
+    ]
+    for values, fragment in bad:
+        for solver in (optimal_match, brute_force_match):
+            with pytest.raises(ValueError, match=fragment):
+                solver(values)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +112,13 @@ def test_similarity_matrix_validation():
 
 
 def test_match_identity_matrix():
-    perm, total = optimal_match(SimilarityMatrix(np.eye(4)))
+    perm, total = optimal_match(np.eye(4))
     assert np.array_equal(perm, np.arange(4))
     assert total == pytest.approx(4.0, abs=1e-12)
 
 
 def test_match_swap_example():
-    sim = SimilarityMatrix(np.array([[0.1, 0.9], [0.9, 0.1]]))
+    sim = np.array([[0.1, 0.9], [0.9, 0.1]])
     perm, total = optimal_match(sim)
     assert np.array_equal(perm, [1, 0])
     assert total == pytest.approx(1.8, abs=1e-12)
@@ -113,38 +127,38 @@ def test_match_swap_example():
 def test_match_constant_ties_break_to_identity():
     for c in (-0.25, 0.0, 0.5):
         for n in (1, 2, 3, 5, 8):
-            perm, total = optimal_match(SimilarityMatrix(np.full((n, n), c)))
+            perm, total = optimal_match(np.full((n, n), c))
             assert np.array_equal(perm, np.arange(n))
             assert total == pytest.approx(n * c, abs=1e-12)
-            perm_b, _ = brute_force_match(SimilarityMatrix(np.full((n, n), c)))
+            perm_b, _ = brute_force_match(np.full((n, n), c))
             assert np.array_equal(perm_b, np.arange(n))
 
 
 def test_match_structured_tie_prefers_smaller_first_image():
     # both (0,1) and (1,0) are optimal; the lex rule keeps (0,1)
-    sim = SimilarityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    sim = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert np.array_equal(optimal_match(sim)[0], [0, 1])
     # push the optimum onto the antidiagonal pair only
-    sim = SimilarityMatrix(np.array([[0.5, 0.8], [0.8, 0.1]]))
+    sim = np.array([[0.5, 0.8], [0.8, 0.1]])
     assert np.array_equal(optimal_match(sim)[0], [1, 0])
 
 
 def test_brute_force_single_query():
-    perm, total = brute_force_match(SimilarityMatrix(np.array([[0.3]])))
+    perm, total = brute_force_match(np.array([[0.3]]))
     assert np.array_equal(perm, [0])
     assert total == pytest.approx(0.3)
 
 
 def test_brute_force_budget():
     with pytest.raises(ValueError):
-        brute_force_match(SimilarityMatrix(np.zeros((10, 10))))
+        brute_force_match(np.zeros((10, 10)))
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=150, deadline=None)
 def test_dual_route_agreement_random(n, seed):
     rng = np.random.default_rng(seed)
-    sim = SimilarityMatrix(rng.uniform(-1.0, 1.0, size=(n, n)))
+    sim = rng.uniform(-1.0, 1.0, size=(n, n))
     p_fast, t_fast = optimal_match(sim)
     p_slow, t_slow = brute_force_match(sim)
     assert np.array_equal(p_fast, p_slow)
@@ -158,9 +172,8 @@ def test_dual_route_agreement_tie_prone(n, seed):
     # the same lexicographically smallest optimum
     rng = np.random.default_rng(seed)
     values = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, n))
-    sim = SimilarityMatrix(values)
-    p_fast, t_fast = optimal_match(sim)
-    p_slow, t_slow = brute_force_match(sim)
+    p_fast, t_fast = optimal_match(values)
+    p_slow, t_slow = brute_force_match(values)
     assert np.array_equal(p_fast, p_slow)
     assert abs(t_fast - t_slow) <= 1e-9
 
@@ -180,16 +193,16 @@ def test_totals_match_scipy_linear_sum_assignment(n, seed, ties):
     values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n))
     if ties:
         values = np.round(values, 1)
-    _, total = optimal_match(SimilarityMatrix(values))
+    _, total = optimal_match(values)
     rows, cols = linear_sum_assignment(values, maximize=True)
     assert abs(total - values[rows, cols].sum()) <= 1e-9
 
 
 def test_match_total_is_achieved_sum():
     rng = np.random.default_rng(2)
-    sim = SimilarityMatrix(rng.uniform(-1, 1, size=(6, 6)))
+    sim = rng.uniform(-1, 1, size=(6, 6))
     perm, total = optimal_match(sim)
-    direct = sum(sim.values[i, perm[i]] for i in range(6))
+    direct = sum(sim[i, perm[i]] for i in range(6))
     assert total == pytest.approx(direct, abs=1e-12)
 
 
@@ -292,5 +305,5 @@ def test_alignment_arrays_are_read_only_copies():
         alignment.per_frame[1, 0] = 0
     with pytest.raises(ValueError):
         alignment.adjacent[0, 0] = 0
-    mapping, _ = optimal_match(SimilarityMatrix(np.eye(3)))
+    mapping, _ = optimal_match(np.eye(3))
     assert mapping.dtype == np.intp and not mapping.flags.writeable

@@ -10,11 +10,9 @@ import pytest
 
 from queryshift.core import LabelMap
 from queryshift.metrics import (
-    ConfusionMatrix,
     EvalReport,
     accumulate,
     evaluate_clip,
-    global_static_masks,
     miou,
     pixel_accuracy,
     temporal_consistency,
@@ -25,34 +23,38 @@ def _lmap(values, c):
     return LabelMap(np.asarray(values, dtype=np.int64), c)
 
 
+def _zeros(c):
+    return np.zeros((c, c), dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # accumulate
 # ---------------------------------------------------------------------------
 
 
 def test_accumulate_perfect_four_pixels():
-    cm = ConfusionMatrix.zeros(2)
     gt = _lmap([[0, 0], [0, 0]], 2)
-    cm = accumulate(cm, gt, gt)
-    assert cm.counts.tolist() == [[4, 0], [0, 0]]
+    counts = accumulate(_zeros(2), gt, gt)
+    assert counts.tolist() == [[4, 0], [0, 0]]
 
 
 def test_accumulate_two_pixel_example():
-    cm = ConfusionMatrix.zeros(2)
     gt = _lmap([[0], [1]], 2)
     pred = _lmap([[1], [1]], 2)
-    cm = accumulate(cm, pred, gt)
+    counts = accumulate(_zeros(2), pred, gt)
     # rows = ground truth, cols = prediction
-    assert cm.counts.tolist() == [[0, 1], [0, 1]]
-    assert cm.total == 2
+    assert counts.tolist() == [[0, 1], [0, 1]]
+    assert counts.sum() == 2
 
 
 def test_accumulate_returns_new_matrix():
-    cm0 = ConfusionMatrix.zeros(2)
+    counts0 = _zeros(2)
     gt = _lmap([[0]], 2)
-    cm1 = accumulate(cm0, gt, gt)
-    assert cm0.total == 0
-    assert cm1.total == 1
+    for start in (counts0, counts0.astype(np.uint8), counts0.astype(np.int32)):
+        counts1 = accumulate(start, gt, gt)
+        assert counts1 is not start and counts1.dtype == np.int64
+        assert start.sum() == 0
+        assert counts1.tolist() == [[1, 0], [0, 0]]
 
 
 def test_accumulate_additivity():
@@ -62,16 +64,16 @@ def test_accumulate_additivity():
     b_gt = rng.integers(0, 3, size=(5, 7))
     b_pred = rng.integers(0, 3, size=(5, 7))
     two_steps = accumulate(
-        accumulate(ConfusionMatrix.zeros(3), _lmap(a_pred, 3), _lmap(a_gt, 3)),
+        accumulate(_zeros(3), _lmap(a_pred, 3), _lmap(a_gt, 3)),
         _lmap(b_pred, 3),
         _lmap(b_gt, 3),
     )
     concat = accumulate(
-        ConfusionMatrix.zeros(3),
+        _zeros(3),
         _lmap(np.vstack([a_pred, b_pred]), 3),
         _lmap(np.vstack([a_gt, b_gt]), 3),
     )
-    assert np.array_equal(two_steps.counts, concat.counts)
+    assert np.array_equal(two_steps, concat)
 
 
 def test_accumulate_order_independent_100_shuffles():
@@ -85,33 +87,47 @@ def test_accumulate_order_independent_100_shuffles():
     ]
 
     def total_for(order):
-        cm = ConfusionMatrix.zeros(4)
+        counts = _zeros(4)
         for idx in order:
             pred, gt = frames[idx]
-            cm = accumulate(cm, pred, gt)
-        return cm
+            counts = accumulate(counts, pred, gt)
+        return counts
 
-    reference = total_for(range(12)).counts
+    reference = total_for(range(12))
     shuffler = random.Random(7)
     order = list(range(12))
     for _ in range(100):
         shuffler.shuffle(order)
-        assert np.array_equal(total_for(order).counts, reference)
+        assert np.array_equal(total_for(order), reference)
 
 
 def test_accumulate_shape_and_class_mismatch():
-    cm = ConfusionMatrix.zeros(2)
+    counts = _zeros(2)
     with pytest.raises(ValueError):
-        accumulate(cm, _lmap([[0]], 2), _lmap([[0, 0]], 2))
+        accumulate(counts, _lmap([[0]], 2), _lmap([[0, 0]], 2))
     with pytest.raises(ValueError):
-        accumulate(cm, _lmap([[0]], 3), _lmap([[0]], 3))
+        accumulate(counts, _lmap([[0]], 3), _lmap([[0]], 3))
 
 
 def test_confusion_matrix_validation():
-    with pytest.raises(ValueError):
-        ConfusionMatrix(np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(ValueError):
-        ConfusionMatrix(np.array([[-1]], dtype=np.int64))
+    # each public reader of confusion counts checks the array it is given
+    bad = [
+        (np.zeros((2, 3), dtype=np.int64), "square"),
+        (np.zeros((0, 0), dtype=np.int64), "square"),
+        (np.zeros(4, dtype=np.int64), "square"),
+        (np.array([[-1]], dtype=np.int64), "non-negative"),
+        (np.array([[1, 0], [0, -3]], dtype=np.int64), "non-negative"),
+        (np.zeros((2, 2)), "integers"),
+        (np.ones((2, 2), dtype=bool), "integers"),
+    ]
+    frame = _lmap([[0]], 2)
+    for counts, fragment in bad:
+        with pytest.raises(ValueError, match=fragment):
+            accumulate(counts, frame, frame)
+        with pytest.raises(ValueError, match=fragment):
+            miou(counts)
+        with pytest.raises(ValueError, match=fragment):
+            pixel_accuracy(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +136,7 @@ def test_confusion_matrix_validation():
 
 
 def test_miou_perfect():
-    cm = ConfusionMatrix(np.diag([5, 3, 2]))
-    assert miou(cm) == pytest.approx(1.0, abs=1e-12)
+    assert miou(np.diag([5, 3, 2])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_miou_half_half_example():
@@ -129,31 +144,30 @@ def test_miou_half_half_example():
     # IoU_0 = 2/4, IoU_1 = 0/2 -> mean 0.25
     gt = _lmap([[0, 0], [1, 1]], 2)
     pred = _lmap([[0, 0], [0, 0]], 2)
-    cm = accumulate(ConfusionMatrix.zeros(2), pred, gt)
-    assert miou(cm) == pytest.approx(0.25, abs=1e-12)
-    assert pixel_accuracy(cm) == pytest.approx(0.5, abs=1e-12)
+    counts = accumulate(_zeros(2), pred, gt)
+    assert miou(counts) == pytest.approx(0.25, abs=1e-12)
+    assert pixel_accuracy(counts) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_miou_excludes_absent_classes():
     # class 2 never appears in gt or pred: the mean runs over {0, 1} only
     gt = _lmap([[0, 1]], 3)
     pred = _lmap([[0, 0]], 3)
-    cm = accumulate(ConfusionMatrix.zeros(3), pred, gt)
+    counts = accumulate(_zeros(3), pred, gt)
     # IoU_0 = 1/2, IoU_1 = 0 -> 0.25; with class 2 wrongly included it
     # would be 1/6
-    assert miou(cm) == pytest.approx(0.25, abs=1e-12)
+    assert miou(counts) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_miou_empty_matrix_rejected():
     with pytest.raises(ValueError):
-        miou(ConfusionMatrix.zeros(3))
+        miou(_zeros(3))
 
 
 def test_miou_in_unit_interval():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        cm = ConfusionMatrix(rng.integers(0, 50, size=(4, 4)))
-        assert 0.0 <= miou(cm) <= 1.0
+        assert 0.0 <= miou(rng.integers(0, 50, size=(4, 4))) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +176,12 @@ def test_miou_in_unit_interval():
 
 
 def test_pixel_accuracy_perfect():
-    assert pixel_accuracy(ConfusionMatrix(np.diag([7, 1]))) == 1.0
+    assert pixel_accuracy(np.diag([7, 1])) == 1.0
 
 
 def test_pixel_accuracy_empty_rejected():
     with pytest.raises(ValueError):
-        pixel_accuracy(ConfusionMatrix.zeros(2))
+        pixel_accuracy(_zeros(2))
 
 
 def test_pixel_accuracy_random_pred_law_of_large_numbers():
@@ -175,23 +189,21 @@ def test_pixel_accuracy_random_pred_law_of_large_numbers():
     rng = np.random.default_rng(4)
     gt = _lmap(rng.integers(0, c, size=(400, 250)), c)  # 1e5 pixels
     pred = _lmap(rng.integers(0, c, size=(400, 250)), c)
-    cm = accumulate(ConfusionMatrix.zeros(c), pred, gt)
-    assert pixel_accuracy(cm) == pytest.approx(1.0 / c, abs=0.01)
+    counts = accumulate(_zeros(c), pred, gt)
+    assert pixel_accuracy(counts) == pytest.approx(1.0 / c, abs=0.01)
 
 
 def test_relabeling_equivariance():
     rng = np.random.default_rng(5)
     gt = rng.integers(0, 4, size=(20, 20))
     pred = rng.integers(0, 4, size=(20, 20))
-    cm = accumulate(ConfusionMatrix.zeros(4), _lmap(pred, 4), _lmap(gt, 4))
+    counts = accumulate(_zeros(4), _lmap(pred, 4), _lmap(gt, 4))
     perm = np.array([2, 0, 3, 1])
-    cm_perm = accumulate(
-        ConfusionMatrix.zeros(4), _lmap(perm[pred], 4), _lmap(perm[gt], 4)
-    )
-    assert miou(cm_perm) == pytest.approx(miou(cm), abs=1e-12)
-    assert pixel_accuracy(cm_perm) == pytest.approx(pixel_accuracy(cm), abs=1e-12)
+    counts_perm = accumulate(_zeros(4), _lmap(perm[pred], 4), _lmap(perm[gt], 4))
+    assert miou(counts_perm) == pytest.approx(miou(counts), abs=1e-12)
+    assert pixel_accuracy(counts_perm) == pytest.approx(pixel_accuracy(counts), abs=1e-12)
     # the matrix itself is the permuted original
-    assert np.array_equal(cm_perm.counts, cm.counts[np.ix_(np.argsort(perm), np.argsort(perm))])
+    assert np.array_equal(counts_perm, counts[np.ix_(np.argsort(perm), np.argsort(perm))])
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +213,13 @@ def test_relabeling_equivariance():
 
 def test_consistency_constant_predictions():
     preds = [_lmap([[0, 1]], 2)] * 3
-    masks = [np.ones((1, 2), dtype=bool)] * 3
-    assert temporal_consistency(preds, masks) == 1.0
+    assert temporal_consistency(preds, np.ones((1, 2), dtype=bool)) == 1.0
 
 
 def test_consistency_alternating_predictions():
     a = _lmap([[0, 0]], 2)
     b = _lmap([[1, 1]], 2)
-    masks = [np.ones((1, 2), dtype=bool)] * 4
-    assert temporal_consistency([a, b, a, b], masks) == 0.0
+    assert temporal_consistency([a, b, a, b], np.ones((1, 2), dtype=bool)) == 0.0
 
 
 def test_consistency_three_frames_one_flip():
@@ -217,34 +227,32 @@ def test_consistency_three_frames_one_flip():
     f0 = _lmap([[0, 0]], 2)
     f1 = _lmap([[0, 1]], 2)
     f2 = _lmap([[0, 1]], 2)
-    masks = [np.ones((1, 2), dtype=bool)] * 3
-    assert temporal_consistency([f0, f1, f2], masks) == pytest.approx(0.75, abs=1e-12)
+    static = np.ones((1, 2), dtype=bool)
+    assert temporal_consistency([f0, f1, f2], static) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_consistency_respects_masks():
     # the flipping pixel is not static, so it never counts
     f0 = _lmap([[0, 0]], 2)
     f1 = _lmap([[0, 1]], 2)
-    masks = [np.array([[True, False]])] * 2
-    assert temporal_consistency([f0, f1], masks) == 1.0
+    assert temporal_consistency([f0, f1], np.array([[True, False]])) == 1.0
 
 
 def test_consistency_needs_two_frames_and_static_pixels():
     with pytest.raises(ValueError):
-        temporal_consistency([_lmap([[0]], 1)], [np.ones((1, 1), dtype=bool)])
+        temporal_consistency([_lmap([[0]], 1)], np.ones((1, 1), dtype=bool))
     with pytest.raises(ValueError):
-        temporal_consistency(
-            [_lmap([[0]], 1)] * 2, [np.zeros((1, 1), dtype=bool)] * 2
-        )
+        temporal_consistency([_lmap([[0]], 1)] * 2, np.zeros((1, 1), dtype=bool))
 
 
-def test_global_static_masks():
-    g0 = _lmap([[0, 1], [2, 2]], 3)
-    g1 = _lmap([[0, 2], [2, 2]], 3)
-    masks = global_static_masks([g0, g1])
-    want = np.array([[True, False], [True, True]])
-    for m in masks:
-        assert np.array_equal(m, want)
+@pytest.mark.parametrize("odd_frame", [0, 1, 2])
+def test_consistency_rejects_a_mask_shaped_unlike_any_frame(odd_frame):
+    preds = [_lmap([[0, 1]], 2)] * 3
+    preds[odd_frame] = _lmap([[0], [1]], 2)
+    with pytest.raises(ValueError, match="static mask shape"):
+        temporal_consistency(preds, np.ones((1, 2), dtype=bool))
+    with pytest.raises(ValueError, match="static mask shape"):
+        temporal_consistency([_lmap([[0, 1]], 2)] * 3, np.ones((2, 1), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +300,101 @@ def test_evaluate_clip_bundles_everything():
     assert report.recovery == 0.9
 
 
+def test_evaluate_clip_scores_consistency_on_globally_static_pixels():
+    # three of four pixels keep their ground-truth class; only those count
+    gt = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 2], [2, 2]], 3)]
+    flip_moving = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 0], [2, 2]], 3)]
+    assert evaluate_clip(gt, flip_moving, 1.0, {}).temporal_consistency == 1.0
+    flip_static = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 1], [1, 2]], 3)]
+    assert evaluate_clip(gt, flip_static, 1.0, {}).temporal_consistency == 2 / 3
+
+
+def test_evaluate_clip_rejects_empty_and_mismatched_clips():
+    frame = _lmap([[0, 1]], 2)
+    with pytest.raises(ValueError, match="0 gt frames vs 0 predictions"):
+        evaluate_clip([], [], recovery=1.0, config={})
+    with pytest.raises(ValueError, match="2 gt frames vs 1 predictions"):
+        evaluate_clip([frame, frame], [frame], recovery=1.0, config={})
+
+
 def test_evaluate_clip_single_frame_has_null_consistency():
     gt = [_lmap([[0, 1]], 2)]
     report = evaluate_clip(gt, gt, recovery=1.0, config={})
     assert report.temporal_consistency is None
     assert report.miou == 1.0
+
+
+# ---------------------------------------------------------------------------
+# evaluate_clip against per-pixel loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_scores(gt, pred, c):
+    """(mIoU, pixel accuracy, consistency) by per-pixel Python loops over nested lists."""
+    g = [m.labels.tolist() for m in gt]
+    p = [m.labels.tolist() for m in pred]
+    t_len, h, w = len(g), len(g[0]), len(g[0][0])
+    inter, gt_count, pred_count = [0] * c, [0] * c, [0] * c
+    for t in range(t_len):
+        for y in range(h):
+            for x in range(w):
+                gt_count[g[t][y][x]] += 1
+                pred_count[p[t][y][x]] += 1
+                if g[t][y][x] == p[t][y][x]:
+                    inter[g[t][y][x]] += 1
+    ious = [
+        inter[k] / (gt_count[k] + pred_count[k] - inter[k])
+        for k in range(c)
+        if gt_count[k] + pred_count[k] > 0
+    ]
+    # averaged with numpy's own summation order, so the comparison can be exact
+    mean_iou = float(np.mean(ious))
+    accuracy = sum(inter) / (t_len * h * w)
+    static = [
+        (y, x)
+        for y in range(h)
+        for x in range(w)
+        if all(g[t][y][x] == g[0][y][x] for t in range(t_len))
+    ]
+    if t_len < 2 or not static:
+        return mean_iou, accuracy, None
+    same = sum(p[t][y][x] == p[t + 1][y][x] for t in range(t_len - 1) for y, x in static)
+    return mean_iou, accuracy, same / ((t_len - 1) * len(static))
+
+
+def _clip_scores(gt, pred):
+    report = evaluate_clip(gt, pred, recovery=1.0, config={})
+    return report.miou, report.pixel_accuracy, report.temporal_consistency
+
+
+@pytest.mark.parametrize("c", range(1, 7))
+@pytest.mark.parametrize("t_len", [1, 2, 5])
+def test_evaluate_clip_equals_per_pixel_loops(t_len, c):
+    rng = np.random.default_rng(100 * t_len + c)
+    for _ in range(4):
+        h, w = (int(v) for v in rng.integers(1, 9, size=2))
+        # each frame keeps most of the previous frame's labels, so static pixels occur
+        gt = [rng.integers(0, c, size=(h, w))]
+        for _ in range(t_len - 1):
+            gt.append(np.where(rng.random((h, w)) < 0.2, rng.integers(0, c, size=(h, w)), gt[-1]))
+        pred = [np.where(rng.random((h, w)) < 0.7, g, rng.integers(0, c, size=(h, w))) for g in gt]
+        gt_maps = [_lmap(g, c) for g in gt]
+        pred_maps = [_lmap(q, c) for q in pred]
+        assert _clip_scores(gt_maps, pred_maps) == _reference_scores(gt_maps, pred_maps, c)
+
+
+def test_evaluate_clip_with_no_static_pixel_equals_per_pixel_loops():
+    rng = np.random.default_rng(11)
+    first = rng.integers(0, 3, size=(4, 5))
+    gt = [_lmap((first + t) % 3, 3) for t in range(3)]  # every pixel changes class
+    pred = [_lmap(rng.integers(0, 3, size=(4, 5)), 3) for _ in range(3)]
+    scores = _clip_scores(gt, pred)
+    assert scores[2] is None
+    assert scores == _reference_scores(gt, pred, 3)
+
+
+def test_evaluate_clip_with_every_pixel_static_equals_per_pixel_loops():
+    rng = np.random.default_rng(12)
+    gt = [_lmap(rng.integers(0, 4, size=(6, 3)), 4)] * 5
+    pred = [_lmap(rng.integers(0, 4, size=(6, 3)), 4) for _ in range(5)]
+    assert _clip_scores(gt, pred) == _reference_scores(gt, pred, 4)

@@ -7,6 +7,8 @@ import io
 import re
 from pathlib import Path
 
+import queryshift
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -27,3 +29,10 @@ def test_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == promised
+
+
+def test_readme_names_every_public_name():
+    # an inline code span names what it starts with: `LabelMap(labels, num_classes)` names LabelMap
+    spans = re.findall(r"`([A-Za-z_]\w*)[^`\n]*`", README.read_text())
+    missing = [name for name in queryshift.__all__ if name != "__version__" and name not in spans]
+    assert missing == []
