@@ -30,7 +30,6 @@ from .matching import (
     optimal_match,
 )
 from .metrics import (
-    EvalReport,
     accumulate,
     evaluate_clip,
     miou,
@@ -38,7 +37,6 @@ from .metrics import (
     temporal_consistency,
 )
 from .pipeline import (
-    SoftMaskSet,
     decode_masks,
     run_clip,
     semantic_inference,
@@ -63,7 +61,6 @@ __all__ = [
     "BoundaryPolicy",
     "ClipAlignment",
     "ClipQueryTensor",
-    "EvalReport",
     "FrameQuerySet",
     "InfeasibleSceneError",
     "LabelMap",
@@ -73,7 +70,6 @@ __all__ = [
     "SceneClip",
     "SceneSpec",
     "ShiftConfig",
-    "SoftMaskSet",
     "TensorFormatError",
     "TruncatedTensorError",
     "WrongMagicError",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -150,14 +151,15 @@ def _cmd_run(args) -> int:
         "boundary": shift.boundary.value,
         "matching": matching,
     }
-    report = evaluate_clip(scene.gt_labels, preds, recovery, echo)
-    _write_text(args.out, report.to_json())
+    scores = evaluate_clip(scene.gt_labels, preds)
+    report = scores | {"recovery": recovery, "config": echo}
+    _write_text(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
     if args.out is not None:
-        tc = report.temporal_consistency
+        tc = scores["temporal_consistency"]
         print(
-            f"miou={report.miou:.6f} pixel_accuracy={report.pixel_accuracy:.6f} "
+            f"miou={scores['miou']:.6f} pixel_accuracy={scores['pixel_accuracy']:.6f} "
             f"temporal_consistency={'n/a' if tc is None else format(tc, '.6f')} "
-            f"recovery={report.recovery:.6f} -> {args.out}"
+            f"recovery={recovery:.6f} -> {args.out}"
         )
     return 0
 
@@ -188,17 +190,17 @@ def _sweep_seed(
     for shift in shifts:
         for matching in matchings:
             preds = run_clip(scene, shift, alignments[matching], head)
-            report = evaluate_clip(scene.gt_labels, preds, recoveries[matching], {})
-            tc = report.temporal_consistency
+            scores = evaluate_clip(scene.gt_labels, preds)
+            tc = scores["temporal_consistency"]
             rows.append([
                 str(shift.fraction),
                 str(shift.channels_shifted),
                 "on" if matching else "off",
                 str(spec.seed),
-                repr(report.miou),
-                repr(report.pixel_accuracy),
+                repr(scores["miou"]),
+                repr(scores["pixel_accuracy"]),
                 "" if tc is None else repr(tc),
-                repr(report.recovery),
+                repr(recoveries[matching]),
             ])
     return rows
 
@@ -257,16 +259,16 @@ def _cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
 
-    specs = [dataclasses.replace(base_spec, seed=base_spec.seed + r) for r in range(repeats)]
-    grid = ([shifts] * repeats, [matchings] * repeats)
+    specs = (dataclasses.replace(base_spec, seed=base_spec.seed + r) for r in range(repeats))
+    sweep_seed = functools.partial(_sweep_seed, shifts=shifts, matchings=matchings)
     workers = min(args.parallel, repeats, os.cpu_count() or 1)
     with open(args.out, "w") as f:
         f.write(_CSV_HEADER + "\n")
         if workers == 1:
-            per_seed = list(map(_sweep_seed, specs, *grid))
+            per_seed = list(map(sweep_seed, specs))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                per_seed = list(pool.map(_sweep_seed, specs, *grid))
+                per_seed = list(pool.map(sweep_seed, specs))
         # per_seed is seed-major; the CSV lists fraction, then matching, then seed
         rows = [row for cell in zip(*per_seed) for row in cell]
         f.writelines(",".join(row) + "\n" for row in rows)

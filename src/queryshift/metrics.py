@@ -13,8 +13,6 @@ fraction whose predicted label did not change across that transition.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +24,6 @@ __all__ = [
     "miou",
     "pixel_accuracy",
     "temporal_consistency",
-    "EvalReport",
     "evaluate_clip",
 ]
 
@@ -96,39 +93,14 @@ def temporal_consistency(preds: Sequence[LabelMap], static: np.ndarray) -> float
     return same / total
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """One run's scores; ``temporal_consistency`` is None when undefined."""
-
-    miou: float
-    pixel_accuracy: float
-    temporal_consistency: float | None
-    recovery: float
-    config: dict
-
-    def __post_init__(self):
-        for name in ("miou", "pixel_accuracy", "recovery"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} out of range: {v}")
-        tc = self.temporal_consistency
-        if tc is not None and not 0.0 <= tc <= 1.0:
-            raise ValueError(f"temporal_consistency out of range: {tc}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"
-
-
 def evaluate_clip(
-    gt_labels: Sequence[LabelMap],
-    pred_labels: Sequence[LabelMap],
-    recovery: float,
-    config: dict,
-) -> EvalReport:
-    """Score a prediction against ground truth and bundle an EvalReport.
+    gt_labels: Sequence[LabelMap], pred_labels: Sequence[LabelMap]
+) -> dict[str, float | None]:
+    """Score a prediction against ground truth.
 
+    Returns ``{"miou", "pixel_accuracy", "temporal_consistency"}``.
     Temporal consistency uses the ground truth's globally static pixels and
-    is reported as None when the clip has a single frame or no static pixel.
+    is None when the clip has a single frame or no static pixel.
     """
     if len(gt_labels) != len(pred_labels) or not gt_labels:
         raise ValueError(f"{len(gt_labels)} gt frames vs {len(pred_labels)} predictions")
@@ -142,10 +114,8 @@ def evaluate_clip(
         static = np.logical_and.reduce([g.labels == first for g in gt_labels])
         if np.any(static):
             tc = temporal_consistency(pred_labels, static)
-    return EvalReport(
-        miou=miou(counts),
-        pixel_accuracy=pixel_accuracy(counts),
-        temporal_consistency=tc,
-        recovery=recovery,
-        config=config,
-    )
+    return {
+        "miou": miou(counts),
+        "pixel_accuracy": pixel_accuracy(counts),
+        "temporal_consistency": tc,
+    }

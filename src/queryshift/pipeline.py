@@ -10,11 +10,13 @@ identity and the result is bit-for-bit a plain shift of the raw clip,
 which is the ablation the evaluation compares against.  The caller makes the
 alignment (``align_clip`` or ``ClipAlignment.identity``), so one alignment
 serves every shift run on the same clip.
+
+Decode and vote pass plain arrays: ``decode_masks`` returns (N, P) mask
+scores and (N, C) class logits, and ``semantic_inference`` fuses them over
+the frame's pixel map into a ``LabelMap``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .shift import ShiftConfig, feature_shift
 from .synth import SceneClip, class_head_for
 
 __all__ = [
-    "SoftMaskSet",
     "decode_masks",
     "semantic_inference",
     "shift_with_matching",
@@ -33,49 +34,6 @@ __all__ = [
 
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
 _SCORE_CEIL = np.nextafter(1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class SoftMaskSet:
-    """Per-query soft masks plus class logits for one frame.
-
-    A mask is stored once per palette row of the pixel map it was decoded
-    over: ``scores[:, pixels.index]`` is the (N, H, W) per-pixel mask stack.
-    Scores live strictly inside (0, 1); sigmoid output is clamped to the
-    nearest representable neighbours of the open interval so downstream
-    consumers can rely on 0 < s < 1 even for saturated logits.
-    """
-
-    scores: np.ndarray  # (N, P)
-    class_logits: np.ndarray  # (N, C)
-    pixels: PixelEmbeddingMap  # P palette rows
-
-    def __post_init__(self):
-        scores = np.array(self.scores, dtype=np.float64)
-        logits = np.array(self.class_logits, dtype=np.float64)
-        rows = self.pixels.palette.shape[0]
-        if scores.ndim != 2 or scores.shape[1] != rows:
-            raise ValueError(f"scores must be (N, P) with P = {rows}, got shape {scores.shape}")
-        if logits.ndim != 2 or logits.shape[0] != scores.shape[0]:
-            raise ValueError(
-                f"class_logits must be (N, C) matching scores, got {logits.shape}"
-            )
-        if not np.all((scores > 0.0) & (scores < 1.0)):
-            raise ValueError("mask scores must lie strictly inside (0, 1)")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("class logits must be finite")
-        for arr in (scores, logits):
-            arr.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "class_logits", logits)
-
-    @property
-    def n_queries(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.class_logits.shape[1]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -95,12 +53,12 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def decode_masks(
     queries: FrameQuerySet, pixels: PixelEmbeddingMap, class_head: np.ndarray
-) -> SoftMaskSet:
+) -> tuple[np.ndarray, np.ndarray]:
     """Dot every query against every palette row of ``pixels``; sigmoid to (0, 1).
 
-    ``class_head`` is a (D, C) weight matrix mapping queries to class logits.
-    The masks keep the pixel map, so a pixel's score is its palette row's
-    score.
+    Returns read-only (N, P) ``scores``, clamped strictly inside (0, 1) even
+    when saturated (``scores[:, pixels.index]`` is the per-pixel mask stack),
+    and (N, C) ``logits`` from the (D, C) weight matrix ``class_head``.
     """
     q = queries.data
     if pixels.dim != queries.dim:
@@ -115,19 +73,31 @@ def decode_masks(
             f"class head must be (D, C) with D = {queries.dim}, got {head.shape}"
         )
     logits = np.einsum("nd,dc->nc", q, head)
-    return SoftMaskSet(scores=scores, class_logits=logits, pixels=pixels)
+    for arr in (scores, logits):
+        arr.setflags(write=False)
+    return scores, logits
 
 
-def semantic_inference(masks: SoftMaskSet) -> LabelMap:
-    """Fuse soft masks into one label map.
+def semantic_inference(
+    scores: np.ndarray, logits: np.ndarray, pixels: PixelEmbeddingMap
+) -> LabelMap:
+    """Fuse (N, P) soft masks and (N, C) class logits into one label map.
 
     Each pixel takes the class maximising sum_i softmax(logits_i)[c] *
     score_i; ties resolve to the lowest class index.  The vote runs once per
-    palette row and reaches the pixels through the index.
+    palette row of ``pixels`` and reaches the pixels through its index.
     """
-    probs = _softmax_rows(masks.class_logits)
-    votes = np.einsum("nc,np->cp", probs, masks.scores)
-    return LabelMap(np.argmax(votes, axis=0)[masks.pixels.index], masks.num_classes)
+    scores = np.asarray(scores, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
+    rows = pixels.palette.shape[0]
+    if scores.ndim != 2 or scores.shape[1] != rows:
+        raise ValueError(f"scores must be (N, P) with P = {rows}, got shape {scores.shape}")
+    if logits.ndim != 2 or logits.shape[0] != scores.shape[0]:
+        raise ValueError(f"logits must be (N, C) matching scores, got {logits.shape}")
+    if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(logits))):
+        raise ValueError("scores and logits must be finite")
+    votes = np.einsum("nc,np->cp", _softmax_rows(logits), scores)
+    return LabelMap(np.argmax(votes, axis=0)[pixels.index], logits.shape[1])
 
 
 def shift_with_matching(
@@ -164,6 +134,6 @@ def run_clip(
     head = class_head_for(scene) if class_head is None else class_head
     shifted = shift_with_matching(scene.queries, shift, alignment)
     return tuple(
-        semantic_inference(decode_masks(queries, pixels, head))
+        semantic_inference(*decode_masks(queries, pixels, head), pixels)
         for queries, pixels in zip(shifted.frames, scene.pixels)
     )

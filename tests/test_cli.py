@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -202,6 +203,27 @@ def test_run_writes_report_and_summary(scene_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "miou=1.000000" in out
     assert str(report_path) in out
+
+
+def test_run_report_json_field_names(tmp_path, capsys):
+    # one frame: no transition, so temporal consistency is undefined and written as null
+    spec = _write_json(tmp_path / "spec.json", _scene_spec(t_len=1))
+    scene = tmp_path / "scene"
+    assert main(["synth", "--spec", spec, "--out", str(scene)]) == 0
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/8"})
+    out = tmp_path / "r.json"
+    assert main(["run", "--scene", str(scene), "--config", cfg, "--out", str(out)]) == 0
+    assert "temporal_consistency=n/a" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert sorted(report) == [
+        "config",
+        "miou",
+        "pixel_accuracy",
+        "recovery",
+        "temporal_consistency",
+    ]
+    assert report["temporal_consistency"] is None
+    assert report["config"]["fraction"] == "1/8"
 
 
 def test_run_stdout_when_no_out(scene_dir, tmp_path, capsys):
@@ -673,6 +695,26 @@ def test_sweep_unwritable_out_fails_before_generating(tmp_path, capsys, scene_ca
     assert main(["sweep", "--spec", spec, "--out", str(out)]) == 2
     _assert_one_line_error(capsys, "grid.csv")
     assert scene_calls == []
+
+
+def test_sweep_builds_each_seed_spec_only_when_it_runs(tmp_path, capsys, monkeypatch):
+    # a failing first seed ends the sweep before the other 999 specs exist
+    built = []
+    replace = cli.dataclasses.replace
+
+    def counted_replace(obj, **changes):
+        built.append(changes)
+        return replace(obj, **changes)
+
+    def failing_seed(spec, shifts, matchings):
+        raise ValueError(f"seed {spec.seed} failed")
+
+    monkeypatch.setattr(cli, "dataclasses", types.SimpleNamespace(replace=counted_replace))
+    monkeypatch.setattr(cli, "_sweep_seed", failing_seed)
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=1000))
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv")]) == 2
+    _assert_one_line_error(capsys, "seed 0 failed")
+    assert built == [{"seed": 0}]
 
 
 def test_sweep_seed_column_tracks_repeats(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from queryshift.core import LabelMap
 from queryshift.metrics import (
-    EvalReport,
     accumulate,
     evaluate_clip,
     miou,
@@ -256,72 +254,44 @@ def test_consistency_rejects_a_mask_shaped_unlike_any_frame(odd_frame):
 
 
 # ---------------------------------------------------------------------------
-# EvalReport
+# evaluate_clip
 # ---------------------------------------------------------------------------
-
-
-def test_eval_report_json_field_names():
-    report = EvalReport(
-        miou=0.5,
-        pixel_accuracy=0.75,
-        temporal_consistency=None,
-        recovery=1.0,
-        config={"fraction": "1/8"},
-    )
-    data = json.loads(report.to_json())
-    assert sorted(data.keys()) == [
-        "config",
-        "miou",
-        "pixel_accuracy",
-        "recovery",
-        "temporal_consistency",
-    ]
-    assert data["temporal_consistency"] is None
-    assert data["config"] == {"fraction": "1/8"}
-
-
-def test_eval_report_range_validation():
-    with pytest.raises(ValueError):
-        EvalReport(1.5, 0.5, None, 0.5, {})
-    with pytest.raises(ValueError):
-        EvalReport(0.5, 0.5, -0.1, 0.5, {})
 
 
 def test_evaluate_clip_bundles_everything():
     gt = [_lmap([[0, 1]], 2), _lmap([[0, 1]], 2)]
     pred = [_lmap([[0, 1]], 2), _lmap([[0, 0]], 2)]
-    report = evaluate_clip(gt, pred, recovery=0.9, config={"x": 1})
+    scores = evaluate_clip(gt, pred)
+    assert sorted(scores) == ["miou", "pixel_accuracy", "temporal_consistency"]
     # confusion over both frames: gt (0,1,0,1), pred (0,1,0,0)
-    assert report.pixel_accuracy == pytest.approx(0.75, abs=1e-12)
+    assert scores["pixel_accuracy"] == pytest.approx(0.75, abs=1e-12)
     # IoU_0 = 2/3, IoU_1 = 1/2
-    assert report.miou == pytest.approx((2 / 3 + 1 / 2) / 2, abs=1e-12)
+    assert scores["miou"] == pytest.approx((2 / 3 + 1 / 2) / 2, abs=1e-12)
     # both pixels gt-static; pixel 1 flips -> 1/2
-    assert report.temporal_consistency == pytest.approx(0.5, abs=1e-12)
-    assert report.recovery == 0.9
+    assert scores["temporal_consistency"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_evaluate_clip_scores_consistency_on_globally_static_pixels():
     # three of four pixels keep their ground-truth class; only those count
     gt = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 2], [2, 2]], 3)]
     flip_moving = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 0], [2, 2]], 3)]
-    assert evaluate_clip(gt, flip_moving, 1.0, {}).temporal_consistency == 1.0
+    assert evaluate_clip(gt, flip_moving)["temporal_consistency"] == 1.0
     flip_static = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 1], [1, 2]], 3)]
-    assert evaluate_clip(gt, flip_static, 1.0, {}).temporal_consistency == 2 / 3
+    assert evaluate_clip(gt, flip_static)["temporal_consistency"] == 2 / 3
 
 
 def test_evaluate_clip_rejects_empty_and_mismatched_clips():
     frame = _lmap([[0, 1]], 2)
     with pytest.raises(ValueError, match="0 gt frames vs 0 predictions"):
-        evaluate_clip([], [], recovery=1.0, config={})
+        evaluate_clip([], [])
     with pytest.raises(ValueError, match="2 gt frames vs 1 predictions"):
-        evaluate_clip([frame, frame], [frame], recovery=1.0, config={})
+        evaluate_clip([frame, frame], [frame])
 
 
 def test_evaluate_clip_single_frame_has_null_consistency():
     gt = [_lmap([[0, 1]], 2)]
-    report = evaluate_clip(gt, gt, recovery=1.0, config={})
-    assert report.temporal_consistency is None
-    assert report.miou == 1.0
+    scores = evaluate_clip(gt, gt)
+    assert scores == {"miou": 1.0, "pixel_accuracy": 1.0, "temporal_consistency": None}
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +333,8 @@ def _reference_scores(gt, pred, c):
 
 
 def _clip_scores(gt, pred):
-    report = evaluate_clip(gt, pred, recovery=1.0, config={})
-    return report.miou, report.pixel_accuracy, report.temporal_consistency
+    scores = evaluate_clip(gt, pred)
+    return scores["miou"], scores["pixel_accuracy"], scores["temporal_consistency"]
 
 
 @pytest.mark.parametrize("c", range(1, 7))

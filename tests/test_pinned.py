@@ -10,11 +10,11 @@ say so in that commit.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 
 import pytest
 
-from queryshift.cli import main
 
 # the README scene, noiseless
 README_SCENE = {
@@ -80,6 +80,9 @@ def _write_json(path, payload) -> str:
 
 def outputs(case: str, tmp_path) -> dict:
     """Run synth, run, match and sweep (serial and --parallel 2); hash what they write."""
+    # looked up per call: a suite that re-imports queryshift leaves a stale module-level
+    # import, whose functions the --parallel sweep could not pickle
+    main = importlib.import_module("queryshift.cli").main
     scene, config, run_flags = CASES[case]
     spec = _write_json(tmp_path / "spec.json", scene)
     scene_dir = tmp_path / "scene"

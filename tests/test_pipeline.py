@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from queryshift.core import ClipQueryTensor, FrameQuerySet, PixelEmbeddingMap
 from queryshift.matching import ClipAlignment, align_clip
 from queryshift.pipeline import (
-    SoftMaskSet,
     _SCORE_CEIL,
     _SCORE_FLOOR,
     _sigmoid,
@@ -52,16 +51,17 @@ def _frame_pixels(data):
 def test_decode_orthogonal_gives_half():
     queries = FrameQuerySet(np.array([[1.0, 0.0], [0.0, 1.0]]))
     pixels = _frame_pixels(np.zeros((3, 4, 2)))
-    masks = decode_masks(queries, pixels, np.zeros((2, 5)))
-    assert np.all(masks.scores == 0.5)
-    assert masks.scores[:, masks.pixels.index].shape == (2, 3, 4)
+    scores, logits = decode_masks(queries, pixels, np.zeros((2, 5)))
+    assert np.all(scores == 0.5)
+    assert scores[:, pixels.index].shape == (2, 3, 4)
+    assert logits.shape == (2, 5)
 
 
 def test_decode_saturation():
     q = np.array([[2.0, 1.0]])  # norm^2 = 5
     pixels = _frame_pixels((4.0 * q).reshape(1, 1, 2))  # dot = 20
-    masks = decode_masks(FrameQuerySet(q), pixels, np.zeros((2, 1)))
-    s = masks.scores[:, masks.pixels.index][0, 0, 0]
+    scores, _ = decode_masks(FrameQuerySet(q), pixels, np.zeros((2, 1)))
+    s = scores[:, pixels.index][0, 0, 0]
     assert s > 1.0 - 1e-6
     assert s < 1.0  # clamped inside the open interval
 
@@ -69,9 +69,9 @@ def test_decode_saturation():
 def test_decode_never_leaves_open_interval():
     q = np.array([[1e4], [-1e4]])
     pixels = _frame_pixels(np.array([[[1.0]], [[-1.0]]]))
-    masks = decode_masks(FrameQuerySet(q), pixels, np.zeros((1, 3)))
-    assert np.all(masks.scores > 0.0)
-    assert np.all(masks.scores < 1.0)
+    scores, _ = decode_masks(FrameQuerySet(q), pixels, np.zeros((1, 3)))
+    assert np.all(scores > 0.0)
+    assert np.all(scores < 1.0)
 
 
 def test_decode_two_query_diagonal():
@@ -79,8 +79,8 @@ def test_decode_two_query_diagonal():
     b = np.array([0.6, 0.8, 0.0])
     queries = FrameQuerySet(np.stack([a, b]))
     pixels = _frame_pixels(np.stack([a, b]).reshape(2, 1, 3))
-    masks = decode_masks(queries, pixels, np.zeros((3, 2)))
-    scores = masks.scores[:, masks.pixels.index]
+    scores, _ = decode_masks(queries, pixels, np.zeros((3, 2)))
+    scores = scores[:, pixels.index]
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
     assert scores[0, 0, 0] == pytest.approx(sig1, abs=1e-12)
     assert scores[1, 1, 0] == pytest.approx(sig1, abs=1e-12)
@@ -94,10 +94,8 @@ def test_decode_matrix_head_is_linear_map():
     rng = np.random.default_rng(0)
     q = rng.standard_normal((4, 6))
     head = rng.standard_normal((6, 3))
-    masks = decode_masks(
-        FrameQuerySet(q), _frame_pixels(np.zeros((2, 2, 6))), head
-    )
-    assert np.allclose(masks.class_logits, q @ head, atol=1e-12)
+    _, logits = decode_masks(FrameQuerySet(q), _frame_pixels(np.zeros((2, 2, 6))), head)
+    assert np.allclose(logits, q @ head, atol=1e-12)
 
 
 def test_decode_dimension_mismatch():
@@ -115,19 +113,53 @@ def test_decode_dimension_mismatch():
         )
 
 
-def _per_pixel(scores, logits):
-    """A mask set holding one palette row per pixel of an (N, H, W) stack."""
+def test_decode_masks_returns_read_only_arrays():
+    queries = FrameQuerySet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    scores, logits = decode_masks(queries, _frame_pixels(np.ones((2, 3, 2))), np.ones((2, 4)))
+    assert (scores.shape, logits.shape) == ((2, 6), (2, 4))
+    for arr in (scores, logits):
+        assert arr.dtype == np.float64
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# soft mask set: the (scores, logits) pair semantic_inference votes over
+# ---------------------------------------------------------------------------
+
+
+def _vote(scores, logits):
+    """The labels of an (N, H, W) score stack over a map with one palette row per pixel."""
     n, h, w = np.shape(scores)
-    return SoftMaskSet(np.reshape(scores, (n, h * w)), logits, _frame_pixels(np.zeros((h, w, 1))))
+    pixels = _frame_pixels(np.zeros((h, w, 1)))
+    return semantic_inference(np.reshape(scores, (n, h * w)), logits, pixels)
 
 
 def test_soft_mask_set_validation():
-    with pytest.raises(ValueError):
-        _per_pixel(np.full((1, 1, 1), 1.0), np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        _per_pixel(np.full((1, 1, 1), 0.0), np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        _per_pixel(np.full((1, 1, 1), 0.5), np.full((1, 2), np.inf))
+    pixels = _frame_pixels(np.zeros((1, 2, 1)))
+    half = np.full((1, 2), 0.5)
+    # not 2-D
+    with pytest.raises(ValueError, match=r"scores must be \(N, P\)"):
+        semantic_inference(np.full((1, 1, 2), 0.5), np.zeros((1, 2)), pixels)
+    with pytest.raises(ValueError, match=r"scores must be \(N, P\)"):
+        semantic_inference(np.full(2, 0.5), np.zeros((1, 2)), pixels)
+    with pytest.raises(ValueError, match=r"logits must be \(N, C\)"):
+        semantic_inference(half, np.zeros(2), pixels)
+    with pytest.raises(ValueError, match=r"logits must be \(N, C\)"):
+        semantic_inference(half, np.zeros((1, 2, 1)), pixels)
+    # N differs between scores and logits
+    with pytest.raises(ValueError, match=r"logits must be \(N, C\) matching scores"):
+        semantic_inference(half, np.zeros((2, 2)), pixels)
+    # non-finite scores or logits
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            semantic_inference(np.array([[0.5, bad]]), np.zeros((1, 2)), pixels)
+        with pytest.raises(ValueError, match="finite"):
+            semantic_inference(half, np.array([[0.0, bad]]), pixels)
+    # the vote does not need scores inside (0, 1); decode_masks guarantees that itself
+    labels = semantic_inference(np.array([[0.0, 1.0]]), np.zeros((1, 2)), pixels)
+    assert labels.labels.tolist() == [[0, 0]]
 
 
 @pytest.mark.parametrize(
@@ -144,9 +176,9 @@ def test_soft_mask_set_validation():
     ids=["too_high", "negative", "float", "bool", "one_dim", "three_dim", "empty"],
 )
 def test_soft_mask_set_rejects_bad_index(index, match):
-    # the index is checked once, by the constructor of the map the masks hold
+    # the index is checked once, by the constructor of the map the masks are voted over
     with pytest.raises(ValueError, match=match):
-        SoftMaskSet(
+        semantic_inference(
             np.full((1, 2), 0.5), np.zeros((1, 2)), PixelEmbeddingMap(np.zeros((2, 1)), index)
         )
 
@@ -155,19 +187,7 @@ def test_soft_mask_set_rejects_scores_of_another_palette():
     pixels = PixelEmbeddingMap(np.zeros((2, 1)), [[0, 1]])
     for cols in (1, 3):
         with pytest.raises(ValueError, match=r"\(N, P\) with P = 2"):
-            SoftMaskSet(np.full((1, cols), 0.5), np.zeros((1, 2)), pixels)
-
-
-def test_soft_mask_set_freezes_copies():
-    scores, logits = np.full((1, 2), 0.5), np.zeros((1, 2))
-    pixels = PixelEmbeddingMap(np.zeros((2, 1)), [[1, 0]])
-    masks = SoftMaskSet(scores, logits, pixels)
-    scores[0, 0], logits[0, 0] = 0.25, 7.0
-    assert masks.scores.tolist() == [[0.5, 0.5]]
-    assert masks.class_logits.tolist() == [[0.0, 0.0]]
-    assert masks.pixels is pixels
-    for arr in (masks.scores, masks.class_logits):
-        assert not arr.flags.writeable
+            semantic_inference(np.full((1, cols), 0.5), np.zeros((1, 2)), pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +196,7 @@ def test_soft_mask_set_freezes_copies():
 
 
 def test_inference_single_query_single_class():
-    masks = _per_pixel(np.full((1, 2, 3), 0.7), np.zeros((1, 1)))
-    labels = semantic_inference(masks)
+    labels = _vote(np.full((1, 2, 3), 0.7), np.zeros((1, 1)))
     assert np.all(labels.labels == 0)
     assert labels.num_classes == 1
 
@@ -188,7 +207,7 @@ def test_inference_disjoint_saturated_masks():
     scores[0] = [[hi, hi, lo, lo], [hi, hi, lo, lo]]
     scores[1] = [[lo, lo, hi, hi], [lo, lo, hi, hi]]
     logits = np.array([[40.0, 0.0], [0.0, 40.0]])  # effectively one-hot
-    labels = semantic_inference(_per_pixel(scores, logits)).labels
+    labels = _vote(scores, logits).labels
     assert np.array_equal(labels, np.array([[0, 0, 1, 1], [0, 0, 1, 1]]))
 
 
@@ -210,18 +229,17 @@ def test_inference_hand_computed_2x2():
                 p0[c] * scores[0, h, w] + p1[c] * scores[1, h, w] for c in (0, 1)
             ]
             expected[h, w] = 0 if votes[0] >= votes[1] else 1
-    got = semantic_inference(_per_pixel(scores, logits)).labels
+    got = _vote(scores, logits).labels
     assert np.array_equal(got, expected)
     assert expected.tolist() == [[0, 1], [0, 1]]  # freeze the hand result
 
 
 def test_inference_tie_breaks_to_lowest_class():
-    masks = _per_pixel(np.full((1, 1, 2), 0.6), np.zeros((1, 3)))
-    assert np.all(semantic_inference(masks).labels == 0)
+    assert np.all(_vote(np.full((1, 1, 2), 0.6), np.zeros((1, 3))).labels == 0)
     # two queries voting symmetrically for classes 1 and 2
     scores = np.full((2, 1, 1), 0.5)
     logits = np.array([[0.0, 5.0, 0.0], [0.0, 0.0, 5.0]])
-    assert semantic_inference(_per_pixel(scores, logits)).labels[0, 0] == 1
+    assert _vote(scores, logits).labels[0, 0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +373,8 @@ def test_run_clip_fraction_zero_matches_frame_independent():
 
     head = class_head_for(scene)
     for t, pred in enumerate(preds):
-        masks = decode_masks(scene.queries.frames[t], scene.pixels[t], head)
-        solo = semantic_inference(masks)
+        pixels = scene.pixels[t]
+        solo = semantic_inference(*decode_masks(scene.queries.frames[t], pixels, head), pixels)
         assert np.array_equal(pred.labels, solo.labels)
 
 
@@ -433,10 +451,10 @@ def test_palette_decode_is_bit_identical_to_per_pixel(case):
     labels = run_clip(scene, shift, alignment)
     assert scene.pixels[0].palette.shape == (spec.n_tracks + 1, spec.dim)
     for queries, pixels, pred in zip(shifted.frames, scene.pixels, labels):
-        masks = decode_masks(queries, pixels, head)
+        scores, logits = decode_masks(queries, pixels, head)
         ref_scores, ref_labels = _per_pixel_decode(queries, pixels, head)
-        assert masks.scores[:, masks.pixels.index].tobytes() == ref_scores.tobytes()
-        assert np.array_equal(semantic_inference(masks).labels, ref_labels)
+        assert scores[:, pixels.index].tobytes() == ref_scores.tobytes()
+        assert np.array_equal(semantic_inference(scores, logits, pixels).labels, ref_labels)
         assert np.array_equal(pred.labels, ref_labels)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import io
 import re
@@ -31,8 +32,19 @@ def test_library_example_prints_its_comments():
     assert out.getvalue().splitlines() == promised
 
 
-def test_readme_names_every_public_name():
+def _span_names() -> list[str]:
     # an inline code span names what it starts with: `LabelMap(labels, num_classes)` names LabelMap
-    spans = re.findall(r"`([A-Za-z_]\w*)[^`\n]*`", README.read_text())
+    return re.findall(r"`([A-Za-z_]\w*)[^`\n]*`", README.read_text())
+
+
+def test_readme_names_every_public_name():
+    spans = _span_names()
     missing = [name for name in queryshift.__all__ if name != "__version__" and name not in spans]
     assert missing == []
+
+
+def test_readme_names_no_class_outside_the_public_api():
+    # catches the name of a class that was renamed or deleted
+    known = set(queryshift.__all__) | set(dir(builtins)) | {"Fraction", "NaN"}
+    stale = sorted({name for name in _span_names() if name[0].isupper() and name not in known})
+    assert stale == []
