@@ -25,7 +25,6 @@ from .core import (
 from .matching import (
     ClipAlignment,
     align_clip,
-    brute_force_match,
     cosine_similarity,
     optimal_match,
 )
@@ -34,10 +33,13 @@ from .metrics import (
     evaluate_clip,
     miou,
     pixel_accuracy,
+    score_rows,
+    tally_clip,
     temporal_consistency,
 )
 from .pipeline import (
     decode_masks,
+    row_labels,
     run_clip,
     semantic_inference,
     shift_with_matching,
@@ -75,7 +77,6 @@ __all__ = [
     "WrongMagicError",
     "accumulate",
     "align_clip",
-    "brute_force_match",
     "class_head_for",
     "cosine_similarity",
     "decode_masks",
@@ -90,10 +91,13 @@ __all__ = [
     "read_labelmap",
     "read_tensor",
     "recovery_rate",
+    "row_labels",
     "run_clip",
     "save_scene",
+    "score_rows",
     "semantic_inference",
     "shift_with_matching",
+    "tally_clip",
     "temporal_consistency",
     "write_labelmap",
     "write_tensor",

@@ -7,8 +7,8 @@ Subcommands:
 * ``match``  -- align a raw query tensor, emit the per-frame mappings as JSON
 * ``sweep``  -- run a fraction x matching grid over fresh scenes, emit CSV
 
-Exit codes: 0 success, 1 usage error, 2 broken input data or file format,
-3 infeasible scene spec.
+Exit codes: 0 success, 1 usage error, 2 broken input data or file format, or
+a request too large for memory, 3 infeasible scene spec.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 from .core import ClipQueryTensor, read_tensor
 from .matching import ClipAlignment, align_clip
-from .metrics import evaluate_clip
-from .pipeline import run_clip
+from .metrics import evaluate_clip, score_rows, tally_clip
+from .pipeline import row_labels, run_clip
 from .shift import BoundaryPolicy, ShiftConfig, plan_shift
 from .synth import (
     InfeasibleSceneError,
@@ -181,16 +181,16 @@ def _cmd_match(args) -> int:
 def _sweep_seed(
     spec: SceneSpec, shifts: list[ShiftConfig], matchings: list[bool]
 ) -> list[list[str]]:
-    """One seed: its scene, alignments and recoveries once, then one CSV row per cell."""
+    """One seed: scene, pixel tally, alignments and recoveries once, then a CSV row per cell."""
     scene = generate_scene(spec)
     head = class_head_for(scene)
+    tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels])
     alignments = {m: _alignment(scene.queries, m) for m in matchings}
     recoveries = {m: recovery_rate(a, scene) for m, a in alignments.items()}
     rows = []
     for shift in shifts:
         for matching in matchings:
-            preds = run_clip(scene, shift, alignments[matching], head)
-            scores = evaluate_clip(scene.gt_labels, preds)
+            scores = score_rows(tally, row_labels(scene, shift, alignments[matching], head))
             tc = scores["temporal_consistency"]
             rows.append([
                 str(shift.fraction),
@@ -268,7 +268,13 @@ def _cmd_sweep(args) -> int:
             per_seed = list(map(sweep_seed, specs))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                per_seed = list(pool.map(sweep_seed, specs))
+                # at most 2 * workers seeds wait in the pool, so a failing seed ends it early
+                per_seed, pending = [], []
+                for spec in specs:
+                    pending.append(pool.submit(sweep_seed, spec))
+                    if len(pending) == 2 * workers:
+                        per_seed.append(pending.pop(0).result())
+                per_seed += [future.result() for future in pending]
         # per_seed is seed-major; the CSV lists fraction, then matching, then seed
         rows = [row for cell in zip(*per_seed) for row in cell]
         f.writelines(",".join(row) + "\n" for row in rows)
@@ -331,8 +337,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleSceneError as exc:
         print(f"infeasible scene: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

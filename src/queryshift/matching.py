@@ -10,13 +10,11 @@ which places every query of every frame into a common "track" index space.
 The assignment is solved exactly with an O(N^3) shortest-augmenting-path
 Hungarian method on the cost matrix ``1 - sim``.  When several assignments
 tie (up to a small numerical tolerance), the lexicographically smallest
-mapping wins; a factorial-time reference solver with the same tie rule is
-kept alongside as an independent oracle for tests.
+mapping wins.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +25,12 @@ __all__ = [
     "ClipAlignment",
     "cosine_similarity",
     "optimal_match",
-    "brute_force_match",
     "align_clip",
 ]
 
 # Reduced costs this close to zero count as tight when enumerating the set of
 # optimal assignments.  Cosine costs live in [0, 2], so the scale is absolute.
 _TIGHT_TOL = 1e-9
-
-_BRUTE_FORCE_LIMIT = 9
 
 
 def _checked_similarity(sim: np.ndarray) -> np.ndarray:
@@ -201,35 +196,6 @@ def optimal_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     reduced = cost - u[:, None] - v[None, :]
     tight = [list(np.flatnonzero(reduced[i] <= _TIGHT_TOL)) for i in range(n)]
     return _matched(sim, _lex_smallest_tight_matching(tight, list(assignment)))
-
-
-def brute_force_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exhaustive reference matcher for N <= 9.
-
-    Walks permutations in lexicographic order keeping the first strict
-    maximum, which implements the same smallest-mapping tie rule as
-    :func:`optimal_match`.
-    """
-    sim = _checked_similarity(sim)
-    n = sim.shape[0]
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"brute force matching is capped at N <= {_BRUTE_FORCE_LIMIT}, got {n}"
-        )
-    perms = _perm_table(n)
-    totals = sim[np.arange(n), perms].sum(axis=1)
-    return _matched(sim, perms[int(np.argmax(totals))])  # first occurrence wins on ties
-
-
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perm_table(n: int) -> np.ndarray:
-    table = _PERM_CACHE.get(n)
-    if table is None:
-        table = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        _PERM_CACHE[n] = table
-    return table
 
 
 def _permutation_rows(what: str, rows, t_len: int, n: int) -> np.ndarray:

@@ -12,8 +12,8 @@ alignment (``align_clip`` or ``ClipAlignment.identity``), so one alignment
 serves every shift run on the same clip.
 
 Decode and vote pass plain arrays: ``decode_masks`` returns (N, P) mask
-scores and (N, C) class logits, and ``semantic_inference`` fuses them over
-the frame's pixel map into a ``LabelMap``.
+scores and (N, C) class logits, voted into a class per palette row, which
+``row_labels`` keeps and ``semantic_inference`` gathers into a ``LabelMap``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "decode_masks",
     "semantic_inference",
     "shift_with_matching",
+    "row_labels",
     "run_clip",
 ]
 
@@ -78,6 +79,22 @@ def decode_masks(
     return scores, logits
 
 
+def _vote(scores: np.ndarray, logits: np.ndarray, pixels: PixelEmbeddingMap) -> np.ndarray:
+    """The read-only (P,) class of each palette row; see ``semantic_inference``."""
+    rows = pixels.palette.shape[0]
+    scores = np.asarray(scores, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != rows:
+        raise ValueError(f"scores must be (N, P) with P = {rows}, got shape {scores.shape}")
+    if logits.ndim != 2 or logits.shape[0] != scores.shape[0]:
+        raise ValueError(f"logits must be (N, C) matching scores, got {logits.shape}")
+    if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(logits))):
+        raise ValueError("scores and logits must be finite")
+    labels = np.argmax(np.einsum("nc,np->cp", _softmax_rows(logits), scores), axis=0)
+    labels.setflags(write=False)
+    return labels
+
+
 def semantic_inference(
     scores: np.ndarray, logits: np.ndarray, pixels: PixelEmbeddingMap
 ) -> LabelMap:
@@ -87,17 +104,7 @@ def semantic_inference(
     score_i; ties resolve to the lowest class index.  The vote runs once per
     palette row of ``pixels`` and reaches the pixels through its index.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    logits = np.asarray(logits, dtype=np.float64)
-    rows = pixels.palette.shape[0]
-    if scores.ndim != 2 or scores.shape[1] != rows:
-        raise ValueError(f"scores must be (N, P) with P = {rows}, got shape {scores.shape}")
-    if logits.ndim != 2 or logits.shape[0] != scores.shape[0]:
-        raise ValueError(f"logits must be (N, C) matching scores, got {logits.shape}")
-    if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(logits))):
-        raise ValueError("scores and logits must be finite")
-    votes = np.einsum("nc,np->cp", _softmax_rows(logits), scores)
-    return LabelMap(np.argmax(votes, axis=0)[pixels.index], logits.shape[1])
+    return LabelMap(_vote(scores, logits, pixels)[pixels.index], np.shape(logits)[1])
 
 
 def shift_with_matching(
@@ -119,6 +126,18 @@ def shift_with_matching(
     np.put_along_axis(aligned, idx, clip.data, axis=1)
     shifted = feature_shift(ClipQueryTensor(aligned), shift)
     return ClipQueryTensor(np.take_along_axis(shifted.data, idx, axis=1))
+
+
+def row_labels(
+    scene: SceneClip,
+    shift: ShiftConfig,
+    alignment: ClipAlignment,
+    class_head: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """``run_clip`` before the gather: a read-only (P_t,) intp class per palette row."""
+    head = class_head_for(scene) if class_head is None else class_head
+    shifted = shift_with_matching(scene.queries, shift, alignment)
+    return tuple(_vote(*decode_masks(q, p, head), p) for q, p in zip(shifted.frames, scene.pixels))
 
 
 def run_clip(

@@ -23,7 +23,6 @@ from queryshift.cli import main
 from queryshift.matching import (
     ClipAlignment,
     align_clip,
-    brute_force_match,
     optimal_match,
 )
 from queryshift.core import ClipQueryTensor
@@ -37,6 +36,8 @@ from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, feature_shift, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, recovery_rate
 from queryshift.core import LabelMap
+
+from oracles import brute_force_match
 
 ZERO = BoundaryPolicy.ZERO_FILL
 HOLD = BoundaryPolicy.HOLD

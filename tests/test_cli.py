@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import struct
 import types
@@ -9,9 +10,9 @@ import types
 import numpy as np
 import pytest
 
-from queryshift import cli
+from queryshift import cli, pipeline
 from queryshift.cli import main
-from queryshift.core import ClipQueryTensor, write_tensor
+from queryshift.core import ClipQueryTensor, LabelMap, write_tensor
 
 CSV_HEADER = (
     "fraction,channels_shifted,matching,seed,"
@@ -121,6 +122,21 @@ def _assert_one_line_error(capsys, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 TiB for an array", ""])
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, message):
+    # a huge grid fails to allocate inside generate_scene; no real allocation here
+    def exhausted(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate_scene", exhausted)
+    scene = _scene_spec(grid=[100000, 100000])
+    payload = scene if command == "synth" else {"scene": scene}
+    spec = _write_json(tmp_path / "spec.json", payload)
+    assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, message or "MemoryError")
 
 
 @pytest.mark.parametrize(
@@ -610,6 +626,29 @@ def test_sweep_parallel_equals_serial(tmp_path, capsys):
     assert serial.read_bytes() == par.read_bytes()
 
 
+def test_sweep_builds_no_predicted_label_map(tmp_path, capsys, monkeypatch):
+    # cells are scored over palette rows: the only label maps are each scene's gt frames
+    maps, votes = [], []
+    post_init = LabelMap.__post_init__
+    inference = pipeline.semantic_inference
+
+    def counted_post_init(self):
+        maps.append(self)
+        post_init(self)
+
+    def counted_inference(*args):
+        votes.append(args)
+        return inference(*args)
+
+    monkeypatch.setattr(LabelMap, "__post_init__", counted_post_init)
+    monkeypatch.setattr(pipeline, "semantic_inference", counted_inference)
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=2))
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv")]) == 0
+    capsys.readouterr()
+    assert len(maps) == 2 * 3  # repeats x t_len gt frames
+    assert votes == []
+
+
 def test_sweep_generates_each_seed_once(tmp_path, capsys, scene_calls):
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=3))
     out = tmp_path / "grid.csv"
@@ -649,7 +688,7 @@ def test_sweep_one_seed_runs_in_process(tmp_path, capsys, scene_calls):
 
 @pytest.fixture()
 def pool_sizes(monkeypatch):
-    """The ``max_workers`` of every pool the sweep opens; the pool maps in-process."""
+    """The ``max_workers`` of every pool the sweep opens; the pool runs in-process."""
     sizes = []
 
     class InProcessPool:
@@ -662,8 +701,18 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            # like Executor.map: every item is submitted before the first result is taken
+            futures = [self.submit(fn, *args) for args in zip(*iterables)]
+            return (future.result() for future in futures)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     return sizes
@@ -715,6 +764,33 @@ def test_sweep_builds_each_seed_spec_only_when_it_runs(tmp_path, capsys, monkeyp
     assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv")]) == 2
     _assert_one_line_error(capsys, "seed 0 failed")
     assert built == [{"seed": 0}]
+
+
+def test_parallel_sweep_submits_a_bounded_window_of_seeds(
+    tmp_path, capsys, monkeypatch, pool_sizes
+):
+    # two workers keep at most four seeds submitted; the failing first seed ends the sweep
+    built = []
+    replace = cli.dataclasses.replace
+
+    def counted_replace(obj, **changes):
+        built.append(changes)
+        return replace(obj, **changes)
+
+    def failing_seed(spec, shifts, matchings):
+        if spec.seed == 0:
+            raise ValueError(f"seed {spec.seed} failed")
+        return []
+
+    monkeypatch.setattr(cli, "dataclasses", types.SimpleNamespace(replace=counted_replace))
+    monkeypatch.setattr(cli, "_sweep_seed", failing_seed)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=1000))
+    args = ["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv"), "--parallel", "2"]
+    assert main(args) == 2
+    _assert_one_line_error(capsys, "seed 0 failed")
+    assert pool_sizes == [2]
+    assert 1 <= len(built) <= 4
 
 
 def test_sweep_seed_column_tracks_repeats(tmp_path, capsys):

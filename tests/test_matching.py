@@ -13,10 +13,11 @@ from queryshift.core import ClipQueryTensor, FrameQuerySet
 from queryshift.matching import (
     ClipAlignment,
     align_clip,
-    brute_force_match,
     cosine_similarity,
     optimal_match,
 )
+
+from oracles import brute_force_match
 
 
 def _frame(rows):

@@ -3,18 +3,27 @@
 from __future__ import annotations
 
 import random
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queryshift.core import LabelMap
+from queryshift.matching import ClipAlignment, align_clip
 from queryshift.metrics import (
     accumulate,
     evaluate_clip,
     miou,
     pixel_accuracy,
+    score_rows,
+    tally_clip,
     temporal_consistency,
 )
+from queryshift.pipeline import row_labels, run_clip
+from queryshift.shift import BoundaryPolicy, plan_shift
+from queryshift.synth import SceneSpec, generate_scene, load_scene, save_scene
 
 
 def _lmap(values, c):
@@ -368,3 +377,163 @@ def test_evaluate_clip_with_every_pixel_static_equals_per_pixel_loops():
     gt = [_lmap(rng.integers(0, 4, size=(6, 3)), 4)] * 5
     pred = [_lmap(rng.integers(0, 4, size=(6, 3)), 4) for _ in range(5)]
     assert _clip_scores(gt, pred) == _reference_scores(gt, pred, 4)
+
+
+# ---------------------------------------------------------------------------
+# tally_clip / score_rows
+# ---------------------------------------------------------------------------
+
+
+def _per_pixel_scores(gt, preds):
+    """The scores from per-frame ``accumulate`` and one ``temporal_consistency`` call."""
+    c = gt[0].num_classes
+    counts = _zeros(c)
+    for g, p in zip(gt, preds):
+        counts = accumulate(counts, p, g)
+    static = np.logical_and.reduce([g.labels == gt[0].labels for g in gt])
+    tc = temporal_consistency(preds, static) if len(gt) > 1 and static.any() else None
+    return {"miou": miou(counts), "pixel_accuracy": pixel_accuracy(counts), "temporal_consistency": tc}
+
+
+def _small_tally():
+    # frame 0 uses rows 0..2 of its palette, frame 1 rows 0..1
+    gt = [_lmap([[0, 1], [1, 1]], 2), _lmap([[0, 1], [0, 1]], 2)]
+    return tally_clip(gt, [np.array([[0, 1], [2, 2]]), np.array([[1, 0], [0, 1]])])
+
+
+def test_score_rows_hand_example():
+    tally = _small_tally()
+    assert tally[:3] == (2, (3, 2), 3)  # classes, rows used per frame, static pixels
+    # frame 0 predicts [[0, 1], [1, 1]], frame 1 [[1, 0], [0, 1]]
+    scores = score_rows(tally, [np.array([0, 1, 1]), np.array([0, 1])])
+    gt = [_lmap([[0, 1], [1, 1]], 2), _lmap([[0, 1], [0, 1]], 2)]
+    preds = [_lmap([[0, 1], [1, 1]], 2), _lmap([[1, 0], [0, 1]], 2)]
+    assert scores == _per_pixel_scores(gt, preds)
+    assert scores["pixel_accuracy"] == 6 / 8
+    assert scores["temporal_consistency"] == 1 / 3  # of the 3 static pixels only (1, 1) keeps 1
+
+
+def test_score_rows_ignores_rows_no_pixel_uses():
+    tally = _small_tally()
+    base = score_rows(tally, [np.array([0, 1, 1]), np.array([0, 1])])
+    longer = score_rows(tally, [np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)])
+    assert longer == base
+
+
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        ([np.array([0, 1, 1])], "1 frames of row labels vs 2 tallied"),
+        ([np.array([0, 1, 1])] * 3, "3 frames of row labels vs 2 tallied"),
+        ([np.array([0, 1]), np.array([0, 1])], "frame 0: .*at least 3 of them"),
+        ([np.array([0, 1, 1]), np.array([0])], "frame 1: .*at least 2 of them"),
+        ([np.array([[0, 1, 1]]), np.array([0, 1])], "frame 0: .*1-D"),
+        ([np.array([0.0, 1.0, 1.0]), np.array([0, 1])], "frame 0: .*integers"),
+        ([np.array([0, 1, 1]), np.array([True, False])], "frame 1: .*integers"),
+        ([np.array([0, 1, 2]), np.array([0, 1])], r"must lie in \[0, 2\)"),
+        ([np.array([0, 1, 1]), np.array([-1, 1])], r"must lie in \[0, 2\)"),
+    ],
+    ids=["too_few_frames", "too_many_frames", "short_frame_0", "short_frame_1", "two_d",
+         "float", "bool", "class_too_high", "negative"],
+)
+def test_score_rows_rejects_bad_row_labels(labels, match):
+    with pytest.raises(ValueError, match=match):
+        score_rows(_small_tally(), labels)
+
+
+def test_tally_clip_rejects_mismatched_indexes():
+    gt = [_lmap([[0, 1], [1, 1]], 2)] * 2
+    index = np.zeros((2, 2), dtype=np.intp)
+    with pytest.raises(ValueError, match="2 gt frames vs 1 indexes"):
+        tally_clip(gt, [index])
+    with pytest.raises(ValueError, match="0 gt frames vs 0 indexes"):
+        tally_clip([], [])
+    for bad in (np.zeros((2, 3), dtype=np.intp), np.zeros(4, dtype=np.intp),
+                np.zeros((2, 2)), np.full((2, 2), -1)):
+        with pytest.raises(ValueError, match=r"is not a row grid like \(2, 2\)"):
+            tally_clip(gt, [index, bad])
+    with pytest.raises(ValueError, match="class count mismatch"):
+        tally_clip([gt[0], _lmap([[0, 1], [1, 1]], 3)], [index, index])
+
+
+def test_tally_counts_by_clip_row():
+    _, _, _, counts, pairs = _small_tally()
+    # columns (row, gt class, pixels); frame 1's rows 0 and 1 are clip rows 3 and 4
+    assert counts.tolist() == [[0, 1, 2, 3, 3, 4, 4], [0, 1, 1, 0, 1, 0, 1], [1, 1, 2, 1, 1, 1, 1]]
+    # columns (row, next frame's row, static pixels)
+    assert pairs.tolist() == [[0, 1, 2], [4, 3, 4], [1, 1, 1]]
+    for arr in (counts, pairs):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+
+
+@st.composite
+def _hand_clips(draw):
+    """Frames with palettes of different sizes, random row labels, chosen static pixels."""
+    t_len = draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    c = draw(st.integers(1, 4))
+    static = draw(st.sampled_from(["some", "none", "all"] if c > 1 and t_len > 1 else ["all"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = rng.integers(0, c, size=(h, w))
+    if static == "all":
+        gt = [first] * t_len
+    elif static == "none":
+        gt = [(first + t) % c for t in range(t_len)]
+    else:
+        gt = [np.where(rng.random((h, w)) < 0.3, rng.integers(0, c, size=(h, w)), first)
+              for _ in range(t_len)]
+    sizes = [draw(st.integers(1, 7)) for _ in range(t_len)]
+    indexes = [rng.integers(0, p, size=(h, w)) for p in sizes]
+    rows = [rng.integers(0, c, size=p + draw(st.integers(0, 2))) for p in sizes]
+    return [_lmap(g, c) for g in gt], indexes, rows
+
+
+@given(_hand_clips())
+@settings(max_examples=150, deadline=None)
+def test_score_rows_equals_per_pixel_scores_on_hand_built_clips(clip):
+    gt, indexes, rows = clip
+    c = gt[0].num_classes
+    preds = [_lmap(r[index], c) for r, index in zip(rows, indexes)]
+    scores = score_rows(tally_clip(gt, indexes), rows)
+    assert scores == evaluate_clip(gt, preds) == _per_pixel_scores(gt, preds)
+
+
+@st.composite
+def _scene_cases(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, k + 3))  # n > k: surplus queries
+    spec = SceneSpec(
+        t_len=draw(st.integers(1, 4)),
+        n_tracks=k,
+        n_queries=n,
+        dim=draw(st.sampled_from(sorted({n, n + 5, 16, 64}))),
+        num_classes=draw(st.integers(1, k + 1)),
+        grid=(draw(st.integers(1, 16)), draw(st.integers(1, 16))),
+        noise_sigma=draw(st.sampled_from([0.0, 0.3])),
+        permute_per_frame=draw(st.booleans()),
+        motion=draw(st.integers(0, 2)),  # motion 0 keeps every pixel static
+        seed=draw(st.integers(0, 2**32)),
+    )
+    boundary = draw(st.sampled_from(list(BoundaryPolicy)))
+    shift = plan_shift(draw(st.sampled_from(["0", "1/8", "1/4", "1/2"])), spec.dim, boundary)
+    return spec, shift, draw(st.booleans()), draw(st.booleans())
+
+
+@given(_scene_cases())
+@settings(max_examples=120, deadline=None)
+def test_score_rows_equals_per_pixel_scores_on_scenes(case):
+    spec, shift, matching, loaded = case
+    scene = generate_scene(spec)
+    if loaded:  # one palette row per pixel
+        with tempfile.TemporaryDirectory() as tmp:
+            save_scene(scene, tmp)
+            scene = load_scene(tmp)
+    q = scene.queries
+    alignment = align_clip(q) if matching else ClipAlignment.identity(q.t_len, q.n_queries)
+    tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels])
+    rows = row_labels(scene, shift, alignment)
+    preds = run_clip(scene, shift, alignment)
+    for r, pixels, pred in zip(rows, scene.pixels, preds):
+        assert np.array_equal(r[pixels.index], pred.labels)
+    scores = score_rows(tally, rows)
+    assert scores == evaluate_clip(scene.gt_labels, preds) == _per_pixel_scores(scene.gt_labels, preds)

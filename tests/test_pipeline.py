@@ -18,6 +18,7 @@ from queryshift.pipeline import (
     _sigmoid,
     _softmax_rows,
     decode_masks,
+    row_labels,
     run_clip,
     semantic_inference,
     shift_with_matching,
@@ -376,6 +377,25 @@ def test_run_clip_fraction_zero_matches_frame_independent():
         pixels = scene.pixels[t]
         solo = semantic_inference(*decode_masks(scene.queries.frames[t], pixels, head), pixels)
         assert np.array_equal(pred.labels, solo.labels)
+
+
+def test_row_labels_are_read_only_votes_per_palette_row():
+    scene = _scene(n_tracks=3, n_queries=5, num_classes=4, noise_sigma=0.3)
+    shift = _shift("1/4", 64, HOLD)
+    alignment = align_clip(scene.queries)
+    rows = row_labels(scene, shift, alignment)
+    head = class_head_for(scene)
+    shifted = shift_with_matching(scene.queries, shift, alignment)
+    assert len(rows) == scene.spec.t_len
+    for r, queries, pixels in zip(rows, shifted.frames, scene.pixels):
+        assert r.dtype == np.intp and r.shape == (pixels.palette.shape[0],)
+        assert not r.flags.writeable
+        solo = semantic_inference(*decode_masks(queries, pixels, head), pixels)
+        assert np.array_equal(r[pixels.index], solo.labels)
+    reversed_head = head[:, ::-1]  # a caller's head replaces the scene's
+    own = row_labels(scene, shift, alignment, reversed_head)
+    for r, pixels, pred in zip(own, scene.pixels, run_clip(scene, shift, alignment, reversed_head)):
+        assert np.array_equal(r[pixels.index], pred.labels)
 
 
 def test_run_clip_identity_permutations_matching_irrelevant():
