@@ -28,22 +28,8 @@ from .matching import (
     cosine_similarity,
     optimal_match,
 )
-from .metrics import (
-    accumulate,
-    evaluate_clip,
-    miou,
-    pixel_accuracy,
-    score_rows,
-    tally_clip,
-    temporal_consistency,
-)
-from .pipeline import (
-    decode_masks,
-    row_labels,
-    run_clip,
-    semantic_inference,
-    shift_with_matching,
-)
+from .metrics import evaluate_clip, miou, pixel_accuracy, tally_clip
+from .pipeline import decode_masks, run_clip, semantic_inference, shift_with_matching
 from .rng import Rng
 from .shift import BoundaryPolicy, ShiftConfig, feature_shift, plan_shift
 from .synth import (
@@ -75,7 +61,6 @@ __all__ = [
     "TensorFormatError",
     "TruncatedTensorError",
     "WrongMagicError",
-    "accumulate",
     "align_clip",
     "class_head_for",
     "cosine_similarity",
@@ -91,14 +76,11 @@ __all__ = [
     "read_labelmap",
     "read_tensor",
     "recovery_rate",
-    "row_labels",
     "run_clip",
     "save_scene",
-    "score_rows",
     "semantic_inference",
     "shift_with_matching",
     "tally_clip",
-    "temporal_consistency",
     "write_labelmap",
     "write_tensor",
     "__version__",

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 from .core import ClipQueryTensor, read_tensor
 from .matching import ClipAlignment, align_clip
-from .metrics import evaluate_clip, score_rows, tally_clip
-from .pipeline import row_labels, run_clip
+from .metrics import evaluate_clip, tally_clip
+from .pipeline import run_clip
 from .shift import BoundaryPolicy, ShiftConfig, plan_shift
 from .synth import (
     InfeasibleSceneError,
@@ -142,7 +142,8 @@ def _cmd_run(args) -> int:
         cfg["boundary"] = args.boundary
     shift, matching = _pipeline_config(cfg, scene.spec.dim)
     alignment = _alignment(scene.queries, matching)
-    preds = run_clip(scene, shift, alignment)
+    tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels])
+    scores = evaluate_clip(tally, run_clip(scene, shift, alignment))
     recovery = recovery_rate(alignment, scene)
     echo = {
         "scene": scene.spec.to_dict(),
@@ -151,7 +152,6 @@ def _cmd_run(args) -> int:
         "boundary": shift.boundary.value,
         "matching": matching,
     }
-    scores = evaluate_clip(scene.gt_labels, preds)
     report = scores | {"recovery": recovery, "config": echo}
     _write_text(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
     if args.out is not None:
@@ -190,7 +190,7 @@ def _sweep_seed(
     rows = []
     for shift in shifts:
         for matching in matchings:
-            scores = score_rows(tally, row_labels(scene, shift, alignments[matching], head))
+            scores = evaluate_clip(tally, run_clip(scene, shift, alignments[matching], head))
             tc = scores["temporal_consistency"]
             rows.append([
                 str(shift.fraction),

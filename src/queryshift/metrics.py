@@ -6,9 +6,14 @@ Confusion rows are ground truth, columns are prediction.  mIoU averages
 intersection-over-union over the classes that appear in ground truth or
 prediction at least once; classes absent from both are excluded rather than
 counted as IoU 1 (or 0), so padding the class space does not move the score.
-Temporal consistency is measured on pixels flagged static by a caller-supplied
-mask: over every static pixel and every pair of consecutive frames, the
-fraction whose predicted label did not change across that transition.
+Temporal consistency is measured on the static pixels, those whose ground
+truth class never changes over the clip: over every static pixel and every
+pair of consecutive frames, the fraction whose predicted label did not change
+across that transition.
+
+A clip is scored over palette rows: ``tally_clip`` counts its pixels once,
+and ``evaluate_clip`` scores a prediction of one class per palette row from
+those counts alone.
 """
 
 from __future__ import annotations
@@ -19,15 +24,7 @@ import numpy as np
 
 from .core import LabelMap
 
-__all__ = [
-    "accumulate",
-    "miou",
-    "pixel_accuracy",
-    "temporal_consistency",
-    "tally_clip",
-    "score_rows",
-    "evaluate_clip",
-]
+__all__ = ["miou", "pixel_accuracy", "tally_clip", "evaluate_clip"]
 
 
 def _checked_counts(counts: np.ndarray) -> np.ndarray:
@@ -40,20 +37,6 @@ def _checked_counts(counts: np.ndarray) -> np.ndarray:
     if np.any(counts < 0):
         raise ValueError("confusion counts must be non-negative")
     return counts
-
-
-def accumulate(counts: np.ndarray, pred: LabelMap, gt: LabelMap) -> np.ndarray:
-    """A new (C, C) int64 array: ``counts`` [gt, pred] plus one frame's pairs."""
-    counts = _checked_counts(counts)
-    if gt.shape != pred.shape:
-        raise ValueError(f"label shape mismatch: {gt.shape} vs {pred.shape}")
-    c = counts.shape[0]
-    if gt.num_classes != c or pred.num_classes != c:
-        raise ValueError("class count mismatch between labels and confusion counts")
-    joint = gt.labels.reshape(-1) * c + pred.labels.reshape(-1)
-    added = np.bincount(joint, minlength=c * c).reshape(c, c)
-    added += counts
-    return added
 
 
 def miou(counts: np.ndarray) -> float:
@@ -73,26 +56,6 @@ def pixel_accuracy(counts: np.ndarray) -> float:
     if total == 0:
         raise ValueError("pixel accuracy undefined on empty confusion counts")
     return float(np.trace(counts) / total)
-
-
-def temporal_consistency(preds: Sequence[LabelMap], static: np.ndarray) -> float:
-    """Label-stability rate on static pixels across consecutive frames.
-
-    ``static`` is one (H, W) mask.  Each static pixel counts once per
-    transition t -> t+1, as consistent if its predicted label is equal in
-    both frames.
-    """
-    if len(preds) < 2:
-        raise ValueError("temporal consistency needs at least two frames")
-    static = np.asarray(static, dtype=bool)
-    shapes = {pred.shape for pred in preds}
-    if shapes != {static.shape}:
-        raise ValueError(f"static mask shape {static.shape} != label shape(s) {sorted(shapes)}")
-    total = int(static.sum()) * (len(preds) - 1)
-    if total == 0:
-        raise ValueError("temporal consistency undefined: no static pixel pairs")
-    same = sum(int(((a.labels == b.labels) & static).sum()) for a, b in zip(preds, preds[1:]))
-    return same / total
 
 
 def tally_clip(gt_labels: Sequence[LabelMap], indexes: Sequence[np.ndarray]) -> tuple:
@@ -131,11 +94,13 @@ def tally_clip(gt_labels: Sequence[LabelMap], indexes: Sequence[np.ndarray]) -> 
     return c, tuple(used), int(static.sum()), counts, pairs
 
 
-def score_rows(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, float | None]:
-    """Score ``row_labels[t]``, a 1-D integer class per palette row of frame t.
+def evaluate_clip(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, float | None]:
+    """Score a prediction of the clip counted in ``tally`` (from ``tally_clip``).
 
-    Reads only the rows frame t uses.  Returns ``{"miou", "pixel_accuracy",
-    "temporal_consistency"}``, the last None unless T > 1 and a pixel is static.
+    ``row_labels[t]`` is a 1-D integer class per palette row of frame t, as
+    ``run_clip`` returns; only the rows frame t uses are read.  Returns
+    ``{"miou", "pixel_accuracy", "temporal_consistency"}``, the last None
+    unless T > 1 and a pixel is static.
     """
     c, used, static, counts, pairs = tally
     if len(row_labels) != len(used):
@@ -153,16 +118,3 @@ def score_rows(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, floa
     same = int(kept[flat[a] == flat[b]].sum())
     tc = same / (static * (len(used) - 1)) if len(used) > 1 and static else None
     return {"miou": miou(joint), "pixel_accuracy": pixel_accuracy(joint), "temporal_consistency": tc}
-
-
-def evaluate_clip(
-    gt_labels: Sequence[LabelMap], pred_labels: Sequence[LabelMap]
-) -> dict[str, float | None]:
-    """``score_rows`` of per-pixel predictions: each frame's labels index rows 0..C-1."""
-    if len(gt_labels) != len(pred_labels) or not gt_labels:
-        raise ValueError(f"{len(gt_labels)} gt frames vs {len(pred_labels)} predictions")
-    c = gt_labels[0].num_classes
-    if any(pred.num_classes != c for pred in pred_labels):
-        raise ValueError("class count mismatch between gt and predicted labels")
-    tally = tally_clip(gt_labels, [pred.labels for pred in pred_labels])
-    return score_rows(tally, [np.arange(c)] * len(pred_labels))

@@ -12,15 +12,16 @@ alignment (``align_clip`` or ``ClipAlignment.identity``), so one alignment
 serves every shift run on the same clip.
 
 Decode and vote pass plain arrays: ``decode_masks`` returns (N, P) mask
-scores and (N, C) class logits, voted into a class per palette row, which
-``row_labels`` keeps and ``semantic_inference`` gathers into a ``LabelMap``.
+scores and (N, C) class logits, and ``semantic_inference`` votes them into a
+class per palette row.  No per-pixel label map is built; ``rows[pixels.index]``
+is one when a caller needs it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ClipQueryTensor, FrameQuerySet, LabelMap, PixelEmbeddingMap
+from .core import ClipQueryTensor, FrameQuerySet, PixelEmbeddingMap
 from .matching import ClipAlignment
 from .shift import ShiftConfig, feature_shift
 from .synth import SceneClip, class_head_for
@@ -29,7 +30,6 @@ __all__ = [
     "decode_masks",
     "semantic_inference",
     "shift_with_matching",
-    "row_labels",
     "run_clip",
 ]
 
@@ -79,13 +79,17 @@ def decode_masks(
     return scores, logits
 
 
-def _vote(scores: np.ndarray, logits: np.ndarray, pixels: PixelEmbeddingMap) -> np.ndarray:
-    """The read-only (P,) class of each palette row; see ``semantic_inference``."""
-    rows = pixels.palette.shape[0]
+def semantic_inference(scores: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Fuse (N, P) soft masks and (N, C) class logits into a class per palette row.
+
+    Returns a read-only (P,) intp array: row p takes the class maximising
+    sum_i softmax(logits_i)[c] * scores[i, p]; ties resolve to the lowest
+    class index.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] != rows:
-        raise ValueError(f"scores must be (N, P) with P = {rows}, got shape {scores.shape}")
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be (N, P), got shape {scores.shape}")
     if logits.ndim != 2 or logits.shape[0] != scores.shape[0]:
         raise ValueError(f"logits must be (N, C) matching scores, got {logits.shape}")
     if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(logits))):
@@ -93,18 +97,6 @@ def _vote(scores: np.ndarray, logits: np.ndarray, pixels: PixelEmbeddingMap) -> 
     labels = np.argmax(np.einsum("nc,np->cp", _softmax_rows(logits), scores), axis=0)
     labels.setflags(write=False)
     return labels
-
-
-def semantic_inference(
-    scores: np.ndarray, logits: np.ndarray, pixels: PixelEmbeddingMap
-) -> LabelMap:
-    """Fuse (N, P) soft masks and (N, C) class logits into one label map.
-
-    Each pixel takes the class maximising sum_i softmax(logits_i)[c] *
-    score_i; ties resolve to the lowest class index.  The vote runs once per
-    palette row of ``pixels`` and reaches the pixels through its index.
-    """
-    return LabelMap(_vote(scores, logits, pixels)[pixels.index], np.shape(logits)[1])
 
 
 def shift_with_matching(
@@ -128,31 +120,20 @@ def shift_with_matching(
     return ClipQueryTensor(np.take_along_axis(shifted.data, idx, axis=1))
 
 
-def row_labels(
-    scene: SceneClip,
-    shift: ShiftConfig,
-    alignment: ClipAlignment,
-    class_head: np.ndarray | None = None,
-) -> tuple[np.ndarray, ...]:
-    """``run_clip`` before the gather: a read-only (P_t,) intp class per palette row."""
-    head = class_head_for(scene) if class_head is None else class_head
-    shifted = shift_with_matching(scene.queries, shift, alignment)
-    return tuple(_vote(*decode_masks(q, p, head), p) for q, p in zip(shifted.frames, scene.pixels))
-
-
 def run_clip(
     scene: SceneClip,
     shift: ShiftConfig,
     alignment: ClipAlignment,
     class_head: np.ndarray | None = None,
-) -> tuple[LabelMap, ...]:
-    """Process a scene end to end and return per-frame predicted labels.
+) -> tuple[np.ndarray, ...]:
+    """Process a scene end to end: a read-only (P_t,) intp class per palette row of frame t.
 
+    ``rows[t][scene.pixels[t].index]`` is frame t's per-pixel prediction.
     ``class_head`` defaults to the head derived from the scene's prototypes.
     """
     head = class_head_for(scene) if class_head is None else class_head
     shifted = shift_with_matching(scene.queries, shift, alignment)
     return tuple(
-        semantic_inference(*decode_masks(queries, pixels, head), pixels)
+        semantic_inference(*decode_masks(queries, pixels, head))
         for queries, pixels in zip(shifted.frames, scene.pixels)
     )

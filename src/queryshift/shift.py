@@ -18,6 +18,7 @@ last) have no source frame.  Two policies are supported:
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ import numpy as np
 from .core import ClipQueryTensor
 
 __all__ = ["BoundaryPolicy", "ShiftConfig", "plan_shift", "feature_shift"]
+
+_FRACTION_LIMIT = 1000  # characters of a fraction's text, and its |decimal exponent|
 
 
 class BoundaryPolicy(enum.Enum):
@@ -77,8 +80,17 @@ def plan_shift(
     fraction 1/128 at dim 256 gives one channel each way, and any fraction
     below 2/dim degenerates to a no-op shift.
     """
+    text = str(fraction)
+    # Fraction computes 10**exponent; the limit keeps that fast and every
+    # accepted value printable (Python prints ints of up to 4,300 digits)
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
+    if len(text) > _FRACTION_LIMIT or (exponent and abs(int(exponent[1])) > _FRACTION_LIMIT):
+        raise ValueError(
+            f"bad shift fraction {text[:40]!r}: over {_FRACTION_LIMIT} characters "
+            f"or a decimal exponent beyond ±{_FRACTION_LIMIT}"
+        )
     try:
-        frac = Fraction(str(fraction))
+        frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad shift fraction {fraction!r}: {exc}") from None
     return ShiftConfig(frac, dim, boundary)

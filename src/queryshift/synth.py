@@ -413,7 +413,8 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
     if spec.noise_sigma > 0.0:
         # one draw, in (frame, query, channel) order
         noise = np.asarray(rng.gauss_vector(t_len * n * d)).reshape(t_len, n, d)
-        frames = frames + spec.noise_sigma * noise
+        with np.errstate(over="ignore"):  # an overflow is caught by the clip's finite scan
+            frames = frames + spec.noise_sigma * noise
 
     # index[t, y, x]: palette row of a pixel, 0 for background, 1 + k for track k
     rh = max(1, h // 5)

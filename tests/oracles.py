@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import Sequence
 
 import numpy as np
 
+from queryshift.core import LabelMap
 from queryshift.matching import _checked_similarity, _matched
+from queryshift.metrics import _checked_counts
 
 _BRUTE_FORCE_LIMIT = 9
 
@@ -31,3 +34,37 @@ def brute_force_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     perms = _perm_table(n)
     totals = sim[np.arange(n), perms].sum(axis=1)
     return _matched(sim, perms[int(np.argmax(totals))])  # first occurrence wins on ties
+
+
+def accumulate(counts: np.ndarray, pred: LabelMap, gt: LabelMap) -> np.ndarray:
+    """A new (C, C) int64 array: ``counts`` [gt, pred] plus one frame's pairs."""
+    counts = _checked_counts(counts)
+    if gt.shape != pred.shape:
+        raise ValueError(f"label shape mismatch: {gt.shape} vs {pred.shape}")
+    c = counts.shape[0]
+    if gt.num_classes != c or pred.num_classes != c:
+        raise ValueError("class count mismatch between labels and confusion counts")
+    joint = gt.labels.reshape(-1) * c + pred.labels.reshape(-1)
+    added = np.bincount(joint, minlength=c * c).reshape(c, c)
+    added += counts
+    return added
+
+
+def temporal_consistency(preds: Sequence[LabelMap], static: np.ndarray) -> float:
+    """Label-stability rate on static pixels across consecutive frames.
+
+    ``static`` is one (H, W) mask.  Each static pixel counts once per
+    transition t -> t+1, as consistent if its predicted label is equal in
+    both frames.
+    """
+    if len(preds) < 2:
+        raise ValueError("temporal consistency needs at least two frames")
+    static = np.asarray(static, dtype=bool)
+    shapes = {pred.shape for pred in preds}
+    if shapes != {static.shape}:
+        raise ValueError(f"static mask shape {static.shape} != label shape(s) {sorted(shapes)}")
+    total = int(static.sum()) * (len(preds) - 1)
+    if total == 0:
+        raise ValueError("temporal consistency undefined: no static pixel pairs")
+    same = sum(int(((a.labels == b.labels) & static).sum()) for a, b in zip(preds, preds[1:]))
+    return same / total

@@ -26,18 +26,13 @@ from queryshift.matching import (
     optimal_match,
 )
 from queryshift.core import ClipQueryTensor
-from queryshift.metrics import (
-    accumulate,
-    miou,
-    pixel_accuracy,
-    temporal_consistency,
-)
+from queryshift.metrics import miou, pixel_accuracy
 from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, feature_shift, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, recovery_rate
 from queryshift.core import LabelMap
 
-from oracles import brute_force_match
+from oracles import accumulate, brute_force_match, temporal_consistency
 
 ZERO = BoundaryPolicy.ZERO_FILL
 HOLD = BoundaryPolicy.HOLD
@@ -134,11 +129,12 @@ def test_criterion_2_shift_matches_naive_reference():
 _RECOVERY_FRACTIONS = ("1/128", "1/64", "1/32", "1/16", "1/8", "1/4")
 
 
-def _clip_miou(scene, preds):
+def _clip_miou(scene, rows):
+    """The per-pixel oracle's mIoU of ``run_clip``'s rows, gathered through each frame's index."""
     c = scene.spec.num_classes
     counts = np.zeros((c, c), dtype=np.int64)
-    for gt, pred in zip(scene.gt_labels, preds):
-        counts = accumulate(counts, pred, gt)
+    for gt, pixels, r in zip(scene.gt_labels, scene.pixels, rows):
+        counts = accumulate(counts, LabelMap(r[pixels.index], c), gt)
     return miou(counts)
 
 

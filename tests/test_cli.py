@@ -5,12 +5,13 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import struct
+import time
 import types
 
 import numpy as np
 import pytest
 
-from queryshift import cli, pipeline
+from queryshift import cli
 from queryshift.cli import main
 from queryshift.core import ClipQueryTensor, LabelMap, write_tensor
 
@@ -137,6 +138,16 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, comm
     spec = _write_json(tmp_path / "spec.json", payload)
     assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
     _assert_one_line_error(capsys, message or "MemoryError")
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_noise_overflow_exits_2_with_one_line(tmp_path, capsys, command):
+    # sigma * noise overflows to inf; the clip's finite scan reports it, numpy warns nothing
+    scene = _scene_spec(noise_sigma=1e308)
+    payload = scene if command == "synth" else {"scene": scene}
+    spec = _write_json(tmp_path / "spec.json", payload)
+    assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, "clip query tensor contains non-finite values")
 
 
 @pytest.mark.parametrize(
@@ -297,6 +308,34 @@ def test_run_bad_fraction_exits_2(scene_dir, tmp_path, capsys):
         cfg = _write_json(tmp_path / "cfg.json", {"fraction": fraction})
         assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
         _assert_one_line_error(capsys, fragment)
+
+
+@pytest.mark.parametrize(
+    "fraction",
+    ["1e-5000", "1e5000", "1e9999999", "1e-10000000", "0." + "0" * 3000 + "1e-1000"],
+    ids=["tiny", "huge", "huge_slow", "tiny_slow", "long_mantissa"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_huge_fraction_exponent_fails_fast_with_one_line(scene_dir, tmp_path, capsys, command,
+                                                         fraction):
+    if command == "run":
+        cfg = _write_json(tmp_path / "cfg.json", {"fraction": fraction})
+        argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    else:
+        spec = _write_json(tmp_path / "sweep.json", _sweep_spec(fractions=["0", fraction]))
+        argv = ["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    _assert_one_line_error(capsys, "bad shift fraction")
+
+
+def test_fraction_at_the_exponent_bound_runs(scene_dir, tmp_path, capsys):
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1e-1000"})
+    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["fraction"] == "1/1" + "0" * 1000
+    assert report["config"]["channels_shifted"] == 0
 
 
 def test_run_rejects_removed_mask_threshold(scene_dir, tmp_path, capsys):
@@ -626,27 +665,24 @@ def test_sweep_parallel_equals_serial(tmp_path, capsys):
     assert serial.read_bytes() == par.read_bytes()
 
 
-def test_sweep_builds_no_predicted_label_map(tmp_path, capsys, monkeypatch):
-    # cells are scored over palette rows: the only label maps are each scene's gt frames
-    maps, votes = [], []
+def test_sweep_builds_no_predicted_label_map(scene_dir, tmp_path, capsys, monkeypatch):
+    # run and sweep score over palette rows: the only label maps are each scene's gt frames
+    maps = []
     post_init = LabelMap.__post_init__
-    inference = pipeline.semantic_inference
 
     def counted_post_init(self):
         maps.append(self)
         post_init(self)
 
-    def counted_inference(*args):
-        votes.append(args)
-        return inference(*args)
-
     monkeypatch.setattr(LabelMap, "__post_init__", counted_post_init)
-    monkeypatch.setattr(pipeline, "semantic_inference", counted_inference)
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=2))
     assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv")]) == 0
-    capsys.readouterr()
     assert len(maps) == 2 * 3  # repeats x t_len gt frames
-    assert votes == []
+    maps.clear()
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/8"})
+    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 0
+    capsys.readouterr()
+    assert len(maps) == 3  # the t_len gt frames load_scene reads
 
 
 def test_sweep_generates_each_seed_once(tmp_path, capsys, scene_calls):

@@ -1,4 +1,4 @@
-"""Confusion accumulation, mIoU, pixel accuracy, temporal consistency."""
+"""mIoU, pixel accuracy, and clip scoring over palette rows against per-pixel oracles."""
 
 from __future__ import annotations
 
@@ -12,18 +12,12 @@ from hypothesis import strategies as st
 
 from queryshift.core import LabelMap
 from queryshift.matching import ClipAlignment, align_clip
-from queryshift.metrics import (
-    accumulate,
-    evaluate_clip,
-    miou,
-    pixel_accuracy,
-    score_rows,
-    tally_clip,
-    temporal_consistency,
-)
-from queryshift.pipeline import row_labels, run_clip
+from queryshift.metrics import evaluate_clip, miou, pixel_accuracy, tally_clip
+from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, load_scene, save_scene
+
+from oracles import accumulate, temporal_consistency
 
 
 def _lmap(values, c):
@@ -34,8 +28,14 @@ def _zeros(c):
     return np.zeros((c, c), dtype=np.int64)
 
 
+def _score_maps(gt, pred):
+    """``evaluate_clip`` of per-pixel predictions: each map is its own index, row k is class k."""
+    c = gt[0].num_classes if gt else 1
+    return evaluate_clip(tally_clip(gt, [p.labels for p in pred]), [np.arange(c)] * len(pred))
+
+
 # ---------------------------------------------------------------------------
-# accumulate
+# accumulate (the per-pixel confusion oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -214,7 +214,7 @@ def test_relabeling_equivariance():
 
 
 # ---------------------------------------------------------------------------
-# temporal_consistency
+# temporal_consistency (the per-pixel consistency oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -263,14 +263,14 @@ def test_consistency_rejects_a_mask_shaped_unlike_any_frame(odd_frame):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_clip
+# evaluate_clip of per-pixel predictions
 # ---------------------------------------------------------------------------
 
 
 def test_evaluate_clip_bundles_everything():
     gt = [_lmap([[0, 1]], 2), _lmap([[0, 1]], 2)]
     pred = [_lmap([[0, 1]], 2), _lmap([[0, 0]], 2)]
-    scores = evaluate_clip(gt, pred)
+    scores = _score_maps(gt, pred)
     assert sorted(scores) == ["miou", "pixel_accuracy", "temporal_consistency"]
     # confusion over both frames: gt (0,1,0,1), pred (0,1,0,0)
     assert scores["pixel_accuracy"] == pytest.approx(0.75, abs=1e-12)
@@ -284,27 +284,33 @@ def test_evaluate_clip_scores_consistency_on_globally_static_pixels():
     # three of four pixels keep their ground-truth class; only those count
     gt = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 2], [2, 2]], 3)]
     flip_moving = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 0], [2, 2]], 3)]
-    assert evaluate_clip(gt, flip_moving)["temporal_consistency"] == 1.0
+    assert _score_maps(gt, flip_moving)["temporal_consistency"] == 1.0
     flip_static = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 1], [1, 2]], 3)]
-    assert evaluate_clip(gt, flip_static)["temporal_consistency"] == 2 / 3
+    assert _score_maps(gt, flip_static)["temporal_consistency"] == 2 / 3
 
 
 def test_evaluate_clip_rejects_empty_and_mismatched_clips():
     frame = _lmap([[0, 1]], 2)
-    with pytest.raises(ValueError, match="0 gt frames vs 0 predictions"):
-        evaluate_clip([], [])
-    with pytest.raises(ValueError, match="2 gt frames vs 1 predictions"):
-        evaluate_clip([frame, frame], [frame])
+    with pytest.raises(ValueError, match="0 gt frames vs 0 indexes"):
+        _score_maps([], [])
+    with pytest.raises(ValueError, match="2 gt frames vs 1 indexes"):
+        _score_maps([frame, frame], [frame])
+    tally = tally_clip([frame, frame], [frame.labels] * 2)
+    with pytest.raises(ValueError, match="1 frames of row labels vs 2 tallied"):
+        evaluate_clip(tally, [np.arange(2)])
+    # a prediction over more classes than the ground truth has
+    with pytest.raises(ValueError, match=r"row labels must lie in \[0, 2\)"):
+        evaluate_clip(tally_clip([frame], [np.array([[0, 2]])]), [np.arange(3)])
 
 
 def test_evaluate_clip_single_frame_has_null_consistency():
     gt = [_lmap([[0, 1]], 2)]
-    scores = evaluate_clip(gt, gt)
+    scores = _score_maps(gt, gt)
     assert scores == {"miou": 1.0, "pixel_accuracy": 1.0, "temporal_consistency": None}
 
 
 # ---------------------------------------------------------------------------
-# evaluate_clip against per-pixel loops
+# evaluate_clip of per-pixel predictions against per-pixel loops
 # ---------------------------------------------------------------------------
 
 
@@ -342,7 +348,7 @@ def _reference_scores(gt, pred, c):
 
 
 def _clip_scores(gt, pred):
-    scores = evaluate_clip(gt, pred)
+    scores = _score_maps(gt, pred)
     return scores["miou"], scores["pixel_accuracy"], scores["temporal_consistency"]
 
 
@@ -380,7 +386,7 @@ def test_evaluate_clip_with_every_pixel_static_equals_per_pixel_loops():
 
 
 # ---------------------------------------------------------------------------
-# tally_clip / score_rows
+# tally_clip / evaluate_clip over palette rows
 # ---------------------------------------------------------------------------
 
 
@@ -405,7 +411,7 @@ def test_score_rows_hand_example():
     tally = _small_tally()
     assert tally[:3] == (2, (3, 2), 3)  # classes, rows used per frame, static pixels
     # frame 0 predicts [[0, 1], [1, 1]], frame 1 [[1, 0], [0, 1]]
-    scores = score_rows(tally, [np.array([0, 1, 1]), np.array([0, 1])])
+    scores = evaluate_clip(tally, [np.array([0, 1, 1]), np.array([0, 1])])
     gt = [_lmap([[0, 1], [1, 1]], 2), _lmap([[0, 1], [0, 1]], 2)]
     preds = [_lmap([[0, 1], [1, 1]], 2), _lmap([[1, 0], [0, 1]], 2)]
     assert scores == _per_pixel_scores(gt, preds)
@@ -415,8 +421,8 @@ def test_score_rows_hand_example():
 
 def test_score_rows_ignores_rows_no_pixel_uses():
     tally = _small_tally()
-    base = score_rows(tally, [np.array([0, 1, 1]), np.array([0, 1])])
-    longer = score_rows(tally, [np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)])
+    base = evaluate_clip(tally, [np.array([0, 1, 1]), np.array([0, 1])])
+    longer = evaluate_clip(tally, [np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)])
     assert longer == base
 
 
@@ -438,7 +444,7 @@ def test_score_rows_ignores_rows_no_pixel_uses():
 )
 def test_score_rows_rejects_bad_row_labels(labels, match):
     with pytest.raises(ValueError, match=match):
-        score_rows(_small_tally(), labels)
+        evaluate_clip(_small_tally(), labels)
 
 
 def test_tally_clip_rejects_mismatched_indexes():
@@ -494,8 +500,8 @@ def test_score_rows_equals_per_pixel_scores_on_hand_built_clips(clip):
     gt, indexes, rows = clip
     c = gt[0].num_classes
     preds = [_lmap(r[index], c) for r, index in zip(rows, indexes)]
-    scores = score_rows(tally_clip(gt, indexes), rows)
-    assert scores == evaluate_clip(gt, preds) == _per_pixel_scores(gt, preds)
+    scores = evaluate_clip(tally_clip(gt, indexes), rows)
+    assert scores == _score_maps(gt, preds) == _per_pixel_scores(gt, preds)
 
 
 @st.composite
@@ -531,9 +537,6 @@ def test_score_rows_equals_per_pixel_scores_on_scenes(case):
     q = scene.queries
     alignment = align_clip(q) if matching else ClipAlignment.identity(q.t_len, q.n_queries)
     tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels])
-    rows = row_labels(scene, shift, alignment)
-    preds = run_clip(scene, shift, alignment)
-    for r, pixels, pred in zip(rows, scene.pixels, preds):
-        assert np.array_equal(r[pixels.index], pred.labels)
-    scores = score_rows(tally, rows)
-    assert scores == evaluate_clip(scene.gt_labels, preds) == _per_pixel_scores(scene.gt_labels, preds)
+    rows = run_clip(scene, shift, alignment)
+    preds = [_lmap(r[pixels.index], spec.num_classes) for r, pixels in zip(rows, scene.pixels)]
+    assert evaluate_clip(tally, rows) == _per_pixel_scores(scene.gt_labels, preds)

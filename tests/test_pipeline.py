@@ -18,7 +18,6 @@ from queryshift.pipeline import (
     _sigmoid,
     _softmax_rows,
     decode_masks,
-    row_labels,
     run_clip,
     semantic_inference,
     shift_with_matching,
@@ -131,36 +130,35 @@ def test_decode_masks_returns_read_only_arrays():
 
 
 def _vote(scores, logits):
-    """The labels of an (N, H, W) score stack over a map with one palette row per pixel."""
+    """The (H, W) labels of an (N, H, W) score stack, one palette row per pixel."""
     n, h, w = np.shape(scores)
-    pixels = _frame_pixels(np.zeros((h, w, 1)))
-    return semantic_inference(np.reshape(scores, (n, h * w)), logits, pixels)
+    return semantic_inference(np.reshape(scores, (n, h * w)), logits).reshape(h, w)
 
 
 def test_soft_mask_set_validation():
-    pixels = _frame_pixels(np.zeros((1, 2, 1)))
     half = np.full((1, 2), 0.5)
     # not 2-D
     with pytest.raises(ValueError, match=r"scores must be \(N, P\)"):
-        semantic_inference(np.full((1, 1, 2), 0.5), np.zeros((1, 2)), pixels)
+        semantic_inference(np.full((1, 1, 2), 0.5), np.zeros((1, 2)))
     with pytest.raises(ValueError, match=r"scores must be \(N, P\)"):
-        semantic_inference(np.full(2, 0.5), np.zeros((1, 2)), pixels)
+        semantic_inference(np.full(2, 0.5), np.zeros((1, 2)))
     with pytest.raises(ValueError, match=r"logits must be \(N, C\)"):
-        semantic_inference(half, np.zeros(2), pixels)
+        semantic_inference(half, np.zeros(2))
     with pytest.raises(ValueError, match=r"logits must be \(N, C\)"):
-        semantic_inference(half, np.zeros((1, 2, 1)), pixels)
+        semantic_inference(half, np.zeros((1, 2, 1)))
     # N differs between scores and logits
     with pytest.raises(ValueError, match=r"logits must be \(N, C\) matching scores"):
-        semantic_inference(half, np.zeros((2, 2)), pixels)
+        semantic_inference(half, np.zeros((2, 2)))
     # non-finite scores or logits
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            semantic_inference(np.array([[0.5, bad]]), np.zeros((1, 2)), pixels)
+            semantic_inference(np.array([[0.5, bad]]), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="finite"):
-            semantic_inference(half, np.array([[0.0, bad]]), pixels)
+            semantic_inference(half, np.array([[0.0, bad]]))
     # the vote does not need scores inside (0, 1); decode_masks guarantees that itself
-    labels = semantic_inference(np.array([[0.0, 1.0]]), np.zeros((1, 2)), pixels)
-    assert labels.labels.tolist() == [[0, 0]]
+    labels = semantic_inference(np.array([[0.0, 1.0]]), np.zeros((1, 2)))
+    assert labels.tolist() == [0, 0]
+    assert labels.dtype == np.intp and not labels.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -177,18 +175,10 @@ def test_soft_mask_set_validation():
     ids=["too_high", "negative", "float", "bool", "one_dim", "three_dim", "empty"],
 )
 def test_soft_mask_set_rejects_bad_index(index, match):
-    # the index is checked once, by the constructor of the map the masks are voted over
+    # the vote runs per palette row and trusts the index: the PixelEmbeddingMap
+    # constructor checks it once, when the map is built
     with pytest.raises(ValueError, match=match):
-        semantic_inference(
-            np.full((1, 2), 0.5), np.zeros((1, 2)), PixelEmbeddingMap(np.zeros((2, 1)), index)
-        )
-
-
-def test_soft_mask_set_rejects_scores_of_another_palette():
-    pixels = PixelEmbeddingMap(np.zeros((2, 1)), [[0, 1]])
-    for cols in (1, 3):
-        with pytest.raises(ValueError, match=r"\(N, P\) with P = 2"):
-            semantic_inference(np.full((1, cols), 0.5), np.zeros((1, 2)), pixels)
+        PixelEmbeddingMap(np.zeros((2, 1)), index)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +187,7 @@ def test_soft_mask_set_rejects_scores_of_another_palette():
 
 
 def test_inference_single_query_single_class():
-    labels = _vote(np.full((1, 2, 3), 0.7), np.zeros((1, 1)))
-    assert np.all(labels.labels == 0)
-    assert labels.num_classes == 1
+    assert np.all(_vote(np.full((1, 2, 3), 0.7), np.zeros((1, 1))) == 0)
 
 
 def test_inference_disjoint_saturated_masks():
@@ -208,8 +196,7 @@ def test_inference_disjoint_saturated_masks():
     scores[0] = [[hi, hi, lo, lo], [hi, hi, lo, lo]]
     scores[1] = [[lo, lo, hi, hi], [lo, lo, hi, hi]]
     logits = np.array([[40.0, 0.0], [0.0, 40.0]])  # effectively one-hot
-    labels = _vote(scores, logits).labels
-    assert np.array_equal(labels, np.array([[0, 0, 1, 1], [0, 0, 1, 1]]))
+    assert np.array_equal(_vote(scores, logits), np.array([[0, 0, 1, 1], [0, 0, 1, 1]]))
 
 
 def test_inference_hand_computed_2x2():
@@ -230,17 +217,17 @@ def test_inference_hand_computed_2x2():
                 p0[c] * scores[0, h, w] + p1[c] * scores[1, h, w] for c in (0, 1)
             ]
             expected[h, w] = 0 if votes[0] >= votes[1] else 1
-    got = _vote(scores, logits).labels
+    got = _vote(scores, logits)
     assert np.array_equal(got, expected)
     assert expected.tolist() == [[0, 1], [0, 1]]  # freeze the hand result
 
 
 def test_inference_tie_breaks_to_lowest_class():
-    assert np.all(_vote(np.full((1, 1, 2), 0.6), np.zeros((1, 3))).labels == 0)
+    assert np.all(_vote(np.full((1, 1, 2), 0.6), np.zeros((1, 3))) == 0)
     # two queries voting symmetrically for classes 1 and 2
     scores = np.full((2, 1, 1), 0.5)
     logits = np.array([[0.0, 5.0, 0.0], [0.0, 0.0, 5.0]])
-    assert _vote(scores, logits).labels[0, 0] == 1
+    assert _vote(scores, logits)[0, 0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,32 +357,27 @@ def _scene(fraction="1/4", **kw):
 def test_run_clip_fraction_zero_matches_frame_independent():
     scene = _scene()
     preds = run_clip(scene, _shift(0, 64, HOLD), align_clip(scene.queries))
-    from queryshift.synth import class_head_for
-
     head = class_head_for(scene)
     for t, pred in enumerate(preds):
-        pixels = scene.pixels[t]
-        solo = semantic_inference(*decode_masks(scene.queries.frames[t], pixels, head), pixels)
-        assert np.array_equal(pred.labels, solo.labels)
+        solo = semantic_inference(*decode_masks(scene.queries.frames[t], scene.pixels[t], head))
+        assert np.array_equal(pred, solo)
 
 
 def test_row_labels_are_read_only_votes_per_palette_row():
+    # run_clip returns one read-only intp class per palette row of each frame
     scene = _scene(n_tracks=3, n_queries=5, num_classes=4, noise_sigma=0.3)
     shift = _shift("1/4", 64, HOLD)
     alignment = align_clip(scene.queries)
-    rows = row_labels(scene, shift, alignment)
     head = class_head_for(scene)
     shifted = shift_with_matching(scene.queries, shift, alignment)
-    assert len(rows) == scene.spec.t_len
-    for r, queries, pixels in zip(rows, shifted.frames, scene.pixels):
-        assert r.dtype == np.intp and r.shape == (pixels.palette.shape[0],)
-        assert not r.flags.writeable
-        solo = semantic_inference(*decode_masks(queries, pixels, head), pixels)
-        assert np.array_equal(r[pixels.index], solo.labels)
     reversed_head = head[:, ::-1]  # a caller's head replaces the scene's
-    own = row_labels(scene, shift, alignment, reversed_head)
-    for r, pixels, pred in zip(own, scene.pixels, run_clip(scene, shift, alignment, reversed_head)):
-        assert np.array_equal(r[pixels.index], pred.labels)
+    for own, rows in ((head, run_clip(scene, shift, alignment)),
+                      (reversed_head, run_clip(scene, shift, alignment, reversed_head))):
+        assert len(rows) == scene.spec.t_len
+        for r, queries, pixels in zip(rows, shifted.frames, scene.pixels):
+            assert r.dtype == np.intp and r.shape == (pixels.palette.shape[0],)
+            assert not r.flags.writeable
+            assert np.array_equal(r, semantic_inference(*decode_masks(queries, pixels, own)))
 
 
 def test_run_clip_identity_permutations_matching_irrelevant():
@@ -404,23 +386,23 @@ def test_run_clip_identity_permutations_matching_irrelevant():
         on = run_clip(scene, _shift("1/4", 64, boundary), _aligned(scene.queries, True))
         off = run_clip(scene, _shift("1/4", 64, boundary), _aligned(scene.queries, False))
         for a, b in zip(on, off):
-            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a, b)
 
 
 def test_run_clip_matched_is_exact_unmatched_is_not():
     scene = _scene(seed=3)
     alignment = align_clip(scene.queries)
     preds_on = run_clip(scene, _shift("1/4", 64, HOLD), alignment)
-    for pred, gt in zip(preds_on, scene.gt_labels):
-        assert np.array_equal(pred.labels, gt.labels)
+    for pred, pixels, gt in zip(preds_on, scene.pixels, scene.gt_labels):
+        assert np.array_equal(pred[pixels.index], gt.labels)
     from queryshift.synth import recovery_rate
 
     assert recovery_rate(alignment, scene) == 1.0
 
     preds_off = run_clip(scene, _shift("1/4", 64, HOLD), _aligned(scene.queries, False))
     wrong = sum(
-        int((pred.labels != gt.labels).sum())
-        for pred, gt in zip(preds_off, scene.gt_labels)
+        int((pred[pixels.index] != gt.labels).sum())
+        for pred, pixels, gt in zip(preds_off, scene.pixels, scene.gt_labels)
     )
     assert wrong > 0
 
@@ -468,14 +450,13 @@ def test_palette_decode_is_bit_identical_to_per_pixel(case):
     head = class_head_for(scene)
     alignment = _aligned(scene.queries, matching)
     shifted = shift_with_matching(scene.queries, shift, alignment)
-    labels = run_clip(scene, shift, alignment)
+    rows = run_clip(scene, shift, alignment)
     assert scene.pixels[0].palette.shape == (spec.n_tracks + 1, spec.dim)
-    for queries, pixels, pred in zip(shifted.frames, scene.pixels, labels):
-        scores, logits = decode_masks(queries, pixels, head)
+    for queries, pixels, r in zip(shifted.frames, scene.pixels, rows):
+        scores, _ = decode_masks(queries, pixels, head)
         ref_scores, ref_labels = _per_pixel_decode(queries, pixels, head)
         assert scores[:, pixels.index].tobytes() == ref_scores.tobytes()
-        assert np.array_equal(semantic_inference(scores, logits, pixels).labels, ref_labels)
-        assert np.array_equal(pred.labels, ref_labels)
+        assert np.array_equal(r[pixels.index], ref_labels)
 
 
 @pytest.mark.parametrize(
@@ -499,5 +480,5 @@ def test_loaded_scene_labels_equal_generated(tmp_path, kw):
             alignment = _aligned(scene.queries, matching)
             ours = run_clip(scene, shift, alignment)
             theirs = run_clip(loaded, shift, alignment)
-            for a, b in zip(ours, theirs):
-                assert np.array_equal(a.labels, b.labels)
+            for a, p, b, q in zip(ours, scene.pixels, theirs, loaded.pixels):
+                assert np.array_equal(a[p.index], b[q.index])

@@ -8,6 +8,8 @@ import io
 import re
 from pathlib import Path
 
+import numpy as np
+
 import queryshift
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -44,7 +46,12 @@ def test_readme_names_every_public_name():
 
 
 def test_readme_names_no_class_outside_the_public_api():
-    # catches the name of a class that was renamed or deleted
+    # catches the name of a class, or a called function, that was renamed or deleted
     known = set(queryshift.__all__) | set(dir(builtins)) | {"Fraction", "NaN"}
     stale = sorted({name for name in _span_names() if name[0].isupper() and name not in known})
+    assert stale == []
+    public = (getattr(queryshift, name) for name in queryshift.__all__)
+    known |= {attr for obj in public if isinstance(obj, type) for attr in dir(obj)}
+    calls = re.findall(r"`([A-Za-z_]\w*)\(", README.read_text())  # `name(...)`
+    stale = sorted({name for name in calls if name not in known and not hasattr(np, name)})
     assert stale == []
