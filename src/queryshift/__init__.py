@@ -11,7 +11,6 @@ that measures what happens when the matching step is skipped.
 from .core import (
     ClipQueryTensor,
     FrameQuerySet,
-    LabelMap,
     NonFiniteTensorError,
     PixelEmbeddingMap,
     TensorFormatError,
@@ -51,7 +50,6 @@ __all__ = [
     "ClipQueryTensor",
     "FrameQuerySet",
     "InfeasibleSceneError",
-    "LabelMap",
     "NonFiniteTensorError",
     "PixelEmbeddingMap",
     "Rng",

@@ -142,7 +142,7 @@ def _cmd_run(args) -> int:
         cfg["boundary"] = args.boundary
     shift, matching = _pipeline_config(cfg, scene.spec.dim)
     alignment = _alignment(scene.queries, matching)
-    tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels])
+    tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], scene.spec.num_classes)
     scores = evaluate_clip(tally, run_clip(scene, shift, alignment))
     recovery = recovery_rate(alignment, scene)
     echo = {
@@ -184,7 +184,7 @@ def _sweep_seed(
     """One seed: scene, pixel tally, alignments and recoveries once, then a CSV row per cell."""
     scene = generate_scene(spec)
     head = class_head_for(scene)
-    tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels])
+    tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], scene.spec.num_classes)
     alignments = {m: _alignment(scene.queries, m) for m in matchings}
     recoveries = {m: recovery_rate(a, scene) for m, a in alignments.items()}
     rows = []

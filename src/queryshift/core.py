@@ -1,13 +1,13 @@
 """Core data types and on-disk formats.
 
 Everything downstream (shifting, matching, decoding, metrics) works on the
-four array types defined here.  All numeric payloads are float64 and every
-wrapped array is frozen after validation, so a constructed value can be shared
-freely between threads and between pipeline stages without defensive copies.
-The public constructors copy, freeze and finite-scan their input once; a
-clip's frames are read-only views of one array.  A pixel map is a (P, D)
-palette of embeddings and an (H, W) index into it, so decoding runs once
-per palette row.
+three float64 array types defined here; ground-truth classes are plain
+read-only integer grids.  Every wrapped array is frozen after validation, so
+a constructed value can be shared freely between threads and between
+pipeline stages without defensive copies.  The public constructors copy,
+freeze and finite-scan their input once; a clip's frames are read-only views
+of one array.  A pixel map is a (P, D) palette of embeddings and an (H, W)
+index into it, so decoding runs once per palette row.
 
 On-disk formats:
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Union
 
@@ -42,7 +42,6 @@ __all__ = [
     "FrameQuerySet",
     "ClipQueryTensor",
     "PixelEmbeddingMap",
-    "LabelMap",
     "write_tensor",
     "read_tensor",
     "write_labelmap",
@@ -186,41 +185,6 @@ class PixelEmbeddingMap:
         return self.palette.shape[1]
 
 
-@dataclass(frozen=True)
-class LabelMap:
-    """Integer class labels on an (H, W) grid; values lie in [0, num_classes)."""
-
-    labels: np.ndarray
-    num_classes: int = field(default=0)
-
-    def __post_init__(self):
-        arr = np.asarray(self.labels)
-        if arr.ndim != 2 or arr.size == 0 or not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"labels must be a non-empty 2-D integer grid, got {arr.shape}")
-        arr = arr.astype(np.int64, order="C")  # the one copy
-        c = int(self.num_classes)
-        if c < 1:
-            raise ValueError("num_classes must be >= 1")
-        lo, hi = int(arr.min()), int(arr.max())
-        if lo < 0 or hi >= c:
-            raise ValueError(f"labels must lie in [0, {c}), found range [{lo}, {hi}]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", arr)
-        object.__setattr__(self, "num_classes", c)
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.labels.shape[0], self.labels.shape[1])
-
-
 # ---------------------------------------------------------------------------
 # .qtn read/write
 # ---------------------------------------------------------------------------
@@ -299,22 +263,24 @@ def read_tensor(src: PathOrIO) -> ClipQueryTensor:
 # ---------------------------------------------------------------------------
 
 
-def write_labelmap(lmap: LabelMap, dest: PathOrIO) -> None:
-    """Write labels as a binary PGM; pixel value == class index."""
-    if lmap.num_classes > 256:
-        raise ValueError("PGM label maps support at most 256 classes")
+def write_labelmap(labels: np.ndarray, dest: PathOrIO) -> None:
+    """Write an (H, W) grid of classes in [0, 256) as a binary PGM; pixel value == class."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.size == 0 or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be a non-empty 2-D integer grid, got {labels.shape}")
+    if labels.min() < 0 or labels.max() > 255:
+        raise ValueError("PGM label maps hold classes in [0, 256)")
     sink, owns = _open_for(dest, "wb")
     try:
-        header = f"P5\n{lmap.width} {lmap.height}\n255\n".encode("ascii")
-        sink.write(header)
-        sink.write(lmap.labels.astype(np.uint8))
+        sink.write(f"P5\n{labels.shape[1]} {labels.shape[0]}\n255\n".encode("ascii"))
+        sink.write(np.ascontiguousarray(labels, dtype=np.uint8))
     finally:
         if owns:
             sink.close()
 
 
-def read_labelmap(src: PathOrIO, num_classes: int) -> LabelMap:
-    """Read a binary PGM such as :func:`write_labelmap` writes."""
+def read_labelmap(src: PathOrIO, num_classes: int) -> np.ndarray:
+    """A binary PGM's pixels as a read-only (H, W) uint8 view, all in [0, num_classes)."""
     f, owns = _open_for(src, "rb")
     try:
         data = f.read()
@@ -346,4 +312,8 @@ def read_labelmap(src: PathOrIO, num_classes: int) -> LabelMap:
         raise TruncatedTensorError(
             f"PGM payload holds {len(body)} bytes, needs {width * height}"
         )
-    return LabelMap(np.frombuffer(body, dtype=np.uint8).reshape(height, width), num_classes)
+    labels = np.frombuffer(body, dtype=np.uint8).reshape(height, width)
+    if labels.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes}), found {labels.max()}")
+    labels.setflags(write=False)
+    return labels

@@ -225,14 +225,11 @@ class ClipAlignment:
 
     ``per_frame[t, i]`` is the track slot of frame t's query i, where the
     track space is frame 0's own index space (``per_frame[0]`` is always the
-    identity).  ``adjacent[t]`` is the raw frame-t -> frame-(t+1) match and
-    ``pair_totals[t]`` its total similarity; they satisfy
-    ``per_frame[t + 1, adjacent[t]] == per_frame[t]``.  Both index arrays are
-    read-only intp, (T, N) and (T-1, N).
+    identity), a read-only (T, N) intp array.  ``pair_totals[t]`` is the total
+    similarity of the frame-t -> frame-(t+1) match.
     """
 
     per_frame: np.ndarray
-    adjacent: np.ndarray
     pair_totals: tuple[float, ...]
 
     def __post_init__(self):
@@ -246,17 +243,15 @@ class ClipAlignment:
         if len(totals) != t_len - 1:
             raise ValueError(f"need exactly T-1 = {t_len - 1} pair totals, got {len(totals)}")
         per_frame = _permutation_rows("per_frame", self.per_frame, t_len, n)
-        adjacent = _permutation_rows("adjacent", self.adjacent, t_len - 1, n)
         if not np.array_equal(per_frame[0], np.arange(n)):
             raise ValueError("frame 0 must map to itself (anchor frame)")
         object.__setattr__(self, "per_frame", per_frame)
-        object.__setattr__(self, "adjacent", adjacent)
         object.__setattr__(self, "pair_totals", totals)
 
     @classmethod
     def identity(cls, t_len: int, n: int) -> "ClipAlignment":
         ident = np.broadcast_to(np.arange(n), (t_len, n))
-        return cls(ident, ident[1:], (float(n),) * (t_len - 1))
+        return cls(ident, (float(n),) * (t_len - 1))
 
     @property
     def t_len(self) -> int:
@@ -265,6 +260,14 @@ class ClipAlignment:
     @property
     def n_queries(self) -> int:
         return self.per_frame.shape[1]
+
+    @property
+    def adjacent(self) -> np.ndarray:
+        """Read-only (T-1, N) intp matches: ``per_frame[t + 1, adjacent[t]] == per_frame[t]``."""
+        pf = self.per_frame
+        adjacent = np.take_along_axis(np.argsort(pf[1:], axis=1), pf[:-1], axis=1)
+        adjacent.setflags(write=False)
+        return adjacent
 
 
 def align_clip(clip: ClipQueryTensor) -> ClipAlignment:
@@ -276,11 +279,10 @@ def align_clip(clip: ClipQueryTensor) -> ClipAlignment:
     frames = clip.frames
     per_frame = np.empty((clip.t_len, n), dtype=np.intp)
     per_frame[0] = np.arange(n)
-    adjacent = np.empty((clip.t_len - 1, n), dtype=np.intp)
     totals: list[float] = []
     for t in range(clip.t_len - 1):
-        adjacent[t], total = optimal_match(cosine_similarity(frames[t], frames[t + 1]))
+        adjacent, total = optimal_match(cosine_similarity(frames[t], frames[t + 1]))
         totals.append(total)
-        # query adjacent[t][i] of frame t+1 continues query i of frame t
-        per_frame[t + 1, adjacent[t]] = per_frame[t]
-    return ClipAlignment(per_frame, adjacent, tuple(totals))
+        # query adjacent[i] of frame t+1 continues query i of frame t
+        per_frame[t + 1, adjacent] = per_frame[t]
+    return ClipAlignment(per_frame, tuple(totals))

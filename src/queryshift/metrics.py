@@ -22,8 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelMap
-
 __all__ = ["miou", "pixel_accuracy", "tally_clip", "evaluate_clip"]
 
 
@@ -58,30 +56,35 @@ def pixel_accuracy(counts: np.ndarray) -> float:
     return float(np.trace(counts) / total)
 
 
-def tally_clip(gt_labels: Sequence[LabelMap], indexes: Sequence[np.ndarray]) -> tuple:
+def tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes: int) -> tuple:
     """Count a clip's pixels once, from each frame's (H, W) grid of palette rows.
 
-    Returns ``(num_classes, used, static, counts, pairs)``.  Frame t's row r
-    is clip row ``sum(used[:t]) + r``; ``used[t]`` is one past its largest.
-    Read-only int64 columns: (clip row, gt class, pixels) in ``counts``, and
-    (clip row, row in the next frame, pixels) in ``pairs`` of the ``static``
-    pixels, whose gt class never changes.
+    ``gt_labels`` is the (T, H, W) integer array of gt classes in
+    [0, num_classes).  Returns ``(num_classes, used, static, counts, pairs)``.
+    Frame t's row r is clip row ``sum(used[:t]) + r``; ``used[t]`` is one past
+    its largest.  Read-only int64 columns: (clip row, gt class, pixels) in
+    ``counts``, and (clip row, row in the next frame, pixels) in ``pairs`` of
+    the ``static`` pixels, whose gt class never changes.
     """
-    if len(gt_labels) != len(indexes) or not gt_labels:
-        raise ValueError(f"{len(gt_labels)} gt frames vs {len(indexes)} indexes")
-    c = gt_labels[0].num_classes
+    gt, c = np.asarray(gt_labels), num_classes
+    if gt.ndim != 3 or gt.dtype.kind not in "iu":
+        raise ValueError(f"gt labels must be a (T, H, W) integer array, got {gt.dtype} {gt.shape}")
+    if len(gt) != len(indexes) or gt.size == 0:
+        raise ValueError(f"{len(gt)} gt frames vs {len(indexes)} indexes")
+    if gt.min() < 0 or gt.max() >= c:
+        raise ValueError(f"gt labels must lie in [0, {c})")
     grids = [np.asarray(index) for index in indexes]
-    for gt, index in zip(gt_labels, grids):
-        if gt.num_classes != c:
-            raise ValueError("class count mismatch between gt frames")
-        if index.shape != gt.shape or index.dtype.kind not in "iu" or index.min() < 0:
-            raise ValueError(f"index {index.dtype} {index.shape} is not a row grid like {gt.shape}")
+    for index in grids:
+        if index.shape != gt.shape[1:] or index.dtype.kind not in "iu" or index.min() < 0:
+            raise ValueError(
+                f"index {index.dtype} {index.shape} is not a row grid like {gt.shape[1:]}"
+            )
     used = [int(index.max()) + 1 for index in grids]
     starts = np.cumsum(used) - used
-    static = np.logical_and.reduce([gt.labels == gt_labels[0].labels for gt in gt_labels])
+    static = np.all(gt == gt[0], axis=0)
     counts, pairs = [], [np.zeros((3, 0), np.int64)]
-    for start, gt, index in zip(starts, gt_labels, grids):
-        keys, pixels = np.unique(index.astype(np.int64) * c + gt.labels, return_counts=True)
+    for start, labels, index in zip(starts, gt, grids):
+        keys, pixels = np.unique(index.astype(np.int64) * c + labels, return_counts=True)
         counts.append((start + keys // c, keys % c, pixels))
     for t, (a, b) in enumerate(zip(grids, grids[1:])):
         # frame-local rows keep each key below used[t] * used[t + 1]

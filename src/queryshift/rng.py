@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -114,5 +116,6 @@ class Rng:
         self._gauss_spare = r * math.sin(theta)
         return r * math.cos(theta)
 
-    def gauss_vector(self, n: int) -> list[float]:
-        return [self.gauss() for _ in range(n)]
+    def gauss_vector(self, n: int) -> np.ndarray:
+        """``n`` gauss() draws as a float64 array, allocated before the first draw."""
+        return np.fromiter((self.gauss() for _ in range(n)), np.float64, count=n)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -65,7 +65,6 @@ import numpy as np
 
 from .core import (
     ClipQueryTensor,
-    LabelMap,
     PixelEmbeddingMap,
     read_labelmap,
     read_tensor,
@@ -205,18 +204,7 @@ class SceneSpec:
             raise InfeasibleSceneError("motion must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "t_len": self.t_len,
-            "n_tracks": self.n_tracks,
-            "n_queries": self.n_queries,
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "grid": list(self.grid),
-            "noise_sigma": self.noise_sigma,
-            "permute_per_frame": self.permute_per_frame,
-            "motion": self.motion,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
@@ -249,12 +237,14 @@ class SceneClip:
 
     ``gt_tracks[t, i]`` is the true track of frame t's query i, a read-only
     (T, N) intp array; slots >= K hold surplus (no-object) queries.
+    ``gt_labels[t, y, x]`` is the class of frame t's pixel (y, x), a
+    read-only (T, H, W) uint8 array with values in [0, num_classes).
     """
 
     spec: SceneSpec
     queries: ClipQueryTensor
     pixels: tuple[PixelEmbeddingMap, ...]
-    gt_labels: tuple[LabelMap, ...]
+    gt_labels: np.ndarray
     gt_tracks: np.ndarray
     prototypes: np.ndarray  # (K, D), orthonormal rows
     no_object: np.ndarray | None  # (D,) shared surplus prototype, or None
@@ -270,7 +260,6 @@ class SceneClip:
             no.setflags(write=False)
             object.__setattr__(self, "no_object", no)
         object.__setattr__(self, "pixels", tuple(self.pixels))
-        object.__setattr__(self, "gt_labels", tuple(self.gt_labels))
         tracks = np.array(self.gt_tracks, dtype=np.intp)
         tracks.setflags(write=False)
         object.__setattr__(self, "gt_tracks", tracks)
@@ -336,7 +325,7 @@ def _build_prototypes(
     core_width = dim - 2 * margin
     if core_width >= k_total and dim >= 3:
         rho = _signature_scale(n_tracks)
-        raw = [rng.gauss_vector(core_width) for _ in range(k_total)]
+        raw = [rng.gauss_vector(core_width).tolist() for _ in range(k_total)]
         basis = _orthonormal_rows(raw)
         angles = _signature_angles(n_tracks)
         sig = [(rho * math.cos(a), rho * math.sin(a)) for a in angles]
@@ -366,7 +355,7 @@ def _build_prototypes(
             no_obj[margin : margin + core_width] = basis[n_tracks]
         return protos, no_obj, rho
     # low-dimensional fallback: plain orthonormalised Gaussians
-    raw = [rng.gauss_vector(dim) for _ in range(k_total)]
+    raw = [rng.gauss_vector(dim).tolist() for _ in range(k_total)]
     basis = _orthonormal_rows(raw)
     protos = basis[:n_tracks]
     no_obj = basis[n_tracks] if want_no_object else None
@@ -412,7 +401,7 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
     frames = table[np.minimum(gt_tracks, k)]
     if spec.noise_sigma > 0.0:
         # one draw, in (frame, query, channel) order
-        noise = np.asarray(rng.gauss_vector(t_len * n * d)).reshape(t_len, n, d)
+        noise = rng.gauss_vector(t_len * n * d).reshape(t_len, n, d)
         with np.errstate(over="ignore"):  # an overflow is caught by the clip's finite scan
             frames = frames + spec.noise_sigma * noise
 
@@ -429,13 +418,14 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         index[t[:, :, None], rows[:, :, None], cols[:, None, :]] = 1 + track
     index.setflags(write=False)
     palette = _freeze(np.vstack([np.zeros(d), prototypes]), 2, "pixel palette")
-    labels = np.array([c - 1, *track_classes], dtype=np.int64)[index]
+    labels = np.array([c - 1, *track_classes], dtype=np.uint8)[index]
+    labels.setflags(write=False)
 
     return SceneClip(
         spec=spec,
         queries=ClipQueryTensor(frames),
         pixels=tuple(_view(PixelEmbeddingMap, palette=palette, index=idx) for idx in index),
-        gt_labels=tuple(LabelMap(frame, c) for frame in labels),
+        gt_labels=labels,
         gt_tracks=gt_tracks,
         prototypes=prototypes,
         no_object=no_object,
@@ -571,9 +561,9 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
     write_tensor(_view(ClipQueryTensor, data=flat), ppath)
     written.append(ppath)
 
-    for t, lmap in enumerate(scene.gt_labels):
+    for t, labels in enumerate(scene.gt_labels):
         lpath = out / f"labels_{t}.pgm"
-        write_labelmap(lmap, lpath)
+        write_labelmap(labels, lpath)
         written.append(lpath)
 
     meta = {
@@ -646,9 +636,13 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     index = np.arange(h * w, dtype=np.intp).reshape(h, w)
     index.setflags(write=False)
     pixels = tuple(_view(PixelEmbeddingMap, palette=rows, index=index) for rows in flat.data)
-    labels = tuple(
-        read_labelmap(src / f"labels_{t}.pgm", spec.num_classes) for t in range(spec.t_len)
-    )
+    labels = []
+    for t in range(spec.t_len):
+        labels.append(read_labelmap(src / f"labels_{t}.pgm", spec.num_classes))
+        if labels[t].shape != (h, w):
+            raise ValueError(f"labels_{t}.pgm is {labels[t].shape}, not the {h}x{w} grid")
+    labels = np.stack(labels)
+    labels.setflags(write=False)
     return SceneClip(
         spec=spec,
         queries=queries,

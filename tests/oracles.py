@@ -8,7 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-from queryshift.core import LabelMap
 from queryshift.matching import _checked_similarity, _matched
 from queryshift.metrics import _checked_counts
 
@@ -36,21 +35,22 @@ def brute_force_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     return _matched(sim, perms[int(np.argmax(totals))])  # first occurrence wins on ties
 
 
-def accumulate(counts: np.ndarray, pred: LabelMap, gt: LabelMap) -> np.ndarray:
-    """A new (C, C) int64 array: ``counts`` [gt, pred] plus one frame's pairs."""
+def accumulate(counts: np.ndarray, pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """A new (C, C) int64 array: ``counts`` [gt, pred] plus one frame's class grids."""
     counts = _checked_counts(counts)
+    pred, gt = np.asarray(pred, dtype=np.int64), np.asarray(gt, dtype=np.int64)
     if gt.shape != pred.shape:
         raise ValueError(f"label shape mismatch: {gt.shape} vs {pred.shape}")
     c = counts.shape[0]
-    if gt.num_classes != c or pred.num_classes != c:
+    if min(gt.min(), pred.min()) < 0 or max(gt.max(), pred.max()) >= c:
         raise ValueError("class count mismatch between labels and confusion counts")
-    joint = gt.labels.reshape(-1) * c + pred.labels.reshape(-1)
+    joint = gt.reshape(-1) * c + pred.reshape(-1)
     added = np.bincount(joint, minlength=c * c).reshape(c, c)
     added += counts
     return added
 
 
-def temporal_consistency(preds: Sequence[LabelMap], static: np.ndarray) -> float:
+def temporal_consistency(preds: Sequence[np.ndarray], static: np.ndarray) -> float:
     """Label-stability rate on static pixels across consecutive frames.
 
     ``static`` is one (H, W) mask.  Each static pixel counts once per
@@ -60,11 +60,11 @@ def temporal_consistency(preds: Sequence[LabelMap], static: np.ndarray) -> float
     if len(preds) < 2:
         raise ValueError("temporal consistency needs at least two frames")
     static = np.asarray(static, dtype=bool)
-    shapes = {pred.shape for pred in preds}
+    shapes = {np.shape(pred) for pred in preds}
     if shapes != {static.shape}:
         raise ValueError(f"static mask shape {static.shape} != label shape(s) {sorted(shapes)}")
     total = int(static.sum()) * (len(preds) - 1)
     if total == 0:
         raise ValueError("temporal consistency undefined: no static pixel pairs")
-    same = sum(int(((a.labels == b.labels) & static).sum()) for a, b in zip(preds, preds[1:]))
+    same = sum(int(((a == b) & static).sum()) for a, b in zip(preds, preds[1:]))
     return same / total

@@ -30,7 +30,6 @@ from queryshift.metrics import miou, pixel_accuracy
 from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, feature_shift, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, recovery_rate
-from queryshift.core import LabelMap
 
 from oracles import accumulate, brute_force_match, temporal_consistency
 
@@ -134,7 +133,7 @@ def _clip_miou(scene, rows):
     c = scene.spec.num_classes
     counts = np.zeros((c, c), dtype=np.int64)
     for gt, pixels, r in zip(scene.gt_labels, scene.pixels, rows):
-        counts = accumulate(counts, LabelMap(r[pixels.index], c), gt)
+        counts = accumulate(counts, r[pixels.index], gt)
     return miou(counts)
 
 
@@ -223,8 +222,8 @@ def test_criterion_4_noisy_sweep_table_shape(tmp_path, capsys):
 
 def test_criterion_5_metric_correctness():
     # mIoU: gt half/half, pred all class 0
-    gt = LabelMap(np.array([[0, 0], [1, 1]]), 2)
-    pred = LabelMap(np.zeros((2, 2), dtype=np.int64), 2)
+    gt = np.array([[0, 0], [1, 1]])
+    pred = np.zeros((2, 2), dtype=np.int64)
     zeros = np.zeros((2, 2), dtype=np.int64)
     cm = accumulate(zeros, pred, gt)
     assert abs(miou(cm) - 0.25) <= 1e-12
@@ -236,8 +235,8 @@ def test_criterion_5_metric_correctness():
     assert abs(pixel_accuracy(cm_perfect) - 1.0) <= 1e-12
 
     # temporal consistency: 2 static pixels, 2 transitions, one flip
-    f0 = LabelMap(np.array([[0, 0]]), 2)
-    f1 = LabelMap(np.array([[0, 1]]), 2)
+    f0 = np.array([[0, 0]])
+    f1 = np.array([[0, 1]])
     static = np.ones((1, 2), dtype=bool)
     assert abs(temporal_consistency([f0, f1, f1], static) - 0.75) <= 1e-12
 
@@ -245,8 +244,8 @@ def test_criterion_5_metric_correctness():
     rng = np.random.default_rng(1005)
     frames = [
         (
-            LabelMap(rng.integers(0, 5, size=(8, 8)), 5),
-            LabelMap(rng.integers(0, 5, size=(8, 8)), 5),
+            rng.integers(0, 5, size=(8, 8)),
+            rng.integers(0, 5, size=(8, 8)),
         )
         for _ in range(10)
     ]

@@ -13,7 +13,7 @@ import pytest
 
 from queryshift import cli
 from queryshift.cli import main
-from queryshift.core import ClipQueryTensor, LabelMap, write_tensor
+from queryshift.core import ClipQueryTensor, write_labelmap, write_tensor
 
 CSV_HEADER = (
     "fraction,channels_shifted,matching,seed,"
@@ -148,6 +148,23 @@ def test_noise_overflow_exits_2_with_one_line(tmp_path, capsys, command):
     spec = _write_json(tmp_path / "spec.json", payload)
     assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
     _assert_one_line_error(capsys, "clip query tensor contains non-finite values")
+
+
+@pytest.mark.parametrize(
+    "dim, fragment",
+    [(2**62, "array is too big"), (2**63, "array is too big"), (2**64, "too large to convert")],
+    ids=["2**62", "2**63", "2**64"],
+)
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_huge_dim_fails_fast_with_one_line(tmp_path, capsys, command, dim, fragment):
+    # every draw is sized before the first one, and numpy rejects these sizes allocating nothing
+    scene = _scene_spec(t_len=1, n_tracks=1, n_queries=1, dim=dim, num_classes=2, grid=[4, 4])
+    payload = scene if command == "synth" else {"scene": scene}
+    spec = _write_json(tmp_path / "spec.json", payload)
+    start = time.perf_counter()
+    assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    _assert_one_line_error(capsys, fragment)
 
 
 @pytest.mark.parametrize(
@@ -454,6 +471,17 @@ def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragmen
     _assert_one_line_error(capsys, fragment)
 
 
+def test_run_names_a_label_map_of_the_wrong_size(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json", _scene_spec(grid=[6, 5]))
+    scene = tmp_path / "scene"
+    assert main(["synth", "--spec", spec, "--out", str(scene)]) == 0
+    write_labelmap(np.zeros((5, 6), dtype=np.uint8), scene / "labels_1.pgm")  # as many pixels
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    capsys.readouterr()
+    assert main(["run", "--scene", str(scene), "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "labels_1.pgm is (5, 6), not the 6x5 grid")
+
+
 @pytest.mark.parametrize("text", ["[]", '"spec"', "7"], ids=["list", "string", "number"])
 def test_run_rejects_tracks_json_that_is_not_an_object(scene_dir, tmp_path, capsys, text):
     (scene_dir / "tracks.json").write_text(text)
@@ -663,26 +691,6 @@ def test_sweep_parallel_equals_serial(tmp_path, capsys):
     assert main(["sweep", "--spec", spec, "--out", str(par), "--parallel", "2"]) == 0
     capsys.readouterr()
     assert serial.read_bytes() == par.read_bytes()
-
-
-def test_sweep_builds_no_predicted_label_map(scene_dir, tmp_path, capsys, monkeypatch):
-    # run and sweep score over palette rows: the only label maps are each scene's gt frames
-    maps = []
-    post_init = LabelMap.__post_init__
-
-    def counted_post_init(self):
-        maps.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(LabelMap, "__post_init__", counted_post_init)
-    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=2))
-    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv")]) == 0
-    assert len(maps) == 2 * 3  # repeats x t_len gt frames
-    maps.clear()
-    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/8"})
-    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 0
-    capsys.readouterr()
-    assert len(maps) == 3  # the t_len gt frames load_scene reads
 
 
 def test_sweep_generates_each_seed_once(tmp_path, capsys, scene_calls):

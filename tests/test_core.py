@@ -15,7 +15,6 @@ from queryshift import core
 from queryshift.core import (
     ClipQueryTensor,
     FrameQuerySet,
-    LabelMap,
     NonFiniteTensorError,
     PixelEmbeddingMap,
     TensorFormatError,
@@ -335,53 +334,56 @@ def test_pixel_map_index_is_a_read_only_intp_copy(dtype):
 
 
 def test_labelmap_validates_range():
-    LabelMap(np.zeros((2, 2), dtype=np.int64), 1)
-    with pytest.raises(ValueError):
-        LabelMap(np.full((2, 2), 3, dtype=np.int64), 3)
-    with pytest.raises(ValueError):
-        LabelMap(np.full((2, 2), -1, dtype=np.int64), 3)
-    with pytest.raises(ValueError):
-        LabelMap(np.zeros((2, 2), dtype=np.float64), 2)
+    bad = [
+        (np.zeros((2, 2)), "integer grid"),
+        (np.zeros((2, 2), dtype=bool), "integer grid"),
+        (np.zeros(4, dtype=np.int64), "2-D"),
+        (np.zeros((0, 3), dtype=np.int64), "non-empty"),
+        (np.full((2, 2), -1), r"\[0, 256\)"),
+        (np.full((2, 2), 256), r"\[0, 256\)"),
+    ]
+    for labels, match in bad:
+        with pytest.raises(ValueError, match=match):
+            write_labelmap(labels, io.BytesIO())
 
 
 def test_labelmap_copies_its_input_once():
+    # the one copy is the uint8 body: an eighth of an int64 grid
     grid = np.arange(1024 * 1024, dtype=np.int64).reshape(1024, 1024) % 7
+    buf = io.BytesIO()
     tracemalloc.start()
     try:
-        lm = LabelMap(grid, 7)
+        write_labelmap(grid, buf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * grid.nbytes
-    grid[0, 0] = 6
-    assert lm.labels[0, 0] == 0 and not np.shares_memory(lm.labels, grid)
-    with pytest.raises(ValueError, match="integer grid"):
-        LabelMap(grid.astype(np.float64), 7)
-    with pytest.raises(ValueError, match="integer grid"):
-        LabelMap(grid.astype(bool), 7)
+    assert peak < 0.3 * grid.nbytes
+    assert np.array_equal(read_labelmap(io.BytesIO(buf.getvalue()), 7), grid)
 
 
 def test_read_labelmap_keeps_no_second_copy_of_the_body():
-    # the int64 labels are 8x the PGM body; slicing the body out of the file bytes made it 9x
+    # the labels are a uint8 view of the bytes read, not an int64 copy 8x the body
     grid = np.arange(2048 * 2048, dtype=np.int64).reshape(2048, 2048) % 7
     buf = io.BytesIO()
-    write_labelmap(LabelMap(grid, 7), buf)
+    write_labelmap(grid, buf)
     data = buf.getvalue()
     src = io.BytesIO(data)
     tracemalloc.start()
     try:
-        lm = read_labelmap(src, 7)
+        labels = read_labelmap(src, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.5 * len(data)
-    assert np.array_equal(lm.labels, grid)
+    assert peak < len(data)
+    assert labels.dtype == np.uint8 and np.array_equal(labels, grid)
 
 
 def test_labelmap_frozen():
-    lm = LabelMap(np.zeros((2, 2), dtype=np.int64), 2)
+    buf = io.BytesIO()
+    write_labelmap(np.zeros((2, 2), dtype=np.int64), buf)
+    labels = read_labelmap(io.BytesIO(buf.getvalue()), 2)
     with pytest.raises(ValueError):
-        lm.labels[0, 0] = 1
+        labels[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +393,17 @@ def test_labelmap_frozen():
 
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    lm = LabelMap(rng.integers(0, 7, size=(13, 9)), 7)
+    labels = rng.integers(0, 7, size=(13, 9))
     path = tmp_path / "labels.pgm"
-    write_labelmap(lm, path)
+    write_labelmap(labels, path)
     back = read_labelmap(path, 7)
-    assert np.array_equal(back.labels, lm.labels)
-    assert back.num_classes == 7
+    assert np.array_equal(back, labels)
+    assert back.dtype == np.uint8 and not back.flags.writeable
 
 
 def test_pgm_header_shape():
     buf = io.BytesIO()
-    write_labelmap(LabelMap(np.zeros((2, 3), dtype=np.int64), 1), buf)
+    write_labelmap(np.zeros((2, 3), dtype=np.int64), buf)
     data = buf.getvalue()
     # width before height in the header, row-major body
     assert data.startswith(b"P5\n3 2\n255\n")
@@ -410,11 +412,11 @@ def test_pgm_header_shape():
 
 def test_pgm_bytes_are_row_major_whatever_the_input_layout():
     # a transposed (column-major) grid still writes its rows in order
-    lm = LabelMap(np.arange(6, dtype=np.uint8).reshape(3, 2).T, 6)
+    labels = np.arange(6, dtype=np.uint8).reshape(3, 2).T
     buf = io.BytesIO()
-    write_labelmap(lm, buf)
+    write_labelmap(labels, buf)
     assert buf.getvalue() == b"P5\n3 2\n255\n" + bytes([0, 2, 4, 1, 3, 5])
-    assert read_labelmap(io.BytesIO(buf.getvalue()), 6).labels.tolist() == lm.labels.tolist()
+    assert read_labelmap(io.BytesIO(buf.getvalue()), 6).tolist() == labels.tolist()
 
 
 def test_pgm_wrong_magic():
@@ -442,8 +444,8 @@ def test_pgm_truncated_body():
     ids=["before_width", "before_maxval", "after_each_token"],
 )
 def test_pgm_skips_header_comments(header):
-    lm = read_labelmap(io.BytesIO(header + bytes([0, 1, 1, 0])), 2)
-    assert lm.labels.tolist() == [[0, 1], [1, 0]]
+    labels = read_labelmap(io.BytesIO(header + bytes([0, 1, 1, 0])), 2)
+    assert labels.tolist() == [[0, 1], [1, 0]]
 
 
 def test_pgm_comment_reaching_eof_is_truncated():
@@ -452,14 +454,14 @@ def test_pgm_comment_reaching_eof_is_truncated():
 
 
 def test_pgm_caps_classes_at_256():
-    lm = LabelMap(np.zeros((1, 1), dtype=np.int64), 257)
-    with pytest.raises(ValueError):
-        write_labelmap(lm, io.BytesIO())
+    write_labelmap(np.array([[255]]), io.BytesIO())
+    with pytest.raises(ValueError, match=r"\[0, 256\)"):
+        write_labelmap(np.array([[0, 256]]), io.BytesIO())
 
 
 def test_pgm_class_count_validated_on_read():
     buf = io.BytesIO()
-    write_labelmap(LabelMap(np.full((2, 2), 5, dtype=np.int64), 6), buf)
+    write_labelmap(np.full((2, 2), 5, dtype=np.int64), buf)
     buf.seek(0)
     with pytest.raises(ValueError):
         read_labelmap(buf, 4)  # stored value 5 exceeds the declared classes
@@ -470,16 +472,16 @@ def test_pgm_class_count_validated_on_read():
 # ---------------------------------------------------------------------------
 
 
-def _pgm_bytes(lmap):
+def _pgm_bytes(labels):
     buf = io.BytesIO()
-    write_labelmap(lmap, buf)
+    write_labelmap(labels, buf)
     return buf.getvalue()
 
 
 _VALID_FILES = {
     "qtn": (_qtn_bytes(_clip(2, 2, 3)), read_tensor),
     "pgm": (
-        _pgm_bytes(LabelMap(np.arange(6).reshape(2, 3), 256)),
+        _pgm_bytes(np.arange(6).reshape(2, 3)),
         lambda src: read_labelmap(src, 256),
     ),
 }

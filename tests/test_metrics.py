@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryshift.core import LabelMap
 from queryshift.matching import ClipAlignment, align_clip
 from queryshift.metrics import evaluate_clip, miou, pixel_accuracy, tally_clip
 from queryshift.pipeline import run_clip
@@ -21,17 +20,20 @@ from oracles import accumulate, temporal_consistency
 
 
 def _lmap(values, c):
-    return LabelMap(np.asarray(values, dtype=np.int64), c)
+    """A read-only int64 grid of classes in [0, c)."""
+    labels = np.array(values, dtype=np.int64)
+    assert labels.min() >= 0 and labels.max() < c
+    labels.setflags(write=False)
+    return labels
 
 
 def _zeros(c):
     return np.zeros((c, c), dtype=np.int64)
 
 
-def _score_maps(gt, pred):
+def _score_maps(gt, pred, c):
     """``evaluate_clip`` of per-pixel predictions: each map is its own index, row k is class k."""
-    c = gt[0].num_classes if gt else 1
-    return evaluate_clip(tally_clip(gt, [p.labels for p in pred]), [np.arange(c)] * len(pred))
+    return evaluate_clip(tally_clip(np.array(gt), pred, c), [np.arange(c)] * len(pred))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def test_accumulate_shape_and_class_mismatch():
     with pytest.raises(ValueError):
         accumulate(counts, _lmap([[0]], 2), _lmap([[0, 0]], 2))
     with pytest.raises(ValueError):
-        accumulate(counts, _lmap([[0]], 3), _lmap([[0]], 3))
+        accumulate(counts, _lmap([[2]], 3), _lmap([[0]], 3))  # class 2 of 3 in 2x2 counts
 
 
 def test_confusion_matrix_validation():
@@ -270,7 +272,7 @@ def test_consistency_rejects_a_mask_shaped_unlike_any_frame(odd_frame):
 def test_evaluate_clip_bundles_everything():
     gt = [_lmap([[0, 1]], 2), _lmap([[0, 1]], 2)]
     pred = [_lmap([[0, 1]], 2), _lmap([[0, 0]], 2)]
-    scores = _score_maps(gt, pred)
+    scores = _score_maps(gt, pred, 2)
     assert sorted(scores) == ["miou", "pixel_accuracy", "temporal_consistency"]
     # confusion over both frames: gt (0,1,0,1), pred (0,1,0,0)
     assert scores["pixel_accuracy"] == pytest.approx(0.75, abs=1e-12)
@@ -284,28 +286,28 @@ def test_evaluate_clip_scores_consistency_on_globally_static_pixels():
     # three of four pixels keep their ground-truth class; only those count
     gt = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 2], [2, 2]], 3)]
     flip_moving = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 0], [2, 2]], 3)]
-    assert _score_maps(gt, flip_moving)["temporal_consistency"] == 1.0
+    assert _score_maps(gt, flip_moving, 3)["temporal_consistency"] == 1.0
     flip_static = [_lmap([[0, 1], [2, 2]], 3), _lmap([[0, 1], [1, 2]], 3)]
-    assert _score_maps(gt, flip_static)["temporal_consistency"] == 2 / 3
+    assert _score_maps(gt, flip_static, 3)["temporal_consistency"] == 2 / 3
 
 
 def test_evaluate_clip_rejects_empty_and_mismatched_clips():
     frame = _lmap([[0, 1]], 2)
     with pytest.raises(ValueError, match="0 gt frames vs 0 indexes"):
-        _score_maps([], [])
+        _score_maps(np.zeros((0, 1, 2), dtype=np.int64), [], 2)
     with pytest.raises(ValueError, match="2 gt frames vs 1 indexes"):
-        _score_maps([frame, frame], [frame])
-    tally = tally_clip([frame, frame], [frame.labels] * 2)
+        _score_maps([frame, frame], [frame], 2)
+    tally = tally_clip(np.array([frame, frame]), [frame] * 2, 2)
     with pytest.raises(ValueError, match="1 frames of row labels vs 2 tallied"):
         evaluate_clip(tally, [np.arange(2)])
     # a prediction over more classes than the ground truth has
     with pytest.raises(ValueError, match=r"row labels must lie in \[0, 2\)"):
-        evaluate_clip(tally_clip([frame], [np.array([[0, 2]])]), [np.arange(3)])
+        evaluate_clip(tally_clip(np.array([frame]), [np.array([[0, 2]])], 2), [np.arange(3)])
 
 
 def test_evaluate_clip_single_frame_has_null_consistency():
     gt = [_lmap([[0, 1]], 2)]
-    scores = _score_maps(gt, gt)
+    scores = _score_maps(gt, gt, 2)
     assert scores == {"miou": 1.0, "pixel_accuracy": 1.0, "temporal_consistency": None}
 
 
@@ -316,8 +318,8 @@ def test_evaluate_clip_single_frame_has_null_consistency():
 
 def _reference_scores(gt, pred, c):
     """(mIoU, pixel accuracy, consistency) by per-pixel Python loops over nested lists."""
-    g = [m.labels.tolist() for m in gt]
-    p = [m.labels.tolist() for m in pred]
+    g = [np.asarray(m).tolist() for m in gt]
+    p = [np.asarray(m).tolist() for m in pred]
     t_len, h, w = len(g), len(g[0]), len(g[0][0])
     inter, gt_count, pred_count = [0] * c, [0] * c, [0] * c
     for t in range(t_len):
@@ -347,8 +349,8 @@ def _reference_scores(gt, pred, c):
     return mean_iou, accuracy, same / ((t_len - 1) * len(static))
 
 
-def _clip_scores(gt, pred):
-    scores = _score_maps(gt, pred)
+def _clip_scores(gt, pred, c):
+    scores = _score_maps(gt, pred, c)
     return scores["miou"], scores["pixel_accuracy"], scores["temporal_consistency"]
 
 
@@ -365,7 +367,7 @@ def test_evaluate_clip_equals_per_pixel_loops(t_len, c):
         pred = [np.where(rng.random((h, w)) < 0.7, g, rng.integers(0, c, size=(h, w))) for g in gt]
         gt_maps = [_lmap(g, c) for g in gt]
         pred_maps = [_lmap(q, c) for q in pred]
-        assert _clip_scores(gt_maps, pred_maps) == _reference_scores(gt_maps, pred_maps, c)
+        assert _clip_scores(gt_maps, pred_maps, c) == _reference_scores(gt_maps, pred_maps, c)
 
 
 def test_evaluate_clip_with_no_static_pixel_equals_per_pixel_loops():
@@ -373,7 +375,7 @@ def test_evaluate_clip_with_no_static_pixel_equals_per_pixel_loops():
     first = rng.integers(0, 3, size=(4, 5))
     gt = [_lmap((first + t) % 3, 3) for t in range(3)]  # every pixel changes class
     pred = [_lmap(rng.integers(0, 3, size=(4, 5)), 3) for _ in range(3)]
-    scores = _clip_scores(gt, pred)
+    scores = _clip_scores(gt, pred, 3)
     assert scores[2] is None
     assert scores == _reference_scores(gt, pred, 3)
 
@@ -382,7 +384,7 @@ def test_evaluate_clip_with_every_pixel_static_equals_per_pixel_loops():
     rng = np.random.default_rng(12)
     gt = [_lmap(rng.integers(0, 4, size=(6, 3)), 4)] * 5
     pred = [_lmap(rng.integers(0, 4, size=(6, 3)), 4) for _ in range(5)]
-    assert _clip_scores(gt, pred) == _reference_scores(gt, pred, 4)
+    assert _clip_scores(gt, pred, 4) == _reference_scores(gt, pred, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +392,20 @@ def test_evaluate_clip_with_every_pixel_static_equals_per_pixel_loops():
 # ---------------------------------------------------------------------------
 
 
-def _per_pixel_scores(gt, preds):
+def _per_pixel_scores(gt, preds, c):
     """The scores from per-frame ``accumulate`` and one ``temporal_consistency`` call."""
-    c = gt[0].num_classes
     counts = _zeros(c)
     for g, p in zip(gt, preds):
         counts = accumulate(counts, p, g)
-    static = np.logical_and.reduce([g.labels == gt[0].labels for g in gt])
+    static = np.logical_and.reduce([g == gt[0] for g in gt])
     tc = temporal_consistency(preds, static) if len(gt) > 1 and static.any() else None
     return {"miou": miou(counts), "pixel_accuracy": pixel_accuracy(counts), "temporal_consistency": tc}
 
 
 def _small_tally():
     # frame 0 uses rows 0..2 of its palette, frame 1 rows 0..1
-    gt = [_lmap([[0, 1], [1, 1]], 2), _lmap([[0, 1], [0, 1]], 2)]
-    return tally_clip(gt, [np.array([[0, 1], [2, 2]]), np.array([[1, 0], [0, 1]])])
+    gt = np.array([[[0, 1], [1, 1]], [[0, 1], [0, 1]]])
+    return tally_clip(gt, [np.array([[0, 1], [2, 2]]), np.array([[1, 0], [0, 1]])], 2)
 
 
 def test_score_rows_hand_example():
@@ -414,7 +415,7 @@ def test_score_rows_hand_example():
     scores = evaluate_clip(tally, [np.array([0, 1, 1]), np.array([0, 1])])
     gt = [_lmap([[0, 1], [1, 1]], 2), _lmap([[0, 1], [0, 1]], 2)]
     preds = [_lmap([[0, 1], [1, 1]], 2), _lmap([[1, 0], [0, 1]], 2)]
-    assert scores == _per_pixel_scores(gt, preds)
+    assert scores == _per_pixel_scores(gt, preds, 2)
     assert scores["pixel_accuracy"] == 6 / 8
     assert scores["temporal_consistency"] == 1 / 3  # of the 3 static pixels only (1, 1) keeps 1
 
@@ -448,18 +449,24 @@ def test_score_rows_rejects_bad_row_labels(labels, match):
 
 
 def test_tally_clip_rejects_mismatched_indexes():
-    gt = [_lmap([[0, 1], [1, 1]], 2)] * 2
+    gt = np.array([[[0, 1], [1, 1]]] * 2, dtype=np.uint8)
     index = np.zeros((2, 2), dtype=np.intp)
     with pytest.raises(ValueError, match="2 gt frames vs 1 indexes"):
-        tally_clip(gt, [index])
+        tally_clip(gt, [index], 2)
+    with pytest.raises(ValueError, match="2 gt frames vs 3 indexes"):
+        tally_clip(gt, [index] * 3, 2)
     with pytest.raises(ValueError, match="0 gt frames vs 0 indexes"):
-        tally_clip([], [])
+        tally_clip(gt[:0], [], 2)
+    for bad_gt in (gt[0], gt.astype(bool)):
+        with pytest.raises(ValueError, match=r"must be a \(T, H, W\) integer array"):
+            tally_clip(bad_gt, [index, index], 2)
+    for bad_gt in (gt + 1, gt.astype(np.int64) - 1):
+        with pytest.raises(ValueError, match=r"gt labels must lie in \[0, 2\)"):
+            tally_clip(bad_gt, [index, index], 2)
     for bad in (np.zeros((2, 3), dtype=np.intp), np.zeros(4, dtype=np.intp),
                 np.zeros((2, 2)), np.full((2, 2), -1)):
         with pytest.raises(ValueError, match=r"is not a row grid like \(2, 2\)"):
-            tally_clip(gt, [index, bad])
-    with pytest.raises(ValueError, match="class count mismatch"):
-        tally_clip([gt[0], _lmap([[0, 1], [1, 1]], 3)], [index, index])
+            tally_clip(gt, [index, bad], 2)
 
 
 def test_tally_counts_by_clip_row():
@@ -491,17 +498,16 @@ def _hand_clips(draw):
     sizes = [draw(st.integers(1, 7)) for _ in range(t_len)]
     indexes = [rng.integers(0, p, size=(h, w)) for p in sizes]
     rows = [rng.integers(0, c, size=p + draw(st.integers(0, 2))) for p in sizes]
-    return [_lmap(g, c) for g in gt], indexes, rows
+    return np.array(gt), indexes, rows, c
 
 
 @given(_hand_clips())
 @settings(max_examples=150, deadline=None)
 def test_score_rows_equals_per_pixel_scores_on_hand_built_clips(clip):
-    gt, indexes, rows = clip
-    c = gt[0].num_classes
+    gt, indexes, rows, c = clip
     preds = [_lmap(r[index], c) for r, index in zip(rows, indexes)]
-    scores = evaluate_clip(tally_clip(gt, indexes), rows)
-    assert scores == _score_maps(gt, preds) == _per_pixel_scores(gt, preds)
+    scores = evaluate_clip(tally_clip(gt, indexes, c), rows)
+    assert scores == _score_maps(gt, preds, c) == _per_pixel_scores(gt, preds, c)
 
 
 @st.composite
@@ -536,7 +542,8 @@ def test_score_rows_equals_per_pixel_scores_on_scenes(case):
             scene = load_scene(tmp)
     q = scene.queries
     alignment = align_clip(q) if matching else ClipAlignment.identity(q.t_len, q.n_queries)
-    tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels])
+    c = spec.num_classes
+    tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels], c)
     rows = run_clip(scene, shift, alignment)
-    preds = [_lmap(r[pixels.index], spec.num_classes) for r, pixels in zip(rows, scene.pixels)]
-    assert evaluate_clip(tally, rows) == _per_pixel_scores(scene.gt_labels, preds)
+    preds = [_lmap(r[pixels.index], c) for r, pixels in zip(rows, scene.pixels)]
+    assert evaluate_clip(tally, rows) == _per_pixel_scores(scene.gt_labels, preds, c)

@@ -394,14 +394,14 @@ def test_run_clip_matched_is_exact_unmatched_is_not():
     alignment = align_clip(scene.queries)
     preds_on = run_clip(scene, _shift("1/4", 64, HOLD), alignment)
     for pred, pixels, gt in zip(preds_on, scene.pixels, scene.gt_labels):
-        assert np.array_equal(pred[pixels.index], gt.labels)
+        assert np.array_equal(pred[pixels.index], gt)
     from queryshift.synth import recovery_rate
 
     assert recovery_rate(alignment, scene) == 1.0
 
     preds_off = run_clip(scene, _shift("1/4", 64, HOLD), _aligned(scene.queries, False))
     wrong = sum(
-        int((pred[pixels.index] != gt.labels).sum())
+        int((pred[pixels.index] != gt).sum())
         for pred, pixels, gt in zip(preds_off, scene.pixels, scene.gt_labels)
     )
     assert wrong > 0

@@ -35,7 +35,7 @@ def test_library_example_prints_its_comments():
 
 
 def _span_names() -> list[str]:
-    # an inline code span names what it starts with: `LabelMap(labels, num_classes)` names LabelMap
+    # an inline code span names what it starts with: `SceneSpec(t_len, ...)` names SceneSpec
     return re.findall(r"`([A-Za-z_]\w*)[^`\n]*`", README.read_text())
 
 

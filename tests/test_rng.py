@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,4 +157,4 @@ def test_gauss_spare_is_stream_position_function():
     b = Rng(7)
     singles = [a.gauss() for _ in range(20)]
     vector = b.gauss_vector(20)
-    assert singles == vector
+    assert vector.dtype == np.float64 and singles == vector.tolist()

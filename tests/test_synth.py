@@ -142,8 +142,7 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.prototypes.view(np.uint64), b.prototypes.view(np.uint64))
     for pa, pb in zip(a.pixels, b.pixels):
         assert np.array_equal(_embeddings(pa).view(np.uint64), _embeddings(pb).view(np.uint64))
-    for la, lb in zip(a.gt_labels, b.gt_labels):
-        assert np.array_equal(la.labels, lb.labels)
+    assert np.array_equal(a.gt_labels, b.gt_labels)
     assert np.array_equal(a.gt_tracks, b.gt_tracks)
 
 
@@ -200,8 +199,8 @@ def test_gt_tracks_are_read_only_rotations():
 
 def test_labels_use_background_class():
     scene = generate_scene(_spec(num_classes=5))
-    for lmap in scene.gt_labels:
-        vals = set(np.unique(lmap.labels).tolist())
+    for labels in scene.gt_labels:
+        vals = set(np.unique(labels).tolist())
         assert 4 in vals  # background = C - 1
         assert vals <= set(range(5))
 
@@ -217,7 +216,7 @@ def test_pixels_carry_prototypes_on_rectangles():
         # rectangles exist and so does untouched background
         assert on.any() and (~on).any()
         bg = scene.spec.num_classes - 1
-        assert np.all((scene.gt_labels[t].labels == bg) == ~on)
+        assert np.all((scene.gt_labels[t] == bg) == ~on)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +334,7 @@ def test_scene_round_trip(tmp_path):
     )
     for pa, pb in zip(back.pixels, scene.pixels):
         assert np.array_equal(_embeddings(pa).view(np.uint64), _embeddings(pb).view(np.uint64))
-    for la, lb in zip(back.gt_labels, scene.gt_labels):
-        assert np.array_equal(la.labels, lb.labels)
+    assert np.array_equal(back.gt_labels, scene.gt_labels)
     assert np.array_equal(back.gt_tracks, scene.gt_tracks)
     assert back.gt_tracks.dtype == np.intp and not back.gt_tracks.flags.writeable
     assert back.track_classes == scene.track_classes
@@ -378,6 +376,21 @@ def test_pixel_maps_are_read_only_views_of_one_buffer(tmp_path):
         assert pm.index is loaded.pixels[0].index
         assert np.array_equal(pm.index, identity)
         assert np.array_equal(_embeddings(pm), _embeddings(generated))
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["generated", "loaded"])
+def test_gt_labels_are_one_read_only_class_array(tmp_path, loaded):
+    scene = generate_scene(_spec(n_queries=5, num_classes=3, motion=2, seed=5))
+    if loaded:
+        save_scene(scene, tmp_path)
+        scene = load_scene(tmp_path)
+    generated = generate_scene(scene.spec)
+    index = np.stack([pm.index for pm in generated.pixels])
+    class_of_row = np.array([scene.spec.num_classes - 1, *scene.track_classes])
+    gt = scene.gt_labels
+    assert isinstance(gt, np.ndarray) and gt.dtype == np.uint8 and not gt.flags.writeable
+    assert gt.shape == (scene.spec.t_len, *scene.spec.grid)
+    assert np.array_equal(gt, class_of_row[index])
 
 
 def test_generate_scene_gathers_no_per_pixel_embeddings():
