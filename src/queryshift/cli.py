@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -34,7 +35,6 @@ from .synth import (
     _check_keys,
     _json_value,
     _load_json,
-    class_head_for,
     generate_scene,
     load_scene,
     recovery_rate,
@@ -143,7 +143,7 @@ def _cmd_run(args) -> int:
     shift, matching = _pipeline_config(cfg, scene.spec.dim)
     alignment = _alignment(scene.queries, matching)
     tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], scene.spec.num_classes)
-    scores = evaluate_clip(tally, run_clip(scene, shift, alignment))
+    scores = evaluate_clip(tally, run_clip(scene, [(shift, alignment)])[0])
     recovery = recovery_rate(alignment, scene)
     echo = {
         "scene": scene.spec.to_dict(),
@@ -181,27 +181,27 @@ def _cmd_match(args) -> int:
 def _sweep_seed(
     spec: SceneSpec, shifts: list[ShiftConfig], matchings: list[bool]
 ) -> list[list[str]]:
-    """One seed: scene, pixel tally, alignments and recoveries once, then a CSV row per cell."""
+    """One seed: scene, tally, alignments, recoveries and ``run_clip`` once, a CSV row per cell."""
     scene = generate_scene(spec)
-    head = class_head_for(scene)
     tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], scene.spec.num_classes)
     alignments = {m: _alignment(scene.queries, m) for m in matchings}
     recoveries = {m: recovery_rate(a, scene) for m, a in alignments.items()}
+    grid = [(shift, matching) for shift in shifts for matching in matchings]
+    cell_rows = run_clip(scene, [(shift, alignments[m]) for shift, m in grid])
     rows = []
-    for shift in shifts:
-        for matching in matchings:
-            scores = evaluate_clip(tally, run_clip(scene, shift, alignments[matching], head))
-            tc = scores["temporal_consistency"]
-            rows.append([
-                str(shift.fraction),
-                str(shift.channels_shifted),
-                "on" if matching else "off",
-                str(spec.seed),
-                repr(scores["miou"]),
-                repr(scores["pixel_accuracy"]),
-                "" if tc is None else repr(tc),
-                repr(recoveries[matching]),
-            ])
+    for (shift, matching), labels in zip(grid, cell_rows):
+        scores = evaluate_clip(tally, labels)
+        tc = scores["temporal_consistency"]
+        rows.append([
+            str(shift.fraction),
+            str(shift.channels_shifted),
+            "on" if matching else "off",
+            str(spec.seed),
+            repr(scores["miou"]),
+            repr(scores["pixel_accuracy"]),
+            "" if tc is None else repr(tc),
+            repr(recoveries[matching]),
+        ])
     return rows
 
 
@@ -263,21 +263,28 @@ def _cmd_sweep(args) -> int:
     sweep_seed = functools.partial(_sweep_seed, shifts=shifts, matchings=matchings)
     workers = min(args.parallel, repeats, os.cpu_count() or 1)
     with open(args.out, "w") as f:
-        f.write(_CSV_HEADER + "\n")
-        if workers == 1:
-            per_seed = list(map(sweep_seed, specs))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # at most 2 * workers seeds wait in the pool, so a failing seed ends it early
-                per_seed, pending = [], []
-                for spec in specs:
-                    pending.append(pool.submit(sweep_seed, spec))
-                    if len(pending) == 2 * workers:
-                        per_seed.append(pending.pop(0).result())
-                per_seed += [future.result() for future in pending]
-        # per_seed is seed-major; the CSV lists fraction, then matching, then seed
-        rows = [row for cell in zip(*per_seed) for row in cell]
-        f.writelines(",".join(row) + "\n" for row in rows)
+        try:
+            if workers == 1:
+                per_seed = list(map(sweep_seed, specs))
+            else:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    # at most 2 * workers seeds wait in the pool, so a failing seed ends it early
+                    per_seed, pending = [], []
+                    for spec in specs:
+                        pending.append(pool.submit(sweep_seed, spec))
+                        if len(pending) == 2 * workers:
+                            per_seed.append(pending.pop(0).result())
+                    per_seed += [future.result() for future in pending]
+            # per_seed is seed-major; the CSV lists fraction, then matching, then seed
+            rows = [row for cell in zip(*per_seed) for row in cell]
+            f.write(_CSV_HEADER + "\n")
+            f.writelines(",".join(row) + "\n" for row in rows)
+            f.flush()
+        except BaseException:
+            # a failed sweep leaves no partial CSV; /dev/null or a FIFO stays in place
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                os.unlink(args.out)
+            raise
     sys.stdout.write(_sweep_summary(rows))
     return 0
 

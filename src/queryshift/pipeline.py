@@ -13,11 +13,13 @@ serves every shift run on the same clip.
 
 Decode and vote pass plain arrays: ``decode_masks`` returns (N, P) mask
 scores and (N, C) class logits, and ``semantic_inference`` votes them into a
-class per palette row.  No per-pixel label map is built; ``rows[pixels.index]``
-is one when a caller needs it.
+class per palette row, one call per palette for all of ``run_clip``'s cells.
+No per-pixel label map is built; ``rows[pixels.index]`` is one when needed.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -47,9 +49,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def decode_masks(
@@ -80,21 +82,22 @@ def decode_masks(
 
 
 def semantic_inference(scores: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Fuse (N, P) soft masks and (N, C) class logits into a class per palette row.
+    """Fuse soft masks and class logits into a class per palette row.
 
-    Returns a read-only (P,) intp array: row p takes the class maximising
-    sum_i softmax(logits_i)[c] * scores[i, p]; ties resolve to the lowest
-    class index.
+    (N, P) ``scores`` and (N, C) ``logits`` give a read-only (P,) intp array;
+    G groups stacked as (G, N, P) and (G, N, C) give (G, P).  Row p takes the
+    class maximising sum_i softmax(logits_i)[c] * scores[i, p] within its
+    group; ties resolve to the lowest class index.
     """
     scores = np.asarray(scores, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError(f"scores must be (N, P), got shape {scores.shape}")
-    if logits.ndim != 2 or logits.shape[0] != scores.shape[0]:
-        raise ValueError(f"logits must be (N, C) matching scores, got {logits.shape}")
+    if scores.ndim != 2 and not scores.ndim == logits.ndim == 3:
+        raise ValueError(f"scores must be (N, P), or (G, N, P) with 3-D logits, got {scores.shape}")
+    if logits.ndim != scores.ndim or logits.shape[:-1] != scores.shape[:-1]:
+        raise ValueError(f"logits must be (N, C) matching scores, or (G, N, C), got {logits.shape}")
     if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(logits))):
         raise ValueError("scores and logits must be finite")
-    labels = np.argmax(np.einsum("nc,np->cp", _softmax_rows(logits), scores), axis=0)
+    labels = np.argmax(np.einsum("...nc,...np->...cp", _softmax_rows(logits), scores), axis=-2)
     labels.setflags(write=False)
     return labels
 
@@ -122,18 +125,31 @@ def shift_with_matching(
 
 def run_clip(
     scene: SceneClip,
-    shift: ShiftConfig,
-    alignment: ClipAlignment,
+    cells: Sequence[tuple[ShiftConfig, ClipAlignment]],
     class_head: np.ndarray | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Process a scene end to end: a read-only (P_t,) intp class per palette row of frame t.
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per ``(shift, alignment)`` cell, a read-only (P_t,) intp class per palette row of frame t.
 
-    ``rows[t][scene.pixels[t].index]`` is frame t's per-pixel prediction.
+    ``rows[t][scene.pixels[t].index]`` is frame t's per-pixel prediction.  The
+    cells' shifted clips form one (S, T, N, D) stack, and the frames sharing
+    one palette object decode and vote together, in one ``decode_masks`` call.
     ``class_head`` defaults to the head derived from the scene's prototypes.
     """
     head = class_head_for(scene) if class_head is None else class_head
-    shifted = shift_with_matching(scene.queries, shift, alignment)
-    return tuple(
-        semantic_inference(*decode_masks(queries, pixels, head))
-        for queries, pixels in zip(shifted.frames, scene.pixels)
-    )
+    groups: dict[int, list[int]] = {}  # palette object -> the frames using it
+    for t, pixels in enumerate(scene.pixels):
+        groups.setdefault(id(pixels.palette), []).append(t)
+    order = [t for frames in groups.values() for t in frames]  # each group one slice
+    _, n, d = scene.queries.data.shape
+    stack = np.empty((len(cells), len(order), n, d))
+    for s, (shift, alignment) in enumerate(cells):
+        stack[s] = shift_with_matching(scene.queries, shift, alignment).data[order]
+    by_frame = {}  # frame t -> its (S, P_t) classes
+    lo = 0
+    for frames in groups.values():
+        queries = FrameQuerySet(stack[:, lo : lo + len(frames)].reshape(-1, d))
+        lo += len(frames)
+        scores, logits = decode_masks(queries, scene.pixels[frames[0]], head)
+        labels = semantic_inference(*(a.reshape(-1, n, a.shape[1]) for a in (scores, logits)))
+        by_frame.update(zip(frames, labels.reshape(len(cells), len(frames), -1).swapaxes(0, 1)))
+    return tuple(tuple(by_frame[t][s] for t in range(len(order))) for s in range(len(cells)))

@@ -47,6 +47,7 @@ import math
 import numpy as np
 
 MASK64 = (1 << 64) - 1
+_GAUSS_BLOCK = 1024  # Box-Muller pairs per block: bounds gauss_vector's scratch lists
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_M1 = 0xBF58476D1CE4E5B9
@@ -62,10 +63,6 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * _SPLITMIX_M1) & MASK64
     z = ((z ^ (z >> 27)) * _SPLITMIX_M2) & MASK64
     return state, (z ^ (z >> 31)) & MASK64
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
 
 
 class Rng:
@@ -89,8 +86,8 @@ class Rng:
         s1 = self._s1
         result = (s0 + s1) & MASK64
         t = s1 ^ s0
-        self._s0 = _rotl(s0, 55) ^ t ^ ((t << 14) & MASK64)
-        self._s1 = _rotl(t, 36)
+        self._s0 = ((s0 << 55 | s0 >> 9) ^ t ^ t << 14) & MASK64  # rotl(s0, 55) ^ t ^ (t << 14)
+        self._s1 = (t << 36 | t >> 28) & MASK64  # rotl(t, 36)
         return result
 
     def uniform(self) -> float:
@@ -105,17 +102,39 @@ class Rng:
 
     def gauss(self) -> float:
         """Standard normal draw via Box-Muller (see module docstring)."""
-        spare = self._gauss_spare
-        if spare is not None:
-            self._gauss_spare = None
-            return spare
-        u1 = ((self.next_u64() >> 11) + 1) * (2.0 ** -53)  # (0, 1]
-        u2 = (self.next_u64() >> 11) * (2.0 ** -53)
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._gauss_spare = r * math.sin(theta)
-        return r * math.cos(theta)
+        return float(self.gauss_vector(1)[0])
 
     def gauss_vector(self, n: int) -> np.ndarray:
-        """``n`` gauss() draws as a float64 array, allocated before the first draw."""
-        return np.fromiter((self.gauss() for _ in range(n)), np.float64, count=n)
+        """``n`` gauss() draws as a float64 array, allocated before the first draw.
+
+        Box-Muller runs over blocks of pairs; ``log``, ``sin`` and ``cos`` go
+        through ``math`` because numpy's differ in the last bit.
+        """
+        out = np.empty(np.intp(n))  # an absurd n fails here, before any draw
+        done = 0
+        if out.size and self._gauss_spare is not None:
+            out[0], self._gauss_spare, done = self._gauss_spare, None, 1
+        s0, s1, mask = self._s0, self._s1, MASK64
+        while done < out.size:
+            s0s, s1s = [], []  # the state before each step; its word is their sum
+            keep0, keep1 = s0s.append, s1s.append
+            for _ in range(2 * min((out.size - done + 1) // 2, _GAUSS_BLOCK)):
+                keep0(s0)
+                keep1(s1)
+                t = s1 ^ s0
+                s0 = ((s0 << 55 | s0 >> 9) ^ t ^ t << 14) & mask
+                s1 = (t << 36 | t >> 28) & mask
+            # uint64 addition wraps mod 2**64; the top 53 bits are exact as float64
+            words = np.array(s0s, dtype=np.uint64) + np.array(s1s, dtype=np.uint64)
+            bits = (words >> np.uint64(11)).astype(np.float64)
+            u1 = ((bits[0::2] + 1.0) * 2.0**-53).tolist()  # (0, 1]
+            theta = (2.0 * math.pi * (bits[1::2] * 2.0**-53)).tolist()
+            r = np.sqrt(-2.0 * np.array(list(map(math.log, u1))))
+            trig = np.array([list(map(math.cos, theta)), list(map(math.sin, theta))])
+            draws = (r * trig).T.ravel()  # cos, sin, cos, sin, ...
+            out[done : done + draws.size] = draws[: out.size - done]
+            if done + draws.size > out.size:  # an odd count keeps the last sine
+                self._gauss_spare = float(draws[-1])
+            done += draws.size
+        self._s0, self._s1 = s0, s1
+        return out

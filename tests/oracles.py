@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
 
 from queryshift.matching import _checked_similarity, _matched
 from queryshift.metrics import _checked_counts
+from queryshift.pipeline import decode_masks, semantic_inference, shift_with_matching
+from queryshift.rng import Rng
+from queryshift.synth import class_head_for
 
 _BRUTE_FORCE_LIMIT = 9
 
@@ -68,3 +72,42 @@ def temporal_consistency(preds: Sequence[np.ndarray], static: np.ndarray) -> flo
         raise ValueError("temporal consistency undefined: no static pixel pairs")
     same = sum(int(((a == b) & static).sum()) for a, b in zip(preds, preds[1:]))
     return same / total
+
+
+def per_frame_run_clip(scene, cells, class_head=None) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``run_clip`` one cell and one frame at a time: each shifted frame decoded and voted alone."""
+    head = class_head_for(scene) if class_head is None else class_head
+    return tuple(
+        tuple(
+            semantic_inference(*decode_masks(queries, pixels, head))
+            for queries, pixels in zip(
+                shift_with_matching(scene.queries, shift, alignment).frames, scene.pixels
+            )
+        )
+        for shift, alignment in cells
+    )
+
+
+class ScalarGauss:
+    """Box-Muller one draw at a time over ``rng.next_u64``: the reference for ``gauss_vector``.
+
+    Each pair of uniforms gives ``r*cos(theta)``, returned at once, and
+    ``r*sin(theta)``, cached and returned by the next call.  The oracle keeps
+    its own cache, so it must be the only gaussian source drawing from ``rng``.
+    """
+
+    def __init__(self, rng: Rng):
+        self.rng = rng
+        self.spare: float | None = None
+
+    def gauss(self) -> float:
+        spare = self.spare
+        if spare is not None:
+            self.spare = None
+            return spare
+        u1 = ((self.rng.next_u64() >> 11) + 1) * (2.0 ** -53)  # (0, 1]
+        u2 = (self.rng.next_u64() >> 11) * (2.0 ** -53)
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self.spare = r * math.sin(theta)
+        return r * math.cos(theta)

@@ -157,12 +157,12 @@ def test_criterion_3_exact_recovery_experiment():
         for frac in _RECOVERY_FRACTIONS:
             shift = plan_shift(Fraction(frac), 64, HOLD)
             alignment = align_clip(scene.queries)
-            preds_on = run_clip(scene, shift, alignment)
+            preds_on = run_clip(scene, [(shift, alignment)])[0]
             assert recovery_rate(alignment, scene) == 1.0, (seed, frac)
             miou_on = _clip_miou(scene, preds_on)
             assert miou_on == 1.0, (seed, frac, miou_on)
             if Fraction(frac) >= Fraction(1, 32):
-                preds_off = run_clip(scene, shift, ClipAlignment.identity(6, 8))
+                preds_off = run_clip(scene, [(shift, ClipAlignment.identity(6, 8))])[0]
                 miou_off = _clip_miou(scene, preds_off)
                 assert miou_off < miou_on, (seed, frac, miou_off)
     elapsed = time.perf_counter() - start

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
+import stat
 import struct
 import time
 import types
@@ -835,6 +837,52 @@ def test_parallel_sweep_submits_a_bounded_window_of_seeds(
     _assert_one_line_error(capsys, "seed 0 failed")
     assert pool_sizes == [2]
     assert 1 <= len(built) <= 4
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_failed_sweep_leaves_no_csv(tmp_path, capsys, monkeypatch, pool_sizes, parallel):
+    # seed 0 succeeds and seed 1 fails: no header and no rows are left, and the
+    # file --out held before is gone too, since opening it truncated it
+    sweep_seed = cli._sweep_seed
+
+    def failing_seed(spec, shifts, matchings):
+        if spec.seed == 1:
+            raise ValueError(f"seed {spec.seed} failed")
+        return sweep_seed(spec, shifts, matchings)
+
+    monkeypatch.setattr(cli, "_sweep_seed", failing_seed)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=3))
+    out = tmp_path / "grid.csv"
+    out.write_text("an older sweep\n")
+    assert main(["sweep", "--spec", spec, "--out", str(out), "--parallel", parallel]) == 2
+    _assert_one_line_error(capsys, "seed 1 failed")
+    assert not out.exists()
+    assert pool_sizes == ([] if parallel == "1" else [2])
+
+
+def test_huge_dim_sweep_leaves_no_csv(tmp_path, capsys):
+    scene = _scene_spec(t_len=1, n_tracks=1, n_queries=1, dim=2**63, num_classes=2, grid=[4, 4])
+    spec = _write_json(tmp_path / "sweep.json", {"scene": scene})
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "array is too big")
+    assert not out.exists()
+
+
+def test_failed_sweep_keeps_a_non_regular_out(tmp_path, capsys, monkeypatch):
+    # only a regular file is removed: /dev/null stays a character device
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec())
+    assert main(["sweep", "--spec", spec, "--out", os.devnull]) == 0
+    capsys.readouterr()
+
+    def failing_seed(spec, shifts, matchings):
+        raise ValueError(f"seed {spec.seed} failed")
+
+    monkeypatch.setattr(cli, "_sweep_seed", failing_seed)
+    assert main(["sweep", "--spec", spec, "--out", os.devnull]) == 2
+    _assert_one_line_error(capsys, "seed 0 failed")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_sweep_seed_column_tracks_repeats(tmp_path, capsys):

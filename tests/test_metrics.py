@@ -544,6 +544,6 @@ def test_score_rows_equals_per_pixel_scores_on_scenes(case):
     alignment = align_clip(q) if matching else ClipAlignment.identity(q.t_len, q.n_queries)
     c = spec.num_classes
     tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels], c)
-    rows = run_clip(scene, shift, alignment)
+    rows = run_clip(scene, [(shift, alignment)])[0]
     preds = [_lmap(r[pixels.index], c) for r, pixels in zip(rows, scene.pixels)]
     assert evaluate_clip(tally, rows) == _per_pixel_scores(scene.gt_labels, preds, c)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryshift.core import ClipQueryTensor, FrameQuerySet, PixelEmbeddingMap
+from oracles import per_frame_run_clip
+from queryshift import pipeline
+from queryshift.core import ClipQueryTensor, FrameQuerySet, PixelEmbeddingMap, _view
 from queryshift.matching import ClipAlignment, align_clip
 from queryshift.pipeline import (
     _SCORE_CEIL,
@@ -356,7 +360,7 @@ def _scene(fraction="1/4", **kw):
 
 def test_run_clip_fraction_zero_matches_frame_independent():
     scene = _scene()
-    preds = run_clip(scene, _shift(0, 64, HOLD), align_clip(scene.queries))
+    preds = run_clip(scene, [(_shift(0, 64, HOLD), align_clip(scene.queries))])[0]
     head = class_head_for(scene)
     for t, pred in enumerate(preds):
         solo = semantic_inference(*decode_masks(scene.queries.frames[t], scene.pixels[t], head))
@@ -371,8 +375,8 @@ def test_row_labels_are_read_only_votes_per_palette_row():
     head = class_head_for(scene)
     shifted = shift_with_matching(scene.queries, shift, alignment)
     reversed_head = head[:, ::-1]  # a caller's head replaces the scene's
-    for own, rows in ((head, run_clip(scene, shift, alignment)),
-                      (reversed_head, run_clip(scene, shift, alignment, reversed_head))):
+    for own, rows in ((head, run_clip(scene, [(shift, alignment)])[0]),
+                      (reversed_head, run_clip(scene, [(shift, alignment)], reversed_head)[0])):
         assert len(rows) == scene.spec.t_len
         for r, queries, pixels in zip(rows, shifted.frames, scene.pixels):
             assert r.dtype == np.intp and r.shape == (pixels.palette.shape[0],)
@@ -383,8 +387,8 @@ def test_row_labels_are_read_only_votes_per_palette_row():
 def test_run_clip_identity_permutations_matching_irrelevant():
     scene = _scene(permute_per_frame=False)
     for boundary in (ZERO, HOLD):
-        on = run_clip(scene, _shift("1/4", 64, boundary), _aligned(scene.queries, True))
-        off = run_clip(scene, _shift("1/4", 64, boundary), _aligned(scene.queries, False))
+        on = run_clip(scene, [(_shift("1/4", 64, boundary), _aligned(scene.queries, True))])[0]
+        off = run_clip(scene, [(_shift("1/4", 64, boundary), _aligned(scene.queries, False))])[0]
         for a, b in zip(on, off):
             assert np.array_equal(a, b)
 
@@ -392,14 +396,14 @@ def test_run_clip_identity_permutations_matching_irrelevant():
 def test_run_clip_matched_is_exact_unmatched_is_not():
     scene = _scene(seed=3)
     alignment = align_clip(scene.queries)
-    preds_on = run_clip(scene, _shift("1/4", 64, HOLD), alignment)
+    preds_on = run_clip(scene, [(_shift("1/4", 64, HOLD), alignment)])[0]
     for pred, pixels, gt in zip(preds_on, scene.pixels, scene.gt_labels):
         assert np.array_equal(pred[pixels.index], gt)
     from queryshift.synth import recovery_rate
 
     assert recovery_rate(alignment, scene) == 1.0
 
-    preds_off = run_clip(scene, _shift("1/4", 64, HOLD), _aligned(scene.queries, False))
+    preds_off = run_clip(scene, [(_shift("1/4", 64, HOLD), _aligned(scene.queries, False))])[0]
     wrong = sum(
         int((pred[pixels.index] != gt).sum())
         for pred, pixels, gt in zip(preds_off, scene.pixels, scene.gt_labels)
@@ -450,7 +454,7 @@ def test_palette_decode_is_bit_identical_to_per_pixel(case):
     head = class_head_for(scene)
     alignment = _aligned(scene.queries, matching)
     shifted = shift_with_matching(scene.queries, shift, alignment)
-    rows = run_clip(scene, shift, alignment)
+    rows = run_clip(scene, [(shift, alignment)])[0]
     assert scene.pixels[0].palette.shape == (spec.n_tracks + 1, spec.dim)
     for queries, pixels, r in zip(shifted.frames, scene.pixels, rows):
         scores, _ = decode_masks(queries, pixels, head)
@@ -478,7 +482,148 @@ def test_loaded_scene_labels_equal_generated(tmp_path, kw):
         shift = _shift(fraction, scene.spec.dim, HOLD)
         for matching in (True, False):
             alignment = _aligned(scene.queries, matching)
-            ours = run_clip(scene, shift, alignment)
-            theirs = run_clip(loaded, shift, alignment)
+            ours = run_clip(scene, [(shift, alignment)])[0]
+            theirs = run_clip(loaded, [(shift, alignment)])[0]
             for a, p, b, q in zip(ours, scene.pixels, theirs, loaded.pixels):
                 assert np.array_equal(a[p.index], b[q.index])
+
+
+# ---------------------------------------------------------------------------
+# stacked run_clip against the per-frame, per-cell oracle
+# ---------------------------------------------------------------------------
+
+
+def _regroup_palettes(scene, groups):
+    """``scene`` with frame t decoding over palette object ``groups[t]``.
+
+    Group 0 keeps the scene's own palette; group g > 0 is one new object with
+    the rows rolled by g, which each of its frames' index follows, so the
+    per-pixel embeddings stay the same.
+    """
+    palettes = {0: scene.pixels[0].palette}
+    for g in groups:
+        palettes.setdefault(g, PixelEmbeddingMap(np.roll(palettes[0], g, axis=0), [[0]]).palette)
+    pixels = []
+    for g, p in zip(groups, scene.pixels):
+        index = (p.index + g) % len(palettes[g])
+        index.setflags(write=False)
+        # the constructor would copy the palette; a view keeps the one shared object
+        pixels.append(_view(PixelEmbeddingMap, palette=palettes[g], index=index))
+    return dataclasses.replace(scene, pixels=tuple(pixels))
+
+
+@st.composite
+def _stacked_cases(draw):
+    k = draw(st.integers(1, 4))
+    spec = SceneSpec(
+        t_len=draw(st.integers(1, 4)),
+        n_tracks=k,
+        n_queries=draw(st.integers(k, k + 2)),  # surplus queries decode too
+        dim=draw(st.sampled_from([8, 16, 40])),
+        num_classes=draw(st.integers(1, k + 1)),
+        grid=(draw(st.integers(1, 10)), draw(st.integers(1, 10))),
+        noise_sigma=draw(st.sampled_from([0.0, 0.0, 0.1, 0.5])),  # 0: rows score 1/2, votes tie
+        permute_per_frame=draw(st.booleans()),
+        motion=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    cells = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["0", "1/8", "1/4", "3/8", "1/2"]),
+                st.sampled_from([ZERO, HOLD]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    layout = draw(st.sampled_from(["generated", "loaded", "partly_shared"]))
+    groups = draw(st.lists(st.integers(0, 2), min_size=spec.t_len, max_size=spec.t_len))
+    return spec, cells, layout, groups
+
+
+@given(_stacked_cases())
+@settings(max_examples=120, deadline=None)
+def test_stacked_run_clip_equals_per_frame_oracle(case):
+    spec, cells, layout, groups = case
+    scene = generate_scene(spec)
+    if layout == "loaded":  # T distinct identity palettes of H * W rows
+        with tempfile.TemporaryDirectory() as tmp:
+            save_scene(scene, tmp)
+            scene = load_scene(tmp)
+    elif layout == "partly_shared":
+        scene = _regroup_palettes(scene, groups)
+    cells = [
+        (_shift(fraction, spec.dim, boundary), _aligned(scene.queries, matching))
+        for fraction, boundary, matching in cells
+    ]
+    got = run_clip(scene, cells)
+    want = per_frame_run_clip(scene, cells)
+    assert len(got) == len(cells)
+    for got_rows, want_rows in zip(got, want):
+        assert len(got_rows) == spec.t_len
+        for r, w in zip(got_rows, want_rows):
+            assert r.dtype == np.intp and not r.flags.writeable
+            assert r.shape == w.shape and np.all(r == w)
+
+
+def test_run_clip_decodes_once_per_shared_palette(monkeypatch, tmp_path):
+    calls = []
+    decode = pipeline.decode_masks
+
+    def counted(queries, pixels, head):
+        calls.append(queries.n_queries)
+        return decode(queries, pixels, head)
+
+    monkeypatch.setattr(pipeline, "decode_masks", counted)
+    scene = _scene(t_len=6, n_tracks=4, n_queries=4, dim=128, num_classes=5, noise_sigma=0.3)
+    fractions = ["0", "1/128", "1/64", "1/32", "1/16", "1/8", "1/4"]
+    cells = [
+        (_shift(f, 128, HOLD), _aligned(scene.queries, m)) for f in fractions for m in (False, True)
+    ]
+    rows = run_clip(scene, cells)
+    assert calls == [14 * 6 * 4]  # one call over every cell's every frame
+    assert len(rows) == 14 and all(len(r) == 6 for r in rows)
+    calls.clear()
+    run_clip(_regroup_palettes(scene, [0, 1, 0, 2, 1, 0]), cells[:3])
+    assert calls == [3 * 3 * 4, 3 * 2 * 4, 3 * 1 * 4]  # groups in order of first use
+    save_scene(scene, tmp_path)
+    calls.clear()
+    run_clip(load_scene(tmp_path), cells[:2])
+    assert calls == [2 * 4] * 6  # a loaded scene's frames each have their own palette
+    with pytest.raises(ValueError, match="non-empty"):
+        run_clip(scene, [])  # no cell is no query to decode
+
+
+@given(
+    st.integers(1, 6), st.integers(1, 9), st.integers(1, 40), st.integers(1, 6),
+    st.integers(0, 2**32), st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_grouped_vote_equals_one_vote_per_group(g, n, p, c, seed, coarse):
+    rng = np.random.default_rng(seed)
+    scores = rng.random((g, n, p))
+    logits = rng.normal(size=(g, n, c)) * 5.0
+    if coarse:  # ties between classes and between rows
+        scores, logits = np.round(scores * 2) / 2, np.round(logits)
+    labels = semantic_inference(scores, logits)
+    assert labels.shape == (g, p) and labels.dtype == np.intp and not labels.flags.writeable
+    for i in range(g):
+        one = semantic_inference(scores[i], logits[i])
+        # the vote as it was written before groups: one (N, P) einsum
+        probs = np.exp(logits[i] - logits[i].max(axis=1, keepdims=True))
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        solo = np.argmax(np.einsum("nc,np->cp", probs, scores[i]), axis=0)
+        assert np.array_equal(labels[i], one) and np.array_equal(one, solo)
+
+
+def test_grouped_vote_validation():
+    with pytest.raises(ValueError, match=r"logits must be \(N, C\) matching scores"):
+        semantic_inference(np.full((2, 3, 4), 0.5), np.zeros((2, 2, 5)))
+    with pytest.raises(ValueError, match=r"logits must be \(N, C\) matching scores"):
+        semantic_inference(np.full((2, 3, 4), 0.5), np.zeros((3, 3, 5)))
+    with pytest.raises(ValueError, match=r"scores must be \(N, P\)"):
+        semantic_inference(np.full((1, 2, 3, 4), 0.5), np.zeros((1, 2, 3, 5)))
+    with pytest.raises(ValueError, match="finite"):
+        semantic_inference(np.full((2, 1, 2), np.nan), np.zeros((2, 1, 2)))

@@ -9,12 +9,15 @@ code.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ScalarGauss
+from queryshift.rng import _GAUSS_BLOCK as _BLOCK
 from queryshift.rng import MASK64, Rng, splitmix64
 
 # ---------------------------------------------------------------------------
@@ -158,3 +161,53 @@ def test_gauss_spare_is_stream_position_function():
     singles = [a.gauss() for _ in range(20)]
     vector = b.gauss_vector(20)
     assert vector.dtype == np.float64 and singles == vector.tolist()
+
+
+# the vector Box-Muller against the scalar one, over calls of every kind
+_CALLS = st.one_of(
+    # lengths around one block of draws and past several, odd and even
+    st.tuples(
+        st.just("vector"),
+        st.integers(0, 40) | st.sampled_from([2 * _BLOCK + k for k in (-1, 0, 1, 2 * _BLOCK + 1)]),
+    ),
+    st.tuples(st.just("next_u64"), st.just(0)),
+    st.tuples(st.just("below"), st.integers(1, 1000)),
+    st.tuples(st.just("gauss"), st.just(0)),
+)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(_CALLS, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_gauss_vector_equals_scalar_box_muller(seed, calls):
+    rng = Rng(seed)
+    oracle = ScalarGauss(Rng(seed))
+    for kind, arg in calls:
+        if kind == "vector":
+            got = rng.gauss_vector(arg)
+            want = np.array([oracle.gauss() for _ in range(arg)], dtype=np.float64)
+            assert got.dtype == np.float64 and got.shape == (arg,)
+            assert got.tobytes() == want.tobytes()
+        elif kind == "next_u64":
+            assert rng.next_u64() == oracle.rng.next_u64()
+        elif kind == "below":
+            assert rng.below(arg) == oracle.rng.below(arg)
+        else:
+            got = rng.gauss()
+            assert type(got) is float and got == oracle.gauss()
+    # same state afterwards: the cached sine, then the stream
+    assert [rng.gauss(), rng.gauss()] == [oracle.gauss(), oracle.gauss()]
+    assert rng.next_u64() == oracle.rng.next_u64()
+
+
+def test_gauss_vector_scratch_is_bounded():
+    # blocks of pairs keep the scratch lists small next to the output; one list
+    # of Python ints per draw would peak at several times the output.  The size
+    # is ~100 blocks: tracing every int the inline generator makes is ~30x slower
+    tracemalloc.start()
+    try:
+        out = Rng(3).gauss_vector(2 * 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * 2 * 10**5
+    assert peak < 1.5 * out.nbytes
