@@ -454,6 +454,7 @@ def recovery_rate(alignment: ClipAlignment, scene: SceneClip) -> float:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # semantic_inference reports non-finite logits
 def class_head_for(scene: SceneClip) -> np.ndarray:
     """Linear class head (D x C weights) tuned to the scene's prototypes.
 
@@ -583,7 +584,13 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
 
 
 def load_scene(scene_dir: str | Path) -> SceneClip:
-    """Reload a scene written by :func:`save_scene`."""
+    """Reload a scene written by :func:`save_scene`.
+
+    Every frame whose pixels.qtn rows are exactly rows of the (K + 1, D)
+    palette that tracks.json gives (zero background, then the prototypes)
+    shares that one palette, with its recovered index, as a generated scene
+    does; any other frame keeps its (H*W, D) rows as an identity palette.
+    """
     src = Path(scene_dir)
     meta = _load_json(src / "tracks.json")
     try:
@@ -632,10 +639,28 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             f"pixels.qtn shape ({flat.t_len}, {flat.n_queries}, {flat.dim}) does not "
             f"match a {spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
         )
-    # each frame's (H*W, D) rows of the tensor read, one shared identity index
-    index = np.arange(h * w, dtype=np.intp).reshape(h, w)
-    index.setflags(write=False)
-    pixels = tuple(_view(PixelEmbeddingMap, palette=rows, index=index) for rows in flat.data)
+    # look each frame's rows up in the generator's palette by their keys on one
+    # fixed vector: BLAS rounds rows @ key and palette @ key differently, so a
+    # row takes the palette row whose key is nearest, and the frame is kept
+    # only if the gather gives its rows back exactly
+    palette = _freeze(np.vstack([np.zeros(spec.dim), prototypes]), 2, "pixel palette")
+    key = np.linspace(1.0, 2.0, spec.dim)
+    identity = np.arange(h * w, dtype=np.intp).reshape(h, w)
+    identity.setflags(write=False)
+    gathered = np.empty((h * w, spec.dim))
+    pixels = []
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite key only fails the check
+        keys = palette @ key
+        order = np.argsort(keys)
+        midpoints = keys[order[:-1]] / 2 + keys[order[1:]] / 2
+        for rows in flat.data:
+            index = order[np.searchsorted(midpoints, rows @ key)]
+            np.take(palette, index, axis=0, out=gathered, mode="clip")
+            if np.array_equal(gathered, rows):
+                index.setflags(write=False)
+                pixels.append(_view(PixelEmbeddingMap, palette=palette, index=index.reshape(h, w)))
+            else:  # not a synthesised frame: each pixel its own palette row
+                pixels.append(_view(PixelEmbeddingMap, palette=rows, index=identity))
     labels = []
     for t in range(spec.t_len):
         labels.append(read_labelmap(src / f"labels_{t}.pgm", spec.num_classes))

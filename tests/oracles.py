@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from queryshift.core import PixelEmbeddingMap, read_tensor
 from queryshift.matching import _checked_similarity, _matched
 from queryshift.metrics import _checked_counts
 from queryshift.pipeline import decode_masks, semantic_inference, shift_with_matching
 from queryshift.rng import Rng
-from queryshift.synth import class_head_for
+from queryshift.synth import class_head_for, load_scene
 
 _BRUTE_FORCE_LIMIT = 9
 
@@ -85,6 +88,17 @@ def per_frame_run_clip(scene, cells, class_head=None) -> tuple[tuple[np.ndarray,
             )
         )
         for shift, alignment in cells
+    )
+
+
+def identity_palette_scene(scene_dir):
+    """``load_scene(scene_dir)`` with one palette row per pixel: frame t's rows of pixels.qtn."""
+    scene = load_scene(scene_dir)
+    h, w = scene.spec.grid
+    index = np.arange(h * w).reshape(h, w)
+    flat = read_tensor(Path(scene_dir) / "pixels.qtn")
+    return dataclasses.replace(
+        scene, pixels=tuple(PixelEmbeddingMap(rows, index) for rows in flat.data)
     )
 
 

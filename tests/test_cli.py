@@ -9,6 +9,7 @@ import stat
 import struct
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -507,6 +508,21 @@ def test_run_rejects_non_finite_sigma_in_tracks(scene_dir, tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
     assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
     _assert_one_line_error(capsys, "noise_sigma must be finite")
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e307])
+def test_overflowing_prototypes_exit_2_with_one_line(scene_dir, tmp_path, capsys, scale):
+    # the class head's prototype gains overflow; semantic_inference reports it, numpy warns nothing
+    def scaled(meta):
+        meta["prototypes"] = (np.array(meta["prototypes"]) * scale).tolist()
+
+    _edit_tracks(scene_dir, scaled)
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
+    assert caught == []
+    _assert_one_line_error(capsys, "scores and logits must be finite")
 
 
 def test_run_corrupt_tensor_exits_2(scene_dir, tmp_path, capsys):

@@ -479,6 +479,21 @@ def test_tally_counts_by_clip_row():
         assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
+def test_tally_of_a_loaded_scene_counts_palette_rows(tmp_path):
+    spec = SceneSpec(
+        t_len=6, n_tracks=8, n_queries=8, dim=64, num_classes=9, grid=(64, 64), motion=2
+    )
+    save_scene(generate_scene(spec), tmp_path)
+    scene = load_scene(tmp_path)
+    _, used, _, counts, pairs = tally_clip(
+        scene.gt_labels, [p.index for p in scene.pixels], spec.num_classes
+    )
+    rows = spec.n_tracks + 1
+    assert used == (rows,) * spec.t_len
+    assert counts.shape[1] <= spec.t_len * rows * spec.num_classes
+    assert pairs.shape[1] <= (spec.t_len - 1) * rows * rows
+
+
 @st.composite
 def _hand_clips(draw):
     """Frames with palettes of different sizes, random row labels, chosen static pixels."""

@@ -1,4 +1,4 @@
-"""Byte-identity gate: SHA-256 of every CLI output for two fixed specs.
+"""Byte-identity gate: SHA-256 of every CLI output for two specs, and of an edited scene's run.
 
 A refactor must leave these bytes unchanged.  Criterion 6 compares two runs
 of the same build, which a change that moves every output in the same way
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import struct
 
 import pytest
 
@@ -69,6 +70,11 @@ PINS = {
 }
 
 
+# the README scene with one pixels.qtn value moved off the palette: frame 2,
+# pixel (0, 0), channel 0 set to 3.0, so frame 2 decodes over its own rows
+EDITED_RUN_PIN = "03390378911d24011ec97ba37e0d6fd404e110efd55dfe7d74cf06aac54186b0"
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -119,3 +125,24 @@ def test_outputs_match_pins(case, tmp_path, capsys):
     assert got["match"] == want["match"]
     assert got["sweep_parallel1"] == want["sweep"]
     assert got["sweep_parallel2"] == want["sweep"]
+
+
+def test_edited_scene_run_matches_pin(tmp_path, capsys):
+    main = importlib.import_module("queryshift.cli").main
+    scene, config, run_flags = CASES["readme"]
+    scene_dir = tmp_path / "scene"
+    spec = _write_json(tmp_path / "spec.json", scene)
+    assert main(["synth", "--spec", spec, "--out", str(scene_dir)]) == 0
+    pixels = scene_dir / "pixels.qtn"
+    data = bytearray(pixels.read_bytes())
+    (h, w), d = scene["grid"], scene["dim"]
+    struct.pack_into("<d", data, 20 + 8 * (2 * h * w * d), 3.0)  # after the 20-byte header
+    pixels.write_bytes(bytes(data))
+    loaded = importlib.import_module("queryshift.synth").load_scene(scene_dir)
+    assert [len(p.palette) for p in loaded.pixels] == [9, 9, h * w, 9, 9, 9]  # frame 2 falls back
+    report = tmp_path / "report.json"
+    cfg = _write_json(tmp_path / "cfg.json", config)
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg, "--out", str(report)]
+    assert main(argv + run_flags) == 0
+    capsys.readouterr()
+    assert _sha(report.read_bytes()) == EDITED_RUN_PIN

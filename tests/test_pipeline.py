@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tempfile
 from fractions import Fraction
@@ -12,10 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_frame_run_clip
-from queryshift import pipeline
-from queryshift.core import ClipQueryTensor, FrameQuerySet, PixelEmbeddingMap, _view
+from oracles import identity_palette_scene, per_frame_run_clip
+from queryshift import cli, pipeline
+from queryshift.core import (
+    ClipQueryTensor,
+    FrameQuerySet,
+    PixelEmbeddingMap,
+    _view,
+    read_tensor,
+    write_tensor,
+)
 from queryshift.matching import ClipAlignment, align_clip
+from queryshift.metrics import evaluate_clip, tally_clip
 from queryshift.pipeline import (
     _SCORE_CEIL,
     _SCORE_FLOOR,
@@ -476,8 +485,7 @@ def test_loaded_scene_labels_equal_generated(tmp_path, kw):
     scene = _scene(**kw)
     save_scene(scene, tmp_path)
     loaded = load_scene(tmp_path)
-    h, w = scene.spec.grid
-    assert loaded.pixels[0].palette.shape == (h * w, scene.spec.dim)
+    assert loaded.pixels[0].palette.shape == (scene.spec.n_tracks + 1, scene.spec.dim)
     for fraction in ("0", "1/4"):
         shift = _shift(fraction, scene.spec.dim, HOLD)
         for matching in (True, False):
@@ -486,6 +494,125 @@ def test_loaded_scene_labels_equal_generated(tmp_path, kw):
             theirs = run_clip(loaded, [(shift, alignment)])[0]
             for a, p, b, q in zip(ours, scene.pixels, theirs, loaded.pixels):
                 assert np.array_equal(a[p.index], b[q.index])
+
+
+# ---------------------------------------------------------------------------
+# a loaded scene's recovered palette against one palette row per pixel
+# ---------------------------------------------------------------------------
+
+_LOADED_SPECS = {
+    "sigma0": dict(t_len=4, n_tracks=4, n_queries=4, dim=16, num_classes=5, grid=(8, 8)),
+    "noisy_surplus": dict(
+        t_len=3, n_tracks=3, n_queries=6, dim=32, num_classes=4, grid=(20, 9), noise_sigma=0.3
+    ),
+    "low_dim": dict(  # too few channels for the signature layout
+        t_len=3, n_tracks=2, n_queries=3, dim=3, num_classes=3, grid=(6, 7), noise_sigma=0.1
+    ),
+    "one_frame": dict(t_len=1, n_tracks=3, n_queries=3, dim=16, num_classes=4, grid=(5, 5)),
+}
+
+
+def _edit_pixels(scene_dir, edit):
+    """Rewrite pixels.qtn with ``edit(rows, meta)`` applied to its (T, H*W, D) rows."""
+    path = scene_dir / "pixels.qtn"
+    rows = read_tensor(path).data.copy()
+    edit(rows, json.loads((scene_dir / "tracks.json").read_text()))
+    write_tensor(ClipQueryTensor(rows), path)
+
+
+def _edit_prototypes(scene_dir, edit):
+    path = scene_dir / "tracks.json"
+    meta = json.loads(path.read_text())
+    meta["prototypes"] = edit(np.array(meta["prototypes"])).tolist()
+    path.write_text(json.dumps(meta))
+
+
+def _off_palette(scene_dir, t_len):
+    def edit(rows, meta):
+        rows[1, 5, 0] += 0.5
+
+    _edit_pixels(scene_dir, edit)
+    return {1}
+
+
+def _other_row(scene_dir, t_len):
+    def edit(rows, meta):
+        rows[1, 5] = meta["prototypes"][0] if not rows[1, 5].any() else 0.0
+
+    _edit_pixels(scene_dir, edit)
+    return set()
+
+
+def _stale_prototypes(scene_dir, t_len):
+    _edit_prototypes(scene_dir, lambda protos: np.nextafter(protos, np.inf))
+    return set(range(t_len))
+
+
+def _duplicate_prototype(scene_dir, t_len):
+    def edit(rows, meta):
+        first, second = meta["prototypes"][:2]
+        rows[np.all(rows == second, axis=-1)] = first
+
+    _edit_pixels(scene_dir, edit)
+    _edit_prototypes(scene_dir, lambda protos: protos[[0, 0, *range(2, len(protos))]])
+    return set()
+
+
+_EDITS = {
+    "intact": lambda scene_dir, t_len: set(),
+    "off_palette": _off_palette,
+    "other_row": _other_row,
+    "stale_prototypes": _stale_prototypes,
+    "duplicate_prototype": _duplicate_prototype,
+}
+
+
+@pytest.mark.parametrize(
+    "spec, edit",
+    [(spec, "intact") for spec in _LOADED_SPECS]
+    + [(spec, edit) for spec in ("sigma0", "noisy_surplus") for edit in list(_EDITS)[1:]],
+)
+def test_recovered_palette_equals_identity_palette(tmp_path, monkeypatch, capsys, spec, edit):
+    scene = generate_scene(SceneSpec(**_LOADED_SPECS[spec]))
+    save_scene(scene, tmp_path / "scene")
+    fallback = _EDITS[edit](tmp_path / "scene", scene.spec.t_len)
+    loaded = load_scene(tmp_path / "scene")
+    oracle = identity_palette_scene(tmp_path / "scene")
+
+    # frames the palette gives back exactly share it; the rest keep their own rows
+    (h, w), k = scene.spec.grid, scene.spec.n_tracks
+    recovered = [p.palette for t, p in enumerate(loaded.pixels) if t not in fallback]
+    assert all(palette is recovered[0] for palette in recovered)
+    for t, pixels in enumerate(loaded.pixels):
+        assert len(pixels.palette) == (h * w if t in fallback else k + 1)
+        if edit == "intact":
+            assert np.array_equal(pixels.index, scene.pixels[t].index)
+
+    cells = [
+        (_shift(fraction, scene.spec.dim, HOLD), _aligned(scene.queries, matching))
+        for fraction in ("0", "1/4")
+        for matching in (True, False)
+    ]
+    ours, theirs = run_clip(loaded, cells), run_clip(oracle, cells)
+    c = scene.spec.num_classes
+    ours_tally = tally_clip(loaded.gt_labels, [p.index for p in loaded.pixels], c)
+    theirs_tally = tally_clip(oracle.gt_labels, [p.index for p in oracle.pixels], c)
+    for a, b in zip(ours, theirs):
+        for ra, p, rb, q in zip(a, loaded.pixels, b, oracle.pixels):
+            assert np.array_equal(ra[p.index], rb[q.index])
+        assert evaluate_clip(ours_tally, a) == evaluate_clip(theirs_tally, b)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fraction": "1/4", "matching": True}))
+    reports = []
+    for load in (load_scene, identity_palette_scene):
+        monkeypatch.setattr(cli, "load_scene", load)
+        out = tmp_path / f"{load.__name__}.json"
+        argv = ["run", "--scene", str(tmp_path / "scene"), "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv + ["--boundary", "hold"]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +675,7 @@ def _stacked_cases(draw):
 def test_stacked_run_clip_equals_per_frame_oracle(case):
     spec, cells, layout, groups = case
     scene = generate_scene(spec)
-    if layout == "loaded":  # T distinct identity palettes of H * W rows
+    if layout == "loaded":  # the recovered (K + 1)-row palette
         with tempfile.TemporaryDirectory() as tmp:
             save_scene(scene, tmp)
             scene = load_scene(tmp)
@@ -591,7 +718,7 @@ def test_run_clip_decodes_once_per_shared_palette(monkeypatch, tmp_path):
     save_scene(scene, tmp_path)
     calls.clear()
     run_clip(load_scene(tmp_path), cells[:2])
-    assert calls == [2 * 4] * 6  # a loaded scene's frames each have their own palette
+    assert calls == [2 * 6 * 4]  # a loaded scene's frames share its recovered palette
     with pytest.raises(ValueError, match="non-empty"):
         run_clip(scene, [])  # no cell is no query to decode
 

@@ -365,16 +365,12 @@ def test_pixel_maps_are_read_only_views_of_one_buffer(tmp_path):
         assert pm.palette is palette
         assert pm.index.base is index
 
-    # loaded maps: each palette is one frame's rows of the tensor read back,
-    # and all share one identity index
-    base = loaded.pixels[0].palette.base
-    assert base is not None and not base.flags.writeable
-    identity = np.arange(h * w).reshape(h, w)
+    # loaded maps recover the generated palette as one shared object, and
+    # each frame's index
+    assert np.array_equal(loaded.pixels[0].palette, palette)
     for pm, generated in zip(loaded.pixels, scene.pixels):
-        assert pm.palette.base is base
-        assert pm.palette.shape == (h * w, scene.spec.dim)
-        assert pm.index is loaded.pixels[0].index
-        assert np.array_equal(pm.index, identity)
+        assert pm.palette is loaded.pixels[0].palette
+        assert np.array_equal(pm.index, generated.index)
         assert np.array_equal(_embeddings(pm), _embeddings(generated))
 
 
@@ -404,6 +400,23 @@ def test_generate_scene_gathers_no_per_pixel_embeddings():
         tracemalloc.stop()
     # a (T, H, W, D) float64 gather alone would take t * h * w * d * 8 bytes
     assert peak < t * h * w * d * 8 / 4
+
+
+def test_load_scene_checks_one_frame_of_rows_at_a_time(tmp_path):
+    t, (h, w), d = 6, (64, 64), 64  # the scene-io benchmark scene
+    spec = _spec(t_len=t, n_tracks=8, n_queries=8, dim=d, num_classes=9, grid=(h, w), motion=2)
+    save_scene(generate_scene(spec), tmp_path)
+    tracemalloc.start()
+    try:
+        scene = load_scene(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(pm.palette is scene.pixels[0].palette for pm in scene.pixels)  # recovered
+    # the pixels.qtn payload stays held; checking it takes one more frame of
+    # rows, where a (T, H*W, D) gather would take T more
+    frame = h * w * d * 8
+    assert peak < t * frame + 2 * frame
 
 
 def test_scene_file_inventory(tmp_path):
