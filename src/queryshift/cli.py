@@ -143,7 +143,7 @@ def _cmd_run(args) -> int:
     shift, matching = _pipeline_config(cfg, scene.spec.dim)
     alignment = _alignment(scene.queries, matching)
     tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], scene.spec.num_classes)
-    scores = evaluate_clip(tally, run_clip(scene, [(shift, alignment)])[0])
+    (scores,) = evaluate_clip(tally, run_clip(scene, [(shift, alignment)]))
     recovery = recovery_rate(alignment, scene)
     echo = {
         "scene": scene.spec.to_dict(),
@@ -181,26 +181,20 @@ def _cmd_match(args) -> int:
 def _sweep_seed(
     spec: SceneSpec, shifts: list[ShiftConfig], matchings: list[bool]
 ) -> list[list[str]]:
-    """One seed: scene, tally, alignments, recoveries and ``run_clip`` once, a CSV row per cell."""
+    """One seed: scene, tally, alignments, recoveries, cells run and scored once; a row per cell."""
     scene = generate_scene(spec)
     tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], scene.spec.num_classes)
     alignments = {m: _alignment(scene.queries, m) for m in matchings}
     recoveries = {m: recovery_rate(a, scene) for m, a in alignments.items()}
     grid = [(shift, matching) for shift in shifts for matching in matchings]
-    cell_rows = run_clip(scene, [(shift, alignments[m]) for shift, m in grid])
+    cells = [(shift, alignments[m]) for shift, m in grid]
     rows = []
-    for (shift, matching), labels in zip(grid, cell_rows):
-        scores = evaluate_clip(tally, labels)
+    for (shift, matching), scores in zip(grid, evaluate_clip(tally, run_clip(scene, cells))):
         tc = scores["temporal_consistency"]
-        rows.append([
-            str(shift.fraction),
-            str(shift.channels_shifted),
-            "on" if matching else "off",
-            str(spec.seed),
-            repr(scores["miou"]),
-            repr(scores["pixel_accuracy"]),
-            "" if tc is None else repr(tc),
-            repr(recoveries[matching]),
+        rows.append([  # the columns of _CSV_HEADER
+            str(shift.fraction), str(shift.channels_shifted), "on" if matching else "off",
+            str(spec.seed), repr(scores["miou"]), repr(scores["pixel_accuracy"]),
+            "" if tc is None else repr(tc), repr(recoveries[matching]),
         ])
     return rows
 

@@ -133,16 +133,20 @@ def _lex_smallest_tight_matching(
         col_to_row[j] = i
     fixed_col = [False] * n
 
-    def try_augment(row: int, banned_col: int, visited: list[bool]) -> bool:
-        for j in tight[row]:
-            if j == banned_col or fixed_col[j] or visited[j]:
-                continue
-            visited[j] = True
-            holder = col_to_row[j]
-            if holder == -1 or try_augment(holder, banned_col, visited):
-                row_to_col[row] = j
-                col_to_row[j] = row
+    def augment(row: int, visited: list[bool]) -> bool:
+        """Re-home ``row`` along a path of tight edges, depth first in column order."""
+        path = [(row, iter(tight[row]))]  # each row after the first holds a column its parent wants
+        while path:
+            j = next((j for j in path[-1][1] if not (fixed_col[j] or visited[j])), None)
+            if j is None:  # no column left for this row: its parent tries its next one
+                path.pop()
+            elif col_to_row[j] == -1:  # free: each row on the path takes its wanted column
+                for r, _ in reversed(path):
+                    row_to_col[r], col_to_row[j], j = j, r, row_to_col[r]
                 return True
+            else:
+                visited[j] = True
+                path.append((col_to_row[j], iter(tight[col_to_row[j]])))
         return False
 
     for i in range(n):
@@ -159,7 +163,7 @@ def _lex_smallest_tight_matching(
             col_to_row[j] = i
             visited = [False] * n
             visited[j] = True
-            if try_augment(displaced, -1, visited):
+            if augment(displaced, visited):
                 break
             # infeasible: undo
             row_to_col[displaced] = j

@@ -12,8 +12,8 @@ pair of consecutive frames, the fraction whose predicted label did not change
 across that transition.
 
 A clip is scored over palette rows: ``tally_clip`` counts its pixels once,
-and ``evaluate_clip`` scores a prediction of one class per palette row from
-those counts alone.
+and ``evaluate_clip`` scores predictions of one class per palette row from
+those counts alone, every cell of a sweep in one call.
 """
 
 from __future__ import annotations
@@ -97,27 +97,36 @@ def tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes
     return c, tuple(used), int(static.sum()), counts, pairs
 
 
-def evaluate_clip(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, float | None]:
-    """Score a prediction of the clip counted in ``tally`` (from ``tally_clip``).
+def evaluate_clip(tally: tuple, cells: Sequence) -> list[dict[str, float | None]]:
+    """Score predictions of the clip counted in ``tally`` (from ``tally_clip``), one per cell.
 
-    ``row_labels[t]`` is a 1-D integer class per palette row of frame t, as
-    ``run_clip`` returns; only the rows frame t uses are read.  Returns
-    ``{"miou", "pixel_accuracy", "temporal_consistency"}``, the last None
-    unless T > 1 and a pixel is static.
+    ``cells[s][t]`` is a 1-D integer class per palette row of frame t, as
+    ``run_clip`` returns for cell s; only the rows frame t uses are read.
+    Each cell's ``{"miou", "pixel_accuracy", "temporal_consistency"}``, the
+    last None unless T > 1 and a pixel is static, comes from one joint count.
     """
     c, used, static, counts, pairs = tally
-    if len(row_labels) != len(used):
-        raise ValueError(f"{len(row_labels)} frames of row labels vs {len(used)} tallied")
-    for t, (labels, n) in enumerate(zip(row_labels, used)):
-        if np.ndim(labels) != 1 or len(labels) < n or np.asarray(labels).dtype.kind not in "iu":
-            raise ValueError(f"frame {t}: row labels must be 1-D integers, at least {n} of them")
-    flat = np.concatenate([r[:n] for r, n in zip(row_labels, used)], dtype=np.int64)
-    if flat.min() < 0 or flat.max() >= c:
+    flat = np.empty((len(cells), sum(used)), np.int64)  # cell s, clip row -> class
+    for s, row_labels in enumerate(cells):
+        if len(row_labels) != len(used):
+            raise ValueError(f"{len(row_labels)} frames of row labels vs {len(used)} tallied")
+        for t, (labels, n) in enumerate(zip(row_labels, used)):
+            if np.ndim(labels) != 1 or len(labels) < n or np.asarray(labels).dtype.kind not in "iu":
+                raise ValueError(
+                    f"frame {t}: row labels must be 1-D integers, at least {n} of them"
+                )
+        flat[s] = np.concatenate([r[:n] for r, n in zip(row_labels, used)], dtype=np.int64)
+    if np.any((flat < 0) | (flat >= c)):
         raise ValueError(f"row labels must lie in [0, {c})")
     rows, classes, pixels = counts
+    keys = np.arange(len(cells))[:, None] * (c * c) + classes * c + flat[:, rows]
     # float weights hold every count exactly (below 2**53); cast back before the metrics
-    joint = np.bincount(classes * c + flat[rows], pixels, c * c).astype(np.int64).reshape(c, c)
+    joint = np.bincount(keys.ravel(), np.tile(pixels, len(cells)), len(cells) * c * c)
     a, b, kept = pairs
-    same = int(kept[flat[a] == flat[b]].sum())
-    tc = same / (static * (len(used) - 1)) if len(used) > 1 and static else None
-    return {"miou": miou(joint), "pixel_accuracy": pixel_accuracy(joint), "temporal_consistency": tc}
+    same = np.where(flat[:, a] == flat[:, b], kept, 0).sum(axis=1).tolist()
+    scores = []
+    for joint_s, same_s in zip(joint.astype(np.int64).reshape(-1, c, c), same):
+        tc = same_s / (static * (len(used) - 1)) if len(used) > 1 and static else None
+        scores.append({"miou": miou(joint_s), "pixel_accuracy": pixel_accuracy(joint_s),
+                       "temporal_consistency": tc})
+    return scores

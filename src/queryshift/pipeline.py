@@ -103,24 +103,28 @@ def semantic_inference(scores: np.ndarray, logits: np.ndarray) -> np.ndarray:
 
 
 def shift_with_matching(
-    clip: ClipQueryTensor, shift: ShiftConfig, alignment: ClipAlignment
-) -> ClipQueryTensor:
-    """Shift in the aligned index space, then restore each frame's query order.
+    clip: ClipQueryTensor, shifts: Sequence[ShiftConfig], alignment: ClipAlignment
+) -> np.ndarray:
+    """Each shift in the aligned index space, then each frame's query order restored.
 
-    The result lists every frame's queries in their ORIGINAL order.  With the
-    identity alignment it equals ``feature_shift(clip, shift)`` exactly.
+    Returns a read-only (S, T, N, D) array: entry s lists every frame's
+    queries in their ORIGINAL order, and with the identity alignment equals
+    ``feature_shift(clip, shifts[s]).data`` exactly.  The clip is permuted
+    into track space once for all the shifts.
     """
     if alignment.per_frame.shape != (clip.t_len, clip.n_queries):
         raise ValueError(
             f"alignment shape {alignment.per_frame.shape} does not match the clip's "
             f"{(clip.t_len, clip.n_queries)}"
         )
-    # idx[t, i, 0]: the track-space slot of frame t's query i
-    idx = alignment.per_frame[:, :, None]
-    aligned = np.empty_like(clip.data)
-    np.put_along_axis(aligned, idx, clip.data, axis=1)
-    shifted = feature_shift(ClipQueryTensor(aligned), shift)
-    return ClipQueryTensor(np.take_along_axis(shifted.data, idx, axis=1))
+    rows = np.arange(clip.t_len)[:, None]
+    # track slot j of frame t holds the query i with per_frame[t, i] == j
+    tracks = ClipQueryTensor(clip.data[rows, np.argsort(alignment.per_frame, axis=1)])
+    out = np.empty((len(shifts),) + clip.data.shape)
+    for s, shift in enumerate(shifts):
+        out[s] = feature_shift(tracks, shift).data[rows, alignment.per_frame]
+    out.setflags(write=False)
+    return out
 
 
 def run_clip(
@@ -131,8 +135,9 @@ def run_clip(
     """Per ``(shift, alignment)`` cell, a read-only (P_t,) intp class per palette row of frame t.
 
     ``rows[t][scene.pixels[t].index]`` is frame t's per-pixel prediction.  The
-    cells' shifted clips form one (S, T, N, D) stack, and the frames sharing
-    one palette object decode and vote together, in one ``decode_masks`` call.
+    cells sharing one alignment object shift in one ``shift_with_matching``
+    call, into one (S, T, N, D) stack, and the frames sharing one palette
+    object decode and vote together, in one ``decode_masks`` call.
     ``class_head`` defaults to the head derived from the scene's prototypes.
     """
     head = class_head_for(scene) if class_head is None else class_head
@@ -140,10 +145,14 @@ def run_clip(
     for t, pixels in enumerate(scene.pixels):
         groups.setdefault(id(pixels.palette), []).append(t)
     order = [t for frames in groups.values() for t in frames]  # each group one slice
+    by_alignment: dict[int, list[int]] = {}  # alignment object -> the cells using it
+    for s, (_, alignment) in enumerate(cells):
+        by_alignment.setdefault(id(alignment), []).append(s)
     _, n, d = scene.queries.data.shape
     stack = np.empty((len(cells), len(order), n, d))
-    for s, (shift, alignment) in enumerate(cells):
-        stack[s] = shift_with_matching(scene.queries, shift, alignment).data[order]
+    for shared in by_alignment.values():
+        shifts = [cells[s][0] for s in shared]
+        stack[shared] = shift_with_matching(scene.queries, shifts, cells[shared[0]][1])[:, order]
     by_frame = {}  # frame t -> its (S, P_t) classes
     lo = 0
     for frames in groups.values():

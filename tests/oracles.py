@@ -11,11 +11,12 @@ from typing import Sequence
 
 import numpy as np
 
-from queryshift.core import PixelEmbeddingMap, read_tensor
-from queryshift.matching import _checked_similarity, _matched
-from queryshift.metrics import _checked_counts
-from queryshift.pipeline import decode_masks, semantic_inference, shift_with_matching
+from queryshift.core import ClipQueryTensor, PixelEmbeddingMap, read_tensor
+from queryshift.matching import ClipAlignment, _checked_similarity, _matched
+from queryshift.metrics import _checked_counts, miou, pixel_accuracy
+from queryshift.pipeline import decode_masks, semantic_inference
 from queryshift.rng import Rng
+from queryshift.shift import ShiftConfig, feature_shift
 from queryshift.synth import class_head_for, load_scene
 
 _BRUTE_FORCE_LIMIT = 9
@@ -40,6 +41,58 @@ def brute_force_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     perms = _perm_table(n)
     totals = sim[np.arange(n), perms].sum(axis=1)
     return _matched(sim, perms[int(np.argmax(totals))])  # first occurrence wins on ties
+
+
+def recursive_lex_smallest_tight_matching(
+    tight: list[list[int]], row_to_col: list[int]
+) -> list[int]:
+    """The lex-smallest pass with one recursive call per augmenting step.
+
+    The reference for ``matching._lex_smallest_tight_matching``: a cycle of
+    near-ties N long recurses N deep, so it only reaches moderate N.
+    """
+    n = len(row_to_col)
+    row_to_col = list(row_to_col)
+    col_to_row = [0] * n
+    for i, j in enumerate(row_to_col):
+        col_to_row[j] = i
+    fixed_col = [False] * n
+
+    def try_augment(row: int, banned_col: int, visited: list[bool]) -> bool:
+        for j in tight[row]:
+            if j == banned_col or fixed_col[j] or visited[j]:
+                continue
+            visited[j] = True
+            holder = col_to_row[j]
+            if holder == -1 or try_augment(holder, banned_col, visited):
+                row_to_col[row] = j
+                col_to_row[j] = row
+                return True
+        return False
+
+    for i in range(n):
+        current = row_to_col[i]
+        for j in tight[i]:
+            if fixed_col[j]:
+                continue
+            if j == current:
+                break
+            displaced = col_to_row[j]
+            # tentatively give column j to row i, then re-home the displaced row
+            col_to_row[current] = -1
+            row_to_col[i] = j
+            col_to_row[j] = i
+            visited = [False] * n
+            visited[j] = True
+            if try_augment(displaced, -1, visited):
+                break
+            # infeasible: undo
+            row_to_col[displaced] = j
+            col_to_row[j] = displaced
+            row_to_col[i] = current
+            col_to_row[current] = i
+        fixed_col[row_to_col[i]] = True
+    return row_to_col
 
 
 def accumulate(counts: np.ndarray, pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -77,6 +130,41 @@ def temporal_consistency(preds: Sequence[np.ndarray], static: np.ndarray) -> flo
     return same / total
 
 
+def shift_one(clip: ClipQueryTensor, shift: ShiftConfig, alignment: ClipAlignment) -> np.ndarray:
+    """One shift in the aligned index space, scattered in and gathered out per axis: (T, N, D)."""
+    if alignment.per_frame.shape != (clip.t_len, clip.n_queries):
+        raise ValueError(
+            f"alignment shape {alignment.per_frame.shape} does not match the clip's "
+            f"{(clip.t_len, clip.n_queries)}"
+        )
+    idx = alignment.per_frame[:, :, None]  # idx[t, i, 0]: the track slot of frame t's query i
+    aligned = np.empty_like(clip.data)
+    np.put_along_axis(aligned, idx, clip.data, axis=1)
+    shifted = feature_shift(ClipQueryTensor(aligned), shift)
+    return np.take_along_axis(shifted.data, idx, axis=1)
+
+
+def evaluate_one(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, float | None]:
+    """``evaluate_clip`` of one cell, with its own bincount and its own compare."""
+    c, used, static, counts, pairs = tally
+    if len(row_labels) != len(used):
+        raise ValueError(f"{len(row_labels)} frames of row labels vs {len(used)} tallied")
+    for t, (labels, n) in enumerate(zip(row_labels, used)):
+        if np.ndim(labels) != 1 or len(labels) < n or np.asarray(labels).dtype.kind not in "iu":
+            raise ValueError(f"frame {t}: row labels must be 1-D integers, at least {n} of them")
+    flat = np.concatenate([r[:n] for r, n in zip(row_labels, used)], dtype=np.int64)
+    if flat.min() < 0 or flat.max() >= c:
+        raise ValueError(f"row labels must lie in [0, {c})")
+    rows, classes, pixels = counts
+    joint = np.bincount(classes * c + flat[rows], pixels, c * c).astype(np.int64).reshape(c, c)
+    a, b, kept = pairs
+    same = int(kept[flat[a] == flat[b]].sum())
+    tc = same / (static * (len(used) - 1)) if len(used) > 1 and static else None
+    return {
+        "miou": miou(joint), "pixel_accuracy": pixel_accuracy(joint), "temporal_consistency": tc
+    }
+
+
 def per_frame_run_clip(scene, cells, class_head=None) -> tuple[tuple[np.ndarray, ...], ...]:
     """``run_clip`` one cell and one frame at a time: each shifted frame decoded and voted alone."""
     head = class_head_for(scene) if class_head is None else class_head
@@ -84,7 +172,7 @@ def per_frame_run_clip(scene, cells, class_head=None) -> tuple[tuple[np.ndarray,
         tuple(
             semantic_inference(*decode_masks(queries, pixels, head))
             for queries, pixels in zip(
-                shift_with_matching(scene.queries, shift, alignment).frames, scene.pixels
+                ClipQueryTensor(shift_one(scene.queries, shift, alignment)).frames, scene.pixels
             )
         )
         for shift, alignment in cells

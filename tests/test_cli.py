@@ -122,10 +122,30 @@ def test_synth_missing_file_exits_2(tmp_path):
     assert main(["synth", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 2
 
 
-def _assert_one_line_error(capsys, fragment):
+def _assert_one_line_error(capsys, argv, fragment):
+    """``main(argv)`` exits 2 with one stderr line naming ``fragment``, and warns nothing.
+
+    pytest takes warnings off stderr, so they are recorded here instead.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_one_line_error_check_sees_warnings(tmp_path, capsys, monkeypatch):
+    # a numpy warning is a second stderr line that pytest would otherwise hide
+    def overflowing(spec):
+        np.float64(1e308) * 10.0
+        raise ValueError("scene failed")
+
+    monkeypatch.setattr(cli, "generate_scene", overflowing)
+    spec = _write_json(tmp_path / "spec.json", _scene_spec())
+    with pytest.raises(AssertionError, match="overflow"):
+        _assert_one_line_error(capsys, ["synth", "--spec", spec, "--out", str(tmp_path / "x")], "")
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 74.5 TiB for an array", ""])
@@ -139,8 +159,8 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, comm
     scene = _scene_spec(grid=[100000, 100000])
     payload = scene if command == "synth" else {"scene": scene}
     spec = _write_json(tmp_path / "spec.json", payload)
-    assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
-    _assert_one_line_error(capsys, message or "MemoryError")
+    argv = [command, "--spec", spec, "--out", str(tmp_path / "out")]
+    _assert_one_line_error(capsys, argv, message or "MemoryError")
 
 
 @pytest.mark.parametrize("command", ["synth", "sweep"])
@@ -149,8 +169,8 @@ def test_noise_overflow_exits_2_with_one_line(tmp_path, capsys, command):
     scene = _scene_spec(noise_sigma=1e308)
     payload = scene if command == "synth" else {"scene": scene}
     spec = _write_json(tmp_path / "spec.json", payload)
-    assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
-    _assert_one_line_error(capsys, "clip query tensor contains non-finite values")
+    argv = [command, "--spec", spec, "--out", str(tmp_path / "out")]
+    _assert_one_line_error(capsys, argv, "clip query tensor contains non-finite values")
 
 
 @pytest.mark.parametrize(
@@ -164,10 +184,10 @@ def test_huge_dim_fails_fast_with_one_line(tmp_path, capsys, command, dim, fragm
     scene = _scene_spec(t_len=1, n_tracks=1, n_queries=1, dim=dim, num_classes=2, grid=[4, 4])
     payload = scene if command == "synth" else {"scene": scene}
     spec = _write_json(tmp_path / "spec.json", payload)
+    argv = [command, "--spec", spec, "--out", str(tmp_path / "out")]
     start = time.perf_counter()
-    assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, argv, fragment)
     assert time.perf_counter() - start < 1.0
-    _assert_one_line_error(capsys, fragment)
 
 
 @pytest.mark.parametrize(
@@ -189,8 +209,8 @@ def test_huge_dim_fails_fast_with_one_line(tmp_path, capsys, command, dim, fragm
 )
 def test_synth_rejects_inexact_spec(tmp_path, capsys, change, fragment):
     spec = _write_json(tmp_path / "spec.json", {**_scene_spec(), **change})
-    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "x")]) == 2
-    _assert_one_line_error(capsys, fragment)
+    argv = ["synth", "--spec", spec, "--out", str(tmp_path / "x")]
+    _assert_one_line_error(capsys, argv, fragment)
     assert not (tmp_path / "x").exists()
 
 
@@ -326,8 +346,8 @@ def test_run_bad_fraction_exits_2(scene_dir, tmp_path, capsys):
         ("1/0", "bad shift fraction '1/0'"),
     ):
         cfg = _write_json(tmp_path / "cfg.json", {"fraction": fraction})
-        assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-        _assert_one_line_error(capsys, fragment)
+        argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+        _assert_one_line_error(capsys, argv, fragment)
 
 
 @pytest.mark.parametrize(
@@ -345,9 +365,8 @@ def test_huge_fraction_exponent_fails_fast_with_one_line(scene_dir, tmp_path, ca
         spec = _write_json(tmp_path / "sweep.json", _sweep_spec(fractions=["0", fraction]))
         argv = ["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]
     start = time.perf_counter()
-    assert main(argv) == 2
+    _assert_one_line_error(capsys, argv, "bad shift fraction")
     assert time.perf_counter() - start < 1.0
-    _assert_one_line_error(capsys, "bad shift fraction")
 
 
 def test_fraction_at_the_exponent_bound_runs(scene_dir, tmp_path, capsys):
@@ -360,8 +379,8 @@ def test_fraction_at_the_exponent_bound_runs(scene_dir, tmp_path, capsys):
 
 def test_run_rejects_removed_mask_threshold(scene_dir, tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4", "mask_threshold": 0.5})
-    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    _assert_one_line_error(capsys, "unknown pipeline config key(s): mask_threshold")
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    _assert_one_line_error(capsys, argv, "unknown pipeline config key(s): mask_threshold")
 
 
 def _edit_tracks(scene_dir, edit):
@@ -470,8 +489,7 @@ def _surplus(no_object):
 def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragment):
     _edit_tracks(scene_dir, edit)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
-    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    _assert_one_line_error(capsys, fragment)
+    _assert_one_line_error(capsys, ["run", "--scene", str(scene_dir), "--config", cfg], fragment)
 
 
 def test_run_names_a_label_map_of_the_wrong_size(tmp_path, capsys):
@@ -481,16 +499,16 @@ def test_run_names_a_label_map_of_the_wrong_size(tmp_path, capsys):
     write_labelmap(np.zeros((5, 6), dtype=np.uint8), scene / "labels_1.pgm")  # as many pixels
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
     capsys.readouterr()
-    assert main(["run", "--scene", str(scene), "--config", cfg]) == 2
-    _assert_one_line_error(capsys, "labels_1.pgm is (5, 6), not the 6x5 grid")
+    argv = ["run", "--scene", str(scene), "--config", cfg]
+    _assert_one_line_error(capsys, argv, "labels_1.pgm is (5, 6), not the 6x5 grid")
 
 
 @pytest.mark.parametrize("text", ["[]", '"spec"', "7"], ids=["list", "string", "number"])
 def test_run_rejects_tracks_json_that_is_not_an_object(scene_dir, tmp_path, capsys, text):
     (scene_dir / "tracks.json").write_text(text)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
-    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    _assert_one_line_error(capsys, "tracks.json: expected a JSON object at top level")
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    _assert_one_line_error(capsys, argv, "tracks.json: expected a JSON object at top level")
 
 
 @pytest.mark.parametrize(
@@ -499,15 +517,15 @@ def test_run_rejects_tracks_json_that_is_not_an_object(scene_dir, tmp_path, caps
 def test_run_names_tracks_json_when_it_does_not_parse(scene_dir, tmp_path, capsys, data):
     (scene_dir / "tracks.json").write_bytes(data)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
-    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    _assert_one_line_error(capsys, "tracks.json is not valid JSON")
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    _assert_one_line_error(capsys, argv, "tracks.json is not valid JSON")
 
 
 def test_run_rejects_non_finite_sigma_in_tracks(scene_dir, tmp_path, capsys):
     _edit_tracks(scene_dir, lambda meta: meta["spec"].update(noise_sigma=float("inf")))
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
-    assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    _assert_one_line_error(capsys, "noise_sigma must be finite")
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    _assert_one_line_error(capsys, argv, "noise_sigma must be finite")
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200, 1e307])
@@ -518,11 +536,8 @@ def test_overflowing_prototypes_exit_2_with_one_line(scene_dir, tmp_path, capsys
 
     _edit_tracks(scene_dir, scaled)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
-    assert caught == []
-    _assert_one_line_error(capsys, "scores and logits must be finite")
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    _assert_one_line_error(capsys, argv, "scores and logits must be finite")
 
 
 def test_run_corrupt_tensor_exits_2(scene_dir, tmp_path, capsys):
@@ -578,6 +593,24 @@ def test_match_single_frame(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["per_frame"] == [[0, 1]]
     assert payload["adjacent"] == []
+
+
+def test_match_walks_a_near_tie_cycle_1200_long(tmp_path, capsys):
+    # frame 1's query j leans 1e-9 more towards frame 0's query j - 1: the
+    # cyclic shift and the identity are both tight, and the identity is the
+    # lex-smallest, one augmenting chain 1200 rows long away
+    n = 1200
+    rows = np.arange(n)
+    second = np.zeros((n, n))
+    second[rows, rows] = 1.0
+    second[rows, (rows - 1) % n] = 1.0 + 1e-9
+    qtn = tmp_path / "q.qtn"
+    write_tensor(ClipQueryTensor(np.stack([np.eye(n), second])), qtn)
+    assert main(["match", "--queries", str(qtn), "--out", str(tmp_path / "m.json")]) == 0
+    payload = json.loads((tmp_path / "m.json").read_text())
+    assert payload["per_frame"] == [rows.tolist()] * 2
+    assert payload["adjacent"] == [rows.tolist()]
+    assert capsys.readouterr().err == ""
 
 
 def test_match_corrupt_input_exits_2(tmp_path, capsys):
@@ -803,8 +836,7 @@ def test_sweep_workers_capped_at_cpus_and_seeds(
 def test_sweep_unwritable_out_fails_before_generating(tmp_path, capsys, scene_calls):
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec())
     out = tmp_path / "missing" / "grid.csv"
-    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 2
-    _assert_one_line_error(capsys, "grid.csv")
+    _assert_one_line_error(capsys, ["sweep", "--spec", spec, "--out", str(out)], "grid.csv")
     assert scene_calls == []
 
 
@@ -823,8 +855,8 @@ def test_sweep_builds_each_seed_spec_only_when_it_runs(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "dataclasses", types.SimpleNamespace(replace=counted_replace))
     monkeypatch.setattr(cli, "_sweep_seed", failing_seed)
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=1000))
-    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv")]) == 2
-    _assert_one_line_error(capsys, "seed 0 failed")
+    argv = ["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv")]
+    _assert_one_line_error(capsys, argv, "seed 0 failed")
     assert built == [{"seed": 0}]
 
 
@@ -849,8 +881,7 @@ def test_parallel_sweep_submits_a_bounded_window_of_seeds(
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=1000))
     args = ["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv"), "--parallel", "2"]
-    assert main(args) == 2
-    _assert_one_line_error(capsys, "seed 0 failed")
+    _assert_one_line_error(capsys, args, "seed 0 failed")
     assert pool_sizes == [2]
     assert 1 <= len(built) <= 4
 
@@ -871,8 +902,8 @@ def test_failed_sweep_leaves_no_csv(tmp_path, capsys, monkeypatch, pool_sizes, p
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(repeats=3))
     out = tmp_path / "grid.csv"
     out.write_text("an older sweep\n")
-    assert main(["sweep", "--spec", spec, "--out", str(out), "--parallel", parallel]) == 2
-    _assert_one_line_error(capsys, "seed 1 failed")
+    argv = ["sweep", "--spec", spec, "--out", str(out), "--parallel", parallel]
+    _assert_one_line_error(capsys, argv, "seed 1 failed")
     assert not out.exists()
     assert pool_sizes == ([] if parallel == "1" else [2])
 
@@ -881,8 +912,7 @@ def test_huge_dim_sweep_leaves_no_csv(tmp_path, capsys):
     scene = _scene_spec(t_len=1, n_tracks=1, n_queries=1, dim=2**63, num_classes=2, grid=[4, 4])
     spec = _write_json(tmp_path / "sweep.json", {"scene": scene})
     out = tmp_path / "grid.csv"
-    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 2
-    _assert_one_line_error(capsys, "array is too big")
+    _assert_one_line_error(capsys, ["sweep", "--spec", spec, "--out", str(out)], "array is too big")
     assert not out.exists()
 
 
@@ -896,8 +926,7 @@ def test_failed_sweep_keeps_a_non_regular_out(tmp_path, capsys, monkeypatch):
         raise ValueError(f"seed {spec.seed} failed")
 
     monkeypatch.setattr(cli, "_sweep_seed", failing_seed)
-    assert main(["sweep", "--spec", spec, "--out", os.devnull]) == 2
-    _assert_one_line_error(capsys, "seed 0 failed")
+    _assert_one_line_error(capsys, ["sweep", "--spec", spec, "--out", os.devnull], "seed 0 failed")
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
@@ -949,8 +978,8 @@ def test_sweep_missing_scene_key_exits_2(tmp_path, capsys):
 )
 def test_sweep_rejects_inexact_spec(tmp_path, capsys, scene_calls, change, fragment):
     spec = _write_json(tmp_path / "sweep.json", _sweep_spec(**change))
-    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
-    _assert_one_line_error(capsys, fragment)
+    argv = ["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]
+    _assert_one_line_error(capsys, argv, fragment)
     assert not (tmp_path / "x.csv").exists()
     assert scene_calls == []
 

@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 from queryshift.core import ClipQueryTensor, FrameQuerySet
 from queryshift.matching import (
+    _TIGHT_TOL,
     ClipAlignment,
+    _lex_smallest_tight_matching,
+    _solve_min_cost,
     align_clip,
     cosine_similarity,
     optimal_match,
 )
 
-from oracles import brute_force_match
+from oracles import brute_force_match, recursive_lex_smallest_tight_matching
 
 
 def _frame(rows):
@@ -197,6 +200,53 @@ def test_totals_match_scipy_linear_sum_assignment(n, seed, ties):
     _, total = optimal_match(values)
     rows, cols = linear_sum_assignment(values, maximize=True)
     assert abs(total - values[rows, cols].sum()) <= 1e-9
+
+
+def _tight_start(sim):
+    """The tight lists and the Hungarian assignment ``optimal_match`` starts its lex pass from."""
+    cost = 1.0 - sim
+    assignment, u, v = _solve_min_cost(cost)
+    reduced = cost - u[:, None] - v[None, :]
+    return [list(np.flatnonzero(row <= _TIGHT_TOL)) for row in reduced], list(assignment)
+
+
+@st.composite
+def _tie_heavy_graphs(draw):
+    """A tight graph and a perfect matching inside it, with many ties."""
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rounded", "surplus", "permutations"]))
+    if kind == "permutations":  # a union of random perfect matchings, from the first
+        perms = [rng.permutation(n) for _ in range(draw(st.integers(1, 4)))]
+        return [sorted({int(p[i]) for p in perms}) for i in range(n)], [int(j) for j in perms[0]]
+    sim = np.round(rng.uniform(-1.0, 1.0, (n, n)), draw(st.integers(0, 1)))
+    if kind == "surplus":  # the last n - k queries are alike: equal rows and columns
+        k = draw(st.integers(0, n))
+        sim[k:, :] = draw(st.sampled_from([0.0, 0.5]))
+        sim[:, k:] = draw(st.sampled_from([0.0, 0.5]))
+    return _tight_start(sim)
+
+
+@given(_tie_heavy_graphs())
+@settings(max_examples=200, deadline=None)
+def test_lex_pass_equals_the_recursive_pass(graph):
+    tight, start = graph
+    want = recursive_lex_smallest_tight_matching(tight, list(start))
+    assert _lex_smallest_tight_matching(tight, list(start)) == want
+    assert sorted(want) == list(range(len(start)))
+
+
+def test_lex_pass_walks_a_near_tie_cycle_1200_long():
+    # the cyclic shift and the identity are both tight; reaching the identity
+    # re-homes every row in one chain, deeper than Python's recursion limit
+    n = 1200
+    sim = np.zeros((n, n))
+    rows = np.arange(n)
+    sim[rows, (rows + 1) % n] = 1.0
+    sim[rows, rows] = 1.0 - 1e-10
+    mapping, total = optimal_match(sim)
+    assert mapping.tolist() == rows.tolist()
+    assert total == pytest.approx(n * (1.0 - 1e-10), abs=1e-6)
 
 
 def test_match_total_is_achieved_sum():

@@ -16,7 +16,7 @@ from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, load_scene, save_scene
 
-from oracles import accumulate, temporal_consistency
+from oracles import accumulate, evaluate_one, temporal_consistency
 
 
 def _lmap(values, c):
@@ -33,7 +33,7 @@ def _zeros(c):
 
 def _score_maps(gt, pred, c):
     """``evaluate_clip`` of per-pixel predictions: each map is its own index, row k is class k."""
-    return evaluate_clip(tally_clip(np.array(gt), pred, c), [np.arange(c)] * len(pred))
+    return evaluate_clip(tally_clip(np.array(gt), pred, c), [[np.arange(c)] * len(pred)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +299,10 @@ def test_evaluate_clip_rejects_empty_and_mismatched_clips():
         _score_maps([frame, frame], [frame], 2)
     tally = tally_clip(np.array([frame, frame]), [frame] * 2, 2)
     with pytest.raises(ValueError, match="1 frames of row labels vs 2 tallied"):
-        evaluate_clip(tally, [np.arange(2)])
+        evaluate_clip(tally, [[np.arange(2)]])
     # a prediction over more classes than the ground truth has
     with pytest.raises(ValueError, match=r"row labels must lie in \[0, 2\)"):
-        evaluate_clip(tally_clip(np.array([frame]), [np.array([[0, 2]])], 2), [np.arange(3)])
+        evaluate_clip(tally_clip(np.array([frame]), [np.array([[0, 2]])], 2), [[np.arange(3)]])
 
 
 def test_evaluate_clip_single_frame_has_null_consistency():
@@ -412,7 +412,7 @@ def test_score_rows_hand_example():
     tally = _small_tally()
     assert tally[:3] == (2, (3, 2), 3)  # classes, rows used per frame, static pixels
     # frame 0 predicts [[0, 1], [1, 1]], frame 1 [[1, 0], [0, 1]]
-    scores = evaluate_clip(tally, [np.array([0, 1, 1]), np.array([0, 1])])
+    (scores,) = evaluate_clip(tally, [[np.array([0, 1, 1]), np.array([0, 1])]])
     gt = [_lmap([[0, 1], [1, 1]], 2), _lmap([[0, 1], [0, 1]], 2)]
     preds = [_lmap([[0, 1], [1, 1]], 2), _lmap([[1, 0], [0, 1]], 2)]
     assert scores == _per_pixel_scores(gt, preds, 2)
@@ -422,8 +422,10 @@ def test_score_rows_hand_example():
 
 def test_score_rows_ignores_rows_no_pixel_uses():
     tally = _small_tally()
-    base = evaluate_clip(tally, [np.array([0, 1, 1]), np.array([0, 1])])
-    longer = evaluate_clip(tally, [np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)])
+    base = evaluate_clip(tally, [[np.array([0, 1, 1]), np.array([0, 1])]])
+    longer = evaluate_clip(
+        tally, [[np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)]]
+    )
     assert longer == base
 
 
@@ -444,8 +446,16 @@ def test_score_rows_ignores_rows_no_pixel_uses():
          "float", "bool", "class_too_high", "negative"],
 )
 def test_score_rows_rejects_bad_row_labels(labels, match):
-    with pytest.raises(ValueError, match=match):
-        evaluate_clip(_small_tally(), labels)
+    good = [np.array([0, 1, 1]), np.array([0, 1])]
+    for cells in ([labels], [good, labels]):  # the first cell or a later one
+        with pytest.raises(ValueError, match=match):
+            evaluate_clip(_small_tally(), cells)
+        with pytest.raises(ValueError, match=match):
+            evaluate_one(_small_tally(), labels)
+
+
+def test_evaluate_clip_of_no_cells_is_empty():
+    assert evaluate_clip(_small_tally(), []) == []
 
 
 def test_tally_clip_rejects_mismatched_indexes():
@@ -521,7 +531,7 @@ def _hand_clips(draw):
 def test_score_rows_equals_per_pixel_scores_on_hand_built_clips(clip):
     gt, indexes, rows, c = clip
     preds = [_lmap(r[index], c) for r, index in zip(rows, indexes)]
-    scores = evaluate_clip(tally_clip(gt, indexes, c), rows)
+    (scores,) = evaluate_clip(tally_clip(gt, indexes, c), [rows])
     assert scores == _score_maps(gt, preds, c) == _per_pixel_scores(gt, preds, c)
 
 
@@ -561,4 +571,30 @@ def test_score_rows_equals_per_pixel_scores_on_scenes(case):
     tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels], c)
     rows = run_clip(scene, [(shift, alignment)])[0]
     preds = [_lmap(r[pixels.index], c) for r, pixels in zip(rows, scene.pixels)]
-    assert evaluate_clip(tally, rows) == _per_pixel_scores(scene.gt_labels, preds, c)
+    assert evaluate_clip(tally, [rows]) == [_per_pixel_scores(scene.gt_labels, preds, c)]
+
+
+@st.composite
+def _many_cells(draw):
+    """A hand-built clip of up to 12 classes and up to 6 cells of row labels for it."""
+    t_len = draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    c = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = rng.integers(0, c, size=(h, w))
+    gt = [np.where(rng.random((h, w)) < 0.3, rng.integers(0, c, size=(h, w)), first)
+          for _ in range(t_len)]
+    sizes = [draw(st.integers(1, 7)) for _ in range(t_len)]
+    indexes = [rng.integers(0, p, size=(h, w)) for p in sizes]
+    cells = [[rng.integers(0, c, size=p + draw(st.integers(0, 2))) for p in sizes]
+             for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):  # a repeated cell scores the same as its first copy
+        cells.append(cells[0])
+    return tally_clip(np.array(gt), indexes, c), cells
+
+
+@given(_many_cells())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_clip_equals_one_cell_at_a_time(case):
+    tally, cells = case
+    assert evaluate_clip(tally, cells) == [evaluate_one(tally, rows) for rows in cells]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import identity_palette_scene, per_frame_run_clip
+from oracles import evaluate_one, identity_palette_scene, per_frame_run_clip, shift_one
 from queryshift import cli, pipeline
 from queryshift.core import (
     ClipQueryTensor,
@@ -248,6 +248,11 @@ def test_inference_tie_breaks_to_lowest_class():
 # ---------------------------------------------------------------------------
 
 
+def _shifted(clip, shift, alignment):
+    """``shift_with_matching`` of one shift, as a clip."""
+    return ClipQueryTensor(shift_with_matching(clip, [shift], alignment)[0])
+
+
 def _random_clip(t, n, d, seed=0):
     rng = np.random.default_rng(seed)
     return ClipQueryTensor(rng.standard_normal((t, n, d)))
@@ -256,7 +261,7 @@ def _random_clip(t, n, d, seed=0):
 def test_shift_fraction_zero_is_identity():
     clip = _random_clip(4, 3, 8, seed=1)
     for matching in (True, False):
-        out = shift_with_matching(clip, _shift(0, 8), _aligned(clip, matching))
+        out = _shifted(clip, _shift(0, 8), _aligned(clip, matching))
         assert np.array_equal(
             out.data.view(np.uint64), clip.data.view(np.uint64)
         )
@@ -266,8 +271,8 @@ def test_shift_identical_frames_matching_irrelevant():
     frame = np.random.default_rng(2).standard_normal((4, 8))
     clip = ClipQueryTensor(np.stack([frame] * 3))
     for boundary in (ZERO, HOLD):
-        on = shift_with_matching(clip, _shift("1/2", 8, boundary), _aligned(clip, True))
-        off = shift_with_matching(clip, _shift("1/2", 8, boundary), _aligned(clip, False))
+        on = _shifted(clip, _shift("1/2", 8, boundary), _aligned(clip, True))
+        off = _shifted(clip, _shift("1/2", 8, boundary), _aligned(clip, False))
         assert np.array_equal(on.data, off.data)
 
 
@@ -275,7 +280,7 @@ def test_shift_matching_off_equals_plain_shift():
     clip = _random_clip(5, 4, 12, seed=3)
     for boundary in (ZERO, HOLD):
         shift = _shift("1/4", 12, boundary)
-        out = shift_with_matching(clip, shift, _aligned(clip, False))
+        out = _shifted(clip, shift, _aligned(clip, False))
         plain = feature_shift(clip, shift)
         assert np.array_equal(
             out.data.view(np.uint64), plain.data.view(np.uint64)
@@ -286,7 +291,7 @@ def test_shift_rejects_alignment_of_another_shape():
     clip = _random_clip(3, 4, 8)
     for t_len, n in ((2, 4), (3, 5)):
         with pytest.raises(ValueError, match="does not match the clip"):
-            shift_with_matching(clip, _shift("1/4", 8), ClipAlignment.identity(t_len, n))
+            shift_with_matching(clip, [_shift("1/4", 8)], ClipAlignment.identity(t_len, n))
 
 
 def test_shift_restores_original_order():
@@ -294,10 +299,43 @@ def test_shift_restores_original_order():
     # query index before and after, whatever the alignment did internally
     clip = _random_clip(5, 6, 16, seed=4)
     shift = _shift("1/4", 16, HOLD)  # 2 channels each way
-    out = shift_with_matching(clip, shift, _aligned(clip, True))
+    out = _shifted(clip, shift, _aligned(clip, True))
     z_in = clip.data
     z_out = out.data
     assert np.array_equal(z_out[:, :, 2:-2], z_in[:, :, 2:-2])
+
+
+@st.composite
+def _shift_lists(draw):
+    """A random clip, a random alignment of it and a list of shifts, repeats and 0 included."""
+    t_len, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    d = draw(st.sampled_from([1, 2, 8, 16, 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clip = ClipQueryTensor(rng.standard_normal((t_len, n, d)))
+    per_frame = [np.arange(n)] + [rng.permutation(n) for _ in range(t_len - 1)]
+    alignment = ClipAlignment(np.array(per_frame), (0.0,) * (t_len - 1))
+    fractions = st.sampled_from(["0", "1/8", "1/4", "3/8", "1/2"])
+    plans = draw(st.lists(st.tuples(fractions, st.sampled_from([ZERO, HOLD])), max_size=8))
+    shifts = [plan_shift(f, d, b) for f, b in plans]
+    return clip, shifts, alignment
+
+
+@given(_shift_lists())
+@settings(max_examples=150, deadline=None)
+def test_shift_with_matching_equals_one_shift_at_a_time(case):
+    clip, shifts, alignment = case
+    got = shift_with_matching(clip, shifts, alignment)
+    assert got.shape == (len(shifts),) + clip.data.shape and got.dtype == np.float64
+    assert not got.flags.writeable
+    for out, shift in zip(got, shifts):
+        assert out.tobytes() == shift_one(clip, shift, alignment).tobytes()
+
+
+def test_shift_with_matching_leaves_the_clip_alone():
+    clip = _random_clip(4, 5, 8, seed=6)
+    before = clip.data.copy()
+    shift_with_matching(clip, [_shift("1/2", 8, HOLD), _shift("1/4", 8)], _aligned(clip, True))
+    assert clip.data.tobytes() == before.tobytes()
 
 
 def _scatter_clip(protos, pis):
@@ -327,12 +365,12 @@ def test_shift_channel_provenance():
     assert df == 1
 
     alignment = align_clip(clip)
-    out_on = shift_with_matching(clip, shift, alignment)
+    out_on = _shifted(clip, shift, alignment)
     assert np.array_equal(out_on.data, clip.data)
     for t, pi in enumerate(pis):
         assert np.array_equal(alignment.per_frame[t], np.argsort(pi))
 
-    out_off = shift_with_matching(clip, shift, _aligned(clip, False))
+    out_off = _shifted(clip, shift, _aligned(clip, False))
     z = clip.data
     z_off = out_off.data
     for t in range(1, 3):
@@ -382,7 +420,7 @@ def test_row_labels_are_read_only_votes_per_palette_row():
     shift = _shift("1/4", 64, HOLD)
     alignment = align_clip(scene.queries)
     head = class_head_for(scene)
-    shifted = shift_with_matching(scene.queries, shift, alignment)
+    shifted = _shifted(scene.queries, shift, alignment)
     reversed_head = head[:, ::-1]  # a caller's head replaces the scene's
     for own, rows in ((head, run_clip(scene, [(shift, alignment)])[0]),
                       (reversed_head, run_clip(scene, [(shift, alignment)], reversed_head)[0])):
@@ -462,7 +500,7 @@ def test_palette_decode_is_bit_identical_to_per_pixel(case):
     scene = generate_scene(spec)
     head = class_head_for(scene)
     alignment = _aligned(scene.queries, matching)
-    shifted = shift_with_matching(scene.queries, shift, alignment)
+    shifted = _shifted(scene.queries, shift, alignment)
     rows = run_clip(scene, [(shift, alignment)])[0]
     assert scene.pixels[0].palette.shape == (spec.n_tracks + 1, spec.dim)
     for queries, pixels, r in zip(shifted.frames, scene.pixels, rows):
@@ -600,7 +638,7 @@ def test_recovered_palette_equals_identity_palette(tmp_path, monkeypatch, capsys
     for a, b in zip(ours, theirs):
         for ra, p, rb, q in zip(a, loaded.pixels, b, oracle.pixels):
             assert np.array_equal(ra[p.index], rb[q.index])
-        assert evaluate_clip(ours_tally, a) == evaluate_clip(theirs_tally, b)
+    assert evaluate_clip(ours_tally, ours) == evaluate_clip(theirs_tally, theirs)
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fraction": "1/4", "matching": True}))
@@ -641,12 +679,13 @@ def _regroup_palettes(scene, groups):
 
 @st.composite
 def _stacked_cases(draw):
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4) | st.integers(7, 8))  # up to 9 classes
+    n = draw(st.integers(k, k + 2))  # surplus queries decode too
     spec = SceneSpec(
         t_len=draw(st.integers(1, 4)),
         n_tracks=k,
-        n_queries=draw(st.integers(k, k + 2)),  # surplus queries decode too
-        dim=draw(st.sampled_from([8, 16, 40])),
+        n_queries=n,
+        dim=draw(st.sampled_from([d for d in (8, 16, 40) if d >= n])),
         num_classes=draw(st.integers(1, k + 1)),
         grid=(draw(st.integers(1, 10)), draw(st.integers(1, 10))),
         noise_sigma=draw(st.sampled_from([0.0, 0.0, 0.1, 0.5])),  # 0: rows score 1/2, votes tie
@@ -667,13 +706,13 @@ def _stacked_cases(draw):
     )
     layout = draw(st.sampled_from(["generated", "loaded", "partly_shared"]))
     groups = draw(st.lists(st.integers(0, 2), min_size=spec.t_len, max_size=spec.t_len))
-    return spec, cells, layout, groups
+    return spec, cells, layout, groups, draw(st.booleans())
 
 
 @given(_stacked_cases())
 @settings(max_examples=120, deadline=None)
 def test_stacked_run_clip_equals_per_frame_oracle(case):
-    spec, cells, layout, groups = case
+    spec, cells, layout, groups, shared = case
     scene = generate_scene(spec)
     if layout == "loaded":  # the recovered (K + 1)-row palette
         with tempfile.TemporaryDirectory() as tmp:
@@ -681,8 +720,13 @@ def test_stacked_run_clip_equals_per_frame_oracle(case):
             scene = load_scene(tmp)
     elif layout == "partly_shared":
         scene = _regroup_palettes(scene, groups)
+    # one alignment object per matching mode, as a sweep has, or one per cell
+    alignments = {m: _aligned(scene.queries, m) for m in (False, True)}
     cells = [
-        (_shift(fraction, spec.dim, boundary), _aligned(scene.queries, matching))
+        (
+            _shift(fraction, spec.dim, boundary),
+            alignments[matching] if shared else _aligned(scene.queries, matching),
+        )
         for fraction, boundary, matching in cells
     ]
     got = run_clip(scene, cells)
@@ -693,6 +737,8 @@ def test_stacked_run_clip_equals_per_frame_oracle(case):
         for r, w in zip(got_rows, want_rows):
             assert r.dtype == np.intp and not r.flags.writeable
             assert r.shape == w.shape and np.all(r == w)
+    tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], spec.num_classes)
+    assert evaluate_clip(tally, got) == [evaluate_one(tally, rows) for rows in want]
 
 
 def test_run_clip_decodes_once_per_shared_palette(monkeypatch, tmp_path):
@@ -754,3 +800,20 @@ def test_grouped_vote_validation():
         semantic_inference(np.full((1, 2, 3, 4), 0.5), np.zeros((1, 2, 3, 5)))
     with pytest.raises(ValueError, match="finite"):
         semantic_inference(np.full((2, 1, 2), np.nan), np.zeros((2, 1, 2)))
+
+
+def test_run_clip_shifts_once_per_alignment(monkeypatch):
+    calls = []
+    shift = pipeline.shift_with_matching
+
+    def counted(clip, shifts, alignment):
+        calls.append((len(shifts), alignment))
+        return shift(clip, shifts, alignment)
+
+    monkeypatch.setattr(pipeline, "shift_with_matching", counted)
+    scene = _scene(t_len=3, n_tracks=4, n_queries=5, num_classes=5, noise_sigma=0.3)
+    off, on = (_aligned(scene.queries, m) for m in (False, True))
+    fractions = ["0", "1/64", "1/16", "1/4", "1/4"]
+    rows = run_clip(scene, [(_shift(f, 64, HOLD), a) for f in fractions for a in (off, on)])
+    assert calls == [(5, off), (5, on)]
+    assert len(rows) == 10

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import ScalarGauss
 from queryshift.rng import _GAUSS_BLOCK as _BLOCK
+from queryshift.rng import _STREAM_BLOCK as _WORDS
 from queryshift.rng import MASK64, Rng, splitmix64
 
 # ---------------------------------------------------------------------------
@@ -89,22 +90,6 @@ def test_seed_masked_to_64_bits():
     assert Rng(wide).next_u64() == Rng(7).next_u64()
 
 
-def test_uniform_range_and_resolution():
-    rng = Rng(3)
-    draws = [rng.uniform() for _ in range(10_000)]
-    assert all(0.0 <= u < 1.0 for u in draws)
-    # 53-bit mantissa: every draw is a multiple of 2**-53
-    assert all(u == (int(u * 2**53) * 2.0**-53) for u in draws[:100])
-
-
-def test_uniform_mean_rough():
-    rng = Rng(17)
-    n = 20_000
-    mean = sum(rng.uniform() for _ in range(n)) / n
-    # std of the mean is ~1/sqrt(12 n) ~ 0.002; 5 sigma
-    assert abs(mean - 0.5) < 0.01
-
-
 @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=100, deadline=None)
 def test_below_in_range(n, seed):
@@ -163,13 +148,16 @@ def test_gauss_spare_is_stream_position_function():
     assert vector.dtype == np.float64 and singles == vector.tolist()
 
 
+# draw counts whose words end one short of, on and one past a table block, once
+# and many times over, and whose Box-Muller pairs fill one block of pairs, odd and even
+_EDGES = sorted(
+    {m * _WORDS + k for m in (1, 2, 16) for k in (-2, -1, 0, 1, 2)}
+    | {2 * _BLOCK + k for k in (-1, 0, 1, 2 * _BLOCK + 1)}
+)
+
 # the vector Box-Muller against the scalar one, over calls of every kind
 _CALLS = st.one_of(
-    # lengths around one block of draws and past several, odd and even
-    st.tuples(
-        st.just("vector"),
-        st.integers(0, 40) | st.sampled_from([2 * _BLOCK + k for k in (-1, 0, 1, 2 * _BLOCK + 1)]),
-    ),
+    st.tuples(st.just("vector"), st.integers(0, 40) | st.sampled_from(_EDGES)),
     st.tuples(st.just("next_u64"), st.just(0)),
     st.tuples(st.just("below"), st.integers(1, 1000)),
     st.tuples(st.just("gauss"), st.just(0)),
@@ -199,10 +187,26 @@ def test_gauss_vector_equals_scalar_box_muller(seed, calls):
     assert rng.next_u64() == oracle.rng.next_u64()
 
 
+@pytest.mark.parametrize("lead", [0, 1, 2, 3], ids=["none", "word", "spare", "spare_and_word"])
+@pytest.mark.parametrize("count", _EDGES)
+def test_gauss_vector_at_block_edges_equals_scalar_box_muller(count, lead):
+    # a leading word or cached sine moves where the call's words and pairs end;
+    # an odd count ends on a sine that is kept past the block it was drawn in
+    rng, oracle = Rng(count), ScalarGauss(Rng(count))
+    if lead & 1:
+        assert rng.next_u64() == oracle.rng.next_u64()
+    if lead & 2:
+        assert rng.gauss() == oracle.gauss()
+    got = rng.gauss_vector(count)
+    assert got.tobytes() == np.array([oracle.gauss() for _ in range(count)]).tobytes()
+    assert [rng.gauss(), rng.gauss()] == [oracle.gauss(), oracle.gauss()]
+    assert (rng.next_u64(), rng.below(1000)) == (oracle.rng.next_u64(), oracle.rng.below(1000))
+
+
 def test_gauss_vector_scratch_is_bounded():
     # blocks of pairs keep the scratch lists small next to the output; one list
-    # of Python ints per draw would peak at several times the output.  The size
-    # is ~100 blocks: tracing every int the inline generator makes is ~30x slower
+    # of Python ints per draw would peak at several times the output.  The
+    # unit-state table is built at import, so it is never inside this trace
     tracemalloc.start()
     try:
         out = Rng(3).gauss_vector(2 * 10**5)
