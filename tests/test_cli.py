@@ -16,7 +16,16 @@ import pytest
 
 from queryshift import cli
 from queryshift.cli import main
-from queryshift.core import ClipQueryTensor, write_labelmap, write_tensor
+from queryshift.core import (
+    ClipQueryTensor,
+    NonFiniteTensorError,
+    TensorFormatError,
+    TruncatedTensorError,
+    WrongMagicError,
+    write_labelmap,
+    write_tensor,
+)
+from queryshift.synth import load_scene
 
 CSV_HEADER = (
     "fraction,channels_shifted,matching,seed,"
@@ -126,6 +135,7 @@ def _assert_one_line_error(capsys, argv, fragment):
     """``main(argv)`` exits 2 with one stderr line naming ``fragment``, and warns nothing.
 
     pytest takes warnings off stderr, so they are recorded here instead.
+    Returns the stderr line.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -134,6 +144,7 @@ def _assert_one_line_error(capsys, argv, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+    return err
 
 
 def test_one_line_error_check_sees_warnings(tmp_path, capsys, monkeypatch):
@@ -545,6 +556,96 @@ def test_run_corrupt_tensor_exits_2(scene_dir, tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "0"})
     assert main(["run", "--scene", str(scene_dir), "--config", cfg]) == 2
     capsys.readouterr()
+
+
+def _put_value(value, frame, at=0):
+    """Overwrite float64 value ``at`` of ``frame`` in the scene_dir pixels.qtn bytes."""
+    def edit(data):
+        pos = 20 + 8 * (frame * _FRAME_VALUES + at)
+        return data[:pos] + struct.pack("<d", value) + data[pos + 8 :]
+    return edit
+
+
+def _reshaped(t, n, d):
+    """A well-formed .qtn of shape (t, n, d) cut from the scene_dir pixels.qtn bytes."""
+    def edit(data):
+        return data[:8] + struct.pack("<III", t, n, d) + data[20 : 20 + 8 * t * n * d] + data[-8:]
+    return edit
+
+
+_FRAME_VALUES = 16 * 16 * 64  # float64 values in one frame of the scene_dir scene
+
+# pixels.qtn of the scene_dir scene broken in one way: (edit, exception class, message)
+_BROKEN_PIXELS = {
+    "magic": (
+        lambda data: b"NOTQTN01" + data[8:],
+        WrongMagicError,
+        "bad leading magic b'NOTQTN01', expected b'QTNv0001'",
+    ),
+    "short_header": (
+        lambda data: data[:14],
+        TruncatedTensorError,
+        "stream ended inside dimension header: wanted 12 bytes, got 6",
+    ),
+    "zero_dimension": (
+        lambda data: data[:8] + struct.pack("<III", 3, 0, 64) + data[20:],
+        TensorFormatError,
+        "dimensions must all be >= 1, header declares (3, 0, 64)",
+    ),
+    "truncated_payload": (
+        lambda data: data[: 20 + 8 * (_FRAME_VALUES + 100)],
+        TruncatedTensorError,
+        "header declares 49152 float64 values, but the stream ends after 131872 bytes",
+    ),
+    "missing_trailer": (
+        lambda data: data[:-8],
+        TruncatedTensorError,
+        "stream ended inside trailer: wanted 8 bytes, got 0",
+    ),
+    "bad_trailer": (
+        lambda data: data[:-8] + b"XXXXXXXX",
+        WrongMagicError,
+        "bad trailer b'XXXXXXXX', expected b'QTNEND\\x00\\x00'",
+    ),
+    "nan_in_frame_1": (
+        _put_value(float("nan"), 1, at=77),
+        NonFiniteTensorError,
+        "clip query tensor contains non-finite values",
+    ),
+    "inf_in_last_frame": (
+        _put_value(-float("inf"), 2, at=_FRAME_VALUES - 1),
+        NonFiniteTensorError,
+        "clip query tensor contains non-finite values",
+    ),
+    "wrong_shape": (
+        _reshaped(3, 255, 64),
+        ValueError,
+        "pixels.qtn shape (3, 255, 64) does not match a 3-frame 16x16 grid of dim 64",
+    ),
+}
+
+
+def _break_pixels(scene_dir, case):
+    edit, cls, message = _BROKEN_PIXELS[case]
+    path = scene_dir / "pixels.qtn"
+    path.write_bytes(edit(path.read_bytes()))
+    return cls, message
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_PIXELS))
+def test_load_scene_names_each_singly_broken_pixels_file(scene_dir, case):
+    cls, message = _break_pixels(scene_dir, case)
+    with pytest.raises(ValueError) as caught:
+        load_scene(scene_dir)
+    assert type(caught.value) is cls and str(caught.value) == message
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_PIXELS))
+def test_run_names_each_singly_broken_pixels_file_in_one_line(scene_dir, tmp_path, capsys, case):
+    _, message = _break_pixels(scene_dir, case)
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    assert _assert_one_line_error(capsys, argv, message) == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
