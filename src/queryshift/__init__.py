@@ -16,8 +16,10 @@ from .core import (
     TensorFormatError,
     TruncatedTensorError,
     WrongMagicError,
+    read_frames,
     read_labelmap,
     read_tensor,
+    write_frames,
     write_labelmap,
     write_tensor,
 )
@@ -71,6 +73,7 @@ __all__ = [
     "optimal_match",
     "pixel_accuracy",
     "plan_shift",
+    "read_frames",
     "read_labelmap",
     "read_tensor",
     "recovery_rate",
@@ -79,6 +82,7 @@ __all__ = [
     "semantic_inference",
     "shift_with_matching",
     "tally_clip",
+    "write_frames",
     "write_labelmap",
     "write_tensor",
     "__version__",

@@ -7,7 +7,10 @@ a constructed value can be shared freely between threads and between
 pipeline stages without defensive copies.  The public constructors copy,
 freeze and finite-scan their input once; a clip's frames are read-only views
 of one array.  A pixel map is a (P, D) palette of embeddings and an (H, W)
-index into it, so decoding runs once per palette row.
+index into it, so decoding runs once per palette row.  ``write_frames`` and
+``read_frames`` hold the one copy of the .qtn framing: they stream a payload
+a frame at a time through one buffer, and ``write_tensor``/``read_tensor``
+move a whole clip through them.
 
 On-disk formats:
 
@@ -26,11 +29,12 @@ On-disk formats:
 
 from __future__ import annotations
 
+import contextlib
 import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -42,6 +46,8 @@ __all__ = [
     "FrameQuerySet",
     "ClipQueryTensor",
     "PixelEmbeddingMap",
+    "write_frames",
+    "read_frames",
     "write_tensor",
     "read_tensor",
     "write_labelmap",
@@ -190,23 +196,36 @@ class PixelEmbeddingMap:
 # ---------------------------------------------------------------------------
 
 
-def _open_for(dest: PathOrIO, mode: str):
+@contextlib.contextmanager
+def _opened(dest: PathOrIO, mode: str) -> Iterator[BinaryIO]:
+    """The file at a path, opened and closed here, or a caller's stream, left open."""
     if isinstance(dest, (str, Path)):
-        return open(dest, mode), True
-    return dest, False
+        with open(dest, mode) as f:
+            yield f
+    else:
+        yield dest
+
+
+def write_frames(dest: PathOrIO, shape: tuple[int, int, int], frames: Iterable) -> None:
+    """Write a (T, N, D) .qtn whose payload is the values of ``frames``, T*N*D in all.
+
+    Each item is written as it comes, so ``frames`` may refill one buffer per frame.
+    """
+    with _opened(dest, "wb") as sink:
+        sink.write(QTN_MAGIC + struct.pack("<III", *shape))
+        written = 0
+        for frame in frames:
+            frame = np.ascontiguousarray(frame, dtype="<f8")
+            written += frame.size
+            sink.write(frame)
+        if written != shape[0] * shape[1] * shape[2]:
+            raise ValueError(f"{written} values written for a {shape} tensor")
+        sink.write(QTN_TRAILER)
 
 
 def write_tensor(clip: ClipQueryTensor, dest: PathOrIO) -> None:
     """Serialize a clip to the .qtn layout described in the module docstring."""
-    sink, owns = _open_for(dest, "wb")
-    try:
-        sink.write(QTN_MAGIC)
-        sink.write(struct.pack("<III", clip.t_len, clip.n_queries, clip.dim))
-        sink.write(np.ascontiguousarray(clip.data, dtype="<f8"))
-        sink.write(QTN_TRAILER)
-    finally:
-        if owns:
-            sink.close()
+    write_frames(dest, clip.data.shape, [clip.data])
 
 
 def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
@@ -218,44 +237,47 @@ def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
-def _read_payload(f: BinaryIO, count: int) -> np.ndarray:
-    """Read ``count`` float64 values into one array, doubled each time the stream fills it."""
-    values = np.empty(min(count, _QTN_CHUNK), dtype="<f8")
-    got = 0  # bytes
-    while got < 8 * count:
-        if got == values.nbytes:
-            values = np.concatenate([values, np.empty_like(values[: count - values.size])])
-        n = f.readinto(memoryview(values).cast("B")[got:])
-        if not n:
-            raise TruncatedTensorError(
-                f"header declares {count} float64 values, "
-                f"but the stream ends after {got} bytes"
-            )
-        got += n
-    return values
+def read_frames(src: PathOrIO, whole: bool = False) -> Iterator:
+    """Read a .qtn stream frame by frame, checked as :func:`read_tensor` does but not scanned.
+
+    Yields the (T, N, D) shape once the magic and dims are checked, then each
+    frame's N*D values in one flat float64 buffer that the next frame
+    overwrites (with ``whole``, one buffer of all T*N*D values), then checks
+    the trailer.  Memory follows the bytes that arrive, not the declared size.
+    """
+    with _opened(src, "rb") as f:
+        magic = _read_exact(f, len(QTN_MAGIC), "leading magic")
+        if magic != QTN_MAGIC:
+            raise WrongMagicError(f"bad leading magic {magic!r}, expected {QTN_MAGIC!r}")
+        shape = struct.unpack("<III", _read_exact(f, 12, "dimension header"))
+        if min(shape) < 1:
+            raise TensorFormatError(f"dimensions must all be >= 1, header declares {shape}")
+        yield shape
+        total = shape[0] * shape[1] * shape[2]
+        count = total if whole else shape[1] * shape[2]
+        values = np.empty(min(count, _QTN_CHUNK), dtype="<f8")
+        for done in range(0, 8 * total, 8 * count):  # payload bytes before this read
+            got = 0
+            while got < 8 * count:
+                if got == values.nbytes:
+                    values = np.concatenate([values, np.empty_like(values[: count - values.size])])
+                n = f.readinto(memoryview(values).cast("B")[got:])
+                if not n:
+                    raise TruncatedTensorError(
+                        f"header declares {total} float64 values, "
+                        f"but the stream ends after {done + got} bytes"
+                    )
+                got += n
+            yield values
+        trailer = _read_exact(f, len(QTN_TRAILER), "trailer")
+        if trailer != QTN_TRAILER:
+            raise WrongMagicError(f"bad trailer {trailer!r}, expected {QTN_TRAILER!r}")
 
 
 def read_tensor(src: PathOrIO) -> ClipQueryTensor:
     """Parse a .qtn stream, validating magic, dims, payload and trailer."""
-    f, owns = _open_for(src, "rb")
-    try:
-        magic = _read_exact(f, len(QTN_MAGIC), "leading magic")
-        if magic != QTN_MAGIC:
-            raise WrongMagicError(f"bad leading magic {magic!r}, expected {QTN_MAGIC!r}")
-        t_len, n_q, dim = struct.unpack("<III", _read_exact(f, 12, "dimension header"))
-        if min(t_len, n_q, dim) < 1:
-            raise TensorFormatError(
-                f"dimensions must all be >= 1, header declares ({t_len}, {n_q}, {dim})"
-            )
-        values = _read_payload(f, t_len * n_q * dim)
-        trailer = _read_exact(f, len(QTN_TRAILER), "trailer")
-        if trailer != QTN_TRAILER:
-            raise WrongMagicError(f"bad trailer {trailer!r}, expected {QTN_TRAILER!r}")
-        data = _freeze(values, 1, "clip query tensor").reshape(t_len, n_q, dim)
-        return _view(ClipQueryTensor, data=data)
-    finally:
-        if owns:
-            f.close()
+    shape, values = read_frames(src, whole=True)  # unpacking runs on to the trailer check
+    return _view(ClipQueryTensor, data=_freeze(values, 1, "clip query tensor").reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +292,15 @@ def write_labelmap(labels: np.ndarray, dest: PathOrIO) -> None:
         raise ValueError(f"labels must be a non-empty 2-D integer grid, got {labels.shape}")
     if labels.min() < 0 or labels.max() > 255:
         raise ValueError("PGM label maps hold classes in [0, 256)")
-    sink, owns = _open_for(dest, "wb")
-    try:
+    with _opened(dest, "wb") as sink:
         sink.write(f"P5\n{labels.shape[1]} {labels.shape[0]}\n255\n".encode("ascii"))
         sink.write(np.ascontiguousarray(labels, dtype=np.uint8))
-    finally:
-        if owns:
-            sink.close()
 
 
 def read_labelmap(src: PathOrIO, num_classes: int) -> np.ndarray:
     """A binary PGM's pixels as a read-only (H, W) uint8 view, all in [0, num_classes)."""
-    f, owns = _open_for(src, "rb")
-    try:
+    with _opened(src, "rb") as f:
         data = f.read()
-    finally:
-        if owns:
-            f.close()
     if not data.startswith(b"P5"):
         raise WrongMagicError("not a binary PGM (missing P5 magic)")
     # header = magic, width, height, maxval as whitespace-separated tokens

@@ -39,7 +39,14 @@ def _checked_counts(counts: np.ndarray) -> np.ndarray:
 
 def miou(counts: np.ndarray) -> float:
     """Mean IoU over classes present in ground truth or prediction."""
-    counts = _checked_counts(counts)
+    return _miou(_checked_counts(counts))
+
+
+def pixel_accuracy(counts: np.ndarray) -> float:
+    return _pixel_accuracy(_checked_counts(counts))
+
+
+def _miou(counts: np.ndarray) -> float:
     inter = np.diag(counts)
     union = counts.sum(axis=1) + counts.sum(axis=0) - inter  # exact integers
     present = union > 0
@@ -48,12 +55,22 @@ def miou(counts: np.ndarray) -> float:
     return float(np.mean(inter[present] / union[present]))
 
 
-def pixel_accuracy(counts: np.ndarray) -> float:
-    counts = _checked_counts(counts)
+def _pixel_accuracy(counts: np.ndarray) -> float:
     total = int(counts.sum())
     if total == 0:
         raise ValueError("pixel accuracy undefined on empty confusion counts")
     return float(np.trace(counts) / total)
+
+
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_counts=True)``, sorting ``keys`` in place, not a copy."""
+    keys = keys.reshape(-1)
+    keys.sort()
+    starts = np.empty(keys.size, bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    return keys[starts], np.diff(starts, append=keys.size)
 
 
 def tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes: int) -> tuple:
@@ -80,18 +97,19 @@ def tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes
                 f"index {index.dtype} {index.shape} is not a row grid like {gt.shape[1:]}"
             )
     used = [int(index.max()) + 1 for index in grids]
-    starts = np.cumsum(used) - used
+    rows = np.stack(grids, dtype=np.int64)
+    rows += (np.cumsum(used) - used)[:, None, None]  # clip rows, rising with t
     static = np.all(gt == gt[0], axis=0)
-    counts, pairs = [], [np.zeros((3, 0), np.int64)]
-    for start, labels, index in zip(starts, gt, grids):
-        keys, pixels = np.unique(index.astype(np.int64) * c + labels, return_counts=True)
-        counts.append((start + keys // c, keys % c, pixels))
-    for t, (a, b) in enumerate(zip(grids, grids[1:])):
-        # frame-local rows keep each key below used[t] * used[t + 1]
-        n = used[t + 1]
-        keys, pixels = np.unique(a[static].astype(np.int64) * n + b[static], return_counts=True)
-        pairs.append((starts[t] + keys // n, starts[t + 1] + keys % n, pixels))
-    counts, pairs = np.hstack(counts), np.hstack(pairs)
+    # one sorted pass each, in clip-row order: the frames' (or frame pairs') passes in turn
+    keys = rows * c
+    keys += gt
+    keys, pixels = _sorted_runs(keys)
+    counts = np.stack([keys // c, keys % c, pixels])
+    moved, n = np.take(rows.reshape(len(rows), -1), np.flatnonzero(static), axis=1), sum(used)
+    keys = moved[:-1] * n
+    keys += moved[1:]
+    keys, pixels = _sorted_runs(keys)
+    pairs = np.stack([keys // n, keys % n, pixels])
     counts.setflags(write=False)
     pairs.setflags(write=False)
     return c, tuple(used), int(static.sum()), counts, pairs
@@ -127,6 +145,6 @@ def evaluate_clip(tally: tuple, cells: Sequence) -> list[dict[str, float | None]
     scores = []
     for joint_s, same_s in zip(joint.astype(np.int64).reshape(-1, c, c), same):
         tc = same_s / (static * (len(used) - 1)) if len(used) > 1 and static else None
-        scores.append({"miou": miou(joint_s), "pixel_accuracy": pixel_accuracy(joint_s),
+        scores.append({"miou": _miou(joint_s), "pixel_accuracy": _pixel_accuracy(joint_s),
                        "temporal_consistency": tc})
     return scores

@@ -66,10 +66,12 @@ import numpy as np
 from .core import (
     ClipQueryTensor,
     PixelEmbeddingMap,
+    read_frames,
     read_labelmap,
     read_tensor,
     _freeze,
     _view,
+    write_frames,
     write_labelmap,
     write_tensor,
 )
@@ -174,13 +176,7 @@ class SceneSpec:
     def __post_init__(self):
         object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
         object.__setattr__(self, "seed", int(self.seed) & MASK64)
-        t, k, n, d, c = (
-            self.t_len,
-            self.n_tracks,
-            self.n_queries,
-            self.dim,
-            self.num_classes,
-        )
+        t, k, n, d, c = self.t_len, self.n_tracks, self.n_queries, self.dim, self.num_classes
         if t < 1:
             raise InfeasibleSceneError("t_len must be >= 1")
         if k < 1:
@@ -310,12 +306,6 @@ def _signature_angles(k: int) -> list[float]:
     return [2.0 * math.pi * i / k for i in range(k)]
 
 
-def _signature_scale(k: int) -> float:
-    # strictly inside the feasibility bound rho^2 <= 2/K so the Gram
-    # correction stays positive definite
-    return min(0.6, math.sqrt(2.0 / k * (1.0 - 1.0 / 64.0)))
-
-
 def _build_prototypes(
     rng: Rng, n_tracks: int, want_no_object: bool, dim: int
 ) -> tuple[list[list[float]], list[float] | None, float | None]:
@@ -324,7 +314,8 @@ def _build_prototypes(
     margin = max(1, dim // 8)
     core_width = dim - 2 * margin
     if core_width >= k_total and dim >= 3:
-        rho = _signature_scale(n_tracks)
+        # strictly inside the bound rho^2 <= 2/K: the Gram correction stays positive definite
+        rho = min(0.6, math.sqrt(2.0 / n_tracks * (1.0 - 1.0 / 64.0)))
         raw = [rng.gauss_vector(core_width).tolist() for _ in range(k_total)]
         basis = _orthonormal_rows(raw)
         angles = _signature_angles(n_tracks)
@@ -362,19 +353,9 @@ def _build_prototypes(
     return protos, no_obj, None
 
 
-def _track_class(k: int, num_classes: int) -> int:
-    return k % max(num_classes - 1, 1)
-
-
 def generate_scene(spec: SceneSpec) -> SceneClip:
     """Materialise a scene from its spec; same spec, same bits."""
-    t_len, k, n, d, c = (
-        spec.t_len,
-        spec.n_tracks,
-        spec.n_queries,
-        spec.dim,
-        spec.num_classes,
-    )
+    t_len, k, n, d, c = spec.t_len, spec.n_tracks, spec.n_queries, spec.dim, spec.num_classes
     h, w = spec.grid
     rng = Rng(spec.seed)
     protos_py, no_obj_py, rho = _build_prototypes(rng, k, n > k, d)
@@ -390,7 +371,7 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
 
     prototypes = np.array(protos_py, dtype=np.float64)
     no_object = None if no_obj_py is None else np.array(no_obj_py, dtype=np.float64)
-    track_classes = tuple(_track_class(i, c) for i in range(k))
+    track_classes = tuple(i % max(c - 1, 1) for i in range(k))
 
     # frame t rotates the first K slots by rotations[t]; surplus slots stay put
     slots = np.arange(n, dtype=np.intp)
@@ -545,28 +526,19 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
     """Write a scene as queries.qtn, pixels.qtn, labels_<t>.pgm, tracks.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    qpath = out / "queries.qtn"
-    write_tensor(scene.queries, qpath)
-    written.append(qpath)
-
-    # gather each frame's per-pixel rows straight into the tensor written;
-    # finite because the palettes are
+    write_tensor(scene.queries, out / "queries.qtn")
+    # each frame's per-pixel rows, gathered into one reused buffer as it is written;
+    # finite as the palettes are.  mode="raise" would buffer each gather (~4x slower)
     h, w = scene.spec.grid
-    flat = np.empty((len(scene.pixels), h * w, scene.spec.dim))
-    for rows, p in zip(flat, scene.pixels):
-        np.take(p.palette, p.index.reshape(h * w), axis=0, out=rows)
-    flat.setflags(write=False)
-    ppath = out / "pixels.qtn"
-    write_tensor(_view(ClipQueryTensor, data=flat), ppath)
-    written.append(ppath)
-
-    for t, labels in enumerate(scene.gt_labels):
-        lpath = out / f"labels_{t}.pgm"
-        write_labelmap(labels, lpath)
-        written.append(lpath)
-
+    rows = np.empty((h * w, scene.spec.dim))
+    gathered = (
+        np.take(p.palette, p.index.reshape(h * w), axis=0, out=rows, mode="clip")
+        for p in scene.pixels
+    )
+    write_frames(out / "pixels.qtn", (len(scene.pixels), h * w, scene.spec.dim), gathered)
+    labels = [out / f"labels_{t}.pgm" for t in range(len(scene.gt_labels))]
+    for path, frame in zip(labels, scene.gt_labels):
+        write_labelmap(frame, path)
     meta = {
         "spec": scene.spec.to_dict(),
         "per_frame_tracks": scene.gt_tracks.tolist(),
@@ -575,12 +547,10 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
         "no_object": None if scene.no_object is None else list(scene.no_object.tolist()),
         "signature_scale": scene.signature_scale,
     }
-    tpath = out / "tracks.json"
-    with open(tpath, "w") as f:
+    with open(out / "tracks.json", "w") as f:
         json.dump(meta, f, sort_keys=True, indent=1)
         f.write("\n")
-    written.append(tpath)
-    return written
+    return [out / "queries.qtn", out / "pixels.qtn", *labels, out / "tracks.json"]
 
 
 def load_scene(scene_dir: str | Path) -> SceneClip:
@@ -632,35 +602,39 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
         )
 
     queries = read_tensor(src / "queries.qtn")
-    flat = read_tensor(src / "pixels.qtn")
     h, w = spec.grid
-    if (flat.t_len, flat.n_queries, flat.dim) != (spec.t_len, h * w, spec.dim):
-        raise ValueError(
-            f"pixels.qtn shape ({flat.t_len}, {flat.n_queries}, {flat.dim}) does not "
-            f"match a {spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
-        )
     # look each frame's rows up in the generator's palette by their keys on one
     # fixed vector: BLAS rounds rows @ key and palette @ key differently, so a
     # row takes the palette row whose key is nearest, and the frame is kept
-    # only if the gather gives its rows back exactly
+    # only if the gather gives its rows back exactly (and so is finite, as the
+    # palette is); only a frame that falls back is copied and finite-scanned
     palette = _freeze(np.vstack([np.zeros(spec.dim), prototypes]), 2, "pixel palette")
     key = np.linspace(1.0, 2.0, spec.dim)
     identity = np.arange(h * w, dtype=np.intp).reshape(h, w)
     identity.setflags(write=False)
     gathered = np.empty((h * w, spec.dim))
     pixels = []
+    frames = read_frames(src / "pixels.qtn")
+    shape = next(frames)
+    if shape != (spec.t_len, h * w, spec.dim):
+        raise ValueError(
+            f"pixels.qtn shape {shape} does not match a "
+            f"{spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
+        )
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite key only fails the check
         keys = palette @ key
         order = np.argsort(keys)
         midpoints = keys[order[:-1]] / 2 + keys[order[1:]] / 2
-        for rows in flat.data:
+        for rows in frames:  # one reused buffer; the trailer is checked after the last
+            rows = rows.reshape(h * w, spec.dim)
             index = order[np.searchsorted(midpoints, rows @ key)]
             np.take(palette, index, axis=0, out=gathered, mode="clip")
             if np.array_equal(gathered, rows):
                 index.setflags(write=False)
                 pixels.append(_view(PixelEmbeddingMap, palette=palette, index=index.reshape(h, w)))
             else:  # not a synthesised frame: each pixel its own palette row
-                pixels.append(_view(PixelEmbeddingMap, palette=rows, index=identity))
+                own = _freeze(rows.copy(), 2, "clip query tensor")
+                pixels.append(_view(PixelEmbeddingMap, palette=own, index=identity))
     labels = []
     for t in range(spec.t_len):
         labels.append(read_labelmap(src / f"labels_{t}.pgm", spec.num_classes))

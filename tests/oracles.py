@@ -165,6 +165,27 @@ def evaluate_one(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, fl
     }
 
 
+def per_frame_tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes: int):
+    """``tally_clip`` of valid input with one ``np.unique`` per frame and one per frame pair."""
+    gt, c, grids = np.asarray(gt_labels), num_classes, [np.asarray(index) for index in indexes]
+    used = [int(index.max()) + 1 for index in grids]
+    starts = np.cumsum(used) - used
+    static = np.all(gt == gt[0], axis=0)
+    counts, pairs = [], [np.zeros((3, 0), np.int64)]
+    for start, labels, index in zip(starts, gt, grids):
+        keys, pixels = np.unique(index.astype(np.int64) * c + labels, return_counts=True)
+        counts.append((start + keys // c, keys % c, pixels))
+    for t, (a, b) in enumerate(zip(grids, grids[1:])):
+        # frame-local rows keep each key below used[t] * used[t + 1]
+        n = used[t + 1]
+        keys, pixels = np.unique(a[static].astype(np.int64) * n + b[static], return_counts=True)
+        pairs.append((starts[t] + keys // n, starts[t + 1] + keys % n, pixels))
+    counts, pairs = np.hstack(counts), np.hstack(pairs)
+    counts.setflags(write=False)
+    pairs.setflags(write=False)
+    return c, tuple(used), int(static.sum()), counts, pairs
+
+
 def per_frame_run_clip(scene, cells, class_head=None) -> tuple[tuple[np.ndarray, ...], ...]:
     """``run_clip`` one cell and one frame at a time: each shifted frame decoded and voted alone."""
     head = class_head_for(scene) if class_head is None else class_head

@@ -16,7 +16,7 @@ from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, load_scene, save_scene
 
-from oracles import accumulate, evaluate_one, temporal_consistency
+from oracles import accumulate, evaluate_one, per_frame_tally_clip, temporal_consistency
 
 
 def _lmap(values, c):
@@ -524,6 +524,47 @@ def _hand_clips(draw):
     indexes = [rng.integers(0, p, size=(h, w)) for p in sizes]
     rows = [rng.integers(0, c, size=p + draw(st.integers(0, 2))) for p in sizes]
     return np.array(gt), indexes, rows, c
+
+
+def _assert_same_tally(ours, theirs):
+    assert ours[:3] == theirs[:3]  # num_classes, used, static
+    for a, b in zip(ours[3:], theirs[3:]):
+        assert a.dtype == b.dtype == np.int64 and not a.flags.writeable
+        assert a.shape == b.shape and a.tolist() == b.tolist()
+
+
+@st.composite
+def _palette_mixes(draw):
+    """A generated scene's gt with each frame's index recovered (K + 1 rows) or identity (H*W)."""
+    k = draw(st.integers(1, 5))
+    spec = SceneSpec(
+        t_len=draw(st.integers(1, 4)),
+        n_tracks=k,
+        n_queries=k,
+        dim=16,
+        num_classes=draw(st.integers(1, k + 1)),
+        grid=(draw(st.integers(1, 12)), draw(st.integers(1, 12))),
+        motion=draw(st.integers(0, 2)),  # motion 0 keeps every pixel static
+        seed=draw(st.integers(0, 2**32)),
+    )
+    scene = generate_scene(spec)
+    identity = np.arange(spec.grid[0] * spec.grid[1]).reshape(spec.grid)
+    falls_back = draw(st.lists(st.booleans(), min_size=spec.t_len, max_size=spec.t_len))
+    indexes = [identity if fb else p.index for fb, p in zip(falls_back, scene.pixels)]
+    return scene.gt_labels, indexes, spec.num_classes
+
+
+@given(_palette_mixes())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_tally_equals_per_frame_tally_on_palette_mixes(case):
+    _assert_same_tally(tally_clip(*case), per_frame_tally_clip(*case))
+
+
+@given(_hand_clips())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_tally_equals_per_frame_tally_on_hand_built_clips(clip):
+    gt, indexes, _, c = clip
+    _assert_same_tally(tally_clip(gt, indexes, c), per_frame_tally_clip(gt, indexes, c))
 
 
 @given(_hand_clips())

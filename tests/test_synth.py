@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
@@ -402,21 +403,50 @@ def test_generate_scene_gathers_no_per_pixel_embeddings():
     assert peak < t * h * w * d * 8 / 4
 
 
-def test_load_scene_checks_one_frame_of_rows_at_a_time(tmp_path):
-    t, (h, w), d = 6, (64, 64), 64  # the scene-io benchmark scene
-    spec = _spec(t_len=t, n_tracks=8, n_queries=8, dim=d, num_classes=9, grid=(h, w), motion=2)
-    save_scene(generate_scene(spec), tmp_path)
+def _io_scene():
+    """The scene-io benchmark scene: 6 frames of 64x64 pixels, 64 channels."""
+    return _spec(t_len=6, n_tracks=8, n_queries=8, dim=64, num_classes=9, grid=(64, 64), motion=2)
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        scene = load_scene(tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_save_scene_gathers_one_frame_of_rows_at_a_time(tmp_path):
+    spec = _io_scene()
+    scene = generate_scene(spec)
+    _, peak = _traced_peak(save_scene, scene, tmp_path)
+    # one reused (H*W, D) buffer, where a (T, H*W, D) gather would take T frames
+    assert peak < 1.5 * spec.grid[0] * spec.grid[1] * spec.dim * 8
+
+
+def test_load_scene_checks_one_frame_of_rows_at_a_time(tmp_path):
+    spec = _io_scene()
+    save_scene(generate_scene(spec), tmp_path)
+    scene, peak = _traced_peak(load_scene, tmp_path)
     assert all(pm.palette is scene.pixels[0].palette for pm in scene.pixels)  # recovered
-    # the pixels.qtn payload stays held; checking it takes one more frame of
-    # rows, where a (T, H*W, D) gather would take T more
-    frame = h * w * d * 8
-    assert peak < t * frame + 2 * frame
+    # one frame read and one gathered to check it, where reading all of
+    # pixels.qtn would hold T frames
+    assert peak < 3 * spec.grid[0] * spec.grid[1] * spec.dim * 8
+
+
+def test_load_scene_copies_only_a_frame_that_falls_back(tmp_path):
+    spec = _io_scene()
+    save_scene(generate_scene(spec), tmp_path)
+    frame = spec.grid[0] * spec.grid[1] * spec.dim * 8
+    data = bytearray((tmp_path / "pixels.qtn").read_bytes())
+    data[20 + frame + 8 * 5 : 20 + frame + 8 * 6] = struct.pack("<d", 0.5)  # off the palette
+    (tmp_path / "pixels.qtn").write_bytes(bytes(data))
+    scene, peak = _traced_peak(load_scene, tmp_path)
+    palettes = [pm.palette.shape[0] for pm in scene.pixels]
+    assert palettes == [spec.n_tracks + 1, spec.grid[0] * spec.grid[1]] + [spec.n_tracks + 1] * 4
+    # the two frame buffers, plus the fallback frame's own copy
+    assert peak < 4 * frame
 
 
 def test_scene_file_inventory(tmp_path):
