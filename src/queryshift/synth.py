@@ -55,6 +55,7 @@ any BLAS reduction order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -615,14 +616,14 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     gathered = np.empty((h * w, spec.dim))
     pixels = []
     frames = read_frames(src / "pixels.qtn")
-    shape = next(frames)
-    if shape != (spec.t_len, h * w, spec.dim):
-        raise ValueError(
-            f"pixels.qtn shape {shape} does not match a "
-            f"{spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite key only fails the check
-        keys = palette @ key
+    with contextlib.closing(frames), np.errstate(over="ignore", invalid="ignore"):
+        shape = next(frames)
+        if shape != (spec.t_len, h * w, spec.dim):
+            raise ValueError(
+                f"pixels.qtn shape {shape} does not match a "
+                f"{spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
+            )
+        keys = palette @ key  # a non-finite key only fails the check
         order = np.argsort(keys)
         midpoints = keys[order[:-1]] / 2 + keys[order[1:]] / 2
         for rows in frames:  # one reused buffer; the trailer is checked after the last

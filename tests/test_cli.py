@@ -640,6 +640,17 @@ def test_load_scene_names_each_singly_broken_pixels_file(scene_dir, case):
     assert type(caught.value) is cls and str(caught.value) == message
 
 
+def test_load_scene_closes_pixels_file_it_rejects(scene_dir):
+    _break_pixels(scene_dir, "wrong_shape")
+    with pytest.raises(ValueError, match="pixels.qtn shape") as caught:
+        load_scene(scene_dir)
+    # the traceback keeps load_scene's frame alive; its reader must be closed all the same
+    tb = caught.tb
+    while tb.tb_frame.f_code.co_name != "load_scene":
+        tb = tb.tb_next
+    assert tb.tb_frame.f_locals["frames"].gi_frame is None
+
+
 @pytest.mark.parametrize("case", list(_BROKEN_PIXELS))
 def test_run_names_each_singly_broken_pixels_file_in_one_line(scene_dir, tmp_path, capsys, case):
     _, message = _break_pixels(scene_dir, case)

@@ -21,8 +21,10 @@ from queryshift.core import (
     TruncatedTensorError,
     WrongMagicError,
     _view,
+    read_frames,
     read_labelmap,
     read_tensor,
+    write_frames,
     write_labelmap,
     write_tensor,
 )
@@ -173,6 +175,47 @@ def test_payload_cut_short_after_growing_is_truncated(monkeypatch):
         TruncatedTensorError, match="header declares 60 float64 values, .* after 472 bytes"
     ):
         read_tensor(_trickle(data))
+
+
+def test_write_frames_from_one_refilled_buffer_gives_the_tensor_bytes():
+    clip = _clip(3, 4, 5, seed=4)
+    buf, out = np.empty((4, 5)), io.BytesIO()
+
+    def refilled():
+        for frame in clip.data:
+            buf[...] = frame
+            yield buf
+
+    write_frames(out, (3, 4, 5), refilled())
+    assert out.getvalue() == _qtn_bytes(clip)
+
+
+@pytest.mark.parametrize("values", [19, 21])
+def test_write_frames_rejects_a_payload_of_another_size(values):
+    with pytest.raises(ValueError, match=f"{values} values written for a \\(1, 4, 5\\) tensor"):
+        write_frames(io.BytesIO(), (1, 4, 5), [np.zeros(values)])
+
+
+@pytest.mark.parametrize("chunk", [core._QTN_CHUNK, 5], ids=["one_buffer", "grown"])
+def test_read_frames_yields_the_shape_then_each_frame_in_one_buffer(monkeypatch, chunk):
+    monkeypatch.setattr(core, "_QTN_CHUNK", chunk)
+    clip = _clip(3, 4, 5, seed=3)
+    frames = read_frames(_trickle(_qtn_bytes(clip)))
+    assert next(frames) == (3, 4, 5)
+    buffers = []
+    for want, got in zip(clip.data, frames):
+        assert np.array_equal(got.reshape(4, 5).view(np.uint64), want.view(np.uint64))
+        buffers.append(got)
+    assert len(buffers) == 3 and all(b is buffers[0] for b in buffers)
+    assert next(frames, None) is None  # the trailer checked out
+
+
+def test_read_frames_checks_the_trailer_after_the_last_frame():
+    frames = read_frames(io.BytesIO(_qtn_bytes(_clip(2, 2, 3))[:-8] + b"XXXXXXXX"))
+    assert next(frames) == (2, 2, 3)
+    next(frames), next(frames)  # both frames read
+    with pytest.raises(WrongMagicError, match="bad trailer"):
+        next(frames)
 
 
 def test_overstated_header_on_a_pipe_is_truncated_within_bounded_memory():

@@ -390,15 +390,20 @@ def test_gt_labels_are_one_read_only_class_array(tmp_path, loaded):
     assert np.array_equal(gt, class_of_row[index])
 
 
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_generate_scene_gathers_no_per_pixel_embeddings():
     t, (h, w), d = 6, (64, 64), 128
     spec = _spec(t_len=t, n_tracks=8, n_queries=8, dim=d, num_classes=9, grid=(h, w))
-    tracemalloc.start()
-    try:
-        generate_scene(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(generate_scene, spec)
     # a (T, H, W, D) float64 gather alone would take t * h * w * d * 8 bytes
     assert peak < t * h * w * d * 8 / 4
 
@@ -406,15 +411,6 @@ def test_generate_scene_gathers_no_per_pixel_embeddings():
 def _io_scene():
     """The scene-io benchmark scene: 6 frames of 64x64 pixels, 64 channels."""
     return _spec(t_len=6, n_tracks=8, n_queries=8, dim=64, num_classes=9, grid=(64, 64), motion=2)
-
-
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_save_scene_gathers_one_frame_of_rows_at_a_time(tmp_path):
