@@ -14,9 +14,9 @@ from .core import (
     NonFiniteTensorError,
     PixelEmbeddingMap,
     TensorFormatError,
+    TensorFrames,
     TruncatedTensorError,
     WrongMagicError,
-    read_frames,
     read_labelmap,
     read_tensor,
     write_frames,
@@ -59,6 +59,7 @@ __all__ = [
     "SceneSpec",
     "ShiftConfig",
     "TensorFormatError",
+    "TensorFrames",
     "TruncatedTensorError",
     "WrongMagicError",
     "align_clip",
@@ -73,7 +74,6 @@ __all__ = [
     "optimal_match",
     "pixel_accuracy",
     "plan_shift",
-    "read_frames",
     "read_labelmap",
     "read_tensor",
     "recovery_rate",

@@ -8,9 +8,9 @@ pipeline stages without defensive copies.  The public constructors copy,
 freeze and finite-scan their input once; a clip's frames are read-only views
 of one array.  A pixel map is a (P, D) palette of embeddings and an (H, W)
 index into it, so decoding runs once per palette row.  ``write_frames`` and
-``read_frames`` hold the one copy of the .qtn framing: they stream a payload
-a frame at a time through one buffer, and ``write_tensor``/``read_tensor``
-move a whole clip through them.
+``read_tensor(src, by_frame=True)`` stream a .qtn payload a frame at a time
+through one buffer; ``write_tensor`` and ``read_tensor`` move a whole clip
+through the same framing code.
 
 On-disk formats:
 
@@ -46,8 +46,8 @@ __all__ = [
     "FrameQuerySet",
     "ClipQueryTensor",
     "PixelEmbeddingMap",
+    "TensorFrames",
     "write_frames",
-    "read_frames",
     "write_tensor",
     "read_tensor",
     "write_labelmap",
@@ -237,13 +237,13 @@ def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
-def read_frames(src: PathOrIO, whole: bool = False) -> Iterator:
-    """Read a .qtn stream frame by frame, checked as :func:`read_tensor` does but not scanned.
+def _read_frames(src: PathOrIO, whole: bool) -> Iterator:
+    """Yield the checked (T, N, D) header, then the payload, then check the trailer.
 
-    Yields the (T, N, D) shape once the magic and dims are checked, then each
-    frame's N*D values in one flat float64 buffer that the next frame
-    overwrites (with ``whole``, one buffer of all T*N*D values), then checks
-    the trailer.  Memory follows the bytes that arrive, not the declared size.
+    The payload comes one frame of N*D values at a time in one flat float64
+    buffer that the next frame overwrites (with ``whole``, as one buffer of
+    all T*N*D values).  Memory follows the bytes that arrive, not the
+    declared size.
     """
     with _opened(src, "rb") as f:
         magic = _read_exact(f, len(QTN_MAGIC), "leading magic")
@@ -274,10 +274,40 @@ def read_frames(src: PathOrIO, whole: bool = False) -> Iterator:
             raise WrongMagicError(f"bad trailer {trailer!r}, expected {QTN_TRAILER!r}")
 
 
-def read_tensor(src: PathOrIO) -> ClipQueryTensor:
-    """Parse a .qtn stream, validating magic, dims, payload and trailer."""
-    shape, values = read_frames(src, whole=True)  # unpacking runs on to the trailer check
-    return _view(ClipQueryTensor, data=_freeze(values, 1, "clip query tensor").reshape(shape))
+class TensorFrames:
+    """A .qtn stream read one frame at a time, as ``read_tensor(src, by_frame=True)`` gives it.
+
+    ``shape`` (and ``t_len``, ``n_queries``, ``dim``) is the checked header.
+    Iterating yields each frame's N*D values in one flat float64 buffer that
+    the next frame overwrites, not finite-scanned, then checks the trailer.
+    ``close`` closes a file opened from a path before the last frame.
+    """
+
+    def __init__(self, frames: Iterator):
+        self._frames = frames
+        self.shape = next(frames)
+        self.t_len, self.n_queries, self.dim = self.shape
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self._frames
+
+    def close(self) -> None:
+        self._frames.close()
+
+
+def read_tensor(src: PathOrIO, by_frame: bool = False):
+    """Parse a .qtn stream, validating magic, dims, payload and trailer.
+
+    Returns a :class:`ClipQueryTensor`; with ``by_frame``, a
+    :class:`TensorFrames` whose header is checked and whose payload has yet
+    to be read, so only one frame of values is held at a time.
+    """
+    frames = TensorFrames(_read_frames(src, whole=not by_frame))
+    if by_frame:
+        return frames
+    (values,) = frames  # unpacking runs on to the trailer check
+    values = _freeze(values, 1, "clip query tensor")
+    return _view(ClipQueryTensor, data=values.reshape(frames.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ import numpy as np
 from .core import (
     ClipQueryTensor,
     PixelEmbeddingMap,
-    read_frames,
     read_labelmap,
     read_tensor,
     _freeze,
@@ -177,7 +176,13 @@ class SceneSpec:
     def __post_init__(self):
         object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
         object.__setattr__(self, "seed", int(self.seed) & MASK64)
-        t, k, n, d, c = self.t_len, self.n_tracks, self.n_queries, self.dim, self.num_classes
+        t, k, n, d, c = (
+            self.t_len,
+            self.n_tracks,
+            self.n_queries,
+            self.dim,
+            self.num_classes,
+        )
         if t < 1:
             raise InfeasibleSceneError("t_len must be >= 1")
         if k < 1:
@@ -307,6 +312,12 @@ def _signature_angles(k: int) -> list[float]:
     return [2.0 * math.pi * i / k for i in range(k)]
 
 
+def _signature_scale(k: int) -> float:
+    # strictly inside the feasibility bound rho^2 <= 2/K so the Gram
+    # correction stays positive definite
+    return min(0.6, math.sqrt(2.0 / k * (1.0 - 1.0 / 64.0)))
+
+
 def _build_prototypes(
     rng: Rng, n_tracks: int, want_no_object: bool, dim: int
 ) -> tuple[list[list[float]], list[float] | None, float | None]:
@@ -315,8 +326,7 @@ def _build_prototypes(
     margin = max(1, dim // 8)
     core_width = dim - 2 * margin
     if core_width >= k_total and dim >= 3:
-        # strictly inside the bound rho^2 <= 2/K: the Gram correction stays positive definite
-        rho = min(0.6, math.sqrt(2.0 / n_tracks * (1.0 - 1.0 / 64.0)))
+        rho = _signature_scale(n_tracks)
         raw = [rng.gauss_vector(core_width).tolist() for _ in range(k_total)]
         basis = _orthonormal_rows(raw)
         angles = _signature_angles(n_tracks)
@@ -354,9 +364,19 @@ def _build_prototypes(
     return protos, no_obj, None
 
 
+def _track_class(k: int, num_classes: int) -> int:
+    return k % max(num_classes - 1, 1)
+
+
 def generate_scene(spec: SceneSpec) -> SceneClip:
     """Materialise a scene from its spec; same spec, same bits."""
-    t_len, k, n, d, c = spec.t_len, spec.n_tracks, spec.n_queries, spec.dim, spec.num_classes
+    t_len, k, n, d, c = (
+        spec.t_len,
+        spec.n_tracks,
+        spec.n_queries,
+        spec.dim,
+        spec.num_classes,
+    )
     h, w = spec.grid
     rng = Rng(spec.seed)
     protos_py, no_obj_py, rho = _build_prototypes(rng, k, n > k, d)
@@ -372,7 +392,7 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
 
     prototypes = np.array(protos_py, dtype=np.float64)
     no_object = None if no_obj_py is None else np.array(no_obj_py, dtype=np.float64)
-    track_classes = tuple(i % max(c - 1, 1) for i in range(k))
+    track_classes = tuple(_track_class(i, c) for i in range(k))
 
     # frame t rotates the first K slots by rotations[t]; surplus slots stay put
     slots = np.arange(n, dtype=np.intp)
@@ -525,21 +545,38 @@ def class_head_for(scene: SceneClip) -> np.ndarray:
 
 def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
     """Write a scene as queries.qtn, pixels.qtn, labels_<t>.pgm, tracks.json."""
+    h, w = scene.spec.grid
+    for t, p in enumerate(scene.pixels):  # before any file is written or replaced
+        if p.index.shape != (h, w) or p.dim != scene.spec.dim:
+            raise ValueError(
+                f"pixel map {t} is a {p.height}x{p.width} grid of dim {p.dim}, "
+                f"not the spec's {h}x{w} grid of dim {scene.spec.dim}"
+            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_tensor(scene.queries, out / "queries.qtn")
-    # each frame's per-pixel rows, gathered into one reused buffer as it is written;
-    # finite as the palettes are.  mode="raise" would buffer each gather (~4x slower)
-    h, w = scene.spec.grid
+    written = []
+
+    qpath = out / "queries.qtn"
+    write_tensor(scene.queries, qpath)
+    written.append(qpath)
+
+    # gather each frame's per-pixel rows into one reused buffer as it is
+    # written; finite and in range because every pixel map is checked when
+    # made.  mode="raise" would buffer each gather (~4x slower)
     rows = np.empty((h * w, scene.spec.dim))
     gathered = (
         np.take(p.palette, p.index.reshape(h * w), axis=0, out=rows, mode="clip")
         for p in scene.pixels
     )
-    write_frames(out / "pixels.qtn", (len(scene.pixels), h * w, scene.spec.dim), gathered)
-    labels = [out / f"labels_{t}.pgm" for t in range(len(scene.gt_labels))]
-    for path, frame in zip(labels, scene.gt_labels):
-        write_labelmap(frame, path)
+    ppath = out / "pixels.qtn"
+    write_frames(ppath, (len(scene.pixels), h * w, scene.spec.dim), gathered)
+    written.append(ppath)
+
+    for t, labels in enumerate(scene.gt_labels):
+        lpath = out / f"labels_{t}.pgm"
+        write_labelmap(labels, lpath)
+        written.append(lpath)
+
     meta = {
         "spec": scene.spec.to_dict(),
         "per_frame_tracks": scene.gt_tracks.tolist(),
@@ -548,10 +585,12 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
         "no_object": None if scene.no_object is None else list(scene.no_object.tolist()),
         "signature_scale": scene.signature_scale,
     }
-    with open(out / "tracks.json", "w") as f:
+    tpath = out / "tracks.json"
+    with open(tpath, "w") as f:
         json.dump(meta, f, sort_keys=True, indent=1)
         f.write("\n")
-    return [out / "queries.qtn", out / "pixels.qtn", *labels, out / "tracks.json"]
+    written.append(tpath)
+    return written
 
 
 def load_scene(scene_dir: str | Path) -> SceneClip:
@@ -615,12 +654,11 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     identity.setflags(write=False)
     gathered = np.empty((h * w, spec.dim))
     pixels = []
-    frames = read_frames(src / "pixels.qtn")
+    frames = read_tensor(src / "pixels.qtn", by_frame=True)
     with contextlib.closing(frames), np.errstate(over="ignore", invalid="ignore"):
-        shape = next(frames)
-        if shape != (spec.t_len, h * w, spec.dim):
+        if frames.shape != (spec.t_len, h * w, spec.dim):
             raise ValueError(
-                f"pixels.qtn shape {shape} does not match a "
+                f"pixels.qtn shape {frames.shape} does not match a "
                 f"{spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
             )
         keys = palette @ key  # a non-finite key only fails the check

@@ -10,11 +10,12 @@ import struct
 import time
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from queryshift import cli
+from queryshift import cli, core
 from queryshift.cli import main
 from queryshift.core import (
     ClipQueryTensor,
@@ -640,15 +641,21 @@ def test_load_scene_names_each_singly_broken_pixels_file(scene_dir, case):
     assert type(caught.value) is cls and str(caught.value) == message
 
 
-def test_load_scene_closes_pixels_file_it_rejects(scene_dir):
+def test_load_scene_closes_pixels_file_it_rejects(scene_dir, monkeypatch):
     _break_pixels(scene_dir, "wrong_shape")
+    opened = []
+
+    def recording_open(*args):
+        opened.append(open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(core, "open", recording_open, raising=False)
     with pytest.raises(ValueError, match="pixels.qtn shape") as caught:
         load_scene(scene_dir)
-    # the traceback keeps load_scene's frame alive; its reader must be closed all the same
-    tb = caught.tb
-    while tb.tb_frame.f_code.co_name != "load_scene":
-        tb = tb.tb_next
-    assert tb.tb_frame.f_locals["frames"].gi_frame is None
+    # caught's traceback keeps load_scene's frame alive; its reader must be closed all the same
+    assert caught.tb is not None
+    assert [Path(f.name).name for f in opened] == ["queries.qtn", "pixels.qtn"]
+    assert all(f.closed for f in opened)
 
 
 @pytest.mark.parametrize("case", list(_BROKEN_PIXELS))

@@ -21,7 +21,6 @@ from queryshift.core import (
     TruncatedTensorError,
     WrongMagicError,
     _view,
-    read_frames,
     read_labelmap,
     read_tensor,
     write_frames,
@@ -197,25 +196,44 @@ def test_write_frames_rejects_a_payload_of_another_size(values):
 
 
 @pytest.mark.parametrize("chunk", [core._QTN_CHUNK, 5], ids=["one_buffer", "grown"])
-def test_read_frames_yields_the_shape_then_each_frame_in_one_buffer(monkeypatch, chunk):
+def test_read_by_frame_gives_the_shape_then_each_frame_in_one_buffer(monkeypatch, chunk):
     monkeypatch.setattr(core, "_QTN_CHUNK", chunk)
     clip = _clip(3, 4, 5, seed=3)
-    frames = read_frames(_trickle(_qtn_bytes(clip)))
-    assert next(frames) == (3, 4, 5)
+    frames = read_tensor(_trickle(_qtn_bytes(clip)), by_frame=True)
+    assert frames.shape == (3, 4, 5)
+    assert (frames.t_len, frames.n_queries, frames.dim) == (3, 4, 5)
     buffers = []
     for want, got in zip(clip.data, frames):
         assert np.array_equal(got.reshape(4, 5).view(np.uint64), want.view(np.uint64))
         buffers.append(got)
     assert len(buffers) == 3 and all(b is buffers[0] for b in buffers)
-    assert next(frames, None) is None  # the trailer checked out
+    assert next(iter(frames), None) is None  # the trailer checked out
 
 
-def test_read_frames_checks_the_trailer_after_the_last_frame():
-    frames = read_frames(io.BytesIO(_qtn_bytes(_clip(2, 2, 3))[:-8] + b"XXXXXXXX"))
-    assert next(frames) == (2, 2, 3)
+def test_read_by_frame_checks_the_header_at_once_and_the_trailer_after_the_last_frame():
+    with pytest.raises(WrongMagicError, match="bad leading magic"):
+        read_tensor(io.BytesIO(b"XXXXXXXX" + _qtn_bytes(_clip(2, 2, 3))[8:]), by_frame=True)
+    frames = iter(read_tensor(io.BytesIO(_qtn_bytes(_clip(2, 2, 3))[:-8] + b"XXXXXXXX"), True))
     next(frames), next(frames)  # both frames read
     with pytest.raises(WrongMagicError, match="bad trailer"):
         next(frames)
+
+
+def test_closing_a_frame_reader_closes_the_file_it_opened(tmp_path, monkeypatch):
+    path = tmp_path / "clip.qtn"
+    write_tensor(_clip(2, 2, 3), path)
+    opened = []
+
+    def recording_open(*args):
+        opened.append(open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(core, "open", recording_open, raising=False)
+    frames = read_tensor(path, by_frame=True)
+    next(iter(frames))
+    assert len(opened) == 1 and not opened[0].closed
+    frames.close()
+    assert opened[0].closed
 
 
 def test_overstated_header_on_a_pipe_is_truncated_within_bounded_memory():
@@ -225,6 +243,20 @@ def test_overstated_header_on_a_pipe_is_truncated_within_bounded_memory():
     try:
         with pytest.raises(TruncatedTensorError, match="header declares"):
             read_tensor(_trickle(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_overstated_frame_on_a_pipe_is_truncated_within_bounded_memory():
+    # one frame of 2**25 values (256 MiB) declared, 64 bytes sent
+    data = MAGIC + struct.pack("<III", 2, 2**15, 2**10) + bytes(64)
+    tracemalloc.start()
+    try:
+        frames = read_tensor(_trickle(data), by_frame=True)
+        with pytest.raises(TruncatedTensorError, match="header declares"):
+            next(iter(frames))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

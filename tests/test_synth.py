@@ -459,6 +459,23 @@ def test_scene_file_inventory(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("bad", ["grid", "dim"])
+def test_save_scene_rejects_a_mismatched_pixel_map_before_writing(tmp_path, bad):
+    scene = generate_scene(_spec())
+    save_scene(scene, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    last = scene.pixels[-1]
+    if bad == "grid":
+        wrong, shape = PixelEmbeddingMap(last.palette, last.index[:, :-1]), "8x7 grid of dim 16"
+    else:
+        wrong, shape = PixelEmbeddingMap(last.palette[:, :-1], last.index), "8x8 grid of dim 15"
+    broken = dataclasses.replace(scene, pixels=[*scene.pixels[:-1], wrong])
+    with pytest.raises(ValueError, match=f"^pixel map 3 is a {shape}, not the spec's 8x8 grid"):
+        save_scene(broken, tmp_path)
+    # the earlier scene's files are all still there, unchanged
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_load_rejects_mismatched_pixels(tmp_path):
     scene = generate_scene(_spec())
     save_scene(scene, tmp_path)
