@@ -199,22 +199,37 @@ def _sweep_seed(
     return rows
 
 
+def _mean(values: list[float]) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
 def _sweep_summary(rows: list[list[str]]) -> str:
     """Per-cell means with deltas against the fraction-0 cell of the same mode."""
-    cells: dict[tuple[str, str], tuple[list[float], list[float]]] = {}  # -> (mious, tcs)
+    cells: dict[tuple[str, str], dict[str, list[float]]] = {}
+    order: list[tuple[str, str]] = []
     for row in rows:
-        mious, tcs = cells.setdefault((row[0], row[2]), ([], []))
-        mious.append(float(row[4]))
-        tcs += [float(row[6])] if row[6] != "" else []
-    means = {cell: [sum(v) / len(v) if v else None for v in lists] for cell, lists in cells.items()}
+        key = (row[0], row[2])
+        if key not in cells:
+            cells[key] = {"miou": [], "tc": []}
+            order.append(key)
+        cells[key]["miou"].append(float(row[4]))
+        if row[6] != "":
+            cells[key]["tc"].append(float(row[6]))
     lines = ["summary (means over seeds):"]
-    for (frac, mode), cell in means.items():
-        base = means.get(("0", mode)) if frac != "0" else None
+    for frac, mode in order:
+        vals = cells[(frac, mode)]
+        base = cells.get(("0", mode))
         parts = [f"fraction {frac:>5}", f"matching={mode:<3}"]
-        for i, name in enumerate(("miou", "consistency")):
-            text = f"{name}=n/a" if cell[i] is None else f"{name}={cell[i]:.6f}"
-            if cell[i] is not None and base is not None and base[i] is not None:
-                text += f" ({cell[i] - base[i]:+.6f})"
+        for name, key in (("miou", "miou"), ("consistency", "tc")):
+            mean = _mean(vals[key])
+            if mean is None:
+                parts.append(f"{name}=n/a")
+                continue
+            text = f"{name}={mean:.6f}"
+            if base is not None and frac != "0":
+                base_mean = _mean(base[key])
+                if base_mean is not None:
+                    text += f" ({mean - base_mean:+.6f})"
             parts.append(text)
         lines.append("  " + "  ".join(parts))
     return "\n".join(lines) + "\n"

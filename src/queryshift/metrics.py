@@ -62,17 +62,6 @@ def _pixel_accuracy(counts: np.ndarray) -> float:
     return float(np.trace(counts) / total)
 
 
-def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_counts=True)``, sorting ``keys`` in place, not a copy."""
-    keys = keys.reshape(-1)
-    keys.sort()
-    starts = np.empty(keys.size, bool)
-    starts[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    return keys[starts], np.diff(starts, append=keys.size)
-
-
 def tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes: int) -> tuple:
     """Count a clip's pixels once, from each frame's (H, W) grid of palette rows.
 
@@ -101,14 +90,10 @@ def tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes
     rows += (np.cumsum(used) - used)[:, None, None]  # clip rows, rising with t
     static = np.all(gt == gt[0], axis=0)
     # one sorted pass each, in clip-row order: the frames' (or frame pairs') passes in turn
-    keys = rows * c
-    keys += gt
-    keys, pixels = _sorted_runs(keys)
+    keys, pixels = np.unique(rows * c + gt, return_counts=True)
     counts = np.stack([keys // c, keys % c, pixels])
-    moved, n = np.take(rows.reshape(len(rows), -1), np.flatnonzero(static), axis=1), sum(used)
-    keys = moved[:-1] * n
-    keys += moved[1:]
-    keys, pixels = _sorted_runs(keys)
+    moved, n = rows[:, static], sum(used)
+    keys, pixels = np.unique(moved[:-1] * n + moved[1:], return_counts=True)
     pairs = np.stack([keys // n, keys % n, pixels])
     counts.setflags(write=False)
     pairs.setflags(write=False)
