@@ -32,10 +32,10 @@ from .shift import BoundaryPolicy, ShiftConfig, plan_shift
 from .synth import (
     InfeasibleSceneError,
     SceneSpec,
-    _check_keys,
-    _json_value,
-    _load_json,
+    check_keys,
     generate_scene,
+    json_value,
+    load_json,
     load_scene,
     recovery_rate,
     save_scene,
@@ -76,7 +76,7 @@ def _parse_boundary(value) -> BoundaryPolicy:
 
 def _pipeline_config(cfg: dict, dim: int) -> tuple[ShiftConfig, bool]:
     """A ``run`` config file as its shift plan and matching flag."""
-    _check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"))
+    check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"))
     if "fraction" not in cfg:
         raise ValueError("pipeline config needs a 'fraction' field")
     shift = plan_shift(cfg["fraction"], dim, _parse_boundary(cfg.get("boundary", "zero")))
@@ -98,7 +98,7 @@ def _grid_axis(sweep: dict, key: str, default: Sequence, parse: Callable) -> lis
     """
     values = default
     if key in sweep:
-        values = _json_value(key, sweep[key], list)
+        values = json_value(key, sweep[key], list)
         if not values:
             raise ValueError(f"{key} must be a non-empty list")
     seen = {}
@@ -129,7 +129,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_synth(args) -> int:
-    scene = generate_scene(_scene_spec(_load_json(args.spec), args.seed_override))
+    scene = generate_scene(_scene_spec(load_json(args.spec), args.seed_override))
     for path in save_scene(scene, args.out):
         print(path)
     return 0
@@ -137,7 +137,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     scene = load_scene(args.scene)
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     if args.boundary is not None:
         cfg["boundary"] = args.boundary
     shift, matching = _pipeline_config(cfg, scene.spec.dim)
@@ -236,8 +236,8 @@ def _sweep_summary(rows: list[list[str]]) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    sweep = _load_json(args.spec)
-    _check_keys("sweep spec", sweep, ("scene", "fractions", "matching", "repeats", "boundary"))
+    sweep = load_json(args.spec)
+    check_keys("sweep spec", sweep, ("scene", "fractions", "matching", "repeats", "boundary"))
     if "scene" not in sweep:
         raise ValueError("sweep spec needs a 'scene' object")
     base_spec = _scene_spec(sweep["scene"], args.seed_override)
@@ -247,7 +247,7 @@ def _cmd_sweep(args) -> int:
         sweep, "fractions", _DEFAULT_FRACTIONS, lambda f: plan_shift(f, base_spec.dim, boundary)
     )
     matchings = _grid_axis(sweep, "matching", (False, True), _parse_matching)
-    repeats = _json_value("repeats", sweep.get("repeats", 1), int)
+    repeats = json_value("repeats", sweep.get("repeats", 1), int)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if args.parallel < 1:

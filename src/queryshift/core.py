@@ -4,10 +4,13 @@ Everything downstream (shifting, matching, decoding, metrics) works on the
 three float64 array types defined here; ground-truth classes are plain
 read-only integer grids.  Every wrapped array is frozen after validation, so
 a constructed value can be shared freely between threads and between
-pipeline stages without defensive copies.  The public constructors copy,
-freeze and finite-scan their input once; a clip's frames are read-only views
-of one array.  A pixel map is a (P, D) palette of embeddings and an (H, W)
-index into it, so decoding runs once per palette row.  ``write_frames`` and
+pipeline stages without defensive copies.  The public constructors are the
+only way to make one: they always check rank, size and finiteness, and copy
+an input unless it is float64 (intp for an index) and frozen, that is,
+read-only down its whole ``.base`` chain.  A stage freezes what it builds to
+hand it on uncopied; a clip's frames are read-only views of one array.  A
+pixel map is a (P, D) palette of embeddings and an (H, W) index into it, so
+decoding runs once per palette row.  ``write_frames`` and
 ``read_tensor(src, by_frame=True)`` stream a .qtn payload a frame at a time
 through one buffer; ``write_tensor`` and ``read_tensor`` move a whole clip
 through the same framing code.
@@ -79,12 +82,18 @@ class NonFiniteTensorError(TensorFormatError):
     """A payload value is NaN or infinite."""
 
 
+def _frozen(arr) -> bool:
+    """Whether ``arr`` and every array down its ``.base`` chain are read-only."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
+
+
 def _frozen_f64(data, shape_rank: int, what: str) -> np.ndarray:
-    return _freeze(np.array(data, dtype=np.float64, copy=True), shape_rank, what)
-
-
-def _freeze(arr: np.ndarray, shape_rank: int, what: str) -> np.ndarray:
-    """Validate a float64 array no one else holds, then make it read-only in place."""
+    """``data`` as a validated read-only float64 array; a frozen float64 array is kept as is."""
+    arr = np.asarray(data, np.float64) if _frozen(data) else np.array(data, np.float64)
     if arr.ndim != shape_rank:
         raise ValueError(f"{what} must be {shape_rank}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -93,19 +102,6 @@ def _freeze(arr: np.ndarray, shape_rank: int, what: str) -> np.ndarray:
         raise NonFiniteTensorError(f"{what} contains non-finite values")
     arr.setflags(write=False)
     return arr
-
-
-def _view(cls, **arrays: np.ndarray):
-    """Wrap read-only arrays this package already validated, one per field.
-
-    No copy and no rescan: each array must be (a slice of) one the public
-    constructors would accept, already frozen; a pixel map's ``index`` must
-    lie in ``[0, len(palette))``.
-    """
-    view = object.__new__(cls)
-    for name, value in arrays.items():
-        object.__setattr__(view, name, value)
-    return view
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ class ClipQueryTensor:
     @property
     def frames(self) -> tuple[FrameQuerySet, ...]:
         """One read-only view per frame; no copy."""
-        return tuple(_view(FrameQuerySet, data=frame) for frame in self.data)
+        return tuple(FrameQuerySet(frame) for frame in self.data)
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ class PixelEmbeddingMap:
             raise ValueError(f"index must be a non-empty 2-D integer grid, got {index.shape}")
         if index.min() < 0 or index.max() >= palette.shape[0]:
             raise ValueError(f"index values must lie in [0, {palette.shape[0]})")
-        index = index.astype(np.intp)
+        index = index.astype(np.intp, copy=not _frozen(index))
         index.setflags(write=False)
         object.__setattr__(self, "palette", palette)
         object.__setattr__(self, "index", index)
@@ -306,8 +302,8 @@ def read_tensor(src: PathOrIO, by_frame: bool = False):
     if by_frame:
         return frames
     (values,) = frames  # unpacking runs on to the trailer check
-    values = _freeze(values, 1, "clip query tensor")
-    return _view(ClipQueryTensor, data=values.reshape(frames.shape))
+    values.setflags(write=False)  # the buffer is this call's own, so the clip keeps it
+    return ClipQueryTensor(values.reshape(frames.shape))
 
 
 # ---------------------------------------------------------------------------

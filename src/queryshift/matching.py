@@ -26,6 +26,7 @@ __all__ = [
     "cosine_similarity",
     "optimal_match",
     "align_clip",
+    "permutation_rows",
 ]
 
 # Reduced costs this close to zero count as tight when enumerating the set of
@@ -202,7 +203,7 @@ def optimal_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     return _matched(sim, _lex_smallest_tight_matching(tight, list(assignment)))
 
 
-def _permutation_rows(what: str, rows, t_len: int, n: int) -> np.ndarray:
+def permutation_rows(what: str, rows, t_len: int, n: int) -> np.ndarray:
     """``rows`` as a read-only (t_len, n) intp array whose rows permute 0..n-1.
 
     ``rows`` is an integer array or nested lists of ints (parsed JSON); a
@@ -246,7 +247,7 @@ class ClipAlignment:
         totals = tuple(float(x) for x in self.pair_totals)
         if len(totals) != t_len - 1:
             raise ValueError(f"need exactly T-1 = {t_len - 1} pair totals, got {len(totals)}")
-        per_frame = _permutation_rows("per_frame", self.per_frame, t_len, n)
+        per_frame = permutation_rows("per_frame", self.per_frame, t_len, n)
         if not np.array_equal(per_frame[0], np.arange(n)):
             raise ValueError("frame 0 must map to itself (anchor frame)")
         object.__setattr__(self, "per_frame", per_frame)

@@ -119,7 +119,9 @@ def shift_with_matching(
         )
     rows = np.arange(clip.t_len)[:, None]
     # track slot j of frame t holds the query i with per_frame[t, i] == j
-    tracks = ClipQueryTensor(clip.data[rows, np.argsort(alignment.per_frame, axis=1)])
+    tracks = clip.data[rows, np.argsort(alignment.per_frame, axis=1)]
+    tracks.setflags(write=False)
+    tracks = ClipQueryTensor(tracks)
     out = np.empty((len(shifts),) + clip.data.shape)
     for s, shift in enumerate(shifts):
         out[s] = feature_shift(tracks, shift).data[rows, alignment.per_frame]
@@ -153,6 +155,7 @@ def run_clip(
     for shared in by_alignment.values():
         shifts = [cells[s][0] for s in shared]
         stack[shared] = shift_with_matching(scene.queries, shifts, cells[shared[0]][1])[:, order]
+    stack.setflags(write=False)  # so each palette group's queries view it, uncopied
     by_frame = {}  # frame t -> its (S, P_t) classes
     lo = 0
     for frames in groups.values():

@@ -1,9 +1,9 @@
 """Temporal channel shift for clip query tensors.
 
 Out of each D-channel query vector, the first ``d_forward`` channels are
-shifted forward in time (frame t receives frame t-1's values), the last
-``d_backward`` channels are shifted backward (frame t receives frame t+1's
-values), and the middle band is copied through untouched.  The shift mixes
+shifted forward in time (frame t receives frame t-1's values), as many of the
+last channels are shifted backward (frame t receives frame t+1's values), and
+the middle band is copied through untouched.  The shift mixes
 information between temporally adjacent queries AT THE SAME INDEX; whether
 that index actually tracks the same object across frames is exactly what the
 matching stage is for.
@@ -42,7 +42,7 @@ class ShiftConfig:
 
     The channel counts are derived from the fraction: the budget
     ``floor(fraction * dim)`` is rounded down to an even number and split
-    half/half, so ``d_forward == d_backward == floor(fraction * dim) // 2``.
+    half/half, so ``d_forward == floor(fraction * dim) // 2`` channels go each way.
     """
 
     fraction: Fraction
@@ -58,10 +58,6 @@ class ShiftConfig:
     @property
     def d_forward(self) -> int:
         return int(self.fraction * self.dim) // 2  # exact rational floor, then halve
-
-    @property
-    def d_backward(self) -> int:
-        return self.d_forward
 
     @property
     def channels_shifted(self) -> int:
@@ -117,4 +113,5 @@ def feature_shift(clip: ClipQueryTensor, config: ShiftConfig) -> ClipQueryTensor
         out[0, :, :d] = 0.0
         out[-1, :, -d:] = 0.0
     # HOLD keeps the copied input values in the boundary cells
+    out.setflags(write=False)
     return ClipQueryTensor(out)

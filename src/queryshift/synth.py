@@ -69,13 +69,11 @@ from .core import (
     PixelEmbeddingMap,
     read_labelmap,
     read_tensor,
-    _freeze,
-    _view,
     write_frames,
     write_labelmap,
     write_tensor,
 )
-from .matching import ClipAlignment, _permutation_rows
+from .matching import ClipAlignment, permutation_rows
 from .rng import MASK64, Rng
 
 __all__ = [
@@ -87,6 +85,9 @@ __all__ = [
     "class_head_for",
     "save_scene",
     "load_scene",
+    "load_json",
+    "check_keys",
+    "json_value",
 ]
 
 # movement directions cycled over tracks; multiplied by spec.motion
@@ -103,7 +104,7 @@ class InfeasibleSceneError(ValueError):
     """The scene description cannot be realised."""
 
 
-def _load_json(path: str | Path) -> dict:
+def load_json(path: str | Path) -> dict:
     """The JSON object in the file at ``path``; every failure is a ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
@@ -119,14 +120,14 @@ def _load_json(path: str | Path) -> dict:
     return loaded
 
 
-def _check_keys(what: str, d: dict, allowed) -> None:
+def check_keys(what: str, d: dict, allowed) -> None:
     """Reject keys of a parsed JSON object that are not in ``allowed``."""
     unknown = sorted(str(k) for k in d if k not in allowed)
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
-def _json_value(what: str, value, *kinds: type):
+def json_value(what: str, value, *kinds: type):
     """``value`` if its exact type is one of ``kinds``; ``True`` is not an int here."""
     if type(value) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
@@ -213,23 +214,23 @@ class SceneSpec:
         """Parse a JSON object; unknown keys and inexact types are errors."""
         if not isinstance(d, dict):
             raise ValueError(f"scene spec must be a JSON object, got {d!r}")
-        _check_keys("scene spec", d, [f.name for f in fields(cls)])
+        check_keys("scene spec", d, [f.name for f in fields(cls)])
         d = {f.name: f.default for f in fields(cls) if f.default is not MISSING} | d
         try:
-            sizes = {k: _json_value(k, d[k], int) for k in _INT_FIELDS}
-            grid = _json_value("grid", d["grid"], list, tuple)
+            sizes = {k: json_value(k, d[k], int) for k in _INT_FIELDS}
+            grid = json_value("grid", d["grid"], list, tuple)
         except KeyError as exc:
             raise ValueError(f"scene spec needs a {exc} field") from None
         if len(grid) != 2:
             raise ValueError(f"grid must be a [rows, cols] pair, got {grid!r}")
-        sigma = float(_json_value("noise_sigma", d["noise_sigma"], int, float))
+        sigma = float(json_value("noise_sigma", d["noise_sigma"], int, float))
         if not math.isfinite(sigma):  # JSON NaN/Infinity is broken input, not a scene
             raise ValueError(f"noise_sigma must be finite, got {sigma}")
         return cls(
             **sizes,
-            grid=(_json_value("grid rows", grid[0], int), _json_value("grid cols", grid[1], int)),
+            grid=(json_value("grid rows", grid[0], int), json_value("grid cols", grid[1], int)),
             noise_sigma=sigma,
-            permute_per_frame=_json_value("permute_per_frame", d["permute_per_frame"], bool),
+            permute_per_frame=json_value("permute_per_frame", d["permute_per_frame"], bool),
         )
 
 
@@ -419,14 +420,15 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         cols = (c0 + t * vx * spec.motion + np.arange(rw)) % w
         index[t[:, :, None], rows[:, :, None], cols[:, None, :]] = 1 + track
     index.setflags(write=False)
-    palette = _freeze(np.vstack([np.zeros(d), prototypes]), 2, "pixel palette")
+    palette = np.vstack([np.zeros(d), prototypes])
+    palette.setflags(write=False)  # so every frame's map keeps this one object
     labels = np.array([c - 1, *track_classes], dtype=np.uint8)[index]
     labels.setflags(write=False)
 
     return SceneClip(
         spec=spec,
         queries=ClipQueryTensor(frames),
-        pixels=tuple(_view(PixelEmbeddingMap, palette=palette, index=idx) for idx in index),
+        pixels=tuple(PixelEmbeddingMap(palette, idx) for idx in index),
         gt_labels=labels,
         gt_tracks=gt_tracks,
         prototypes=prototypes,
@@ -602,14 +604,14 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     does; any other frame keeps its (H*W, D) rows as an identity palette.
     """
     src = Path(scene_dir)
-    meta = _load_json(src / "tracks.json")
+    meta = load_json(src / "tracks.json")
     try:
         keys = "spec per_frame_tracks track_classes prototypes no_object signature_scale"
-        _check_keys("tracks.json", meta, keys.split())
+        check_keys("tracks.json", meta, keys.split())
         spec = SceneSpec.from_dict(meta["spec"])
         what = "tracks.json per_frame_tracks"
-        rows = _json_value(what, meta["per_frame_tracks"], list)
-        gt_tracks = _permutation_rows(
+        rows = json_value(what, meta["per_frame_tracks"], list)
+        gt_tracks = permutation_rows(
             what, [_json_ints(f"{what} row", row) for row in rows], spec.t_len, spec.n_queries
         )
         track_classes = _json_ints("tracks.json track_classes", meta["track_classes"])
@@ -648,9 +650,10 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     # row takes the palette row whose key is nearest, and the frame is kept
     # only if the gather gives its rows back exactly (and so is finite, as the
     # palette is); only a frame that falls back is copied and finite-scanned
-    palette = _freeze(np.vstack([np.zeros(spec.dim), prototypes]), 2, "pixel palette")
+    palette = np.vstack([np.zeros(spec.dim), prototypes])
+    palette.setflags(write=False)
     key = np.linspace(1.0, 2.0, spec.dim)
-    identity = np.arange(h * w, dtype=np.intp).reshape(h, w)
+    identity = np.arange(h * w, dtype=np.intp)
     identity.setflags(write=False)
     gathered = np.empty((h * w, spec.dim))
     pixels = []
@@ -670,10 +673,10 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             np.take(palette, index, axis=0, out=gathered, mode="clip")
             if np.array_equal(gathered, rows):
                 index.setflags(write=False)
-                pixels.append(_view(PixelEmbeddingMap, palette=palette, index=index.reshape(h, w)))
+                pixels.append(PixelEmbeddingMap(palette, index.reshape(h, w)))
             else:  # not a synthesised frame: each pixel its own palette row
-                own = _freeze(rows.copy(), 2, "clip query tensor")
-                pixels.append(_view(PixelEmbeddingMap, palette=own, index=identity))
+                own = ClipQueryTensor(rows[None]).data[0]  # a copy; fails as a clip read would
+                pixels.append(PixelEmbeddingMap(own, identity.reshape(h, w)))
     labels = []
     for t in range(spec.t_len):
         labels.append(read_labelmap(src / f"labels_{t}.pgm", spec.num_classes))

@@ -110,7 +110,7 @@ def test_criterion_2_shift_matches_naive_reference():
             got = feature_shift(clip, cfg).data
             want = np.array(
                 _naive_shift_lists(
-                    arr.tolist(), cfg.d_forward, cfg.d_backward, boundary is HOLD
+                    arr.tolist(), cfg.d_forward, cfg.d_forward, boundary is HOLD
                 )
             )
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (

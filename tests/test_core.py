@@ -20,7 +20,6 @@ from queryshift.core import (
     TensorFormatError,
     TruncatedTensorError,
     WrongMagicError,
-    _view,
     read_labelmap,
     read_tensor,
     write_frames,
@@ -325,14 +324,35 @@ def _palette_map(palette):
     ids=["clip", "frame", "pixels"],
 )
 def test_public_constructors_copy_freeze_and_scan(make, field, shape):
+    origin = (0,) * len(shape)
     arr = np.ones(shape)
     value = make(arr)
-    arr[(0,) * len(shape)] = 123.0
-    assert getattr(value, field)[(0,) * len(shape)] == 1.0
+    arr[origin] = 123.0
+    assert getattr(value, field)[origin] == 1.0
     assert not getattr(value, field).flags.writeable
-    arr[(0,) * len(shape)] = np.inf
+    # a frozen array is kept; a read-only view of a writable array is copied
+    frozen = np.ones(shape)
+    frozen.setflags(write=False)
+    assert getattr(make(frozen), field) is frozen
+    view = arr.view()
+    view.setflags(write=False)
+    copied = getattr(make(view), field)
+    arr[origin] = 7.0
+    assert copied[origin] == 123.0
+    # the finite scan runs on kept arrays too
+    arr[origin] = np.inf
     with pytest.raises(NonFiniteTensorError):
         make(arr)
+    arr.setflags(write=False)
+    with pytest.raises(NonFiniteTensorError):
+        make(arr)
+    if make is _palette_map:  # a pixel map's intp index follows the same rule
+        index = np.zeros((2, 3), dtype=np.intp)
+        copied = PixelEmbeddingMap(frozen, index).index
+        index[0, 0] = 1
+        assert copied[0, 0] == 0 and not copied.flags.writeable
+        index.setflags(write=False)
+        assert PixelEmbeddingMap(frozen, index).index is index
 
 
 def test_clip_frames_are_read_only_views_of_one_array():
@@ -376,8 +396,8 @@ def test_pixel_map_takes_identity_palette_without_copy():
     assert pm.index.dtype == np.intp
     assert not pm.palette.flags.writeable and not pm.index.flags.writeable
     assert np.array_equal(pm.palette[pm.index], data)
-    # a view of validated arrays, as scenes build them, keeps both as they are
-    view = _view(PixelEmbeddingMap, palette=pm.palette, index=pm.index)
+    # frozen arrays, as scenes build them, are kept as they are
+    view = PixelEmbeddingMap(pm.palette, pm.index)
     assert view.palette is pm.palette and view.index is pm.index
     assert (view.height, view.width, view.dim) == (2, 3, 4)
 

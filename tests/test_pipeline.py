@@ -19,7 +19,6 @@ from queryshift.core import (
     ClipQueryTensor,
     FrameQuerySet,
     PixelEmbeddingMap,
-    _view,
     read_tensor,
     write_tensor,
 )
@@ -672,8 +671,8 @@ def _regroup_palettes(scene, groups):
     for g, p in zip(groups, scene.pixels):
         index = (p.index + g) % len(palettes[g])
         index.setflags(write=False)
-        # the constructor would copy the palette; a view keeps the one shared object
-        pixels.append(_view(PixelEmbeddingMap, palette=palettes[g], index=index))
+        # the constructor keeps the frozen palette, so group g shares one object
+        pixels.append(PixelEmbeddingMap(palettes[g], index))
     return dataclasses.replace(scene, pixels=tuple(pixels))
 
 
@@ -767,6 +766,22 @@ def test_run_clip_decodes_once_per_shared_palette(monkeypatch, tmp_path):
     assert calls == [2 * 6 * 4]  # a loaded scene's frames share its recovered palette
     with pytest.raises(ValueError, match="non-empty"):
         run_clip(scene, [])  # no cell is no query to decode
+
+
+def test_run_clip_decodes_a_view_of_its_stack(monkeypatch):
+    seen = []
+    decode = pipeline.decode_masks
+
+    def spied(queries, pixels, head):
+        seen.append(queries)
+        return decode(queries, pixels, head)
+
+    monkeypatch.setattr(pipeline, "decode_masks", spied)
+    scene = _scene(t_len=3, n_tracks=4, n_queries=5, num_classes=5, noise_sigma=0.3)
+    run_clip(scene, [(_shift(f, 64, HOLD), _aligned(scene.queries, True)) for f in ("0", "1/4")])
+    (queries,) = seen  # one palette, one decode
+    assert queries.data.shape == (2 * 3 * 5, 64)
+    assert not queries.data.flags.owndata  # the frozen stack, neither copied nor rebuilt
 
 
 @given(

@@ -9,15 +9,8 @@ import queryshift
 
 SRC = Path(queryshift.__file__).parent
 
-# (importing module, source module, name); shrink this set, never grow it
-KNOWN = {
-    ("cli", "synth", "_check_keys"),
-    ("cli", "synth", "_json_value"),
-    ("cli", "synth", "_load_json"),
-    ("synth", "core", "_freeze"),
-    ("synth", "core", "_view"),
-    ("synth", "matching", "_permutation_rows"),
-}
+# (importing module, source module, name); keep this set empty
+KNOWN: set[tuple[str, str, str]] = set()
 
 
 def _private_imports() -> set[tuple[str, str, str]]:

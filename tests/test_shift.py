@@ -55,20 +55,20 @@ def _clip(t, n, d, seed=0):
 
 def test_plan_1_128_of_256():
     cfg = plan_shift(Fraction(1, 128), 256)
-    assert (cfg.d_forward, cfg.d_backward) == (1, 1)
+    assert cfg.d_forward == 1
     assert cfg.channels_shifted == 2
     assert cfg.fraction == Fraction(1, 128)
 
 
 def test_plan_1_4_of_256():
     cfg = plan_shift(Fraction(1, 4), 256)
-    assert (cfg.d_forward, cfg.d_backward) == (32, 32)
+    assert cfg.d_forward == 32
     assert cfg.channels_shifted == 64
 
 
 def test_plan_zero_fraction():
     cfg = plan_shift(0, 256)
-    assert (cfg.d_forward, cfg.d_backward) == (0, 0)
+    assert cfg.d_forward == 0
 
 
 def test_plan_table_column_for_256():
@@ -80,10 +80,10 @@ def test_plan_table_column_for_256():
 def test_plan_odd_budget_rounds_down_to_even():
     # floor(5/256 * 256) = 5 -> 4 channels -> 2 each way
     cfg = plan_shift(Fraction(5, 256), 256)
-    assert (cfg.d_forward, cfg.d_backward) == (2, 2)
+    assert cfg.d_forward == 2
     # floor(1/64 * 64) = 1 -> no-op
     cfg = plan_shift(Fraction(1, 64), 64)
-    assert (cfg.d_forward, cfg.d_backward) == (0, 0)
+    assert cfg.d_forward == 0
 
 
 def test_plan_small_dims_degenerate_to_noop():
@@ -123,7 +123,7 @@ def test_plan_rejects_unparsable_fraction():
 def test_config_derives_channel_counts():
     assert [f.name for f in dataclasses.fields(ShiftConfig)] == ["fraction", "dim", "boundary"]
     cfg = ShiftConfig(Fraction(1, 4), 64, HOLD)
-    assert (cfg.d_forward, cfg.d_backward, cfg.channels_shifted) == (8, 8, 16)
+    assert (cfg.d_forward, cfg.channels_shifted) == (8, 16)
     assert ShiftConfig(Fraction(5, 256), 256).channels_shifted == 4
 
 
@@ -134,7 +134,6 @@ def test_config_derives_channel_counts():
 @settings(max_examples=200, deadline=None)
 def test_plan_properties(fraction, dim):
     cfg = plan_shift(fraction, dim)
-    assert cfg.d_forward == cfg.d_backward
     assert cfg.channels_shifted % 2 == 0
     assert cfg.channels_shifted <= int(fraction * dim)
     assert int(fraction * dim) - cfg.channels_shifted <= 1
@@ -225,7 +224,7 @@ def test_matches_naive_reference(t, n, d, seed, boundary):
     cfg = ShiftConfig(Fraction(2 * half, d), d, boundary)
     assert cfg.d_forward == half
     got = feature_shift(clip, cfg).data
-    want = naive_shift(clip.data, cfg.d_forward, cfg.d_backward, boundary)
+    want = naive_shift(clip.data, cfg.d_forward, cfg.d_forward, boundary)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -263,7 +262,7 @@ def test_zero_fill_zero_count():
     z = rng.uniform(0.5, 1.5, size=(t_len, n, d))
     cfg = ShiftConfig(Fraction(6, d), d, ZERO)
     out = feature_shift(ClipQueryTensor(z), cfg).data
-    assert int((out == 0.0).sum()) == n * (cfg.d_forward + cfg.d_backward)
+    assert int((out == 0.0).sum()) == n * 2 * cfg.d_forward
 
 
 def test_commutes_with_query_permutation():
