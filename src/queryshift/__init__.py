@@ -29,7 +29,7 @@ from .matching import (
     cosine_similarity,
     optimal_match,
 )
-from .metrics import evaluate_clip, miou, pixel_accuracy, tally_clip
+from .metrics import evaluate_clip, miou, pixel_accuracy
 from .pipeline import decode_masks, run_clip, semantic_inference, shift_with_matching
 from .rng import Rng
 from .shift import BoundaryPolicy, ShiftConfig, feature_shift, plan_shift
@@ -81,7 +81,6 @@ __all__ = [
     "save_scene",
     "semantic_inference",
     "shift_with_matching",
-    "tally_clip",
     "write_frames",
     "write_labelmap",
     "write_tensor",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import stat
@@ -24,13 +25,14 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import ClipQueryTensor, read_tensor
+from .core import read_tensor
 from .matching import ClipAlignment, align_clip
-from .metrics import evaluate_clip, tally_clip
+from .metrics import evaluate_clip
 from .pipeline import run_clip
 from .shift import BoundaryPolicy, ShiftConfig, plan_shift
 from .synth import (
     InfeasibleSceneError,
+    SceneClip,
     SceneSpec,
     check_keys,
     generate_scene,
@@ -83,13 +85,6 @@ def _pipeline_config(cfg: dict, dim: int) -> tuple[ShiftConfig, bool]:
     return shift, _parse_matching(cfg.get("matching", True))
 
 
-def _alignment(queries: ClipQueryTensor, matching: bool) -> ClipAlignment:
-    """The clip's matched alignment, or the identity when matching is off."""
-    if matching:
-        return align_clip(queries)
-    return ClipAlignment.identity(queries.t_len, queries.n_queries)
-
-
 def _grid_axis(sweep: dict, key: str, default: Sequence, parse: Callable) -> list:
     """A sweep grid axis, parsed: a non-empty JSON list, or ``default`` when absent.
 
@@ -123,6 +118,27 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _score(
+    scene: SceneClip, shifts: list[ShiftConfig], matchings: list[bool]
+) -> list[dict[str, float | None]]:
+    """The scores and recovery of every (shift, matching) cell on ``scene``, shift-major.
+
+    The clip is aligned once per matching mode, the identity when matching is
+    off, and every cell runs in one ``run_clip`` and scores in one
+    ``evaluate_clip`` call.
+    """
+    q = scene.queries
+    alignments = {
+        m: align_clip(q) if m else ClipAlignment.identity(q.t_len, q.n_queries) for m in matchings
+    }
+    recoveries = {m: recovery_rate(a, scene) for m, a in alignments.items()}
+    grid = list(itertools.product(shifts, matchings))
+    rows = run_clip(scene, [(shift, alignments[m]) for shift, m in grid])
+    indexes = [p.index for p in scene.pixels]
+    scores = evaluate_clip(scene.gt_labels, indexes, scene.spec.num_classes, rows)
+    return [cell | {"recovery": recoveries[m]} for (_, m), cell in zip(grid, scores)]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -141,10 +157,7 @@ def _cmd_run(args) -> int:
     if args.boundary is not None:
         cfg["boundary"] = args.boundary
     shift, matching = _pipeline_config(cfg, scene.spec.dim)
-    alignment = _alignment(scene.queries, matching)
-    tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], scene.spec.num_classes)
-    (scores,) = evaluate_clip(tally, run_clip(scene, [(shift, alignment)]))
-    recovery = recovery_rate(alignment, scene)
+    (scores,) = _score(scene, [shift], [matching])
     echo = {
         "scene": scene.spec.to_dict(),
         "fraction": str(shift.fraction),
@@ -152,14 +165,13 @@ def _cmd_run(args) -> int:
         "boundary": shift.boundary.value,
         "matching": matching,
     }
-    report = scores | {"recovery": recovery, "config": echo}
-    _write_text(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    _write_text(args.out, json.dumps(scores | {"config": echo}, sort_keys=True, indent=1) + "\n")
     if args.out is not None:
         tc = scores["temporal_consistency"]
         print(
             f"miou={scores['miou']:.6f} pixel_accuracy={scores['pixel_accuracy']:.6f} "
             f"temporal_consistency={'n/a' if tc is None else format(tc, '.6f')} "
-            f"recovery={recovery:.6f} -> {args.out}"
+            f"recovery={scores['recovery']:.6f} -> {args.out}"
         )
     return 0
 
@@ -181,56 +193,36 @@ def _cmd_match(args) -> int:
 def _sweep_seed(
     spec: SceneSpec, shifts: list[ShiftConfig], matchings: list[bool]
 ) -> list[list[str]]:
-    """One seed: scene, tally, alignments, recoveries, cells run and scored once; a row per cell."""
-    scene = generate_scene(spec)
-    tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], scene.spec.num_classes)
-    alignments = {m: _alignment(scene.queries, m) for m in matchings}
-    recoveries = {m: recovery_rate(a, scene) for m, a in alignments.items()}
-    grid = [(shift, matching) for shift in shifts for matching in matchings]
-    cells = [(shift, alignments[m]) for shift, m in grid]
+    """One seed's scene, every cell scored once by ``_score``; a CSV row per cell."""
     rows = []
-    for (shift, matching), scores in zip(grid, evaluate_clip(tally, run_clip(scene, cells))):
+    grid = itertools.product(shifts, matchings)
+    for (shift, matching), scores in zip(grid, _score(generate_scene(spec), shifts, matchings)):
         tc = scores["temporal_consistency"]
         rows.append([  # the columns of _CSV_HEADER
             str(shift.fraction), str(shift.channels_shifted), "on" if matching else "off",
             str(spec.seed), repr(scores["miou"]), repr(scores["pixel_accuracy"]),
-            "" if tc is None else repr(tc), repr(recoveries[matching]),
+            "" if tc is None else repr(tc), repr(scores["recovery"]),
         ])
     return rows
 
 
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
-
-
 def _sweep_summary(rows: list[list[str]]) -> str:
     """Per-cell means with deltas against the fraction-0 cell of the same mode."""
-    cells: dict[tuple[str, str], dict[str, list[float]]] = {}
-    order: list[tuple[str, str]] = []
-    for row in rows:
-        key = (row[0], row[2])
-        if key not in cells:
-            cells[key] = {"miou": [], "tc": []}
-            order.append(key)
-        cells[key]["miou"].append(float(row[4]))
-        if row[6] != "":
-            cells[key]["tc"].append(float(row[6]))
+    means = {}  # (fraction, mode) -> [mean miou, mean consistency or None]
+    # each cell's rows, one per seed, are contiguous
+    for key, cell in itertools.groupby(rows, lambda row: (row[0], row[2])):
+        cell = list(cell)
+        columns = ([float(row[i]) for row in cell if row[i] != ""] for i in (4, 6))
+        means[key] = [sum(v) / len(v) if v else None for v in columns]
     lines = ["summary (means over seeds):"]
-    for frac, mode in order:
-        vals = cells[(frac, mode)]
-        base = cells.get(("0", mode))
+    for (frac, mode), pair in means.items():
+        base = means.get(("0", mode), [None, None])
         parts = [f"fraction {frac:>5}", f"matching={mode:<3}"]
-        for name, key in (("miou", "miou"), ("consistency", "tc")):
-            mean = _mean(vals[key])
-            if mean is None:
-                parts.append(f"{name}=n/a")
-                continue
-            text = f"{name}={mean:.6f}"
-            if base is not None and frac != "0":
-                base_mean = _mean(base[key])
-                if base_mean is not None:
-                    text += f" ({mean - base_mean:+.6f})"
-            parts.append(text)
+        for name, mean, base_mean in zip(("miou", "consistency"), pair, base):
+            text = "n/a" if mean is None else f"{mean:.6f}"
+            if mean is not None and base_mean is not None and frac != "0":
+                text += f" ({mean - base_mean:+.6f})"
+            parts.append(f"{name}={text}")
         lines.append("  " + "  ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -11,9 +11,10 @@ truth class never changes over the clip: over every static pixel and every
 pair of consecutive frames, the fraction whose predicted label did not change
 across that transition.
 
-A clip is scored over palette rows: ``tally_clip`` counts its pixels once,
-and ``evaluate_clip`` scores predictions of one class per palette row from
-those counts alone, every cell of a sweep in one call.
+A clip is scored over palette rows: ``evaluate_clip`` counts its pixels
+once, per (palette row, gt class) and, for the static pixels, per pair of
+rows in consecutive frames, then scores predictions of one class per
+palette row from those counts alone, every cell of a sweep in one call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["miou", "pixel_accuracy", "tally_clip", "evaluate_clip"]
+__all__ = ["miou", "pixel_accuracy", "evaluate_clip"]
 
 
 def _checked_counts(counts: np.ndarray) -> np.ndarray:
@@ -62,15 +63,17 @@ def _pixel_accuracy(counts: np.ndarray) -> float:
     return float(np.trace(counts) / total)
 
 
-def tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes: int) -> tuple:
-    """Count a clip's pixels once, from each frame's (H, W) grid of palette rows.
+def evaluate_clip(
+    gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes: int, cells: Sequence
+) -> list[dict[str, float | None]]:
+    """Score predictions of one clip, given as a class per palette row, one per cell.
 
     ``gt_labels`` is the (T, H, W) integer array of gt classes in
-    [0, num_classes).  Returns ``(num_classes, used, static, counts, pairs)``.
-    Frame t's row r is clip row ``sum(used[:t]) + r``; ``used[t]`` is one past
-    its largest.  Read-only int64 columns: (clip row, gt class, pixels) in
-    ``counts``, and (clip row, row in the next frame, pixels) in ``pairs`` of
-    the ``static`` pixels, whose gt class never changes.
+    [0, num_classes) and ``indexes[t]`` frame t's (H, W) grid of palette rows.
+    ``cells[s][t]`` is a 1-D integer class per palette row of frame t, as
+    ``run_clip`` returns for cell s; only the rows frame t uses are read.
+    Each cell's ``{"miou", "pixel_accuracy", "temporal_consistency"}``, the
+    last None unless T > 1 and a pixel is static, comes from one joint count.
     """
     gt, c = np.asarray(gt_labels), num_classes
     if gt.ndim != 3 or gt.dtype.kind not in "iu":
@@ -85,51 +88,37 @@ def tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes
             raise ValueError(
                 f"index {index.dtype} {index.shape} is not a row grid like {gt.shape[1:]}"
             )
+    # frame t's row r is clip row sum(used[:t]) + r; used[t] is one past its largest
     used = [int(index.max()) + 1 for index in grids]
     rows = np.stack(grids, dtype=np.int64)
     rows += (np.cumsum(used) - used)[:, None, None]  # clip rows, rising with t
-    static = np.all(gt == gt[0], axis=0)
-    # one sorted pass each, in clip-row order: the frames' (or frame pairs') passes in turn
+    static = np.all(gt == gt[0], axis=0)  # the pixels whose gt class never changes
+    # one sorted pass each, in clip-row order: the frames' (or frame pairs') passes in turn;
+    # pixels per (clip row, gt class), static pixels per (clip row, row in the next frame)
     keys, pixels = np.unique(rows * c + gt, return_counts=True)
-    counts = np.stack([keys // c, keys % c, pixels])
+    at, classes = divmod(keys, c)
     moved, n = rows[:, static], sum(used)
-    keys, pixels = np.unique(moved[:-1] * n + moved[1:], return_counts=True)
-    pairs = np.stack([keys // n, keys % n, pixels])
-    counts.setflags(write=False)
-    pairs.setflags(write=False)
-    return c, tuple(used), int(static.sum()), counts, pairs
-
-
-def evaluate_clip(tally: tuple, cells: Sequence) -> list[dict[str, float | None]]:
-    """Score predictions of the clip counted in ``tally`` (from ``tally_clip``), one per cell.
-
-    ``cells[s][t]`` is a 1-D integer class per palette row of frame t, as
-    ``run_clip`` returns for cell s; only the rows frame t uses are read.
-    Each cell's ``{"miou", "pixel_accuracy", "temporal_consistency"}``, the
-    last None unless T > 1 and a pixel is static, comes from one joint count.
-    """
-    c, used, static, counts, pairs = tally
-    flat = np.empty((len(cells), sum(used)), np.int64)  # cell s, clip row -> class
+    keys, kept = np.unique(moved[:-1] * n + moved[1:], return_counts=True)
+    a, b = divmod(keys, n)
+    flat = np.empty((len(cells), n), np.int64)  # cell s, clip row -> class
     for s, row_labels in enumerate(cells):
         if len(row_labels) != len(used):
             raise ValueError(f"{len(row_labels)} frames of row labels vs {len(used)} tallied")
-        for t, (labels, n) in enumerate(zip(row_labels, used)):
-            if np.ndim(labels) != 1 or len(labels) < n or np.asarray(labels).dtype.kind not in "iu":
+        for t, (labels, m) in enumerate(zip(row_labels, used)):
+            if np.ndim(labels) != 1 or len(labels) < m or np.asarray(labels).dtype.kind not in "iu":
                 raise ValueError(
-                    f"frame {t}: row labels must be 1-D integers, at least {n} of them"
+                    f"frame {t}: row labels must be 1-D integers, at least {m} of them"
                 )
-        flat[s] = np.concatenate([r[:n] for r, n in zip(row_labels, used)], dtype=np.int64)
+        flat[s] = np.concatenate([r[:m] for r, m in zip(row_labels, used)], dtype=np.int64)
     if np.any((flat < 0) | (flat >= c)):
         raise ValueError(f"row labels must lie in [0, {c})")
-    rows, classes, pixels = counts
-    keys = np.arange(len(cells))[:, None] * (c * c) + classes * c + flat[:, rows]
+    keys = np.arange(len(cells))[:, None] * (c * c) + classes * c + flat[:, at]
     # float weights hold every count exactly (below 2**53); cast back before the metrics
     joint = np.bincount(keys.ravel(), np.tile(pixels, len(cells)), len(cells) * c * c)
-    a, b, kept = pairs
     same = np.where(flat[:, a] == flat[:, b], kept, 0).sum(axis=1).tolist()
+    steps = int(static.sum()) * (len(used) - 1)
     scores = []
     for joint_s, same_s in zip(joint.astype(np.int64).reshape(-1, c, c), same):
-        tc = same_s / (static * (len(used) - 1)) if len(used) > 1 and static else None
         scores.append({"miou": _miou(joint_s), "pixel_accuracy": _pixel_accuracy(joint_s),
-                       "temporal_consistency": tc})
+                       "temporal_consistency": same_s / steps if steps else None})
     return scores

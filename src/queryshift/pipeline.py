@@ -138,8 +138,8 @@ def run_clip(
 
     ``rows[t][scene.pixels[t].index]`` is frame t's per-pixel prediction.  The
     cells sharing one alignment object shift in one ``shift_with_matching``
-    call, into one (S, T, N, D) stack, and the frames sharing one palette
-    object decode and vote together, in one ``decode_masks`` call.
+    call, into one frame-major (T, S, N, D) stack, and the frames sharing one
+    palette object decode and vote together, in one ``decode_masks`` call.
     ``class_head`` defaults to the head derived from the scene's prototypes.
     """
     head = class_head_for(scene) if class_head is None else class_head
@@ -151,17 +151,18 @@ def run_clip(
     for s, (_, alignment) in enumerate(cells):
         by_alignment.setdefault(id(alignment), []).append(s)
     _, n, d = scene.queries.data.shape
-    stack = np.empty((len(cells), len(order), n, d))
+    stack = np.empty((len(order), len(cells), n, d))  # each palette group one contiguous block
     for shared in by_alignment.values():
         shifts = [cells[s][0] for s in shared]
-        stack[shared] = shift_with_matching(scene.queries, shifts, cells[shared[0]][1])[:, order]
+        shifted = shift_with_matching(scene.queries, shifts, cells[shared[0]][1])
+        stack[:, shared] = shifted.swapaxes(0, 1)[order]
     stack.setflags(write=False)  # so each palette group's queries view it, uncopied
     by_frame = {}  # frame t -> its (S, P_t) classes
     lo = 0
     for frames in groups.values():
-        queries = FrameQuerySet(stack[:, lo : lo + len(frames)].reshape(-1, d))
+        queries = FrameQuerySet(stack[lo : lo + len(frames)].reshape(-1, d))
         lo += len(frames)
         scores, logits = decode_masks(queries, scene.pixels[frames[0]], head)
         labels = semantic_inference(*(a.reshape(-1, n, a.shape[1]) for a in (scores, logits)))
-        by_frame.update(zip(frames, labels.reshape(len(cells), len(frames), -1).swapaxes(0, 1)))
+        by_frame.update(zip(frames, labels.reshape(len(frames), len(cells), -1)))
     return tuple(tuple(by_frame[t][s] for t in range(len(order))) for s in range(len(cells)))

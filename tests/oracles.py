@@ -145,7 +145,10 @@ def shift_one(clip: ClipQueryTensor, shift: ShiftConfig, alignment: ClipAlignmen
 
 
 def evaluate_one(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, float | None]:
-    """``evaluate_clip`` of one cell, with its own bincount and its own compare."""
+    """``evaluate_clip`` of one cell, with its own bincount and its own compare.
+
+    ``tally`` is ``per_frame_tally_clip``'s tuple.
+    """
     c, used, static, counts, pairs = tally
     if len(row_labels) != len(used):
         raise ValueError(f"{len(row_labels)} frames of row labels vs {len(used)} tallied")
@@ -166,7 +169,15 @@ def evaluate_one(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, fl
 
 
 def per_frame_tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], num_classes: int):
-    """``tally_clip`` of valid input with one ``np.unique`` per frame and one per frame pair."""
+    """A clip's counts, as ``evaluate_clip`` makes them, with one ``np.unique`` per frame and pair.
+
+    Valid input only.  Returns ``(num_classes, used, static, counts, pairs)``:
+    ``used[t]`` is one past frame t's largest row, ``static`` the number of
+    pixels whose gt class never changes, and the read-only int64 columns
+    are (clip row, gt class, pixels) in ``counts`` and (clip row, row in
+    the next frame, static pixels) in ``pairs``.  Frame t's row r is clip
+    row ``sum(used[:t]) + r``.
+    """
     gt, c, grids = np.asarray(gt_labels), num_classes, [np.asarray(index) for index in indexes]
     used = [int(index.max()) + 1 for index in grids]
     starts = np.cumsum(used) - used

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import re
 import stat
 import struct
 import time
@@ -806,6 +807,21 @@ def test_sweep_csv_shape_and_header(tmp_path, capsys):
         fields = line.split(",")
         assert len(fields) == 8
         assert fields[2] in ("on", "off")
+
+
+def test_sweep_summary_without_consistency_or_fraction_0(tmp_path, capsys):
+    # one frame gives no consistency, and with no fraction-0 cell no mean has a delta
+    scene = _scene_spec(t_len=1, noise_sigma=0.3, seed=3)
+    spec = _write_json(tmp_path / "sweep.json", _sweep_spec(scene=scene, fractions=["1/4", "1/8"]))
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "grid.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "summary (means over seeds):"
+    cells = [(frac, mode) for frac in ("1/4", "1/8") for mode in ("off", "on ")]
+    assert len(lines) == 1 + len(cells)
+    for line, (frac, mode) in zip(lines[1:], cells):
+        assert re.fullmatch(
+            rf"  fraction {frac:>5}  matching={mode}  miou=\d\.\d{{6}}  consistency=n/a", line
+        )
 
 
 def test_sweep_channel_column_for_dim_256(tmp_path, capsys):

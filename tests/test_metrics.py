@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryshift.matching import ClipAlignment, align_clip
-from queryshift.metrics import evaluate_clip, miou, pixel_accuracy, tally_clip
+from queryshift.metrics import evaluate_clip, miou, pixel_accuracy
 from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, load_scene, save_scene
@@ -33,7 +33,7 @@ def _zeros(c):
 
 def _score_maps(gt, pred, c):
     """``evaluate_clip`` of per-pixel predictions: each map is its own index, row k is class k."""
-    return evaluate_clip(tally_clip(np.array(gt), pred, c), [[np.arange(c)] * len(pred)])[0]
+    return evaluate_clip(np.array(gt), pred, c, [[np.arange(c)] * len(pred)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +297,11 @@ def test_evaluate_clip_rejects_empty_and_mismatched_clips():
         _score_maps(np.zeros((0, 1, 2), dtype=np.int64), [], 2)
     with pytest.raises(ValueError, match="2 gt frames vs 1 indexes"):
         _score_maps([frame, frame], [frame], 2)
-    tally = tally_clip(np.array([frame, frame]), [frame] * 2, 2)
     with pytest.raises(ValueError, match="1 frames of row labels vs 2 tallied"):
-        evaluate_clip(tally, [[np.arange(2)]])
+        evaluate_clip(np.array([frame, frame]), [frame] * 2, 2, [[np.arange(2)]])
     # a prediction over more classes than the ground truth has
     with pytest.raises(ValueError, match=r"row labels must lie in \[0, 2\)"):
-        evaluate_clip(tally_clip(np.array([frame]), [np.array([[0, 2]])], 2), [[np.arange(3)]])
+        evaluate_clip(np.array([frame]), [np.array([[0, 2]])], 2, [[np.arange(3)]])
 
 
 def test_evaluate_clip_single_frame_has_null_consistency():
@@ -388,7 +387,7 @@ def test_evaluate_clip_with_every_pixel_static_equals_per_pixel_loops():
 
 
 # ---------------------------------------------------------------------------
-# tally_clip / evaluate_clip over palette rows
+# evaluate_clip over palette rows
 # ---------------------------------------------------------------------------
 
 
@@ -402,17 +401,15 @@ def _per_pixel_scores(gt, preds, c):
     return {"miou": miou(counts), "pixel_accuracy": pixel_accuracy(counts), "temporal_consistency": tc}
 
 
-def _small_tally():
-    # frame 0 uses rows 0..2 of its palette, frame 1 rows 0..1
+def _small_clip():
+    """(gt, indexes, num_classes): frame 0 uses rows 0..2 of its palette, frame 1 rows 0..1."""
     gt = np.array([[[0, 1], [1, 1]], [[0, 1], [0, 1]]])
-    return tally_clip(gt, [np.array([[0, 1], [2, 2]]), np.array([[1, 0], [0, 1]])], 2)
+    return gt, [np.array([[0, 1], [2, 2]]), np.array([[1, 0], [0, 1]])], 2
 
 
 def test_score_rows_hand_example():
-    tally = _small_tally()
-    assert tally[:3] == (2, (3, 2), 3)  # classes, rows used per frame, static pixels
     # frame 0 predicts [[0, 1], [1, 1]], frame 1 [[1, 0], [0, 1]]
-    (scores,) = evaluate_clip(tally, [[np.array([0, 1, 1]), np.array([0, 1])]])
+    (scores,) = evaluate_clip(*_small_clip(), [[np.array([0, 1, 1]), np.array([0, 1])]])
     gt = [_lmap([[0, 1], [1, 1]], 2), _lmap([[0, 1], [0, 1]], 2)]
     preds = [_lmap([[0, 1], [1, 1]], 2), _lmap([[1, 0], [0, 1]], 2)]
     assert scores == _per_pixel_scores(gt, preds, 2)
@@ -421,10 +418,9 @@ def test_score_rows_hand_example():
 
 
 def test_score_rows_ignores_rows_no_pixel_uses():
-    tally = _small_tally()
-    base = evaluate_clip(tally, [[np.array([0, 1, 1]), np.array([0, 1])]])
+    base = evaluate_clip(*_small_clip(), [[np.array([0, 1, 1]), np.array([0, 1])]])
     longer = evaluate_clip(
-        tally, [[np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)]]
+        *_small_clip(), [[np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)]]
     )
     assert longer == base
 
@@ -449,44 +445,35 @@ def test_score_rows_rejects_bad_row_labels(labels, match):
     good = [np.array([0, 1, 1]), np.array([0, 1])]
     for cells in ([labels], [good, labels]):  # the first cell or a later one
         with pytest.raises(ValueError, match=match):
-            evaluate_clip(_small_tally(), cells)
+            evaluate_clip(*_small_clip(), cells)
         with pytest.raises(ValueError, match=match):
-            evaluate_one(_small_tally(), labels)
+            evaluate_one(per_frame_tally_clip(*_small_clip()), labels)
 
 
 def test_evaluate_clip_of_no_cells_is_empty():
-    assert evaluate_clip(_small_tally(), []) == []
+    assert evaluate_clip(*_small_clip(), []) == []
 
 
-def test_tally_clip_rejects_mismatched_indexes():
+def test_evaluate_clip_rejects_mismatched_indexes():
     gt = np.array([[[0, 1], [1, 1]]] * 2, dtype=np.uint8)
     index = np.zeros((2, 2), dtype=np.intp)
+    cells = [[np.arange(2)] * 2]
     with pytest.raises(ValueError, match="2 gt frames vs 1 indexes"):
-        tally_clip(gt, [index], 2)
+        evaluate_clip(gt, [index], 2, cells)
     with pytest.raises(ValueError, match="2 gt frames vs 3 indexes"):
-        tally_clip(gt, [index] * 3, 2)
+        evaluate_clip(gt, [index] * 3, 2, cells)
     with pytest.raises(ValueError, match="0 gt frames vs 0 indexes"):
-        tally_clip(gt[:0], [], 2)
+        evaluate_clip(gt[:0], [], 2, [])
     for bad_gt in (gt[0], gt.astype(bool)):
         with pytest.raises(ValueError, match=r"must be a \(T, H, W\) integer array"):
-            tally_clip(bad_gt, [index, index], 2)
+            evaluate_clip(bad_gt, [index, index], 2, cells)
     for bad_gt in (gt + 1, gt.astype(np.int64) - 1):
         with pytest.raises(ValueError, match=r"gt labels must lie in \[0, 2\)"):
-            tally_clip(bad_gt, [index, index], 2)
+            evaluate_clip(bad_gt, [index, index], 2, cells)
     for bad in (np.zeros((2, 3), dtype=np.intp), np.zeros(4, dtype=np.intp),
                 np.zeros((2, 2)), np.full((2, 2), -1)):
         with pytest.raises(ValueError, match=r"is not a row grid like \(2, 2\)"):
-            tally_clip(gt, [index, bad], 2)
-
-
-def test_tally_counts_by_clip_row():
-    _, _, _, counts, pairs = _small_tally()
-    # columns (row, gt class, pixels); frame 1's rows 0 and 1 are clip rows 3 and 4
-    assert counts.tolist() == [[0, 1, 2, 3, 3, 4, 4], [0, 1, 1, 0, 1, 0, 1], [1, 1, 2, 1, 1, 1, 1]]
-    # columns (row, next frame's row, static pixels)
-    assert pairs.tolist() == [[0, 1, 2], [4, 3, 4], [1, 1, 1]]
-    for arr in (counts, pairs):
-        assert arr.dtype == np.int64 and not arr.flags.writeable
+            evaluate_clip(gt, [index, bad], 2, cells)
 
 
 def test_tally_of_a_loaded_scene_counts_palette_rows(tmp_path):
@@ -495,18 +482,19 @@ def test_tally_of_a_loaded_scene_counts_palette_rows(tmp_path):
     )
     save_scene(generate_scene(spec), tmp_path)
     scene = load_scene(tmp_path)
-    _, used, _, counts, pairs = tally_clip(
-        scene.gt_labels, [p.index for p in scene.pixels], spec.num_classes
-    )
-    rows = spec.n_tracks + 1
-    assert used == (rows,) * spec.t_len
-    assert counts.shape[1] <= spec.t_len * rows * spec.num_classes
-    assert pairs.shape[1] <= (spec.t_len - 1) * rows * rows
+    indexes, rows = [p.index for p in scene.pixels], spec.n_tracks + 1
+    # every frame counts exactly its palette's K + 1 rows: K + 1 labels each do, K do not
+    full = [np.zeros(rows, np.intp)] * spec.t_len
+    assert len(evaluate_clip(scene.gt_labels, indexes, spec.num_classes, [full])) == 1
+    for t in range(spec.t_len):
+        short = [np.zeros(rows - (s == t), np.intp) for s in range(spec.t_len)]
+        with pytest.raises(ValueError, match=f"frame {t}: .*at least {rows} of them"):
+            evaluate_clip(scene.gt_labels, indexes, spec.num_classes, [short])
 
 
 @st.composite
 def _hand_clips(draw):
-    """Frames with palettes of different sizes, random row labels, chosen static pixels."""
+    """Frames with palettes of different sizes, 3 cells of row labels, chosen static pixels."""
     t_len = draw(st.integers(1, 4))
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     c = draw(st.integers(1, 4))
@@ -522,15 +510,18 @@ def _hand_clips(draw):
               for _ in range(t_len)]
     sizes = [draw(st.integers(1, 7)) for _ in range(t_len)]
     indexes = [rng.integers(0, p, size=(h, w)) for p in sizes]
-    rows = [rng.integers(0, c, size=p + draw(st.integers(0, 2))) for p in sizes]
-    return np.array(gt), indexes, rows, c
+    cells = [[rng.integers(0, c, size=p + draw(st.integers(0, 2))) for p in sizes]
+             for _ in range(3)]
+    return np.array(gt), indexes, cells, c
 
 
-def _assert_same_tally(ours, theirs):
-    assert ours[:3] == theirs[:3]  # num_classes, used, static
-    for a, b in zip(ours[3:], theirs[3:]):
-        assert a.dtype == b.dtype == np.int64 and not a.flags.writeable
-        assert a.shape == b.shape and a.tolist() == b.tolist()
+def _assert_equals_per_frame_tally(gt, indexes, c, cells):
+    """Every cell scores as ``evaluate_one`` scores it from the per-frame oracle's counts.
+
+    Several random cells read every counted row, so a miscounted row shows.
+    """
+    tally = per_frame_tally_clip(gt, indexes, c)
+    assert evaluate_clip(gt, indexes, c, cells) == [evaluate_one(tally, rows) for rows in cells]
 
 
 @st.composite
@@ -551,28 +542,31 @@ def _palette_mixes(draw):
     identity = np.arange(spec.grid[0] * spec.grid[1]).reshape(spec.grid)
     falls_back = draw(st.lists(st.booleans(), min_size=spec.t_len, max_size=spec.t_len))
     indexes = [identity if fb else p.index for fb, p in zip(falls_back, scene.pixels)]
-    return scene.gt_labels, indexes, spec.num_classes
+    rng = np.random.default_rng(spec.seed)
+    cells = [[rng.integers(0, spec.num_classes, size=int(i.max()) + 1) for i in indexes]
+             for _ in range(4)]
+    return scene.gt_labels, indexes, spec.num_classes, cells
 
 
 @given(_palette_mixes())
 @settings(max_examples=150, deadline=None)
 def test_one_pass_tally_equals_per_frame_tally_on_palette_mixes(case):
-    _assert_same_tally(tally_clip(*case), per_frame_tally_clip(*case))
+    _assert_equals_per_frame_tally(*case)
 
 
 @given(_hand_clips())
 @settings(max_examples=150, deadline=None)
 def test_one_pass_tally_equals_per_frame_tally_on_hand_built_clips(clip):
-    gt, indexes, _, c = clip
-    _assert_same_tally(tally_clip(gt, indexes, c), per_frame_tally_clip(gt, indexes, c))
+    gt, indexes, cells, c = clip
+    _assert_equals_per_frame_tally(gt, indexes, c, cells)
 
 
 @given(_hand_clips())
 @settings(max_examples=150, deadline=None)
 def test_score_rows_equals_per_pixel_scores_on_hand_built_clips(clip):
-    gt, indexes, rows, c = clip
+    gt, indexes, (rows, *_), c = clip
     preds = [_lmap(r[index], c) for r, index in zip(rows, indexes)]
-    (scores,) = evaluate_clip(tally_clip(gt, indexes, c), [rows])
+    (scores,) = evaluate_clip(gt, indexes, c, [rows])
     assert scores == _score_maps(gt, preds, c) == _per_pixel_scores(gt, preds, c)
 
 
@@ -608,11 +602,12 @@ def test_score_rows_equals_per_pixel_scores_on_scenes(case):
             scene = load_scene(tmp)
     q = scene.queries
     alignment = align_clip(q) if matching else ClipAlignment.identity(q.t_len, q.n_queries)
-    c = spec.num_classes
-    tally = tally_clip(scene.gt_labels, [pixels.index for pixels in scene.pixels], c)
+    c, indexes = spec.num_classes, [pixels.index for pixels in scene.pixels]
     rows = run_clip(scene, [(shift, alignment)])[0]
-    preds = [_lmap(r[pixels.index], c) for r, pixels in zip(rows, scene.pixels)]
-    assert evaluate_clip(tally, [rows]) == [_per_pixel_scores(scene.gt_labels, preds, c)]
+    preds = [_lmap(r[index], c) for r, index in zip(rows, indexes)]
+    assert evaluate_clip(scene.gt_labels, indexes, c, [rows]) == [
+        _per_pixel_scores(scene.gt_labels, preds, c)
+    ]
 
 
 @st.composite
@@ -631,11 +626,10 @@ def _many_cells(draw):
              for _ in range(draw(st.integers(1, 6)))]
     if draw(st.booleans()):  # a repeated cell scores the same as its first copy
         cells.append(cells[0])
-    return tally_clip(np.array(gt), indexes, c), cells
+    return np.array(gt), indexes, c, cells
 
 
 @given(_many_cells())
 @settings(max_examples=150, deadline=None)
 def test_evaluate_clip_equals_one_cell_at_a_time(case):
-    tally, cells = case
-    assert evaluate_clip(tally, cells) == [evaluate_one(tally, rows) for rows in cells]
+    _assert_equals_per_frame_tally(*case)

@@ -1,5 +1,7 @@
 """Byte-identity gate: SHA-256 of every CLI output for two specs, and of an edited scene's run.
 
+``sweep`` is pinned twice: its CSV and the summary it prints to stdout.
+
 A refactor must leave these bytes unchanged.  Criterion 6 compares two runs
 of the same build, which a change that moves every output in the same way
 would still pass; these hashes were taken from a known-good build instead.
@@ -9,8 +11,10 @@ say so in that commit.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import struct
 
@@ -51,6 +55,7 @@ PINS = {
         "run": "435c851ca7e37cec2e86585f4fb81f45ad35a6d761c7d216e53c7543823842ad",
         "match": "49e1a73ee81bc39f15a6fe51a50efdda7516cfff2def143786fed0fa22a703f4",
         "sweep": "7d593310d44105ebcfc78ad5c67fcc4dbec9374975162d9fe10633b1ce711715",
+        "sweep_stdout": "6e22138e1f970840daeb1af79226f2a411ef4e1024e1f4c12c7d34ec1e610375",
     },
     "noisy": {
         "synth": {
@@ -66,6 +71,7 @@ PINS = {
         "run": "9cbf58bc2db1d0e897c02832442f61edbd6d24478071e8fcc2b6ef30924fde01",
         "match": "708c61fb85edfc2ed8c9fa7d1611ac48a1383a623a45320f99b5860fe11a8009",
         "sweep": "7d7c7d1733c6466382fdf38515350e45741d72d54307fa43d512c53639d27f03",
+        "sweep_stdout": "87d3182a1dc3ac69c58a858902d96559ad38373ce959d841ed7b9f74f5bf2da9",
     },
 }
 
@@ -85,7 +91,10 @@ def _write_json(path, payload) -> str:
 
 
 def outputs(case: str, tmp_path) -> dict:
-    """Run synth, run, match and sweep (serial and --parallel 2); hash what they write."""
+    """Run synth, run, match and sweep (serial and --parallel 2); hash what they write.
+
+    A sweep's stdout summary is hashed too, under ``sweep_stdout_parallel1``/``2``.
+    """
     # looked up per call: a suite that re-imports queryshift leaves a stale module-level
     # import, whose functions the --parallel sweep could not pickle
     main = importlib.import_module("queryshift.cli").main
@@ -110,8 +119,11 @@ def outputs(case: str, tmp_path) -> dict:
     for parallel in ("1", "2"):
         table = tmp_path / f"table{parallel}.csv"
         argv = ["sweep", "--spec", sweep, "--out", str(table), "--parallel", parallel]
-        assert main(argv) == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
         got[f"sweep_parallel{parallel}"] = _sha(table.read_bytes())
+        got[f"sweep_stdout_parallel{parallel}"] = _sha(stdout.getvalue().encode())
     return got
 
 
@@ -125,6 +137,8 @@ def test_outputs_match_pins(case, tmp_path, capsys):
     assert got["match"] == want["match"]
     assert got["sweep_parallel1"] == want["sweep"]
     assert got["sweep_parallel2"] == want["sweep"]
+    assert got["sweep_stdout_parallel1"] == want["sweep_stdout"]
+    assert got["sweep_stdout_parallel2"] == want["sweep_stdout"]
 
 
 def test_edited_scene_run_matches_pin(tmp_path, capsys):

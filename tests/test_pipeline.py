@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluate_one, identity_palette_scene, per_frame_run_clip, shift_one
+from oracles import (
+    evaluate_one,
+    identity_palette_scene,
+    per_frame_run_clip,
+    per_frame_tally_clip,
+    shift_one,
+)
 from queryshift import cli, pipeline
 from queryshift.core import (
     ClipQueryTensor,
@@ -23,7 +29,7 @@ from queryshift.core import (
     write_tensor,
 )
 from queryshift.matching import ClipAlignment, align_clip
-from queryshift.metrics import evaluate_clip, tally_clip
+from queryshift.metrics import evaluate_clip
 from queryshift.pipeline import (
     _SCORE_CEIL,
     _SCORE_FLOOR,
@@ -632,12 +638,12 @@ def test_recovered_palette_equals_identity_palette(tmp_path, monkeypatch, capsys
     ]
     ours, theirs = run_clip(loaded, cells), run_clip(oracle, cells)
     c = scene.spec.num_classes
-    ours_tally = tally_clip(loaded.gt_labels, [p.index for p in loaded.pixels], c)
-    theirs_tally = tally_clip(oracle.gt_labels, [p.index for p in oracle.pixels], c)
     for a, b in zip(ours, theirs):
         for ra, p, rb, q in zip(a, loaded.pixels, b, oracle.pixels):
             assert np.array_equal(ra[p.index], rb[q.index])
-    assert evaluate_clip(ours_tally, ours) == evaluate_clip(theirs_tally, theirs)
+    assert evaluate_clip(loaded.gt_labels, [p.index for p in loaded.pixels], c, ours) == (
+        evaluate_clip(oracle.gt_labels, [p.index for p in oracle.pixels], c, theirs)
+    )
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fraction": "1/4", "matching": True}))
@@ -736,8 +742,11 @@ def test_stacked_run_clip_equals_per_frame_oracle(case):
         for r, w in zip(got_rows, want_rows):
             assert r.dtype == np.intp and not r.flags.writeable
             assert r.shape == w.shape and np.all(r == w)
-    tally = tally_clip(scene.gt_labels, [p.index for p in scene.pixels], spec.num_classes)
-    assert evaluate_clip(tally, got) == [evaluate_one(tally, rows) for rows in want]
+    indexes = [p.index for p in scene.pixels]
+    tally = per_frame_tally_clip(scene.gt_labels, indexes, spec.num_classes)
+    assert evaluate_clip(scene.gt_labels, indexes, spec.num_classes, got) == [
+        evaluate_one(tally, rows) for rows in want
+    ]
 
 
 def test_run_clip_decodes_once_per_shared_palette(monkeypatch, tmp_path):
@@ -778,10 +787,15 @@ def test_run_clip_decodes_a_view_of_its_stack(monkeypatch):
 
     monkeypatch.setattr(pipeline, "decode_masks", spied)
     scene = _scene(t_len=3, n_tracks=4, n_queries=5, num_classes=5, noise_sigma=0.3)
-    run_clip(scene, [(_shift(f, 64, HOLD), _aligned(scene.queries, True)) for f in ("0", "1/4")])
+    cells = [(_shift(f, 64, HOLD), _aligned(scene.queries, True)) for f in ("0", "1/4")]
+    run_clip(scene, cells)
     (queries,) = seen  # one palette, one decode
     assert queries.data.shape == (2 * 3 * 5, 64)
     assert not queries.data.flags.owndata  # the frozen stack, neither copied nor rebuilt
+    seen.clear()
+    run_clip(_regroup_palettes(scene, [0, 1, 0]), cells)  # frames 0 and 2 share a palette
+    assert [q.data.shape for q in seen] == [(2 * 2 * 5, 64), (2 * 1 * 5, 64)]
+    assert not any(q.data.flags.owndata for q in seen)  # each group a block of the stack
 
 
 @given(
