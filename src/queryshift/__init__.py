@@ -29,7 +29,7 @@ from .matching import (
     cosine_similarity,
     optimal_match,
 )
-from .metrics import evaluate_clip, miou, pixel_accuracy
+from .metrics import evaluate_clip
 from .pipeline import decode_masks, run_clip, semantic_inference, shift_with_matching
 from .rng import Rng
 from .shift import BoundaryPolicy, ShiftConfig, feature_shift, plan_shift
@@ -70,9 +70,7 @@ __all__ = [
     "feature_shift",
     "generate_scene",
     "load_scene",
-    "miou",
     "optimal_match",
-    "pixel_accuracy",
     "plan_shift",
     "read_labelmap",
     "read_tensor",

@@ -21,7 +21,6 @@ import json
 import os
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -253,6 +252,7 @@ def _cmd_sweep(args) -> int:
             if workers == 1:
                 per_seed = list(map(sweep_seed, specs))
             else:
+                from concurrent.futures import ProcessPoolExecutor  # it loads multiprocessing
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     # at most 2 * workers seeds wait in the pool, so a failing seed ends it early
                     per_seed, pending = [], []

@@ -46,6 +46,18 @@ def _checked_similarity(sim: np.ndarray) -> np.ndarray:
     return sim
 
 
+def _unit_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``data`` over its norm, and the mask of rows whose norm is 0.
+
+    Each row is first scaled by the exact power of two that brings its largest
+    |value| into [0.5, 1), so no squared norm overflows or underflows; such a
+    scale commutes with rounding, so it changes nothing in the normal range.
+    """
+    scaled = np.ldexp(data, -np.frexp(np.abs(data).max(axis=1))[1][:, None])
+    norm = np.linalg.norm(scaled, axis=1)
+    return scaled / np.where(norm == 0.0, 1.0, norm)[:, None], norm == 0.0
+
+
 def cosine_similarity(a: FrameQuerySet, b: FrameQuerySet) -> np.ndarray:
     """Pairwise cosine similarity between two frames' queries, a read-only (N, N) array.
 
@@ -57,12 +69,7 @@ def cosine_similarity(a: FrameQuerySet, b: FrameQuerySet) -> np.ndarray:
         raise ValueError(
             f"frame shapes differ: {a.data.shape} vs {b.data.shape}"
         )
-    na = np.linalg.norm(a.data, axis=1)
-    nb = np.linalg.norm(b.data, axis=1)
-    za = na == 0.0
-    zb = nb == 0.0
-    ua = a.data / np.where(za, 1.0, na)[:, None]
-    ub = b.data / np.where(zb, 1.0, nb)[:, None]
+    (ua, za), (ub, zb) = _unit_rows(a.data), _unit_rows(b.data)
     sims = ua @ ub.T
     sims[za, :] = 0.0
     sims[:, zb] = 0.0

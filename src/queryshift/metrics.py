@@ -1,4 +1,4 @@
-"""Evaluation: (C, C) confusion counts, mIoU, pixel accuracy, temporal consistency.
+"""Evaluation: mIoU, pixel accuracy and temporal consistency of a clip's predictions.
 
 Conventions
 -----------
@@ -14,7 +14,8 @@ across that transition.
 A clip is scored over palette rows: ``evaluate_clip`` counts its pixels
 once, per (palette row, gt class) and, for the static pixels, per pair of
 rows in consecutive frames, then scores predictions of one class per
-palette row from those counts alone, every cell of a sweep in one call.
+palette row from those counts alone: one array pass scores every cell of
+a sweep, all but each cell's mean IoU over its present classes.
 """
 
 from __future__ import annotations
@@ -23,44 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["miou", "pixel_accuracy", "evaluate_clip"]
-
-
-def _checked_counts(counts: np.ndarray) -> np.ndarray:
-    """``counts`` if it is a non-empty square array of non-negative integers."""
-    counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] < 1:
-        raise ValueError(f"confusion counts must be a non-empty square array, got {counts.shape}")
-    if counts.dtype.kind not in "iu":
-        raise ValueError(f"confusion counts must be integers, got dtype {counts.dtype}")
-    if np.any(counts < 0):
-        raise ValueError("confusion counts must be non-negative")
-    return counts
-
-
-def miou(counts: np.ndarray) -> float:
-    """Mean IoU over classes present in ground truth or prediction."""
-    return _miou(_checked_counts(counts))
-
-
-def pixel_accuracy(counts: np.ndarray) -> float:
-    return _pixel_accuracy(_checked_counts(counts))
-
-
-def _miou(counts: np.ndarray) -> float:
-    inter = np.diag(counts)
-    union = counts.sum(axis=1) + counts.sum(axis=0) - inter  # exact integers
-    present = union > 0
-    if not np.any(present):
-        raise ValueError("mIoU undefined: no class present in gt or prediction")
-    return float(np.mean(inter[present] / union[present]))
-
-
-def _pixel_accuracy(counts: np.ndarray) -> float:
-    total = int(counts.sum())
-    if total == 0:
-        raise ValueError("pixel accuracy undefined on empty confusion counts")
-    return float(np.trace(counts) / total)
+__all__ = ["evaluate_clip"]
 
 
 def evaluate_clip(
@@ -115,10 +79,16 @@ def evaluate_clip(
     keys = np.arange(len(cells))[:, None] * (c * c) + classes * c + flat[:, at]
     # float weights hold every count exactly (below 2**53); cast back before the metrics
     joint = np.bincount(keys.ravel(), np.tile(pixels, len(cells)), len(cells) * c * c)
-    same = np.where(flat[:, a] == flat[:, b], kept, 0).sum(axis=1).tolist()
+    same = np.where(flat[:, a] == flat[:, b], kept, 0).sum(axis=1)
     steps = int(static.sum()) * (len(used) - 1)
-    scores = []
-    for joint_s, same_s in zip(joint.astype(np.int64).reshape(-1, c, c), same):
-        scores.append({"miou": _miou(joint_s), "pixel_accuracy": _pixel_accuracy(joint_s),
-                       "temporal_consistency": same_s / steps if steps else None})
-    return scores
+    # every cell at once: each counts all T*H*W pixels, and each gt class has a union > 0
+    joint = joint.astype(np.int64).reshape(-1, c, c)
+    inter = np.diagonal(joint, axis1=1, axis2=2)
+    union = joint.sum(axis=2) + joint.sum(axis=1) - inter  # exact integers
+    present = union > 0
+    ratios = inter / np.where(present, union, 1)
+    accuracy = (inter.sum(axis=1) / gt.size).tolist()
+    consistency = (same / steps).tolist() if steps else [None] * len(cells)
+    # a mean per cell: above 8 classes a masked row sum (8 partial sums) rounds differently
+    return [{"miou": float(np.mean(r[p])), "pixel_accuracy": acc, "temporal_consistency": tc}
+            for r, p, acc, tc in zip(ratios, present, accuracy, consistency)]

@@ -31,14 +31,13 @@ Derived draws take the top 53 bits of a word, ``top53 = next_u64 >> 11``;
 
 * ``below(n)``    -- ``(top53 * n) >> 53``.  Uniform enough for desk-scale
   ``n`` (bias < n / 2**53) and trivially portable.
-* ``gauss()``     -- Box-Muller.  Each pair of uniforms (u1, u2) yields
-  ``r*cos(2*pi*u2)`` and ``r*sin(2*pi*u2)`` with ``r = sqrt(-2*ln(u1))``;
+* ``gauss_vector(n)`` -- n Box-Muller draws.  Each pair of uniforms (u1, u2)
+  yields ``r*cos(2*pi*u2)``, then ``r*sin(2*pi*u2)``, with ``r = sqrt(-2*ln(u1))``;
   u1 is shifted into (0, 1] as ``(top53 + 1) / 2**53`` so the log is finite.
-  The cosine partner is returned first, the sine partner is cached and
-  returned by the next call.  The cache survives across calls, so a sequence
-  of gaussian draws is a pure function of the stream position.
+  An odd n caches the last sine for the next call, so a sequence of gaussian
+  draws is a pure function of the stream position, however it is split.
 
-``gauss_vector`` makes the same words with no Python step per word.  The
+``gauss_vector`` makes the ``next_u64`` words with no Python step per word.  The
 update is linear over GF(2), so the state k steps on from any start is the
 XOR, over the start's set bits, of the states k steps on from the 128 unit
 states.  A (128, 129, 2) uint64 table of those (264 KB, built once at import)
@@ -129,12 +128,8 @@ class Rng:
             raise ValueError("below() requires n >= 1")
         return ((self.next_u64() >> 11) * n) >> 53
 
-    def gauss(self) -> float:
-        """Standard normal draw via Box-Muller (see module docstring)."""
-        return float(self.gauss_vector(1)[0])
-
     def gauss_vector(self, n: int) -> np.ndarray:
-        """``n`` gauss() draws as a float64 array, allocated before the first draw.
+        """``n`` standard normal draws as a float64 array, allocated before the first draw.
 
         Box-Muller runs over blocks of pairs of table-made words; ``log``,
         ``sin`` and ``cos`` go through ``math``: numpy's differ in the last bit.

@@ -13,7 +13,6 @@ import numpy as np
 
 from queryshift.core import ClipQueryTensor, PixelEmbeddingMap, read_tensor
 from queryshift.matching import ClipAlignment, _checked_similarity, _matched
-from queryshift.metrics import _checked_counts, miou, pixel_accuracy
 from queryshift.pipeline import decode_masks, semantic_inference
 from queryshift.rng import Rng
 from queryshift.shift import ShiftConfig, feature_shift
@@ -93,6 +92,40 @@ def recursive_lex_smallest_tight_matching(
             col_to_row[current] = i
         fixed_col[row_to_col[i]] = True
     return row_to_col
+
+
+def _checked_counts(counts: np.ndarray) -> np.ndarray:
+    """``counts`` if it is a non-empty square array of non-negative integers."""
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] < 1:
+        raise ValueError(f"confusion counts must be a non-empty square array, got {counts.shape}")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"confusion counts must be integers, got dtype {counts.dtype}")
+    if np.any(counts < 0):
+        raise ValueError("confusion counts must be non-negative")
+    return counts
+
+
+def miou(counts: np.ndarray) -> float:
+    """Mean IoU of one (C, C) confusion matrix over classes present in gt or prediction.
+
+    The per-matrix reference for ``evaluate_clip``'s one pass over all cells.
+    """
+    counts = _checked_counts(counts)
+    inter = np.diag(counts)
+    union = counts.sum(axis=1) + counts.sum(axis=0) - inter  # exact integers
+    present = union > 0
+    if not np.any(present):
+        raise ValueError("mIoU undefined: no class present in gt or prediction")
+    return float(np.mean(inter[present] / union[present]))
+
+
+def pixel_accuracy(counts: np.ndarray) -> float:
+    counts = _checked_counts(counts)
+    total = int(counts.sum())
+    if total == 0:
+        raise ValueError("pixel accuracy undefined on empty confusion counts")
+    return float(np.trace(counts) / total)
 
 
 def accumulate(counts: np.ndarray, pred: np.ndarray, gt: np.ndarray) -> np.ndarray:

@@ -26,12 +26,12 @@ from queryshift.matching import (
     optimal_match,
 )
 from queryshift.core import ClipQueryTensor
-from queryshift.metrics import miou, pixel_accuracy
 from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, feature_shift, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, recovery_rate
 
-from oracles import accumulate, brute_force_match, temporal_consistency
+from oracles import accumulate, brute_force_match, miou, temporal_consistency
+from test_metrics import _score_maps
 
 ZERO = BoundaryPolicy.ZERO_FILL
 HOLD = BoundaryPolicy.HOLD
@@ -221,18 +221,17 @@ def test_criterion_4_noisy_sweep_table_shape(tmp_path, capsys):
 
 
 def test_criterion_5_metric_correctness():
-    # mIoU: gt half/half, pred all class 0
+    # mIoU: gt half/half, pred all class 0, scored by evaluate_clip
     gt = np.array([[0, 0], [1, 1]])
     pred = np.zeros((2, 2), dtype=np.int64)
-    zeros = np.zeros((2, 2), dtype=np.int64)
-    cm = accumulate(zeros, pred, gt)
-    assert abs(miou(cm) - 0.25) <= 1e-12
-    assert abs(pixel_accuracy(cm) - 0.5) <= 1e-12
+    scores = _score_maps([gt], [pred], 2)
+    assert abs(scores["miou"] - 0.25) <= 1e-12
+    assert abs(scores["pixel_accuracy"] - 0.5) <= 1e-12
 
     # perfect prediction
-    cm_perfect = accumulate(zeros, gt, gt)
-    assert abs(miou(cm_perfect) - 1.0) <= 1e-12
-    assert abs(pixel_accuracy(cm_perfect) - 1.0) <= 1e-12
+    scores = _score_maps([gt], [gt], 2)
+    assert abs(scores["miou"] - 1.0) <= 1e-12
+    assert abs(scores["pixel_accuracy"] - 1.0) <= 1e-12
 
     # temporal consistency: 2 static pixels, 2 transitions, one flip
     f0 = np.array([[0, 0]])

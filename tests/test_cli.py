@@ -8,6 +8,8 @@ import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 import time
 import types
 import warnings
@@ -944,8 +946,17 @@ def pool_sizes(monkeypatch):
             futures = [self.submit(fn, *args) for args in zip(*iterables)]
             return (future.result() for future in futures)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # the sweep imports the pool class from concurrent.futures when it opens one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only --parallel above 1 opens a pool; its module loads multiprocessing
+    code = "import sys, queryshift.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from queryshift.core import ClipQueryTensor, FrameQuerySet
+from queryshift.cli import main
+from queryshift.core import ClipQueryTensor, FrameQuerySet, write_tensor
 from queryshift.matching import (
     _TIGHT_TOL,
     ClipAlignment,
@@ -84,6 +87,63 @@ def test_cosine_scale_invariance(seed):
     s1 = cosine_similarity(_frame(a), _frame(b))
     s2 = cosine_similarity(_frame(a * scales_a), _frame(b * 3.7))
     assert np.allclose(s1, s2, atol=1e-12)
+
+
+def _permuted_clip(scale):
+    """A 3 x 5 x 8 clip whose frames 1 and 2 permute frame 0's rows, times ``scale``.
+
+    Returns the clip and its true (3, 5) ``per_frame``.
+    """
+    rng = np.random.default_rng(0)
+    first = rng.standard_normal((5, 8))
+    per_frame = np.array([np.arange(5), rng.permutation(5), rng.permutation(5)])
+    return ClipQueryTensor(first[per_frame] * scale), per_frame
+
+
+_EXTREME_SCALES = [1e200, 1e-200, 1e-310]  # squared norms overflow, underflow; subnormal rows
+
+
+@pytest.mark.parametrize("scale", _EXTREME_SCALES)
+def test_align_recovers_permutations_at_extreme_scales(scale):
+    clip, per_frame = _permuted_clip(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing norm warns
+        alignment = align_clip(clip)
+    assert np.array_equal(alignment.per_frame, per_frame)
+    assert alignment.pair_totals == pytest.approx((5.0, 5.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", _EXTREME_SCALES)
+def test_match_command_recovers_permutations_at_extreme_scales(scale, tmp_path, capsys):
+    clip, per_frame = _permuted_clip(scale)
+    write_tensor(clip, tmp_path / "q.qtn")
+    assert main(["match", "--queries", str(tmp_path / "q.qtn")]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["per_frame"] == per_frame.tolist()
+    assert err == ""
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.integers(-1000, 1000),
+)
+@settings(max_examples=60, deadline=None)
+def test_scaling_a_frame_by_a_power_of_two_keeps_the_alignment(seed, t_len, n, d, k):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((t_len, n, d))
+    data[rng.random((t_len, n)) < 0.1] = 0.0  # some zero-norm queries
+    t = int(rng.integers(t_len))
+    scaled = data.copy()
+    scaled[t] = np.ldexp(data[t], k)
+    nonzero = np.abs(scaled[scaled != 0.0])
+    assume(nonzero.size == 0 or (nonzero.min() >= np.finfo(np.float64).tiny
+                                 and np.all(np.isfinite(nonzero))))
+    want, got = align_clip(ClipQueryTensor(data)), align_clip(ClipQueryTensor(scaled))
+    assert np.array_equal(got.per_frame, want.per_frame)
+    assert got.pair_totals == want.pair_totals
 
 
 def test_cosine_similarity_is_a_read_only_array():

@@ -1,4 +1,4 @@
-"""mIoU, pixel accuracy, and clip scoring over palette rows against per-pixel oracles."""
+"""Clip scoring over palette rows: hand values, and per-matrix and per-pixel oracles."""
 
 from __future__ import annotations
 
@@ -7,16 +7,23 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queryshift.matching import ClipAlignment, align_clip
-from queryshift.metrics import evaluate_clip, miou, pixel_accuracy
+from queryshift.metrics import evaluate_clip
 from queryshift.pipeline import run_clip
 from queryshift.shift import BoundaryPolicy, plan_shift
 from queryshift.synth import SceneSpec, generate_scene, load_scene, save_scene
 
-from oracles import accumulate, evaluate_one, per_frame_tally_clip, temporal_consistency
+from oracles import (
+    accumulate,
+    evaluate_one,
+    miou,
+    per_frame_tally_clip,
+    pixel_accuracy,
+    temporal_consistency,
+)
 
 
 def _lmap(values, c):
@@ -119,7 +126,7 @@ def test_accumulate_shape_and_class_mismatch():
 
 
 def test_confusion_matrix_validation():
-    # each public reader of confusion counts checks the array it is given
+    # each oracle that reads confusion counts checks the array it is given
     bad = [
         (np.zeros((2, 3), dtype=np.int64), "square"),
         (np.zeros((0, 0), dtype=np.int64), "square"),
@@ -140,12 +147,13 @@ def test_confusion_matrix_validation():
 
 
 # ---------------------------------------------------------------------------
-# miou
+# mIoU and pixel accuracy hand values, through evaluate_clip
 # ---------------------------------------------------------------------------
 
 
 def test_miou_perfect():
-    assert miou(np.diag([5, 3, 2])) == pytest.approx(1.0, abs=1e-12)
+    gt = _lmap([[0, 0, 0, 0, 0, 1, 1, 1, 2, 2]], 3)  # class counts 5, 3, 2
+    assert _score_maps([gt], [gt], 3)["miou"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_miou_half_half_example():
@@ -153,43 +161,41 @@ def test_miou_half_half_example():
     # IoU_0 = 2/4, IoU_1 = 0/2 -> mean 0.25
     gt = _lmap([[0, 0], [1, 1]], 2)
     pred = _lmap([[0, 0], [0, 0]], 2)
-    counts = accumulate(_zeros(2), pred, gt)
-    assert miou(counts) == pytest.approx(0.25, abs=1e-12)
-    assert pixel_accuracy(counts) == pytest.approx(0.5, abs=1e-12)
+    scores = _score_maps([gt], [pred], 2)
+    assert scores["miou"] == pytest.approx(0.25, abs=1e-12)
+    assert scores["pixel_accuracy"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_miou_excludes_absent_classes():
     # class 2 never appears in gt or pred: the mean runs over {0, 1} only
     gt = _lmap([[0, 1]], 3)
     pred = _lmap([[0, 0]], 3)
-    counts = accumulate(_zeros(3), pred, gt)
     # IoU_0 = 1/2, IoU_1 = 0 -> 0.25; with class 2 wrongly included it
     # would be 1/6
-    assert miou(counts) == pytest.approx(0.25, abs=1e-12)
+    assert _score_maps([gt], [pred], 3)["miou"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_miou_empty_matrix_rejected():
-    with pytest.raises(ValueError):
+    # the oracle refuses what evaluate_clip can never count: no pixel at all
+    with pytest.raises(ValueError, match="no class present"):
         miou(_zeros(3))
 
 
 def test_miou_in_unit_interval():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        assert 0.0 <= miou(rng.integers(0, 50, size=(4, 4))) <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# pixel_accuracy
-# ---------------------------------------------------------------------------
+        gt, pred = (_lmap(rng.integers(0, 4, size=(5, 7)), 4) for _ in range(2))
+        assert 0.0 <= _score_maps([gt], [pred], 4)["miou"] <= 1.0
 
 
 def test_pixel_accuracy_perfect():
-    assert pixel_accuracy(np.diag([7, 1])) == 1.0
+    gt = _lmap([[0, 0, 0, 0, 0, 0, 0, 1]], 2)  # class counts 7, 1
+    assert _score_maps([gt], [gt], 2)["pixel_accuracy"] == 1.0
 
 
 def test_pixel_accuracy_empty_rejected():
-    with pytest.raises(ValueError):
+    # the oracle refuses what evaluate_clip can never count: no pixel at all
+    with pytest.raises(ValueError, match="empty confusion counts"):
         pixel_accuracy(_zeros(2))
 
 
@@ -198,20 +204,21 @@ def test_pixel_accuracy_random_pred_law_of_large_numbers():
     rng = np.random.default_rng(4)
     gt = _lmap(rng.integers(0, c, size=(400, 250)), c)  # 1e5 pixels
     pred = _lmap(rng.integers(0, c, size=(400, 250)), c)
-    counts = accumulate(_zeros(c), pred, gt)
-    assert pixel_accuracy(counts) == pytest.approx(1.0 / c, abs=0.01)
+    assert _score_maps([gt], [pred], c)["pixel_accuracy"] == pytest.approx(1.0 / c, abs=0.01)
 
 
 def test_relabeling_equivariance():
     rng = np.random.default_rng(5)
     gt = rng.integers(0, 4, size=(20, 20))
     pred = rng.integers(0, 4, size=(20, 20))
-    counts = accumulate(_zeros(4), _lmap(pred, 4), _lmap(gt, 4))
     perm = np.array([2, 0, 3, 1])
-    counts_perm = accumulate(_zeros(4), _lmap(perm[pred], 4), _lmap(perm[gt], 4))
-    assert miou(counts_perm) == pytest.approx(miou(counts), abs=1e-12)
-    assert pixel_accuracy(counts_perm) == pytest.approx(pixel_accuracy(counts), abs=1e-12)
+    scores = _score_maps([_lmap(gt, 4)], [_lmap(pred, 4)], 4)
+    scores_perm = _score_maps([_lmap(perm[gt], 4)], [_lmap(perm[pred], 4)], 4)
+    assert scores_perm["miou"] == pytest.approx(scores["miou"], abs=1e-12)
+    assert scores_perm["pixel_accuracy"] == pytest.approx(scores["pixel_accuracy"], abs=1e-12)
     # the matrix itself is the permuted original
+    counts = accumulate(_zeros(4), _lmap(pred, 4), _lmap(gt, 4))
+    counts_perm = accumulate(_zeros(4), _lmap(perm[pred], 4), _lmap(perm[gt], 4))
     assert np.array_equal(counts_perm, counts[np.ix_(np.argsort(perm), np.argsort(perm))])
 
 
@@ -612,24 +619,39 @@ def test_score_rows_equals_per_pixel_scores_on_scenes(case):
 
 @st.composite
 def _many_cells(draw):
-    """A hand-built clip of up to 12 classes and up to 6 cells of row labels for it."""
+    """A hand-built clip of up to 40 classes, some absent, and up to 6 cells of row labels."""
     t_len = draw(st.integers(1, 4))
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    c = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    first = rng.integers(0, c, size=(h, w))
-    gt = [np.where(rng.random((h, w)) < 0.3, rng.integers(0, c, size=(h, w)), first)
+    # gt and predictions each draw from their own random subset of the classes
+    gt_classes, pred_classes = (rng.choice(c, size=rng.integers(1, c + 1), replace=False)
+                                for _ in range(2))
+    first = rng.choice(gt_classes, size=(h, w))
+    gt = [np.where(rng.random((h, w)) < 0.3, rng.choice(gt_classes, size=(h, w)), first)
           for _ in range(t_len)]
     sizes = [draw(st.integers(1, 7)) for _ in range(t_len)]
     indexes = [rng.integers(0, p, size=(h, w)) for p in sizes]
-    cells = [[rng.integers(0, c, size=p + draw(st.integers(0, 2))) for p in sizes]
+    cells = [[rng.choice(pred_classes, size=p + draw(st.integers(0, 2))) for p in sizes]
              for _ in range(draw(st.integers(1, 6)))]
     if draw(st.booleans()):  # a repeated cell scores the same as its first copy
         cells.append(cells[0])
     return np.array(gt), indexes, c, cells
 
 
+# 9 of 10 classes present: numpy sums 9 ratios in 8 partial sums, so a row sum
+# with a 0 for the absent class 6 rounds to 0.10185185185185185, not this cell's
+# 0.10185185185185183
+_NINE_PRESENT = (
+    np.array([[[4, 0, 5, 4, 7, 8, 2, 5, 7, 1, 4, 9, 5, 9]]]),
+    [np.array([[8, 4, 2, 2, 8, 8, 1, 5, 4, 1, 1, 8, 7, 3]])],
+    10,
+    [[np.arange(10)]],
+)
+
+
 @given(_many_cells())
+@example(_NINE_PRESENT)
 @settings(max_examples=150, deadline=None)
 def test_evaluate_clip_equals_one_cell_at_a_time(case):
     _assert_equals_per_frame_tally(*case)
