@@ -1,6 +1,7 @@
 """Byte-identity gate: SHA-256 of every CLI output for two specs, and of an edited scene's run.
 
-``sweep`` is pinned twice: its CSV and the summary it prints to stdout.
+``sweep`` is pinned twice: its CSV and the summary it prints to stdout.  A
+one-frame sweep pins the path where temporal consistency is undefined.
 
 A refactor must leave these bytes unchanged.  Criterion 6 compares two runs
 of the same build, which a change that moves every output in the same way
@@ -79,6 +80,14 @@ PINS = {
 # the README scene with one pixels.qtn value moved off the palette: frame 2,
 # pixel (0, 0), channel 0 set to 3.0, so frame 2 decodes over its own rows
 EDITED_RUN_PIN = "03390378911d24011ec97ba37e0d6fd404e110efd55dfe7d74cf06aac54186b0"
+
+
+# the README scene cut to one frame: every consistency cell is empty, "n/a" in the summary
+ONE_FRAME_SWEEP = {"scene": README_SCENE | {"t_len": 1}, "repeats": 2, "fractions": ["0", "1/8"]}
+ONE_FRAME_SWEEP_PINS = {
+    "csv": "7f610f249674bf974327bf47398a3518b6655cf636dbc5ac59a0d287b42c5c8f",
+    "stdout": "5bfa4669b5142b1d2c71f2857bd0cfe32282e357e4a5aee53164944e8eaa6f73",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -160,3 +169,16 @@ def test_edited_scene_run_matches_pin(tmp_path, capsys):
     assert main(argv + run_flags) == 0
     capsys.readouterr()
     assert _sha(report.read_bytes()) == EDITED_RUN_PIN
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_one_frame_sweep_matches_pin(tmp_path, parallel):
+    main = importlib.import_module("queryshift.cli").main
+    table = tmp_path / "table.csv"
+    argv = ["sweep", "--spec", _write_json(tmp_path / "sweep.json", ONE_FRAME_SWEEP)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv + ["--out", str(table), "--parallel", parallel]) == 0
+    assert ",,1.0\n" in table.read_text()  # no temporal consistency with one frame
+    assert _sha(table.read_bytes()) == ONE_FRAME_SWEEP_PINS["csv"]
+    assert _sha(stdout.getvalue().encode()) == ONE_FRAME_SWEEP_PINS["stdout"]
