@@ -127,15 +127,14 @@ def _score(
     ``evaluate_clip`` call.
     """
     q = scene.queries
-    alignments = {
-        m: align_clip(q) if m else ClipAlignment.identity(q.t_len, q.n_queries) for m in matchings
-    }
-    recoveries = {m: recovery_rate(a, scene) for m, a in alignments.items()}
-    grid = list(itertools.product(shifts, matchings))
-    rows = run_clip(scene, [(shift, alignments[m]) for shift, m in grid])
-    indexes = [p.index for p in scene.pixels]
-    scores = evaluate_clip(scene.gt_labels, indexes, scene.spec.num_classes, rows)
-    return [cell | {"recovery": recoveries[m]} for (_, m), cell in zip(grid, scores)]
+    alignments = [
+        align_clip(q) if m else ClipAlignment.identity(q.t_len, q.n_queries) for m in matchings
+    ]
+    recoveries = [recovery_rate(a, scene) for a in alignments] * len(shifts)
+    rows, classes = run_clip(scene, shifts, alignments)
+    flat = classes.reshape(-1, classes.shape[-1])  # shift-major, as the cells are listed
+    scores = evaluate_clip(scene.gt_labels, rows, scene.spec.num_classes, flat)
+    return [cell | {"recovery": r} for cell, r in zip(scores, recoveries)]
 
 
 # ---------------------------------------------------------------------------

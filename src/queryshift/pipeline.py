@@ -14,7 +14,7 @@ serves every shift run on the same clip.
 Decode and vote pass plain arrays: ``decode_masks`` returns (N, P) mask
 scores and (N, C) class logits, and ``semantic_inference`` votes them into a
 class per palette row, one call per palette for all of ``run_clip``'s cells.
-No per-pixel label map is built; ``rows[pixels.index]`` is one when needed.
+No per-pixel label map is built; ``classes[rows]`` is one when needed.
 """
 
 from __future__ import annotations
@@ -130,39 +130,40 @@ def shift_with_matching(
 
 
 def run_clip(
-    scene: SceneClip,
-    cells: Sequence[tuple[ShiftConfig, ClipAlignment]],
-    class_head: np.ndarray | None = None,
-) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per ``(shift, alignment)`` cell, a read-only (P_t,) intp class per palette row of frame t.
+    scene: SceneClip, shifts: Sequence[ShiftConfig], alignments: Sequence[ClipAlignment]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every shift under every alignment: read-only intp ``rows`` and ``classes``.
 
-    ``rows[t][scene.pixels[t].index]`` is frame t's per-pixel prediction.  The
-    cells sharing one alignment object shift in one ``shift_with_matching``
-    call, into one frame-major (T, S, N, D) stack, and the frames sharing one
-    palette object decode and vote together, in one ``decode_masks`` call.
-    ``class_head`` defaults to the head derived from the scene's prototypes.
+    The (T, H, W) ``rows`` number frame t's palette rows after those of the
+    frames before it; with the (S, A, R) ``classes``, ``classes[s, a][rows]``
+    is the per-pixel prediction of shift s under alignment a.  Each alignment
+    shifts in one ``shift_with_matching`` call, into one frame-major
+    (T, S, A, N, D) stack, and the frames sharing one palette object decode
+    and vote together, in one ``decode_masks`` call, with the head
+    ``class_head_for(scene)``.
     """
-    head = class_head_for(scene) if class_head is None else class_head
     groups: dict[int, list[int]] = {}  # palette object -> the frames using it
     for t, pixels in enumerate(scene.pixels):
         groups.setdefault(id(pixels.palette), []).append(t)
     order = [t for frames in groups.values() for t in frames]  # each group one slice
-    by_alignment: dict[int, list[int]] = {}  # alignment object -> the cells using it
-    for s, (_, alignment) in enumerate(cells):
-        by_alignment.setdefault(id(alignment), []).append(s)
     _, n, d = scene.queries.data.shape
-    stack = np.empty((len(order), len(cells), n, d))  # each palette group one contiguous block
-    for shared in by_alignment.values():
-        shifts = [cells[s][0] for s in shared]
-        shifted = shift_with_matching(scene.queries, shifts, cells[shared[0]][1])
-        stack[:, shared] = shifted.swapaxes(0, 1)[order]
+    grid = (len(shifts), len(alignments))
+    stack = np.empty((len(order), *grid, n, d))  # each palette group one contiguous block
+    for a, alignment in enumerate(alignments):
+        stack[:, :, a] = shift_with_matching(scene.queries, shifts, alignment).swapaxes(0, 1)[order]
     stack.setflags(write=False)  # so each palette group's queries view it, uncopied
-    by_frame = {}  # frame t -> its (S, P_t) classes
-    lo = 0
+    head, by_frame, lo = class_head_for(scene), {}, 0  # by_frame: frame t -> (S, A, P_t)
     for frames in groups.values():
         queries = FrameQuerySet(stack[lo : lo + len(frames)].reshape(-1, d))
         lo += len(frames)
         scores, logits = decode_masks(queries, scene.pixels[frames[0]], head)
-        labels = semantic_inference(*(a.reshape(-1, n, a.shape[1]) for a in (scores, logits)))
-        by_frame.update(zip(frames, labels.reshape(len(frames), len(cells), -1)))
-    return tuple(tuple(by_frame[t][s] for t in range(len(order))) for s in range(len(cells)))
+        labels = semantic_inference(*(x.reshape(-1, n, x.shape[1]) for x in (scores, logits)))
+        by_frame.update(zip(frames, labels.reshape(len(frames), *grid, -1)))
+    del stack, queries, scores, logits  # the decode arrays go before the rows grid is built
+    classes = np.concatenate([by_frame[t] for t in range(len(order))], axis=-1)
+    sizes = [len(p.palette) for p in scene.pixels]
+    rows = np.stack([p.index for p in scene.pixels], dtype=np.intp)
+    rows += (np.cumsum(sizes) - sizes)[:, None, None]
+    for arr in (rows, classes):
+        arr.setflags(write=False)
+    return rows, classes

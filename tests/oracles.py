@@ -230,9 +230,12 @@ def per_frame_tally_clip(gt_labels: np.ndarray, indexes: Sequence[np.ndarray], n
     return c, tuple(used), int(static.sum()), counts, pairs
 
 
-def per_frame_run_clip(scene, cells, class_head=None) -> tuple[tuple[np.ndarray, ...], ...]:
-    """``run_clip`` one cell and one frame at a time: each shifted frame decoded and voted alone."""
-    head = class_head_for(scene) if class_head is None else class_head
+def per_frame_run_clip(scene, cells) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``run_clip`` one cell and one frame at a time: each shifted frame decoded and voted alone.
+
+    Per ``(shift, alignment)`` cell, each frame's class per palette row.
+    """
+    head = class_head_for(scene)
     return tuple(
         tuple(
             semantic_inference(*decode_masks(queries, pixels, head))

@@ -128,12 +128,12 @@ def test_criterion_2_shift_matches_naive_reference():
 _RECOVERY_FRACTIONS = ("1/128", "1/64", "1/32", "1/16", "1/8", "1/4")
 
 
-def _clip_miou(scene, rows):
-    """The per-pixel oracle's mIoU of ``run_clip``'s rows, gathered through each frame's index."""
+def _clip_miou(scene, rows, classes):
+    """The per-pixel oracle's mIoU of one row of ``run_clip``'s classes, gathered through rows."""
     c = scene.spec.num_classes
     counts = np.zeros((c, c), dtype=np.int64)
-    for gt, pixels, r in zip(scene.gt_labels, scene.pixels, rows):
-        counts = accumulate(counts, r[pixels.index], gt)
+    for gt, pred in zip(scene.gt_labels, classes[rows]):
+        counts = accumulate(counts, pred, gt)
     return miou(counts)
 
 
@@ -157,13 +157,12 @@ def test_criterion_3_exact_recovery_experiment():
         for frac in _RECOVERY_FRACTIONS:
             shift = plan_shift(Fraction(frac), 64, HOLD)
             alignment = align_clip(scene.queries)
-            preds_on = run_clip(scene, [(shift, alignment)])[0]
+            rows, classes = run_clip(scene, [shift], [alignment, ClipAlignment.identity(6, 8)])
             assert recovery_rate(alignment, scene) == 1.0, (seed, frac)
-            miou_on = _clip_miou(scene, preds_on)
+            miou_on = _clip_miou(scene, rows, classes[0, 0])
             assert miou_on == 1.0, (seed, frac, miou_on)
             if Fraction(frac) >= Fraction(1, 32):
-                preds_off = run_clip(scene, [(shift, ClipAlignment.identity(6, 8))])[0]
-                miou_off = _clip_miou(scene, preds_off)
+                miou_off = _clip_miou(scene, rows, classes[0, 1])
                 assert miou_off < miou_on, (seed, frac, miou_off)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 3 runtime budget exceeded: {elapsed:.1f}s"

@@ -374,6 +374,26 @@ def test_align_composition_invariant(seed):
         assert np.array_equal(alignment.adjacent[t], mapping)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_permuting_a_frame_permutes_its_adjacent_matches(seed, t_len, n):
+    # orthonormal prototypes in per-frame orders, lightly perturbed: each pair's best
+    # assignment wins by a wide margin, so no tie can resolve differently
+    rng = np.random.default_rng(seed)
+    protos = _random_orthonormal(n, 16, seed)
+    data = np.array([protos[rng.permutation(n)] for _ in range(t_len)])
+    data += 0.05 * rng.standard_normal(data.shape)
+    t, perm = int(rng.integers(t_len - 1)), rng.permutation(n)
+    permuted = data.copy()
+    permuted[t + 1] = data[t + 1][perm]  # frame t + 1's query perm[j] moves to slot j
+    want, got = align_clip(ClipQueryTensor(data)), align_clip(ClipQueryTensor(permuted))
+    assert np.array_equal(got.adjacent[t], np.argsort(perm)[want.adjacent[t]])
+    if t + 2 < t_len:  # the pair that starts at the permuted frame reads its rows permuted
+        assert np.array_equal(got.adjacent[t + 1], want.adjacent[t + 1][perm])
+    rest = [u for u in range(t_len - 1) if u not in (t, t + 1)]
+    assert np.array_equal(got.adjacent[rest], want.adjacent[rest])
+
+
 def test_alignment_type_validation():
     ident = [0, 1, 2]
     swap = [1, 0, 2]

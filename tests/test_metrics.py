@@ -38,9 +38,28 @@ def _zeros(c):
     return np.zeros((c, c), dtype=np.int64)
 
 
+def _flatten(indexes, cells):
+    """Per-frame grids of palette rows and per-cell, per-frame row labels as ``(rows, classes)``.
+
+    ``cells[m][t]`` labels frame t's palette rows.  Frame t keeps as many
+    columns as its shortest label list has, numbered after those of the
+    frames before it, so rows a frame's grid never reaches stay in.
+    """
+    widths = [min(len(cell[t]) for cell in cells) for t in range(len(indexes))]
+    starts = np.cumsum(widths) - widths
+    rows = np.stack([np.asarray(index) + start for index, start in zip(indexes, starts)])
+    return rows, np.array([np.concatenate([r[:w] for r, w in zip(cell, widths)]) for cell in cells])
+
+
+def _evaluate_nested(gt, indexes, c, cells):
+    """``evaluate_clip`` of per-frame index grids and nested row labels, through ``_flatten``."""
+    rows, classes = _flatten(indexes, cells)
+    return evaluate_clip(gt, rows, c, classes)
+
+
 def _score_maps(gt, pred, c):
     """``evaluate_clip`` of per-pixel predictions: each map is its own index, row k is class k."""
-    return evaluate_clip(np.array(gt), pred, c, [[np.arange(c)] * len(pred)])[0]
+    return _evaluate_nested(np.array(gt), pred, c, [[np.arange(c)] * len(pred)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +318,15 @@ def test_evaluate_clip_scores_consistency_on_globally_static_pixels():
 
 
 def test_evaluate_clip_rejects_empty_and_mismatched_clips():
-    frame = _lmap([[0, 1]], 2)
-    with pytest.raises(ValueError, match="0 gt frames vs 0 indexes"):
-        _score_maps(np.zeros((0, 1, 2), dtype=np.int64), [], 2)
-    with pytest.raises(ValueError, match="2 gt frames vs 1 indexes"):
-        _score_maps([frame, frame], [frame], 2)
-    with pytest.raises(ValueError, match="1 frames of row labels vs 2 tallied"):
-        evaluate_clip(np.array([frame, frame]), [frame] * 2, 2, [[np.arange(2)]])
+    frame, one = _lmap([[0, 1]], 2), np.zeros((1, 2), np.intp)
+    empty = np.zeros((0, 1, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"gt labels must be a non-empty \(T, H, W\)"):
+        evaluate_clip(empty, empty, 2, one)
+    with pytest.raises(ValueError, match=r"rows must be a \(2, 1, 2\) integer grid"):
+        evaluate_clip(np.array([frame, frame]), np.array([frame]), 2, one)
     # a prediction over more classes than the ground truth has
-    with pytest.raises(ValueError, match=r"row labels must lie in \[0, 2\)"):
-        evaluate_clip(np.array([frame]), [np.array([[0, 2]])], 2, [[np.arange(3)]])
+    with pytest.raises(ValueError, match=r"classes must lie in \[0, 2\)"):
+        evaluate_clip(np.array([frame]), np.array([frame]), 2, np.array([[0, 2]]))
 
 
 def test_evaluate_clip_single_frame_has_null_consistency():
@@ -414,9 +432,14 @@ def _small_clip():
     return gt, [np.array([[0, 1], [2, 2]]), np.array([[1, 0], [0, 1]])], 2
 
 
+# _small_clip's indexes as clip rows: frame 0's palette rows are 0..2, frame 1's 3..4
+_SMALL_ROWS = np.array([[[0, 1], [2, 2]], [[4, 3], [3, 4]]])
+_SMALL_GT = _small_clip()[0]
+
+
 def test_score_rows_hand_example():
     # frame 0 predicts [[0, 1], [1, 1]], frame 1 [[1, 0], [0, 1]]
-    (scores,) = evaluate_clip(*_small_clip(), [[np.array([0, 1, 1]), np.array([0, 1])]])
+    (scores,) = evaluate_clip(_SMALL_GT, _SMALL_ROWS, 2, np.array([[0, 1, 1, 0, 1]]))
     gt = [_lmap([[0, 1], [1, 1]], 2), _lmap([[0, 1], [0, 1]], 2)]
     preds = [_lmap([[0, 1], [1, 1]], 2), _lmap([[1, 0], [0, 1]], 2)]
     assert scores == _per_pixel_scores(gt, preds, 2)
@@ -425,62 +448,69 @@ def test_score_rows_hand_example():
 
 
 def test_score_rows_ignores_rows_no_pixel_uses():
-    base = evaluate_clip(*_small_clip(), [[np.array([0, 1, 1]), np.array([0, 1])]])
-    longer = evaluate_clip(
-        *_small_clip(), [[np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)]]
-    )
+    base = evaluate_clip(_SMALL_GT, _SMALL_ROWS, 2, np.array([[0, 1, 1, 0, 1]]))
+    # columns 3, 4 and 7 are no pixel's: frame 1's rows move up to 5..6
+    wide = _SMALL_ROWS + np.array([0, 2])[:, None, None]
+    longer = evaluate_clip(_SMALL_GT, wide, 2, np.array([[0, 1, 1, 0, 1, 0, 1, 1]], np.uint8))
     assert longer == base
+    nested = [[np.array([0, 1, 1, 0, 1]), np.array([0, 1, 1], dtype=np.uint8)]]
+    assert _evaluate_nested(*_small_clip(), nested) == base
 
 
-@pytest.mark.parametrize(
-    "labels, match",
-    [
-        ([np.array([0, 1, 1])], "1 frames of row labels vs 2 tallied"),
-        ([np.array([0, 1, 1])] * 3, "3 frames of row labels vs 2 tallied"),
-        ([np.array([0, 1]), np.array([0, 1])], "frame 0: .*at least 3 of them"),
-        ([np.array([0, 1, 1]), np.array([0])], "frame 1: .*at least 2 of them"),
-        ([np.array([[0, 1, 1]]), np.array([0, 1])], "frame 0: .*1-D"),
-        ([np.array([0.0, 1.0, 1.0]), np.array([0, 1])], "frame 0: .*integers"),
-        ([np.array([0, 1, 1]), np.array([True, False])], "frame 1: .*integers"),
-        ([np.array([0, 1, 2]), np.array([0, 1])], r"must lie in \[0, 2\)"),
-        ([np.array([0, 1, 1]), np.array([-1, 1])], r"must lie in \[0, 2\)"),
-    ],
-    ids=["too_few_frames", "too_many_frames", "short_frame_0", "short_frame_1", "two_d",
-         "float", "bool", "class_too_high", "negative"],
-)
-def test_score_rows_rejects_bad_row_labels(labels, match):
-    good = [np.array([0, 1, 1]), np.array([0, 1])]
-    for cells in ([labels], [good, labels]):  # the first cell or a later one
-        with pytest.raises(ValueError, match=match):
-            evaluate_clip(*_small_clip(), cells)
-        with pytest.raises(ValueError, match=match):
-            evaluate_one(per_frame_tally_clip(*_small_clip()), labels)
+_GOOD = np.array([0, 1, 1, 0, 1])
+# id -> (nested labels for the oracle, its message; rows and classes for evaluate_clip, its message)
+_BAD_ROW_LABELS = {
+    "too_few_frames": ([np.array([0, 1, 1])], "1 frames of row labels vs 2 tallied",
+                       _SMALL_ROWS[:1], [_GOOD], r"rows must be a \(2, 2, 2\) integer grid"),
+    "too_many_frames": ([np.array([0, 1, 1])] * 3, "3 frames of row labels vs 2 tallied",
+                        _SMALL_ROWS[[0, 1, 0]], [_GOOD], r"rows must be a \(2, 2, 2\) integer"),
+    "short_frame_0": ([np.array([0, 1]), np.array([0, 1])], "frame 0: .*at least 3 of them",
+                      _SMALL_ROWS, [[0, 1]], r"integer grid in \[0, 2\)"),
+    "short_frame_1": ([np.array([0, 1, 1]), np.array([0])], "frame 1: .*at least 2 of them",
+                      _SMALL_ROWS, [[0, 1, 1, 0]], r"integer grid in \[0, 4\)"),
+    "two_d": ([np.array([[0, 1, 1]]), np.array([0, 1])], "frame 0: .*1-D",
+              _SMALL_ROWS, [[_GOOD]], r"classes must be an \(M, R\) integer array"),
+    "float": ([np.array([0.0, 1.0, 1.0]), np.array([0, 1])], "frame 0: .*integers",
+              _SMALL_ROWS, [_GOOD + 0.0], r"classes must be an \(M, R\) integer array"),
+    "bool": ([np.array([0, 1, 1]), np.array([True, False])], "frame 1: .*integers",
+             _SMALL_ROWS, [_GOOD > 0], r"classes must be an \(M, R\) integer array"),
+    "class_too_high": ([np.array([0, 1, 2]), np.array([0, 1])], r"must lie in \[0, 2\)",
+                       _SMALL_ROWS, [_GOOD, [0, 1, 2, 0, 1]], r"classes must lie in \[0, 2\)"),
+    "negative": ([np.array([0, 1, 1]), np.array([-1, 1])], r"must lie in \[0, 2\)",
+                 _SMALL_ROWS, [_GOOD, [0, 1, 1, -1, 1]], r"classes must lie in \[0, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ROW_LABELS))
+def test_score_rows_rejects_bad_row_labels(case):
+    labels, oracle_match, rows, classes, match = _BAD_ROW_LABELS[case]
+    with pytest.raises(ValueError, match=match):
+        evaluate_clip(_SMALL_GT, rows, 2, np.array(classes))
+    with pytest.raises(ValueError, match=oracle_match):
+        evaluate_one(per_frame_tally_clip(*_small_clip()), labels)
 
 
 def test_evaluate_clip_of_no_cells_is_empty():
-    assert evaluate_clip(*_small_clip(), []) == []
+    assert evaluate_clip(_SMALL_GT, _SMALL_ROWS, 2, np.zeros((0, 5), np.intp)) == []
 
 
 def test_evaluate_clip_rejects_mismatched_indexes():
     gt = np.array([[[0, 1], [1, 1]]] * 2, dtype=np.uint8)
-    index = np.zeros((2, 2), dtype=np.intp)
-    cells = [[np.arange(2)] * 2]
-    with pytest.raises(ValueError, match="2 gt frames vs 1 indexes"):
-        evaluate_clip(gt, [index], 2, cells)
-    with pytest.raises(ValueError, match="2 gt frames vs 3 indexes"):
-        evaluate_clip(gt, [index] * 3, 2, cells)
-    with pytest.raises(ValueError, match="0 gt frames vs 0 indexes"):
-        evaluate_clip(gt[:0], [], 2, [])
-    for bad_gt in (gt[0], gt.astype(bool)):
-        with pytest.raises(ValueError, match=r"must be a \(T, H, W\) integer array"):
-            evaluate_clip(bad_gt, [index, index], 2, cells)
+    rows, classes = np.zeros((2, 2, 2), dtype=np.intp), np.zeros((1, 2), dtype=np.intp)
+    for bad_gt in (gt[0], gt.astype(bool), gt[:0], gt[:, :0]):
+        with pytest.raises(ValueError, match=r"must be a non-empty \(T, H, W\) integer array"):
+            evaluate_clip(bad_gt, rows, 2, classes)
     for bad_gt in (gt + 1, gt.astype(np.int64) - 1):
         with pytest.raises(ValueError, match=r"gt labels must lie in \[0, 2\)"):
-            evaluate_clip(bad_gt, [index, index], 2, cells)
-    for bad in (np.zeros((2, 3), dtype=np.intp), np.zeros(4, dtype=np.intp),
-                np.zeros((2, 2)), np.full((2, 2), -1)):
-        with pytest.raises(ValueError, match=r"is not a row grid like \(2, 2\)"):
-            evaluate_clip(gt, [index, bad], 2, cells)
+            evaluate_clip(bad_gt, rows, 2, classes)
+    # another shape, not integers, negative, or past the last column of classes
+    for bad in (rows[:1], rows[[0, 1, 1]], rows[0], rows[:, :, :1], rows + 0.0, rows > 0,
+                rows - 1, rows + 2):
+        with pytest.raises(ValueError, match=r"rows must be a \(2, 2, 2\) integer grid in \[0, 2"):
+            evaluate_clip(gt, bad, 2, classes)
+    assert evaluate_clip(gt, rows.astype(np.uint64) + 1, 2, classes.astype(np.uint8)) == (
+        evaluate_clip(gt, rows + 1, 2, classes)
+    )
 
 
 def test_tally_of_a_loaded_scene_counts_palette_rows(tmp_path):
@@ -489,14 +519,16 @@ def test_tally_of_a_loaded_scene_counts_palette_rows(tmp_path):
     )
     save_scene(generate_scene(spec), tmp_path)
     scene = load_scene(tmp_path)
-    indexes, rows = [p.index for p in scene.pixels], spec.n_tracks + 1
-    # every frame counts exactly its palette's K + 1 rows: K + 1 labels each do, K do not
-    full = [np.zeros(rows, np.intp)] * spec.t_len
-    assert len(evaluate_clip(scene.gt_labels, indexes, spec.num_classes, [full])) == 1
-    for t in range(spec.t_len):
-        short = [np.zeros(rows - (s == t), np.intp) for s in range(spec.t_len)]
-        with pytest.raises(ValueError, match=f"frame {t}: .*at least {rows} of them"):
-            evaluate_clip(scene.gt_labels, indexes, spec.num_classes, [short])
+    identity = ClipAlignment.identity(spec.t_len, spec.n_queries)
+    rows, classes = run_clip(scene, [plan_shift("0", spec.dim)], [identity])
+    # frame t's K + 1 palette rows follow the frames before it, and its grid reaches them all
+    k, c = spec.n_tracks + 1, spec.num_classes
+    assert classes.shape == (1, 1, spec.t_len * k)
+    for t, (grid, pixels) in enumerate(zip(rows, scene.pixels)):
+        assert np.array_equal(grid, pixels.index + t * k) and grid.max() == (t + 1) * k - 1
+    assert len(evaluate_clip(scene.gt_labels, rows, c, classes[0])) == 1
+    with pytest.raises(ValueError, match=rf"integer grid in \[0, {spec.t_len * k - 1}\)"):
+        evaluate_clip(scene.gt_labels, rows, c, classes[0, :, :-1])
 
 
 @st.composite
@@ -528,7 +560,7 @@ def _assert_equals_per_frame_tally(gt, indexes, c, cells):
     Several random cells read every counted row, so a miscounted row shows.
     """
     tally = per_frame_tally_clip(gt, indexes, c)
-    assert evaluate_clip(gt, indexes, c, cells) == [evaluate_one(tally, rows) for rows in cells]
+    assert _evaluate_nested(gt, indexes, c, cells) == [evaluate_one(tally, rows) for rows in cells]
 
 
 @st.composite
@@ -573,8 +605,46 @@ def test_one_pass_tally_equals_per_frame_tally_on_hand_built_clips(clip):
 def test_score_rows_equals_per_pixel_scores_on_hand_built_clips(clip):
     gt, indexes, (rows, *_), c = clip
     preds = [_lmap(r[index], c) for r, index in zip(rows, indexes)]
-    (scores,) = evaluate_clip(gt, indexes, c, [rows])
+    (scores,) = _evaluate_nested(gt, indexes, c, [rows])
     assert scores == _score_maps(gt, preds, c) == _per_pixel_scores(gt, preds, c)
+
+
+@st.composite
+def _clip_rows(draw):
+    """A hand-built clip, its (T, H, W) clip rows in one of three layouts, and (M, R) classes.
+
+    "offsets": each frame its own palette, numbered after the frames before it;
+    "shared": every frame draws from one set of columns; "per_pixel": one
+    column per pixel.  Up to 3 columns no pixel uses follow.
+    """
+    t_len = draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    c = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = rng.integers(0, c, size=(h, w))
+    gt = np.array([np.where(rng.random((h, w)) < 0.3, rng.integers(0, c, size=(h, w)), first)
+                   for _ in range(t_len)])
+    layout = draw(st.sampled_from(["offsets", "shared", "per_pixel"]))
+    if layout == "offsets":
+        sizes = [draw(st.integers(1, 7)) for _ in range(t_len)]
+        starts = np.cumsum(sizes) - sizes
+        rows = np.stack([rng.integers(0, p, size=(h, w)) + s for p, s in zip(sizes, starts)])
+    elif layout == "shared":
+        rows = rng.integers(0, draw(st.integers(1, 7)), size=(t_len, h, w))
+    else:
+        rows = np.arange(t_len * h * w).reshape(t_len, h, w)
+    r = int(rows.max()) + 1 + draw(st.integers(0, 3))
+    classes = rng.integers(0, c, size=(draw(st.integers(1, 5)), r))
+    return gt, rows, c, classes
+
+
+@given(_clip_rows())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_clip_scores_each_row_of_classes_through_the_rows_grid(case):
+    gt, rows, c, classes = case
+    assert evaluate_clip(gt, rows, c, classes) == [
+        _per_pixel_scores(gt, prediction[rows], c) for prediction in classes
+    ]
 
 
 @st.composite
@@ -609,11 +679,10 @@ def test_score_rows_equals_per_pixel_scores_on_scenes(case):
             scene = load_scene(tmp)
     q = scene.queries
     alignment = align_clip(q) if matching else ClipAlignment.identity(q.t_len, q.n_queries)
-    c, indexes = spec.num_classes, [pixels.index for pixels in scene.pixels]
-    rows = run_clip(scene, [(shift, alignment)])[0]
-    preds = [_lmap(r[index], c) for r, index in zip(rows, indexes)]
-    assert evaluate_clip(scene.gt_labels, indexes, c, [rows]) == [
-        _per_pixel_scores(scene.gt_labels, preds, c)
+    c = spec.num_classes
+    rows, classes = run_clip(scene, [shift], [alignment])
+    assert evaluate_clip(scene.gt_labels, rows, c, classes[0]) == [
+        _per_pixel_scores(scene.gt_labels, classes[0, 0][rows], c)
     ]
 
 

@@ -410,9 +410,15 @@ def _scene(fraction="1/4", **kw):
     return generate_scene(SceneSpec(**base))
 
 
+def _run_one(scene, shift, alignment):
+    """``run_clip`` of one shift under one alignment, split into each frame's palette rows."""
+    _, classes = run_clip(scene, [shift], [alignment])
+    return np.split(classes[0, 0], np.cumsum([len(p.palette) for p in scene.pixels])[:-1])
+
+
 def test_run_clip_fraction_zero_matches_frame_independent():
     scene = _scene()
-    preds = run_clip(scene, [(_shift(0, 64, HOLD), align_clip(scene.queries))])[0]
+    preds = _run_one(scene, _shift(0, 64, HOLD), align_clip(scene.queries))
     head = class_head_for(scene)
     for t, pred in enumerate(preds):
         solo = semantic_inference(*decode_masks(scene.queries.frames[t], scene.pixels[t], head))
@@ -420,27 +426,28 @@ def test_run_clip_fraction_zero_matches_frame_independent():
 
 
 def test_row_labels_are_read_only_votes_per_palette_row():
-    # run_clip returns one read-only intp class per palette row of each frame
+    # run_clip returns read-only intp clip rows and one class per palette row of each frame
     scene = _scene(n_tracks=3, n_queries=5, num_classes=4, noise_sigma=0.3)
     shift = _shift("1/4", 64, HOLD)
     alignment = align_clip(scene.queries)
     head = class_head_for(scene)
     shifted = _shifted(scene.queries, shift, alignment)
-    reversed_head = head[:, ::-1]  # a caller's head replaces the scene's
-    for own, rows in ((head, run_clip(scene, [(shift, alignment)])[0]),
-                      (reversed_head, run_clip(scene, [(shift, alignment)], reversed_head)[0])):
-        assert len(rows) == scene.spec.t_len
-        for r, queries, pixels in zip(rows, shifted.frames, scene.pixels):
-            assert r.dtype == np.intp and r.shape == (pixels.palette.shape[0],)
-            assert not r.flags.writeable
-            assert np.array_equal(r, semantic_inference(*decode_masks(queries, pixels, own)))
+    rows, classes = run_clip(scene, [shift], [alignment])
+    k = scene.spec.n_tracks + 1  # the frames share one (K + 1)-row palette
+    assert rows.shape == (4, 32, 32) and classes.shape == (1, 1, 4 * k)
+    for arr in (rows, classes):
+        assert arr.dtype == np.intp and not arr.flags.writeable
+    for t, (queries, pixels) in enumerate(zip(shifted.frames, scene.pixels)):
+        assert np.array_equal(rows[t], pixels.index + t * k)
+        votes = semantic_inference(*decode_masks(queries, pixels, head))
+        assert np.array_equal(classes[0, 0, t * k : (t + 1) * k], votes)
 
 
 def test_run_clip_identity_permutations_matching_irrelevant():
     scene = _scene(permute_per_frame=False)
     for boundary in (ZERO, HOLD):
-        on = run_clip(scene, [(_shift("1/4", 64, boundary), _aligned(scene.queries, True))])[0]
-        off = run_clip(scene, [(_shift("1/4", 64, boundary), _aligned(scene.queries, False))])[0]
+        on = _run_one(scene, _shift("1/4", 64, boundary), _aligned(scene.queries, True))
+        off = _run_one(scene, _shift("1/4", 64, boundary), _aligned(scene.queries, False))
         for a, b in zip(on, off):
             assert np.array_equal(a, b)
 
@@ -448,14 +455,14 @@ def test_run_clip_identity_permutations_matching_irrelevant():
 def test_run_clip_matched_is_exact_unmatched_is_not():
     scene = _scene(seed=3)
     alignment = align_clip(scene.queries)
-    preds_on = run_clip(scene, [(_shift("1/4", 64, HOLD), alignment)])[0]
+    preds_on = _run_one(scene, _shift("1/4", 64, HOLD), alignment)
     for pred, pixels, gt in zip(preds_on, scene.pixels, scene.gt_labels):
         assert np.array_equal(pred[pixels.index], gt)
     from queryshift.synth import recovery_rate
 
     assert recovery_rate(alignment, scene) == 1.0
 
-    preds_off = run_clip(scene, [(_shift("1/4", 64, HOLD), _aligned(scene.queries, False))])[0]
+    preds_off = _run_one(scene, _shift("1/4", 64, HOLD), _aligned(scene.queries, False))
     wrong = sum(
         int((pred[pixels.index] != gt).sum())
         for pred, pixels, gt in zip(preds_off, scene.pixels, scene.gt_labels)
@@ -506,7 +513,7 @@ def test_palette_decode_is_bit_identical_to_per_pixel(case):
     head = class_head_for(scene)
     alignment = _aligned(scene.queries, matching)
     shifted = _shifted(scene.queries, shift, alignment)
-    rows = run_clip(scene, [(shift, alignment)])[0]
+    rows = _run_one(scene, shift, alignment)
     assert scene.pixels[0].palette.shape == (spec.n_tracks + 1, spec.dim)
     for queries, pixels, r in zip(shifted.frames, scene.pixels, rows):
         scores, _ = decode_masks(queries, pixels, head)
@@ -533,8 +540,8 @@ def test_loaded_scene_labels_equal_generated(tmp_path, kw):
         shift = _shift(fraction, scene.spec.dim, HOLD)
         for matching in (True, False):
             alignment = _aligned(scene.queries, matching)
-            ours = run_clip(scene, [(shift, alignment)])[0]
-            theirs = run_clip(loaded, [(shift, alignment)])[0]
+            ours = _run_one(scene, shift, alignment)
+            theirs = _run_one(loaded, shift, alignment)
             for a, p, b, q in zip(ours, scene.pixels, theirs, loaded.pixels):
                 assert np.array_equal(a[p.index], b[q.index])
 
@@ -631,18 +638,13 @@ def test_recovered_palette_equals_identity_palette(tmp_path, monkeypatch, capsys
         if edit == "intact":
             assert np.array_equal(pixels.index, scene.pixels[t].index)
 
-    cells = [
-        (_shift(fraction, scene.spec.dim, HOLD), _aligned(scene.queries, matching))
-        for fraction in ("0", "1/4")
-        for matching in (True, False)
-    ]
-    ours, theirs = run_clip(loaded, cells), run_clip(oracle, cells)
+    shifts = [_shift(fraction, scene.spec.dim, HOLD) for fraction in ("0", "1/4")]
+    alignments = [_aligned(scene.queries, matching) for matching in (True, False)]
+    (ours, a), (theirs, b) = (run_clip(s, shifts, alignments) for s in (loaded, oracle))
+    assert np.array_equal(a[..., ours], b[..., theirs])  # (S, A, T, H, W) per-pixel classes
     c = scene.spec.num_classes
-    for a, b in zip(ours, theirs):
-        for ra, p, rb, q in zip(a, loaded.pixels, b, oracle.pixels):
-            assert np.array_equal(ra[p.index], rb[q.index])
-    assert evaluate_clip(loaded.gt_labels, [p.index for p in loaded.pixels], c, ours) == (
-        evaluate_clip(oracle.gt_labels, [p.index for p in oracle.pixels], c, theirs)
+    assert evaluate_clip(loaded.gt_labels, ours, c, a.reshape(4, -1)) == (
+        evaluate_clip(oracle.gt_labels, theirs, c, b.reshape(4, -1))
     )
 
     cfg = tmp_path / "cfg.json"
@@ -698,26 +700,25 @@ def _stacked_cases(draw):
         motion=draw(st.integers(0, 2)),
         seed=draw(st.integers(0, 2**32)),
     )
-    cells = draw(
+    shifts = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["0", "1/8", "1/4", "3/8", "1/2"]),
-                st.sampled_from([ZERO, HOLD]),
-                st.booleans(),
+                st.sampled_from(["0", "1/8", "1/4", "3/8", "1/2"]), st.sampled_from([ZERO, HOLD])
             ),
             min_size=1,
-            max_size=14,
+            max_size=7,
         )
     )
+    matchings = draw(st.lists(st.booleans(), min_size=1, max_size=3))
     layout = draw(st.sampled_from(["generated", "loaded", "partly_shared"]))
     groups = draw(st.lists(st.integers(0, 2), min_size=spec.t_len, max_size=spec.t_len))
-    return spec, cells, layout, groups, draw(st.booleans())
+    return spec, shifts, matchings, layout, groups, draw(st.booleans())
 
 
 @given(_stacked_cases())
 @settings(max_examples=120, deadline=None)
 def test_stacked_run_clip_equals_per_frame_oracle(case):
-    spec, cells, layout, groups, shared = case
+    spec, shifts, matchings, layout, groups, shared = case
     scene = generate_scene(spec)
     if layout == "loaded":  # the recovered (K + 1)-row palette
         with tempfile.TemporaryDirectory() as tmp:
@@ -725,27 +726,25 @@ def test_stacked_run_clip_equals_per_frame_oracle(case):
             scene = load_scene(tmp)
     elif layout == "partly_shared":
         scene = _regroup_palettes(scene, groups)
-    # one alignment object per matching mode, as a sweep has, or one per cell
-    alignments = {m: _aligned(scene.queries, m) for m in (False, True)}
-    cells = [
-        (
-            _shift(fraction, spec.dim, boundary),
-            alignments[matching] if shared else _aligned(scene.queries, matching),
-        )
-        for fraction, boundary, matching in cells
-    ]
-    got = run_clip(scene, cells)
-    want = per_frame_run_clip(scene, cells)
-    assert len(got) == len(cells)
+    # a repeated matching mode reuses one alignment object, or makes a new one
+    modes = {m: _aligned(scene.queries, m) for m in (False, True)}
+    alignments = [modes[m] if shared else _aligned(scene.queries, m) for m in matchings]
+    shifts = [_shift(fraction, spec.dim, boundary) for fraction, boundary in shifts]
+    rows, classes = run_clip(scene, shifts, alignments)
+    want = per_frame_run_clip(scene, [(s, a) for s in shifts for a in alignments])
+    sizes = [len(p.palette) for p in scene.pixels]
+    assert rows.dtype == classes.dtype == np.intp
+    assert not rows.flags.writeable and not classes.flags.writeable
+    assert classes.shape == (len(shifts), len(alignments), sum(sizes))
+    got = classes.reshape(len(want), -1)  # shift-major, as the oracle's cells are listed
     for got_rows, want_rows in zip(got, want):
-        assert len(got_rows) == spec.t_len
-        for r, w in zip(got_rows, want_rows):
-            assert r.dtype == np.intp and not r.flags.writeable
-            assert r.shape == w.shape and np.all(r == w)
+        assert np.array_equal(got_rows, np.concatenate(want_rows))
+    for t, (grid, pixels) in enumerate(zip(rows, scene.pixels)):
+        assert np.array_equal(grid, pixels.index + sum(sizes[:t]))
     indexes = [p.index for p in scene.pixels]
     tally = per_frame_tally_clip(scene.gt_labels, indexes, spec.num_classes)
-    assert evaluate_clip(scene.gt_labels, indexes, spec.num_classes, got) == [
-        evaluate_one(tally, rows) for rows in want
+    assert evaluate_clip(scene.gt_labels, rows, spec.num_classes, got) == [
+        evaluate_one(tally, cell) for cell in want
     ]
 
 
@@ -760,21 +759,21 @@ def test_run_clip_decodes_once_per_shared_palette(monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "decode_masks", counted)
     scene = _scene(t_len=6, n_tracks=4, n_queries=4, dim=128, num_classes=5, noise_sigma=0.3)
     fractions = ["0", "1/128", "1/64", "1/32", "1/16", "1/8", "1/4"]
-    cells = [
-        (_shift(f, 128, HOLD), _aligned(scene.queries, m)) for f in fractions for m in (False, True)
-    ]
-    rows = run_clip(scene, cells)
+    shifts = [_shift(f, 128, HOLD) for f in fractions]
+    off, on = (_aligned(scene.queries, m) for m in (False, True))
+    rows, classes = run_clip(scene, shifts, [off, on])
     assert calls == [14 * 6 * 4]  # one call over every cell's every frame
-    assert len(rows) == 14 and all(len(r) == 6 for r in rows)
+    assert rows.shape == (6, 32, 32) and classes.shape == (7, 2, 6 * 5)
     calls.clear()
-    run_clip(_regroup_palettes(scene, [0, 1, 0, 2, 1, 0]), cells[:3])
+    run_clip(_regroup_palettes(scene, [0, 1, 0, 2, 1, 0]), shifts[:3], [off])
     assert calls == [3 * 3 * 4, 3 * 2 * 4, 3 * 1 * 4]  # groups in order of first use
     save_scene(scene, tmp_path)
     calls.clear()
-    run_clip(load_scene(tmp_path), cells[:2])
+    run_clip(load_scene(tmp_path), shifts[:1], [off, on])
     assert calls == [2 * 6 * 4]  # a loaded scene's frames share its recovered palette
-    with pytest.raises(ValueError, match="non-empty"):
-        run_clip(scene, [])  # no cell is no query to decode
+    for empty in (([], [off]), (shifts, [])):
+        with pytest.raises(ValueError, match="non-empty"):
+            run_clip(scene, *empty)  # no cell is no query to decode
 
 
 def test_run_clip_decodes_a_view_of_its_stack(monkeypatch):
@@ -787,13 +786,13 @@ def test_run_clip_decodes_a_view_of_its_stack(monkeypatch):
 
     monkeypatch.setattr(pipeline, "decode_masks", spied)
     scene = _scene(t_len=3, n_tracks=4, n_queries=5, num_classes=5, noise_sigma=0.3)
-    cells = [(_shift(f, 64, HOLD), _aligned(scene.queries, True)) for f in ("0", "1/4")]
-    run_clip(scene, cells)
+    cells = ([_shift(f, 64, HOLD) for f in ("0", "1/4")], [_aligned(scene.queries, True)])
+    run_clip(scene, *cells)
     (queries,) = seen  # one palette, one decode
     assert queries.data.shape == (2 * 3 * 5, 64)
     assert not queries.data.flags.owndata  # the frozen stack, neither copied nor rebuilt
     seen.clear()
-    run_clip(_regroup_palettes(scene, [0, 1, 0]), cells)  # frames 0 and 2 share a palette
+    run_clip(_regroup_palettes(scene, [0, 1, 0]), *cells)  # frames 0 and 2 share a palette
     assert [q.data.shape for q in seen] == [(2 * 2 * 5, 64), (2 * 1 * 5, 64)]
     assert not any(q.data.flags.owndata for q in seen)  # each group a block of the stack
 
@@ -842,7 +841,11 @@ def test_run_clip_shifts_once_per_alignment(monkeypatch):
     monkeypatch.setattr(pipeline, "shift_with_matching", counted)
     scene = _scene(t_len=3, n_tracks=4, n_queries=5, num_classes=5, noise_sigma=0.3)
     off, on = (_aligned(scene.queries, m) for m in (False, True))
-    fractions = ["0", "1/64", "1/16", "1/4", "1/4"]
-    rows = run_clip(scene, [(_shift(f, 64, HOLD), a) for f in fractions for a in (off, on)])
+    shifts = [_shift(f, 64, HOLD) for f in ["0", "1/64", "1/16", "1/4", "1/4"]]
+    _, classes = run_clip(scene, shifts, [off, on])
     assert calls == [(5, off), (5, on)]
-    assert len(rows) == 10
+    assert classes.shape[:2] == (5, 2)
+    calls.clear()
+    _, twice = run_clip(scene, shifts, [on, on])  # by position: one object listed twice
+    assert calls == [(5, on), (5, on)]
+    assert np.array_equal(twice[:, 0], twice[:, 1]) and np.array_equal(twice[:, 1], classes[:, 1])
