@@ -143,7 +143,7 @@ def _json_ints(what: str, values) -> list:
 
 
 def _json_floats(what: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as float64 if it is nested JSON lists of ``shape`` finite numbers."""
+    """``value`` as read-only float64 if it is nested JSON lists of ``shape`` finite numbers."""
 
     def fits(v, dims):
         if not dims:
@@ -153,6 +153,7 @@ def _json_floats(what: str, value, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.array(value, dtype=np.float64) if fits(value, shape) else None
     if arr is None or not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be a JSON list of shape {shape} of finite numbers")
+    arr.setflags(write=False)
     return arr
 
 
@@ -206,6 +207,21 @@ class SceneSpec:
         if self.motion < 0:
             raise InfeasibleSceneError("motion must be >= 0")
 
+    @property
+    def track_classes(self) -> tuple[int, ...]:
+        """Track k's class, k mod (num_classes - 1): the last class is background."""
+        return tuple(k % max(self.num_classes - 1, 1) for k in range(self.n_tracks))
+
+    @property
+    def signature_scale(self) -> float | None:
+        """rho of the outer-channel signature layout, or None when dim is too small for it."""
+        core_width = self.dim - 2 * max(1, self.dim // 8)
+        if core_width < self.n_tracks + (self.n_queries > self.n_tracks) or self.dim < 3:
+            return None
+        # strictly inside the feasibility bound rho^2 <= 2/K so the Gram
+        # correction stays positive definite
+        return min(0.6, math.sqrt(2.0 / self.n_tracks * (1.0 - 1.0 / 64.0)))
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -242,6 +258,7 @@ class SceneClip:
     (T, N) intp array; slots >= K hold surplus (no-object) queries.
     ``gt_labels[t, y, x]`` is the class of frame t's pixel (y, x), a
     read-only (T, H, W) uint8 array with values in [0, num_classes).
+    Callers hand it read-only arrays, which it keeps as given: nothing is copied.
     """
 
     spec: SceneSpec
@@ -251,22 +268,6 @@ class SceneClip:
     gt_tracks: np.ndarray
     prototypes: np.ndarray  # (K, D), orthonormal rows
     no_object: np.ndarray | None  # (D,) shared surplus prototype, or None
-    track_classes: tuple[int, ...]
-    signature_scale: float | None  # rho of the outer-channel layout, or None
-
-    def __post_init__(self):
-        protos = np.array(self.prototypes, dtype=np.float64, copy=True)
-        protos.setflags(write=False)
-        object.__setattr__(self, "prototypes", protos)
-        if self.no_object is not None:
-            no = np.array(self.no_object, dtype=np.float64, copy=True)
-            no.setflags(write=False)
-            object.__setattr__(self, "no_object", no)
-        object.__setattr__(self, "pixels", tuple(self.pixels))
-        tracks = np.array(self.gt_tracks, dtype=np.intp)
-        tracks.setflags(write=False)
-        object.__setattr__(self, "gt_tracks", tracks)
-        object.__setattr__(self, "track_classes", tuple(int(c) for c in self.track_classes))
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -313,21 +314,14 @@ def _signature_angles(k: int) -> list[float]:
     return [2.0 * math.pi * i / k for i in range(k)]
 
 
-def _signature_scale(k: int) -> float:
-    # strictly inside the feasibility bound rho^2 <= 2/K so the Gram
-    # correction stays positive definite
-    return min(0.6, math.sqrt(2.0 / k * (1.0 - 1.0 / 64.0)))
-
-
-def _build_prototypes(
-    rng: Rng, n_tracks: int, want_no_object: bool, dim: int
-) -> tuple[list[list[float]], list[float] | None, float | None]:
+def _build_prototypes(rng: Rng, spec: SceneSpec) -> tuple[list[list[float]], list[float] | None]:
     """Draw and assemble prototypes; see the module docstring for layout."""
-    k_total = n_tracks + (1 if want_no_object else 0)
-    margin = max(1, dim // 8)
-    core_width = dim - 2 * margin
-    if core_width >= k_total and dim >= 3:
-        rho = _signature_scale(n_tracks)
+    n_tracks, dim, rho = spec.n_tracks, spec.dim, spec.signature_scale
+    want_no_object = spec.n_queries > n_tracks
+    k_total = n_tracks + want_no_object
+    if rho is not None:
+        margin = max(1, dim // 8)
+        core_width = dim - 2 * margin
         raw = [rng.gauss_vector(core_width).tolist() for _ in range(k_total)]
         basis = _orthonormal_rows(raw)
         angles = _signature_angles(n_tracks)
@@ -356,17 +350,13 @@ def _build_prototypes(
         if want_no_object:
             no_obj = [0.0] * dim
             no_obj[margin : margin + core_width] = basis[n_tracks]
-        return protos, no_obj, rho
+        return protos, no_obj
     # low-dimensional fallback: plain orthonormalised Gaussians
     raw = [rng.gauss_vector(dim).tolist() for _ in range(k_total)]
     basis = _orthonormal_rows(raw)
     protos = basis[:n_tracks]
     no_obj = basis[n_tracks] if want_no_object else None
-    return protos, no_obj, None
-
-
-def _track_class(k: int, num_classes: int) -> int:
-    return k % max(num_classes - 1, 1)
+    return protos, no_obj
 
 
 def generate_scene(spec: SceneSpec) -> SceneClip:
@@ -380,7 +370,7 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
     )
     h, w = spec.grid
     rng = Rng(spec.seed)
-    protos_py, no_obj_py, rho = _build_prototypes(rng, k, n > k, d)
+    protos_py, no_obj_py = _build_prototypes(rng, spec)
     anchors = [(rng.below(h), rng.below(w)) for _ in range(k)]
     # consecutive frames always rotate by a nonzero delta, so every
     # transition actually exercises the cross-frame disagreement the scene
@@ -393,11 +383,13 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
 
     prototypes = np.array(protos_py, dtype=np.float64)
     no_object = None if no_obj_py is None else np.array(no_obj_py, dtype=np.float64)
-    track_classes = tuple(_track_class(i, c) for i in range(k))
 
     # frame t rotates the first K slots by rotations[t]; surplus slots stay put
     slots = np.arange(n, dtype=np.intp)
     gt_tracks = np.where(slots < k, (slots + np.array(rotations)[:, None]) % k, slots)
+    for arr in (prototypes, no_object, gt_tracks):
+        if arr is not None:
+            arr.setflags(write=False)
 
     # row k of the table is the no-object prototype every surplus query takes
     table = prototypes if no_object is None else np.vstack([prototypes, no_object])
@@ -422,7 +414,7 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
     index.setflags(write=False)
     palette = np.vstack([np.zeros(d), prototypes])
     palette.setflags(write=False)  # so every frame's map keeps this one object
-    labels = np.array([c - 1, *track_classes], dtype=np.uint8)[index]
+    labels = np.array([c - 1, *spec.track_classes], dtype=np.uint8)[index]
     labels.setflags(write=False)
 
     return SceneClip(
@@ -433,8 +425,6 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         gt_tracks=gt_tracks,
         prototypes=prototypes,
         no_object=no_object,
-        track_classes=track_classes,
-        signature_scale=rho,
     )
 
 
@@ -501,17 +491,18 @@ def class_head_for(scene: SceneClip) -> np.ndarray:
     k = scene.spec.n_tracks
     c = scene.spec.num_classes
     d = scene.spec.dim
+    track_classes = scene.spec.track_classes
     weights = np.zeros((d, c), dtype=np.float64)
     if c == 1:
         return weights
 
     if scene.spec.noise_sigma > 0.0:
-        for track, cls in enumerate(scene.track_classes):
+        for track, cls in enumerate(track_classes):
             weights[:, cls] += _HEAD_PEAK_LOGIT * scene.prototypes[track]
         return weights
 
     counts: dict[int, int] = {}
-    for cls in scene.track_classes:
+    for cls in track_classes:
         counts[cls] = counts.get(cls, 0) + 1
     m_star = max(counts.values())
     lower = m_star / (k + m_star)
@@ -521,17 +512,17 @@ def class_head_for(scene: SceneClip) -> np.ndarray:
     peak = _HEAD_PEAK_LOGIT
     gamma_bg = peak + math.log(eta / (1.0 - eta))
 
-    rho = scene.signature_scale
+    rho = scene.spec.signature_scale
     if rho is not None:
         angles = _signature_angles(k)
         for cls in range(c - 1):
             if cls not in counts:
                 continue
-            k_c = scene.track_classes.index(cls)
+            k_c = track_classes.index(cls)
             weights[0, cls] = peak / rho * math.cos(angles[k_c])
             weights[d - 1, cls] = peak / rho * math.sin(angles[k_c])
     else:
-        for track, cls in enumerate(scene.track_classes):
+        for track, cls in enumerate(track_classes):
             weights[:, cls] += peak * scene.prototypes[track]
 
     proto_sum = scene.prototypes.sum(axis=0)
@@ -582,10 +573,10 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
     meta = {
         "spec": scene.spec.to_dict(),
         "per_frame_tracks": scene.gt_tracks.tolist(),
-        "track_classes": list(scene.track_classes),
+        "track_classes": list(scene.spec.track_classes),
         "prototypes": [list(row) for row in scene.prototypes.tolist()],
         "no_object": None if scene.no_object is None else list(scene.no_object.tolist()),
-        "signature_scale": scene.signature_scale,
+        "signature_scale": scene.spec.signature_scale,
     }
     tpath = out / "tracks.json"
     with open(tpath, "w") as f:
@@ -609,12 +600,17 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
         keys = "spec per_frame_tracks track_classes prototypes no_object signature_scale"
         check_keys("tracks.json", meta, keys.split())
         spec = SceneSpec.from_dict(meta["spec"])
+        for key, want in (
+            ("track_classes", list(spec.track_classes)),
+            ("signature_scale", spec.signature_scale),
+        ):  # with exact JSON types: true is not 1, and 1.0 is not 1
+            if not (meta[key] == want and repr(meta[key]) == repr(want)):
+                raise ValueError(f"tracks.json {key} must be {json.dumps(want)}, as the spec gives")
         what = "tracks.json per_frame_tracks"
         rows = json_value(what, meta["per_frame_tracks"], list)
         gt_tracks = permutation_rows(
             what, [_json_ints(f"{what} row", row) for row in rows], spec.t_len, spec.n_queries
         )
-        track_classes = _json_ints("tracks.json track_classes", meta["track_classes"])
         prototypes = _json_floats(
             "tracks.json prototypes", meta["prototypes"], (spec.n_tracks, spec.dim)
         )
@@ -625,25 +621,15 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             )
         if no_object is not None:
             no_object = _json_floats("tracks.json no_object", no_object, (spec.dim,))
-        signature_scale = meta["signature_scale"]
-        if signature_scale is not None and not (
-            type(signature_scale) in (int, float) and 0 < signature_scale < math.inf
-        ):
-            raise ValueError(
-                "tracks.json signature_scale must be null or a finite number > 0, "
-                f"got {signature_scale!r}"
-            )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tracks.json: {exc}") from exc
-    if len(track_classes) != spec.n_tracks or not all(
-        0 <= c < spec.num_classes for c in track_classes
-    ):
-        raise ValueError(
-            f"tracks.json track_classes must list {spec.n_tracks} classes "
-            f"in [0, {spec.num_classes}), got {track_classes}"
-        )
 
     queries = read_tensor(src / "queries.qtn")
+    if queries.data.shape != (spec.t_len, spec.n_queries, spec.dim):
+        raise ValueError(
+            f"queries.qtn shape {queries.data.shape} does not match {spec.t_len} frames "
+            f"of {spec.n_queries} queries of dim {spec.dim}"
+        )
     h, w = spec.grid
     # look each frame's rows up in the generator's palette by their keys on one
     # fixed vector: BLAS rounds rows @ key and palette @ key differently, so a
@@ -687,11 +673,9 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     return SceneClip(
         spec=spec,
         queries=queries,
-        pixels=pixels,
+        pixels=tuple(pixels),
         gt_labels=labels,
         gt_tracks=gt_tracks,
         prototypes=prototypes,
         no_object=no_object,
-        track_classes=track_classes,
-        signature_scale=signature_scale,
     )

@@ -452,6 +452,11 @@ def _surplus(no_object):
         (_set(signature_scale=-0.5), "signature_scale"),
         (_set(signature_scale=True), "signature_scale"),
         (_set(signature_scale=float("nan")), "signature_scale"),
+        (_set(track_classes=[1, 0, 2, 3]), "track_classes"),
+        (_set(track_classes=[0, True, 2, 3]), "track_classes"),
+        (_set(track_classes=[0, 1.0, 2, 3]), "track_classes"),
+        (_set(signature_scale=0.5), "signature_scale"),
+        (_set(signature_scale=None), "signature_scale"),
         (lambda meta: meta["prototypes"].pop(), "prototypes"),
         (lambda meta: meta.update(prototypes=meta["prototypes"][:2]), "prototypes"),
         (lambda meta: meta["prototypes"][1].pop(), "prototypes"),
@@ -486,6 +491,11 @@ def _surplus(no_object):
         "negative_scale",
         "bool_scale",
         "nan_scale",
+        "classes_swapped",
+        "bool_equal_class",
+        "float_equal_class",
+        "scale_not_the_specs",
+        "scale_null_in_signature_mode",
         "prototype_rows_3",
         "prototype_rows_2",
         "prototype_short_row",
@@ -505,6 +515,15 @@ def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragmen
     _edit_tracks(scene_dir, edit)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
     _assert_one_line_error(capsys, ["run", "--scene", str(scene_dir), "--config", cfg], fragment)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 64), (3, 5, 64), (3, 4, 63)], ids=["T", "N", "D"])
+def test_run_names_a_queries_file_that_does_not_fit_the_spec(scene_dir, tmp_path, capsys, shape):
+    write_tensor(ClipQueryTensor(np.ones(shape)), scene_dir / "queries.qtn")
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    message = f"queries.qtn shape {shape} does not match 3 frames of 4 queries of dim 64"
+    assert _assert_one_line_error(capsys, argv, message) == f"error: {message}\n"
 
 
 def test_run_names_a_label_map_of_the_wrong_size(tmp_path, capsys):

@@ -19,6 +19,7 @@ import io
 import json
 import struct
 
+import numpy as np
 import pytest
 
 
@@ -169,6 +170,22 @@ def test_edited_scene_run_matches_pin(tmp_path, capsys):
     assert main(argv + run_flags) == 0
     capsys.readouterr()
     assert _sha(report.read_bytes()) == EDITED_RUN_PIN
+
+
+def test_noisy_scene_predicts_no_background_pixel():
+    # the sigma > 0 class head has a zero background column by design, so every
+    # background pixel goes to some rectangle class: the noisy pin's low pixel
+    # accuracy is that constant penalty, which cancels in matched-vs-unmatched deltas
+    synth = importlib.import_module("queryshift.synth")
+    scene = synth.generate_scene(synth.SceneSpec.from_dict(NOISY_SCENE))
+    shift = importlib.import_module("queryshift.shift").plan_shift("0", scene.spec.dim)
+    alignment = importlib.import_module("queryshift.matching").align_clip(scene.queries)
+    rows, classes = importlib.import_module("queryshift.pipeline").run_clip(
+        scene, [shift], [alignment]
+    )
+    background = scene.spec.num_classes - 1
+    assert np.any(scene.gt_labels == background)
+    assert not np.any(classes[0, 0][rows] == background)
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 import tracemalloc
 
@@ -13,6 +14,7 @@ from queryshift.core import PixelEmbeddingMap
 from queryshift.matching import ClipAlignment, align_clip
 from queryshift.synth import (
     InfeasibleSceneError,
+    SceneClip,
     SceneSpec,
     class_head_for,
     generate_scene,
@@ -84,6 +86,19 @@ def test_spec_dict_round_trip():
     assert SceneSpec.from_dict(spec.to_dict()) == spec
 
 
+def test_spec_derives_track_classes_and_signature_scale():
+    assert _spec(n_tracks=4, num_classes=5).track_classes == (0, 1, 2, 3)
+    assert _spec(n_tracks=4, num_classes=3).track_classes == (0, 1, 0, 1)
+    assert _spec(n_tracks=4, num_classes=1).track_classes == (0, 0, 0, 0)
+    assert _spec(n_tracks=4, n_queries=4, dim=64).signature_scale == 0.6
+    rho = math.sqrt(2.0 / 8 * (1.0 - 1.0 / 64.0))
+    assert _spec(n_tracks=8, n_queries=8, dim=64, num_classes=9).signature_scale == rho
+    # dim 8 leaves a core band of 6 channels: room for 6 prototypes, not 6 plus no-object
+    assert _spec(n_tracks=6, n_queries=6, dim=8, num_classes=7).signature_scale is not None
+    assert _spec(n_tracks=6, n_queries=7, dim=8, num_classes=7).signature_scale is None
+    assert _spec(n_tracks=2, n_queries=2, dim=2, num_classes=3).signature_scale is None
+
+
 def test_spec_from_dict_rejects_garbage():
     with pytest.raises(ValueError):
         SceneSpec.from_dict({"t_len": 3})
@@ -113,7 +128,7 @@ def test_prototype_gram_with_no_object():
 def test_prototype_gram_low_dim_fallback():
     # dim too small for the signature layout; plain orthonormal rows
     scene = generate_scene(_spec(n_tracks=2, n_queries=2, dim=2, num_classes=3))
-    assert scene.signature_scale is None
+    assert scene.spec.signature_scale is None
     gram = scene.prototypes @ scene.prototypes.T
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
 
@@ -121,7 +136,7 @@ def test_prototype_gram_low_dim_fallback():
 def test_signature_channels_carry_energy():
     # outer channels hold the angular signature the shift will disturb
     scene = generate_scene(_spec(dim=64, n_tracks=4, n_queries=4))
-    rho = scene.signature_scale
+    rho = scene.spec.signature_scale
     assert rho is not None and rho > 0
     outer = scene.prototypes[:, [0, -1]]
     norms = np.linalg.norm(outer, axis=1)
@@ -187,6 +202,21 @@ def test_surplus_queries_keep_their_slots():
     assert np.array_equal(scene.gt_tracks[:, 3:], np.broadcast_to([3, 4], (4, 2)))
 
 
+@pytest.mark.parametrize("loaded", [False, True], ids=["generated", "loaded"])
+def test_scene_clip_keeps_its_read_only_arrays(tmp_path, loaded):
+    scene = generate_scene(_spec(n_queries=5))
+    if loaded:
+        save_scene(scene, tmp_path)
+        scene = load_scene(tmp_path)
+    assert len(dataclasses.fields(SceneClip)) == 7 and isinstance(scene.pixels, tuple)
+    for arr in (scene.prototypes, scene.no_object, scene.gt_tracks, scene.gt_labels):
+        assert not arr.flags.writeable
+    # a frozen array is kept as given, not copied
+    tracks = np.zeros_like(scene.gt_tracks)
+    tracks.setflags(write=False)
+    assert dataclasses.replace(scene, gt_tracks=tracks).gt_tracks is tracks
+
+
 def test_gt_tracks_are_read_only_rotations():
     scene = generate_scene(_spec(n_tracks=3, n_queries=5, num_classes=4, seed=6))
     tracks = scene.gt_tracks
@@ -246,9 +276,9 @@ def test_recovery_forced_identity_counts_swapped_slots():
     ident = [0, 1, 2, 3]
     swap = [1, 0, 2, 3]
     # the swap holds from the second frame onward: T-1 frames, 2 bad slots each
-    rigged = dataclasses.replace(
-        scene, gt_tracks=[ident] + [swap] * (t_len - 1)
-    )
+    gt_tracks = np.array([ident] + [swap] * (t_len - 1), dtype=np.intp)
+    gt_tracks.setflags(write=False)
+    rigged = dataclasses.replace(scene, gt_tracks=gt_tracks)
     got = recovery_rate(ClipAlignment.identity(t_len, n), rigged)
     assert got == (t_len * n - 2 * (t_len - 1)) / (t_len * n)
 
@@ -314,9 +344,27 @@ def test_class_head_separates_prototypes_at_zero_noise():
     scene = generate_scene(_spec(dim=64, seed=2))
     head = class_head_for(scene)
     logits = scene.prototypes @ head
-    for track, cls in enumerate(scene.track_classes):
+    for track, cls in enumerate(scene.spec.track_classes):
         row = logits[track]
         assert int(np.argmax(row)) == cls
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {},
+        {"dim": 64, "n_queries": 6},
+        {"dim": 4, "num_classes": 3},
+        {"n_tracks": 1, "n_queries": 1, "num_classes": 2},
+    ],
+    ids=["signature", "signature_surplus", "low_dim", "one_track"],
+)
+@pytest.mark.parametrize("sigma", [1e-9, 0.2, 3.0])
+def test_class_head_background_column_is_zero_under_noise(kw, sigma):
+    # by design: background pixels then lose to some rectangle class (see class_head_for)
+    head = class_head_for(generate_scene(_spec(noise_sigma=sigma, **kw)))
+    assert head.shape[1] >= 2 and np.array_equal(head[:, -1], np.zeros(head.shape[0]))
+    assert np.any(head[:, :-1])
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +386,8 @@ def test_scene_round_trip(tmp_path):
     assert np.array_equal(back.gt_labels, scene.gt_labels)
     assert np.array_equal(back.gt_tracks, scene.gt_tracks)
     assert back.gt_tracks.dtype == np.intp and not back.gt_tracks.flags.writeable
-    assert back.track_classes == scene.track_classes
     assert np.allclose(back.prototypes, scene.prototypes, atol=0)
     assert np.allclose(back.no_object, scene.no_object, atol=0)
-    assert back.signature_scale == scene.signature_scale
 
 
 def test_pixel_maps_are_read_only_views_of_one_buffer(tmp_path):
@@ -383,7 +429,7 @@ def test_gt_labels_are_one_read_only_class_array(tmp_path, loaded):
         scene = load_scene(tmp_path)
     generated = generate_scene(scene.spec)
     index = np.stack([pm.index for pm in generated.pixels])
-    class_of_row = np.array([scene.spec.num_classes - 1, *scene.track_classes])
+    class_of_row = np.array([scene.spec.num_classes - 1, *scene.spec.track_classes])
     gt = scene.gt_labels
     assert isinstance(gt, np.ndarray) and gt.dtype == np.uint8 and not gt.flags.writeable
     assert gt.shape == (scene.spec.t_len, *scene.spec.grid)
