@@ -26,7 +26,6 @@ __all__ = [
     "cosine_similarity",
     "optimal_match",
     "align_clip",
-    "permutation_rows",
 ]
 
 # Reduced costs this close to zero count as tight when enumerating the set of
@@ -210,27 +209,6 @@ def optimal_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     return _matched(sim, _lex_smallest_tight_matching(tight, list(assignment)))
 
 
-def permutation_rows(what: str, rows, t_len: int, n: int) -> np.ndarray:
-    """``rows`` as a read-only (t_len, n) intp array whose rows permute 0..n-1.
-
-    ``rows`` is an integer array or nested lists of ints (parsed JSON); a
-    ragged row, a float or a bool array is an error, never truncated.
-    """
-    try:
-        arr = np.array(rows)
-    except ValueError:  # ragged rows
-        arr = np.array(None)
-    if arr.size == 0:  # an empty list has no integer dtype of its own
-        arr = arr.astype(np.intp).reshape(-1, n)
-    if arr.shape != (t_len, n) or arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be {t_len} rows of {n} integers")
-    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(np.arange(n), arr.shape)):
-        raise ValueError(f"{what}: every row must permute 0..{n - 1}")
-    arr = arr.astype(np.intp, copy=False)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ClipAlignment:
     """Clip-wide query correspondence, anchored at frame 0.
@@ -254,7 +232,13 @@ class ClipAlignment:
         totals = tuple(float(x) for x in self.pair_totals)
         if len(totals) != t_len - 1:
             raise ValueError(f"need exactly T-1 = {t_len - 1} pair totals, got {len(totals)}")
-        per_frame = permutation_rows("per_frame", self.per_frame, t_len, n)
+        per_frame = np.array(self.per_frame)  # a copy; np.shape ruled out ragged rows
+        if per_frame.dtype.kind not in "iu":
+            raise ValueError(f"per_frame must be {t_len} rows of {n} integers")
+        if not np.all(np.sort(per_frame, axis=1) == np.arange(n)):
+            raise ValueError(f"per_frame: every row must permute 0..{n - 1}")
+        per_frame = per_frame.astype(np.intp, copy=False)
+        per_frame.setflags(write=False)
         if not np.array_equal(per_frame[0], np.arange(n)):
             raise ValueError("frame 0 must map to itself (anchor frame)")
         object.__setattr__(self, "per_frame", per_frame)

@@ -48,6 +48,9 @@ Determinism: every random draw comes from one Rng stream seeded with
 4. query noise: D Gaussians per (frame, query), frame-major, only when
    noise_sigma > 0.
 
+Steps 1-3 are the prefix that ``load_scene`` replays from a saved spec to
+check tracks.json and pixels.qtn against.
+
 The prototype arithmetic (Gram-Schmidt, Cholesky, signature assembly) runs in
 plain Python floats with left-to-right accumulation, so it does not depend on
 any BLAS reduction order.
@@ -73,7 +76,7 @@ from .core import (
     write_labelmap,
     write_tensor,
 )
-from .matching import ClipAlignment, permutation_rows
+from .matching import ClipAlignment
 from .rng import MASK64, Rng
 
 __all__ = [
@@ -135,26 +138,13 @@ def json_value(what: str, value, *kinds: type):
     return value
 
 
-def _json_ints(what: str, values) -> list:
-    """``values`` if it is a JSON list of integers; ``true``/``false`` are not integers here."""
-    if type(values) is not list or any(type(x) is not int for x in values):
-        raise ValueError(f"{what} must be a list of integers, got {values!r}")
-    return values
-
-
-def _json_floats(what: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as read-only float64 if it is nested JSON lists of ``shape`` finite numbers."""
-
-    def fits(v, dims):
-        if not dims:
-            return type(v) in (int, float)
-        return type(v) is list and len(v) == dims[0] and all(fits(x, dims[1:]) for x in v)
-
-    arr = np.array(value, dtype=np.float64) if fits(value, shape) else None
-    if arr is None or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be a JSON list of shape {shape} of finite numbers")
-    arr.setflags(write=False)
-    return arr
+def _same_json(a, b) -> bool:
+    """Whether two parsed JSON values are equal with exact types: 1 is not 1.0, true or -0.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b and (type(a) is not float or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
 _INT_FIELDS = ("t_len", "n_tracks", "n_queries", "dim", "num_classes", "motion", "seed")
@@ -359,15 +349,14 @@ def _build_prototypes(rng: Rng, spec: SceneSpec) -> tuple[list[list[float]], lis
     return protos, no_obj
 
 
-def generate_scene(spec: SceneSpec) -> SceneClip:
-    """Materialise a scene from its spec; same spec, same bits."""
-    t_len, k, n, d, c = (
-        spec.t_len,
-        spec.n_tracks,
-        spec.n_queries,
-        spec.dim,
-        spec.num_classes,
-    )
+def _seeded_prefix(spec: SceneSpec):
+    """Steps 1-3 of the module docstring's draw order: everything the spec fixes but noise.
+
+    Returns the read-only prototypes, no-object row (or None), gt_tracks,
+    (K + 1, D) palette and (T, H, W) palette index, and the Rng positioned
+    for step 4's query noise.
+    """
+    t_len, k, n, d = spec.t_len, spec.n_tracks, spec.n_queries, spec.dim
     h, w = spec.grid
     rng = Rng(spec.seed)
     protos_py, no_obj_py = _build_prototypes(rng, spec)
@@ -383,22 +372,9 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
 
     prototypes = np.array(protos_py, dtype=np.float64)
     no_object = None if no_obj_py is None else np.array(no_obj_py, dtype=np.float64)
-
     # frame t rotates the first K slots by rotations[t]; surplus slots stay put
     slots = np.arange(n, dtype=np.intp)
     gt_tracks = np.where(slots < k, (slots + np.array(rotations)[:, None]) % k, slots)
-    for arr in (prototypes, no_object, gt_tracks):
-        if arr is not None:
-            arr.setflags(write=False)
-
-    # row k of the table is the no-object prototype every surplus query takes
-    table = prototypes if no_object is None else np.vstack([prototypes, no_object])
-    frames = table[np.minimum(gt_tracks, k)]
-    if spec.noise_sigma > 0.0:
-        # one draw, in (frame, query, channel) order
-        noise = rng.gauss_vector(t_len * n * d).reshape(t_len, n, d)
-        with np.errstate(over="ignore"):  # an overflow is caught by the clip's finite scan
-            frames = frames + spec.noise_sigma * noise
 
     # index[t, y, x]: palette row of a pixel, 0 for background, 1 + k for track k
     rh = max(1, h // 5)
@@ -411,10 +387,26 @@ def generate_scene(spec: SceneSpec) -> SceneClip:
         rows = (r0 + t * vy * spec.motion + np.arange(rh)) % h
         cols = (c0 + t * vx * spec.motion + np.arange(rw)) % w
         index[t[:, :, None], rows[:, :, None], cols[:, None, :]] = 1 + track
-    index.setflags(write=False)
     palette = np.vstack([np.zeros(d), prototypes])
-    palette.setflags(write=False)  # so every frame's map keeps this one object
-    labels = np.array([c - 1, *spec.track_classes], dtype=np.uint8)[index]
+    # frozen, so every frame's map keeps these objects
+    for arr in (prototypes, no_object, gt_tracks, palette, index):
+        if arr is not None:
+            arr.setflags(write=False)
+    return prototypes, no_object, gt_tracks, palette, index, rng
+
+
+def generate_scene(spec: SceneSpec) -> SceneClip:
+    """Materialise a scene from its spec; same spec, same bits."""
+    prototypes, no_object, gt_tracks, palette, index, rng = _seeded_prefix(spec)
+    # row k of the table is the no-object prototype every surplus query takes
+    table = prototypes if no_object is None else np.vstack([prototypes, no_object])
+    frames = table[np.minimum(gt_tracks, spec.n_tracks)]
+    if spec.noise_sigma > 0.0:
+        # one draw, in (frame, query, channel) order
+        noise = rng.gauss_vector(frames.size).reshape(frames.shape)
+        with np.errstate(over="ignore"):  # an overflow is caught by the clip's finite scan
+            frames = frames + spec.noise_sigma * noise
+    labels = np.array([spec.num_classes - 1, *spec.track_classes], dtype=np.uint8)[index]
     labels.setflags(write=False)
 
     return SceneClip(
@@ -536,6 +528,17 @@ def class_head_for(scene: SceneClip) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _derived_keys(spec: SceneSpec, gt_tracks, prototypes, no_object) -> dict:
+    """tracks.json's keys other than "spec", as the JSON values save_scene writes."""
+    return {
+        "per_frame_tracks": gt_tracks.tolist(),
+        "track_classes": list(spec.track_classes),
+        "prototypes": prototypes.tolist(),
+        "no_object": None if no_object is None else no_object.tolist(),
+        "signature_scale": spec.signature_scale,
+    }
+
+
 def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
     """Write a scene as queries.qtn, pixels.qtn, labels_<t>.pgm, tracks.json."""
     h, w = scene.spec.grid
@@ -570,14 +573,9 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
         write_labelmap(labels, lpath)
         written.append(lpath)
 
-    meta = {
-        "spec": scene.spec.to_dict(),
-        "per_frame_tracks": scene.gt_tracks.tolist(),
-        "track_classes": list(scene.spec.track_classes),
-        "prototypes": [list(row) for row in scene.prototypes.tolist()],
-        "no_object": None if scene.no_object is None else list(scene.no_object.tolist()),
-        "signature_scale": scene.spec.signature_scale,
-    }
+    meta = {"spec": scene.spec.to_dict()} | _derived_keys(
+        scene.spec, scene.gt_tracks, scene.prototypes, scene.no_object
+    )
     tpath = out / "tracks.json"
     with open(tpath, "w") as f:
         json.dump(meta, f, sort_keys=True, indent=1)
@@ -589,40 +587,19 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
 def load_scene(scene_dir: str | Path) -> SceneClip:
     """Reload a scene written by :func:`save_scene`.
 
-    Every frame whose pixels.qtn rows are exactly rows of the (K + 1, D)
-    palette that tracks.json gives (zero background, then the prototypes)
-    shares that one palette, with its recovered index, as a generated scene
-    does; any other frame keeps its (H*W, D) rows as an identity palette.
+    tracks.json's keys other than "spec" must be, with exact JSON types,
+    what the spec's seeded draws give (steps 1-3 of the module docstring).
+    A pixels.qtn frame whose rows are exactly that frame of the spec's
+    palette and index shares both, as a generated scene does; any other
+    frame keeps its (H*W, D) rows as an identity palette.  queries.qtn and
+    labels_<t>.pgm are data.
     """
     src = Path(scene_dir)
     meta = load_json(src / "tracks.json")
     try:
-        keys = "spec per_frame_tracks track_classes prototypes no_object signature_scale"
-        check_keys("tracks.json", meta, keys.split())
         spec = SceneSpec.from_dict(meta["spec"])
-        for key, want in (
-            ("track_classes", list(spec.track_classes)),
-            ("signature_scale", spec.signature_scale),
-        ):  # with exact JSON types: true is not 1, and 1.0 is not 1
-            if not (meta[key] == want and repr(meta[key]) == repr(want)):
-                raise ValueError(f"tracks.json {key} must be {json.dumps(want)}, as the spec gives")
-        what = "tracks.json per_frame_tracks"
-        rows = json_value(what, meta["per_frame_tracks"], list)
-        gt_tracks = permutation_rows(
-            what, [_json_ints(f"{what} row", row) for row in rows], spec.t_len, spec.n_queries
-        )
-        prototypes = _json_floats(
-            "tracks.json prototypes", meta["prototypes"], (spec.n_tracks, spec.dim)
-        )
-        no_object = meta["no_object"]
-        if (no_object is None) != (spec.n_queries == spec.n_tracks):
-            raise ValueError(
-                "tracks.json no_object must be null exactly when n_queries == n_tracks"
-            )
-        if no_object is not None:
-            no_object = _json_floats("tracks.json no_object", no_object, (spec.dim,))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed tracks.json: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"malformed tracks.json: {exc}") from None
 
     queries = read_tensor(src / "queries.qtn")
     if queries.data.shape != (spec.t_len, spec.n_queries, spec.dim):
@@ -631,36 +608,30 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             f"of {spec.n_queries} queries of dim {spec.dim}"
         )
     h, w = spec.grid
-    # look each frame's rows up in the generator's palette by their keys on one
-    # fixed vector: BLAS rounds rows @ key and palette @ key differently, so a
-    # row takes the palette row whose key is nearest, and the frame is kept
-    # only if the gather gives its rows back exactly (and so is finite, as the
-    # palette is); only a frame that falls back is copied and finite-scanned
-    palette = np.vstack([np.zeros(spec.dim), prototypes])
-    palette.setflags(write=False)
-    key = np.linspace(1.0, 2.0, spec.dim)
-    identity = np.arange(h * w, dtype=np.intp)
-    identity.setflags(write=False)
-    gathered = np.empty((h * w, spec.dim))
     pixels = []
     frames = read_tensor(src / "pixels.qtn", by_frame=True)
-    with contextlib.closing(frames), np.errstate(over="ignore", invalid="ignore"):
+    with contextlib.closing(frames):
         if frames.shape != (spec.t_len, h * w, spec.dim):
             raise ValueError(
                 f"pixels.qtn shape {frames.shape} does not match a "
                 f"{spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
             )
-        keys = palette @ key  # a non-finite key only fails the check
-        order = np.argsort(keys)
-        midpoints = keys[order[:-1]] / 2 + keys[order[1:]] / 2
-        for rows in frames:  # one reused buffer; the trailer is checked after the last
+        # the spec agrees with both headers before anything of its size is built
+        prototypes, no_object, gt_tracks, palette, index, _ = _seeded_prefix(spec)
+        want = _derived_keys(spec, gt_tracks, prototypes, no_object)
+        check_keys("tracks.json", meta, ["spec", *want])
+        differ = [key for key in want if key not in meta or not _same_json(meta[key], want[key])]
+        if differ:
+            raise ValueError(f"tracks.json {', '.join(differ)} must be what the spec gives")
+        identity = np.arange(h * w, dtype=np.intp)
+        identity.setflags(write=False)
+        gathered = np.empty((h * w, spec.dim))
+        for t, rows in enumerate(frames):  # one reused buffer; the trailer is checked last
             rows = rows.reshape(h * w, spec.dim)
-            index = order[np.searchsorted(midpoints, rows @ key)]
-            np.take(palette, index, axis=0, out=gathered, mode="clip")
+            np.take(palette, index[t].reshape(h * w), axis=0, out=gathered, mode="clip")
             if np.array_equal(gathered, rows):
-                index.setflags(write=False)
-                pixels.append(PixelEmbeddingMap(palette, index.reshape(h, w)))
-            else:  # not a synthesised frame: each pixel its own palette row
+                pixels.append(PixelEmbeddingMap(palette, index[t]))
+            else:  # not the spec's frame: each pixel its own palette row
                 own = ClipQueryTensor(rows[None]).data[0]  # a copy; fails as a clip read would
                 pixels.append(PixelEmbeddingMap(own, identity.reshape(h, w)))
     labels = []

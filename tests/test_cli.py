@@ -26,6 +26,7 @@ from queryshift.core import (
     TensorFormatError,
     TruncatedTensorError,
     WrongMagicError,
+    read_tensor,
     write_labelmap,
     write_tensor,
 )
@@ -61,8 +62,9 @@ def _scene_spec(**kw):
 
 
 @pytest.fixture()
-def scene_dir(tmp_path, capsys):
-    spec = _write_json(tmp_path / "spec.json", _scene_spec())
+def scene_dir(request, tmp_path, capsys):
+    """A synthesised scene directory; an indirect parameter holds spec changes."""
+    spec = _write_json(tmp_path / "spec.json", _scene_spec(**getattr(request, "param", {})))
     out = tmp_path / "scene"
     assert main(["synth", "--spec", spec, "--out", str(out)]) == 0
     capsys.readouterr()  # drop the synth path listing
@@ -427,9 +429,17 @@ def _surplus(no_object):
     return edit
 
 
+def _nudge(key):
+    """Move every value of ``key`` one float step up: well-formed, but not what the spec gives."""
+    return lambda meta: meta.update({key: np.nextafter(meta[key], np.inf).tolist()})
+
+
+_SURPLUS_SCENE = dict(n_tracks=3, num_classes=4)  # a no_object row for the fourth query
+
+
 @pytest.mark.parametrize(
-    "edit, fragment",
-    [
+    "scene_dir, edit, fragment",
+    [({}, edit, fragment) for edit, fragment in [
         (_set_row(1, lambda row: [0, 1]), "per_frame_tracks"),
         (_set_row(1, lambda row: [x + 0.5 for x in row]), "per_frame_tracks"),
         (_set_row(1, lambda row: [False, True, True, True]), "per_frame_tracks"),
@@ -470,7 +480,12 @@ def _surplus(no_object):
         (_surplus([0.0] * 63 + [float("inf")]), "no_object"),
         (_set(prototypez=1), "unknown tracks.json key"),
         (lambda meta: meta.pop("signature_scale"), "signature_scale"),
-    ],
+        (_set_row(1, lambda row: row[1:] + row[:1]), "per_frame_tracks"),
+        (lambda meta: meta["prototypes"].insert(0, meta["prototypes"].pop(1)), "prototypes"),
+        (_nudge("prototypes"), "prototypes"),
+        (lambda meta: meta["prototypes"].__setitem__(1, meta["prototypes"][0]), "prototypes"),
+    ]] + [(_SURPLUS_SCENE, _nudge("no_object"), "no_object")],
+    indirect=["scene_dir"],
     ids=[
         "ragged",
         "float",
@@ -509,6 +524,11 @@ def _surplus(no_object):
         "no_object_inf",
         "unknown_key",
         "missing_key",
+        "per_frame_tracks_other_permutation",
+        "prototypes_swapped",
+        "prototypes_nextafter",
+        "prototypes_duplicate_row",
+        "no_object_nextafter",
     ],
 )
 def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragment):
@@ -564,14 +584,32 @@ def test_run_rejects_non_finite_sigma_in_tracks(scene_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("scale", [1e160, 1e200, 1e307])
 def test_overflowing_prototypes_exit_2_with_one_line(scene_dir, tmp_path, capsys, scale):
-    # the class head's prototype gains overflow; semantic_inference reports it, numpy warns nothing
+    # prototypes that would overflow the class head are not the spec's, so the load rejects them
     def scaled(meta):
         meta["prototypes"] = (np.array(meta["prototypes"]) * scale).tolist()
 
     _edit_tracks(scene_dir, scaled)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
     argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    _assert_one_line_error(capsys, argv, "tracks.json prototypes must be what the spec gives")
+
+
+def test_overflowing_queries_exit_2_with_one_line(scene_dir, tmp_path, capsys):
+    # the class logits overflow; semantic_inference reports it, numpy warns nothing
+    path = scene_dir / "queries.qtn"
+    write_tensor(ClipQueryTensor(read_tensor(path).data * 1e307), path)
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
     _assert_one_line_error(capsys, argv, "scores and logits must be finite")
+
+
+def test_run_names_pixels_qtn_before_building_an_oversized_grid(scene_dir, tmp_path, capsys):
+    # a 2**40-pixel grid over intact files fails on pixels.qtn's header, allocating nothing
+    _edit_tracks(scene_dir, lambda meta: meta["spec"].update(grid=[2**20, 2**20]))
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    message = "pixels.qtn shape (3, 256, 64) does not match a 3-frame 1048576x1048576 grid"
+    assert _assert_one_line_error(capsys, argv, message).startswith(f"error: {message}")
 
 
 def test_run_corrupt_tensor_exits_2(scene_dir, tmp_path, capsys):

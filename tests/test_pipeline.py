@@ -570,14 +570,7 @@ def _edit_pixels(scene_dir, edit):
     write_tensor(ClipQueryTensor(rows), path)
 
 
-def _edit_prototypes(scene_dir, edit):
-    path = scene_dir / "tracks.json"
-    meta = json.loads(path.read_text())
-    meta["prototypes"] = edit(np.array(meta["prototypes"])).tolist()
-    path.write_text(json.dumps(meta))
-
-
-def _off_palette(scene_dir, t_len):
+def _off_palette(scene_dir):
     def edit(rows, meta):
         rows[1, 5, 0] += 0.5
 
@@ -585,35 +578,18 @@ def _off_palette(scene_dir, t_len):
     return {1}
 
 
-def _other_row(scene_dir, t_len):
+def _other_row(scene_dir):
     def edit(rows, meta):
         rows[1, 5] = meta["prototypes"][0] if not rows[1, 5].any() else 0.0
 
     _edit_pixels(scene_dir, edit)
-    return set()
-
-
-def _stale_prototypes(scene_dir, t_len):
-    _edit_prototypes(scene_dir, lambda protos: np.nextafter(protos, np.inf))
-    return set(range(t_len))
-
-
-def _duplicate_prototype(scene_dir, t_len):
-    def edit(rows, meta):
-        first, second = meta["prototypes"][:2]
-        rows[np.all(rows == second, axis=-1)] = first
-
-    _edit_pixels(scene_dir, edit)
-    _edit_prototypes(scene_dir, lambda protos: protos[[0, 0, *range(2, len(protos))]])
-    return set()
+    return {1}  # a palette row, but not the one the spec's index gives
 
 
 _EDITS = {
-    "intact": lambda scene_dir, t_len: set(),
+    "intact": lambda scene_dir: set(),
     "off_palette": _off_palette,
     "other_row": _other_row,
-    "stale_prototypes": _stale_prototypes,
-    "duplicate_prototype": _duplicate_prototype,
 }
 
 
@@ -625,7 +601,7 @@ _EDITS = {
 def test_recovered_palette_equals_identity_palette(tmp_path, monkeypatch, capsys, spec, edit):
     scene = generate_scene(SceneSpec(**_LOADED_SPECS[spec]))
     save_scene(scene, tmp_path / "scene")
-    fallback = _EDITS[edit](tmp_path / "scene", scene.spec.t_len)
+    fallback = _EDITS[edit](tmp_path / "scene")
     loaded = load_scene(tmp_path / "scene")
     oracle = identity_palette_scene(tmp_path / "scene")
 
