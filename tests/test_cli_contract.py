@@ -36,7 +36,7 @@ _OUT = {"synth": "new_scene", "run": "report.json", "match": "alignment.json", "
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(-2, 9),  # small, so no drawn size can ask for much memory
+    st.integers(-2, 9),  # small, so no drawn size or repeat count asks for much memory or time
     st.sampled_from([0.0, -0.0, 0.5, 1.5, 1e308, float("nan"), float("inf"), -float("inf")]),
     st.sampled_from(["", "0", "1/3", "-1/8", "on", "hold", "x", "1e400", "9" * 40]),
 )
@@ -84,9 +84,12 @@ def _inputs(command: str) -> dict[str, list[str]]:
 def _paths(value, at=()):
     """Every path into a parsed JSON value, the root included."""
     yield at
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(
-        value, list
-    ) else ()
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
     for key, child in items:
         yield from _paths(child, (*at, key))
 
@@ -106,12 +109,20 @@ def _mutate(data, d: Path, command: str) -> str:
     kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "out_is_dir":  # synth writes into a directory, so its --out becomes a file
         out = d / _OUT[command]
-        out.write_text("in the way\n") if command == "synth" else out.mkdir()
+        if command == "synth":
+            out.write_text("in the way\n")
+        else:
+            out.mkdir()
         return kind
     if kind == "remove":
         name = data.draw(st.sampled_from([*inputs["json"], *inputs["binary"], "scene"]))
         target = d / name
-        shutil.rmtree(target) if target.is_dir() else target.unlink()
+        if target.is_dir():
+            shutil.rmtree(target)
+        else:
+            target.unlink()
+        if data.draw(st.booleans(), label="a directory in its place"):
+            target.mkdir()
         return f"remove {name}"
     if kind == "json":
         name = data.draw(st.sampled_from(inputs["json"]), label="file")
