@@ -33,7 +33,9 @@ On-disk formats:
 from __future__ import annotations
 
 import contextlib
+import os
 import re
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -233,13 +235,20 @@ def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
+def _payload_short(total: int, got: int) -> TruncatedTensorError:
+    return TruncatedTensorError(
+        f"header declares {total} float64 values, but the stream ends after {got} bytes"
+    )
+
+
 def _read_frames(src: PathOrIO, whole: bool) -> Iterator:
     """Yield the checked (T, N, D) header, then the payload, then check the trailer.
 
     The payload comes one frame of N*D values at a time in one flat float64
     buffer that the next frame overwrites (with ``whole``, as one buffer of
-    all T*N*D values).  Memory follows the bytes that arrive, not the
-    declared size.
+    all T*N*D values).  A regular file opened from a path must hold the
+    declared payload before the header is yielded; from a pipe or a caller's
+    stream, memory follows the bytes that arrive, not the declared size.
     """
     with _opened(src, "rb") as f:
         magic = _read_exact(f, len(QTN_MAGIC), "leading magic")
@@ -248,8 +257,12 @@ def _read_frames(src: PathOrIO, whole: bool) -> Iterator:
         shape = struct.unpack("<III", _read_exact(f, 12, "dimension header"))
         if min(shape) < 1:
             raise TensorFormatError(f"dimensions must all be >= 1, header declares {shape}")
-        yield shape
         total = shape[0] * shape[1] * shape[2]
+        if f is not src and stat.S_ISREG((st := os.fstat(f.fileno())).st_mode):
+            left = st.st_size - f.tell()
+            if left < 8 * total:  # before any caller sizes a buffer by the header
+                raise _payload_short(total, left)
+        yield shape
         count = total if whole else shape[1] * shape[2]
         values = np.empty(min(count, _QTN_CHUNK), dtype="<f8")
         for done in range(0, 8 * total, 8 * count):  # payload bytes before this read
@@ -259,10 +272,7 @@ def _read_frames(src: PathOrIO, whole: bool) -> Iterator:
                     values = np.concatenate([values, np.empty_like(values[: count - values.size])])
                 n = f.readinto(memoryview(values).cast("B")[got:])
                 if not n:
-                    raise TruncatedTensorError(
-                        f"header declares {total} float64 values, "
-                        f"but the stream ends after {done + got} bytes"
-                    )
+                    raise _payload_short(total, done + got)
                 got += n
             yield values
         trailer = _read_exact(f, len(QTN_TRAILER), "trailer")

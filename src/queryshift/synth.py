@@ -38,8 +38,9 @@ queries of the same track changes nothing.
 Determinism: every random draw comes from one Rng stream seeded with
 ``spec.seed``, consumed in this order:
 
-1. prototype core draws: K (+1 when N > K) rows of Gaussian values, row by
-   row (row length D - 2*max(1, D // 8) in signature mode, D otherwise);
+1. prototype core draws: K (+1 when N > K) rows of Gaussian values in one
+   call, row-major (row length D - 2*max(1, D // 8) in signature mode, D
+   otherwise), the same stream however the call is split;
 2. rectangle anchors: for each real track, one row draw in [0, H) then one
    column draw in [0, W);
 3. frame rotations, only when permute_per_frame is set and K >= 2: one draw
@@ -52,8 +53,8 @@ Steps 1-3 are the prefix that ``load_scene`` replays from a saved spec to
 check tracks.json and pixels.qtn against.
 
 The prototype arithmetic (Gram-Schmidt, Cholesky, signature assembly) runs in
-plain Python floats with left-to-right accumulation, so it does not depend on
-any BLAS reduction order.
+sequential accumulates and elementwise ufuncs, no BLAS reduction, with each
+sum taken left to right, so its op order is the same on every platform.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -260,43 +260,34 @@ class SceneClip:
     no_object: np.ndarray | None  # (D,) shared surplus prototype, or None
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    s = 0.0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
+def _orthonormal_rows(v: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt on the rows of ``v``, in place, one column of projections a step.
 
-
-def _orthonormal_rows(rows: list[list[float]]) -> list[list[float]]:
-    """Modified Gram-Schmidt, plain Python for a platform-fixed op order."""
-    out: list[list[float]] = []
-    for row in rows:
-        v = list(row)
-        for u in out:
-            c = _dot(v, u)
-            for i in range(len(v)):
-                v[i] -= c * u[i]
-        norm = math.sqrt(_dot(v, v))
+    Row i still takes u_0, u_1, ... in order, in sequential accumulates and
+    elementwise ufuncs, no BLAS reduction: each dot adds left to right and
+    each update is a multiply, then a separate subtract.
+    """
+    for j, u in enumerate(v):
+        norm = math.sqrt(np.add.accumulate(u * u)[-1])
         if norm < 1e-12:
             raise InfeasibleSceneError("degenerate Gaussian draw during orthonormalisation")
-        out.append([x / norm for x in v])
-    return out
+        u /= norm
+        # + 0.0: a sum started at +0.0, as a scalar loop starts it, is never -0.0
+        c = np.add.accumulate(v[j + 1 :] * u, axis=1)[:, -1] + 0.0
+        v[j + 1 :] -= c[:, None] * u
+    return v
 
 
-def _cholesky_lower(g: list[list[float]]) -> list[list[float]]:
-    n = len(g)
-    low = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = g[i][j]
-            for t in range(j):
-                s -= low[i][t] * low[j][t]
-            if i == j:
-                if s <= 0.0:
-                    raise InfeasibleSceneError("signature Gram correction lost rank")
-                low[i][j] = math.sqrt(s)
-            else:
-                low[i][j] = s / low[j][j]
+def _cholesky_lower(g: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``g``, column by column; entry (i, j) subtracts its t in order."""
+    low = np.zeros_like(g)
+    for j in range(len(g)):
+        terms = np.column_stack([g[j:, j], low[j:, :j] * low[j, :j]])
+        s = np.subtract.accumulate(terms, axis=1)[:, -1]
+        if s[0] <= 0.0:
+            raise InfeasibleSceneError("signature Gram correction lost rank")
+        low[j, j] = math.sqrt(s[0])
+        low[j + 1 :, j] = s[1:] / low[j, j]
     return low
 
 
@@ -304,49 +295,25 @@ def _signature_angles(k: int) -> list[float]:
     return [2.0 * math.pi * i / k for i in range(k)]
 
 
-def _build_prototypes(rng: Rng, spec: SceneSpec) -> tuple[list[list[float]], list[float] | None]:
-    """Draw and assemble prototypes; see the module docstring for layout."""
-    n_tracks, dim, rho = spec.n_tracks, spec.dim, spec.signature_scale
-    want_no_object = spec.n_queries > n_tracks
-    k_total = n_tracks + want_no_object
+def _build_prototypes(rng: Rng, spec: SceneSpec) -> np.ndarray:
+    """The K prototypes, then the no-object row when N > K; see the module docstring for layout."""
+    k, dim, rho = spec.n_tracks, spec.dim, spec.signature_scale
+    k_total = k + (spec.n_queries > k)
+    margin = 0 if rho is None else max(1, dim // 8)
+    width = dim - 2 * margin
+    basis = _orthonormal_rows(rng.gauss_vector(k_total * width).reshape(k_total, width))
+    table = np.zeros((k_total, dim))
+    table[:, margin : dim - margin] = basis
     if rho is not None:
-        margin = max(1, dim // 8)
-        core_width = dim - 2 * margin
-        raw = [rng.gauss_vector(core_width).tolist() for _ in range(k_total)]
-        basis = _orthonormal_rows(raw)
-        angles = _signature_angles(n_tracks)
-        sig = [(rho * math.cos(a), rho * math.sin(a)) for a in angles]
-        gram = [
-            [
-                (1.0 if i == j else 0.0) - (sig[i][0] * sig[j][0] + sig[i][1] * sig[j][1])
-                for j in range(n_tracks)
-            ]
-            for i in range(n_tracks)
-        ]
+        sig = rho * np.array([(math.cos(a), math.sin(a)) for a in _signature_angles(k)])
+        gram = np.eye(k) - (sig[:, None, 0] * sig[:, 0] + sig[:, None, 1] * sig[:, 1])
         low = _cholesky_lower(gram)
-        protos: list[list[float]] = []
-        for k in range(n_tracks):
-            p = [0.0] * dim
-            p[0] = sig[k][0]
-            p[dim - 1] = sig[k][1]
-            for j in range(k + 1):
-                c = low[k][j]
-                if c != 0.0:
-                    row = basis[j]
-                    for i in range(core_width):
-                        p[margin + i] += c * row[i]
-            protos.append(p)
-        no_obj = None
-        if want_no_object:
-            no_obj = [0.0] * dim
-            no_obj[margin : margin + core_width] = basis[n_tracks]
-        return protos, no_obj
-    # low-dimensional fallback: plain orthonormalised Gaussians
-    raw = [rng.gauss_vector(dim).tolist() for _ in range(k_total)]
-    basis = _orthonormal_rows(raw)
-    protos = basis[:n_tracks]
-    no_obj = basis[n_tracks] if want_no_object else None
-    return protos, no_obj
+        core = np.zeros((k, width))
+        for j in range(k):
+            core[j:] += low[j:, j, None] * basis[j]
+        table[:k, margin : dim - margin] = core
+        table[:k, 0], table[:k, -1] = sig[:, 0], sig[:, 1]
+    return table
 
 
 def _seeded_prefix(spec: SceneSpec):
@@ -359,7 +326,9 @@ def _seeded_prefix(spec: SceneSpec):
     t_len, k, n, d = spec.t_len, spec.n_tracks, spec.n_queries, spec.dim
     h, w = spec.grid
     rng = Rng(spec.seed)
-    protos_py, no_obj_py = _build_prototypes(rng, spec)
+    table = _build_prototypes(rng, spec)
+    table.setflags(write=False)  # first, so its row views are read-only too
+    prototypes, no_object = table[:k], (table[k] if n > k else None)
     anchors = [(rng.below(h), rng.below(w)) for _ in range(k)]
     # consecutive frames always rotate by a nonzero delta, so every
     # transition actually exercises the cross-frame disagreement the scene
@@ -370,8 +339,6 @@ def _seeded_prefix(spec: SceneSpec):
         for t in range(1, t_len):
             rotations[t] = (rotations[t - 1] + 1 + rng.below(k - 1)) % k
 
-    prototypes = np.array(protos_py, dtype=np.float64)
-    no_object = None if no_obj_py is None else np.array(no_obj_py, dtype=np.float64)
     # frame t rotates the first K slots by rotations[t]; surplus slots stay put
     slots = np.arange(n, dtype=np.intp)
     gt_tracks = np.where(slots < k, (slots + np.array(rotations)[:, None]) % k, slots)
@@ -389,9 +356,8 @@ def _seeded_prefix(spec: SceneSpec):
         index[t[:, :, None], rows[:, :, None], cols[:, None, :]] = 1 + track
     palette = np.vstack([np.zeros(d), prototypes])
     # frozen, so every frame's map keeps these objects
-    for arr in (prototypes, no_object, gt_tracks, palette, index):
-        if arr is not None:
-            arr.setflags(write=False)
+    for arr in (gt_tracks, palette, index):
+        arr.setflags(write=False)
     return prototypes, no_object, gt_tracks, palette, index, rng
 
 

@@ -16,7 +16,7 @@ from queryshift.matching import ClipAlignment, _checked_similarity, _matched
 from queryshift.pipeline import decode_masks, semantic_inference
 from queryshift.rng import Rng
 from queryshift.shift import ShiftConfig, feature_shift
-from queryshift.synth import class_head_for, load_scene
+from queryshift.synth import InfeasibleSceneError, SceneSpec, class_head_for, load_scene
 
 _BRUTE_FORCE_LIMIT = 9
 
@@ -281,3 +281,98 @@ class ScalarGauss:
         theta = 2.0 * math.pi * u2
         self.spare = r * math.sin(theta)
         return r * math.cos(theta)
+
+
+# ---------------------------------------------------------------------------
+# the prototype build in plain Python floats, one float at a time: the
+# reference for synth's array build, which must give the same bits
+# ---------------------------------------------------------------------------
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
+def _orthonormal_rows(rows: list[list[float]]) -> list[list[float]]:
+    """Modified Gram-Schmidt, plain Python for a platform-fixed op order."""
+    out: list[list[float]] = []
+    for row in rows:
+        v = list(row)
+        for u in out:
+            c = _dot(v, u)
+            for i in range(len(v)):
+                v[i] -= c * u[i]
+        norm = math.sqrt(_dot(v, v))
+        if norm < 1e-12:
+            raise InfeasibleSceneError("degenerate Gaussian draw during orthonormalisation")
+        out.append([x / norm for x in v])
+    return out
+
+
+def _cholesky_lower(g: list[list[float]]) -> list[list[float]]:
+    n = len(g)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = g[i][j]
+            for t in range(j):
+                s -= low[i][t] * low[j][t]
+            if i == j:
+                if s <= 0.0:
+                    raise InfeasibleSceneError("signature Gram correction lost rank")
+                low[i][j] = math.sqrt(s)
+            else:
+                low[i][j] = s / low[j][j]
+    return low
+
+
+def _signature_angles(k: int) -> list[float]:
+    return [2.0 * math.pi * i / k for i in range(k)]
+
+
+def _build_prototypes(rng: Rng, spec: SceneSpec) -> tuple[list[list[float]], list[float] | None]:
+    """Draw and assemble prototypes; see the ``queryshift.synth`` docstring for layout."""
+    n_tracks, dim, rho = spec.n_tracks, spec.dim, spec.signature_scale
+    want_no_object = spec.n_queries > n_tracks
+    k_total = n_tracks + want_no_object
+    if rho is not None:
+        margin = max(1, dim // 8)
+        core_width = dim - 2 * margin
+        raw = [rng.gauss_vector(core_width).tolist() for _ in range(k_total)]
+        basis = _orthonormal_rows(raw)
+        angles = _signature_angles(n_tracks)
+        sig = [(rho * math.cos(a), rho * math.sin(a)) for a in angles]
+        gram = [
+            [
+                (1.0 if i == j else 0.0) - (sig[i][0] * sig[j][0] + sig[i][1] * sig[j][1])
+                for j in range(n_tracks)
+            ]
+            for i in range(n_tracks)
+        ]
+        low = _cholesky_lower(gram)
+        protos: list[list[float]] = []
+        for k in range(n_tracks):
+            p = [0.0] * dim
+            p[0] = sig[k][0]
+            p[dim - 1] = sig[k][1]
+            for j in range(k + 1):
+                c = low[k][j]
+                if c != 0.0:
+                    row = basis[j]
+                    for i in range(core_width):
+                        p[margin + i] += c * row[i]
+            protos.append(p)
+        no_obj = None
+        if want_no_object:
+            no_obj = [0.0] * dim
+            no_obj[margin : margin + core_width] = basis[n_tracks]
+        return protos, no_obj
+    # low-dimensional fallback: plain orthonormalised Gaussians
+    raw = [rng.gauss_vector(dim).tolist() for _ in range(k_total)]
+    basis = _orthonormal_rows(raw)
+    protos = basis[:n_tracks]
+    no_obj = basis[n_tracks] if want_no_object else None
+    return protos, no_obj

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -610,6 +611,26 @@ def test_run_names_pixels_qtn_before_building_an_oversized_grid(scene_dir, tmp_p
     argv = ["run", "--scene", str(scene_dir), "--config", cfg]
     message = "pixels.qtn shape (3, 256, 64) does not match a 3-frame 1048576x1048576 grid"
     assert _assert_one_line_error(capsys, argv, message).startswith(f"error: {message}")
+
+
+def test_run_rejects_a_pixels_header_larger_than_its_file_within_bounded_memory(
+    scene_dir, tmp_path, capsys
+):
+    # grid and header agree on 10**6 pixels, but the file holds 256: no grid-sized buffer is built
+    _edit_tracks(scene_dir, lambda meta: meta["spec"].update(grid=[1000, 1000]))
+    path = scene_dir / "pixels.qtn"
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<III", 3, 1000 * 1000, 64) + data[20:])
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    message = "header declares 192000000 float64 values, but the stream ends after 393224 bytes"
+    tracemalloc.start()
+    try:
+        assert _assert_one_line_error(capsys, argv, message) == f"error: {message}\n"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_run_corrupt_tensor_exits_2(scene_dir, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The command line contract under one drawn input mutation per example.
 
 Every ``synth``/``run``/``match``/``sweep`` call on a small scene, with one
-input broken in a drawn way, must end in exit code 0, 1, 2 or 3, never let a
-traceback out of ``main``, leave exactly one stderr line when it fails, and
-leave its ``--out`` as it found it when it fails: no partial CSV, no new file.
+input or its argv broken in a drawn way, must end in exit code 0, 1, 2 or 3,
+never let a traceback out of ``main``, leave exactly one stderr line when it
+fails, and leave its ``--out`` as it found it when it fails: no partial CSV,
+no new file or directory.  A broken argv is a usage error: exit 1.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ _JSON_INPUTS = {
     "sweep.json": {"scene": _SCENE, "fractions": ["0", "1/4"], "matching": [True, False]},
 }
 _OUT = {"synth": "new_scene", "run": "report.json", "match": "alignment.json", "sweep": "grid.csv"}
+_REQUIRED = {
+    "synth": ["--spec", "--out"],
+    "run": ["--scene", "--config"],
+    "match": ["--queries"],
+    "sweep": ["--spec", "--out"],
+}
+_INT_FLAGS = {"synth": ["--seed-override"], "sweep": ["--seed-override", "--parallel"]}
 
 _LEAVES = st.one_of(
     st.none(),
@@ -59,8 +67,8 @@ def base_dir(tmp_path_factory):
     return base
 
 
-def _argv(command: str, d: Path) -> list[str]:
-    out = ["--out", str(d / _OUT[command])]
+def _argv(command: str, d: Path, out: Path) -> list[str]:
+    out = ["--out", str(out)]
     if command == "synth":
         return ["synth", "--spec", str(d / "spec.json"), *out]
     if command == "run":
@@ -101,20 +109,52 @@ def _replace(value, path, new):
     return value
 
 
-def _mutate(data, d: Path, command: str) -> str:
-    """Break one input of ``command`` under ``d`` in a drawn way; a description of the edit."""
+def _break_argv(data, command: str, argv: list[str]) -> list[str]:
+    """``argv`` with one usage error: a required flag gone, an unknown flag, a bad flag value."""
+    edits = ["drop", "unknown"] + ["int"] * (command in _INT_FLAGS)
+    edits += ["boundary"] * (command in ("run", "sweep"))
+    edit = data.draw(st.sampled_from(edits), label="argv edit")
+    if edit == "drop":
+        at = argv.index(data.draw(st.sampled_from(_REQUIRED[command]), label="flag"))
+        return argv[:at] + argv[at + 2 :]
+    if edit == "unknown":  # anywhere, even between a flag and its value; -h/--help exits itself
+        at = data.draw(st.integers(0, len(argv)), label="at")
+        return argv[:at] + [data.draw(st.sampled_from(["--bogus", "--bogus=1", "-z"]))] + argv[at:]
+    if edit == "int":
+        flag = data.draw(st.sampled_from(_INT_FLAGS[command]), label="flag")
+        value = data.draw(st.sampled_from(["", "x", "1.5", "1e3", "0x10", "-x"]), label="value")
+    else:
+        flag = "--boundary"
+        value = data.draw(st.sampled_from(["", "Zero", "wrap", "hold "]), label="value")
+    return [*argv, flag, value]
+
+
+def _mutate(data, d: Path, command: str) -> tuple[list[str], Path, str]:
+    """Break one input or the argv of ``command`` under ``d`` in a drawn way.
+
+    Returns the argv to run, the path a failed run must leave as it found it,
+    and the kind of break.
+    """
     inputs = _inputs(command)
+    out = d / _OUT[command]
     kinds = ["remove", "out_is_dir"] + ["json"] * bool(inputs["json"])
     kinds += ["truncate", "overwrite", "grow"] * bool(inputs["binary"])
+    kinds += ["argv", "out_in_missing_dir"]
     kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "argv":
+        argv = _break_argv(data, command, _argv(command, d, out))
+        note(f"argv {argv[1:]}")
+        return argv, out, kind
+    if kind == "out_in_missing_dir":
+        note(kind)
+        return _argv(command, d, d / "missing" / _OUT[command]), d / "missing", kind
     if kind == "out_is_dir":  # synth writes into a directory, so its --out becomes a file
-        out = d / _OUT[command]
         if command == "synth":
             out.write_text("in the way\n")
         else:
             out.mkdir()
-        return kind
-    if kind == "remove":
+        note(kind)
+    elif kind == "remove":
         name = data.draw(st.sampled_from([*inputs["json"], *inputs["binary"], "scene"]))
         target = d / name
         if target.is_dir():
@@ -123,26 +163,28 @@ def _mutate(data, d: Path, command: str) -> str:
             target.unlink()
         if data.draw(st.booleans(), label="a directory in its place"):
             target.mkdir()
-        return f"remove {name}"
-    if kind == "json":
+        note(f"remove {name}")
+    elif kind == "json":
         name = data.draw(st.sampled_from(inputs["json"]), label="file")
         value = json.loads((d / name).read_text())
         path = data.draw(st.sampled_from(list(_paths(value))), label="path")
         new = data.draw(_JSON_VALUES, label="value")
         (d / name).write_text(json.dumps(_replace(value, path, new)))
-        return f"{name} at {path} := {new!r}"
-    name = data.draw(st.sampled_from(inputs["binary"]), label="file")
-    raw = (d / name).read_bytes()
-    if kind == "truncate":
-        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
-    elif kind == "overwrite":
-        at = data.draw(st.integers(0, len(raw) - 1), label="at")
-        patch = data.draw(st.binary(min_size=1, max_size=12), label="bytes")
-        raw = raw[:at] + patch + raw[at + len(patch) :]
+        note(f"{name} at {path} := {new!r}")
     else:
-        raw += data.draw(st.binary(min_size=1, max_size=12), label="bytes")
-    (d / name).write_bytes(raw)
-    return f"{kind} {name}"
+        name = data.draw(st.sampled_from(inputs["binary"]), label="file")
+        raw = (d / name).read_bytes()
+        if kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        elif kind == "overwrite":
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            patch = data.draw(st.binary(min_size=1, max_size=12), label="bytes")
+            raw = raw[:at] + patch + raw[at + len(patch) :]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=12), label="bytes")
+        (d / name).write_bytes(raw)
+        note(f"{kind} {name}")
+    return _argv(command, d, out), out, kind
 
 
 def _state(path: Path):
@@ -152,7 +194,7 @@ def _state(path: Path):
     return path.read_bytes() if path.exists() else None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(sorted(_OUT)), data=st.data())
 def test_every_mutated_input_keeps_the_cli_contract(base_dir, command, data):
     with tempfile.TemporaryDirectory(dir=base_dir) as tmp:
@@ -161,18 +203,17 @@ def test_every_mutated_input_keeps_the_cli_contract(base_dir, command, data):
             if item.name in ("scene", *_JSON_INPUTS):
                 copy = shutil.copytree if item.is_dir() else shutil.copyfile
                 copy(item, d / item.name)
-        note(_mutate(data, d, command))
-        out = d / _OUT[command]
+        argv, out, kind = _mutate(data, d, command)
         before = _state(out)
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(_argv(command, d))  # an exception here is a traceback escaping
+                code = main(argv)  # an exception here is a traceback escaping
         err = stderr.getvalue()
         note(f"exit {code}: {err!r}")
-        event(f"{command} exit {code}")
-        assert code in (0, 1, 2, 3)
+        event(f"{command} {kind} exit {code}")
+        assert code in ((1,) if kind == "argv" else (0, 1, 2, 3))
         assert [str(w.message) for w in caught] == []
         assert "Traceback" not in err
         if code == 0:

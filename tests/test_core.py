@@ -262,6 +262,21 @@ def test_overstated_frame_on_a_pipe_is_truncated_within_bounded_memory():
     assert peak < 64 * 2**20
 
 
+def test_short_file_fails_before_the_header_but_a_stream_of_it_only_when_read(tmp_path):
+    # a file at a path tells its size up front; the same bytes as a caller's stream do not
+    path = tmp_path / "short.qtn"
+    path.write_bytes(_qtn_bytes(_clip(2, 2, 3))[: 20 + 8 * 7])
+    message = "header declares 12 float64 values, but the stream ends after 56 bytes"
+    with pytest.raises(TruncatedTensorError, match=message):
+        read_tensor(path, by_frame=True)
+    with open(path, "rb") as f:
+        frames = read_tensor(f, by_frame=True)
+        assert frames.shape == (2, 2, 3)
+        next(iter(frames))
+        with pytest.raises(TruncatedTensorError, match=message):
+            next(iter(frames))
+
+
 def test_missing_trailer():
     data = _qtn_bytes(_clip(1, 2, 3))[:-8]
     with pytest.raises(TruncatedTensorError):

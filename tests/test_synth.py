@@ -9,9 +9,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from oracles import _build_prototypes, _cholesky_lower, _orthonormal_rows
+from queryshift import synth
 from queryshift.core import PixelEmbeddingMap
 from queryshift.matching import ClipAlignment, align_clip
+from queryshift.rng import Rng
 from queryshift.synth import (
     InfeasibleSceneError,
     SceneClip,
@@ -131,6 +136,42 @@ def test_prototype_gram_low_dim_fallback():
     assert scene.spec.signature_scale is None
     gram = scene.prototypes @ scene.prototypes.T
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+
+
+def _same_bits(got, want) -> bool:
+    want = np.array(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 24),
+    surplus=st.integers(0, 3),
+    extra_dim=st.integers(0, 40),  # small ones leave no room for the signature layout
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_prototypes_equal_the_python_build_bit_for_bit(k, surplus, extra_dim, seed):
+    n = k + surplus
+    spec = _spec(t_len=1, n_tracks=k, n_queries=n, dim=n + extra_dim, num_classes=1, seed=seed)
+    event("fallback" if spec.signature_scale is None else "signature")
+    protos, no_obj = _build_prototypes(Rng(seed), spec)
+    scene = generate_scene(spec)
+    assert _same_bits(scene.prototypes, protos)
+    assert (scene.no_object is None) == (no_obj is None)
+    assert no_obj is None or _same_bits(scene.no_object, no_obj)
+
+
+def test_degenerate_inputs_raise_as_the_python_build_does():
+    for orthonormal_rows in (_orthonormal_rows, synth._orthonormal_rows):
+        with pytest.raises(InfeasibleSceneError, match="degenerate Gaussian draw"):
+            orthonormal_rows(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))  # parallel rows
+    for cholesky_lower in (_cholesky_lower, synth._cholesky_lower):
+        with pytest.raises(InfeasibleSceneError, match="Gram correction lost rank"):
+            cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
 
 def test_signature_channels_carry_energy():
