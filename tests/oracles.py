@@ -42,6 +42,56 @@ def brute_force_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     return _matched(sim, perms[int(np.argmax(totals))])  # first occurrence wins on ties
 
 
+def numpy_solve_min_cost(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Shortest-augmenting-path Hungarian on a square cost array, one numpy pass per step.
+
+    The reference for ``matching._solve_min_cost``, which runs the same IEEE
+    operations in the same order over Python floats: (cost - u) - v on each
+    free column, the first least free column, then the u/v/minv updates.
+    Returns (row -> col assignment, row potentials u, col potentials v) with
+    complementary slackness: matched cells have reduced cost ~0 and all cells
+    have reduced cost >= -epsilon.
+    """
+    n = cost.shape[0]
+    inf = np.inf
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    match_col = np.zeros(n + 1, dtype=np.int64)  # col j (1-based) -> row (1-based), 0 = free
+    way = np.zeros(n + 1, dtype=np.int64)
+    padded = np.zeros((n + 1, n + 1))
+    padded[1:, 1:] = cost
+    for i in range(1, n + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = np.full(n + 1, inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match_col[j0]
+            cur = padded[i0, 1:] - u[i0] - v[1:]
+            free = ~used[1:]
+            better = free & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            free_idx = np.flatnonzero(free) + 1
+            j1 = free_idx[np.argmin(minv[free_idx])]
+            delta = minv[j1]
+            u[match_col[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    assignment = [0] * n
+    for j in range(1, n + 1):
+        assignment[match_col[j] - 1] = j - 1
+    return assignment, u[1:], v[1:]
+
+
 def recursive_lex_smallest_tight_matching(
     tight: list[list[int]], row_to_col: list[int]
 ) -> list[int]:

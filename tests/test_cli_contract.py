@@ -129,25 +129,28 @@ def _break_argv(data, command: str, argv: list[str]) -> list[str]:
     return [*argv, flag, value]
 
 
-def _mutate(data, d: Path, command: str) -> tuple[list[str], Path, str]:
-    """Break one input or the argv of ``command`` under ``d`` in a drawn way.
+def _kinds(command: str) -> list[str]:
+    """The kinds of break ``_mutate`` can make to ``command``'s inputs or argv."""
+    inputs = _inputs(command)
+    kinds = ["remove", "out_is_dir"] + ["json"] * bool(inputs["json"])
+    kinds += ["truncate", "overwrite", "grow"] * bool(inputs["binary"])
+    return kinds + ["argv", "out_in_missing_dir"]
 
-    Returns the argv to run, the path a failed run must leave as it found it,
-    and the kind of break.
+
+def _mutate(data, d: Path, command: str, kind: str) -> tuple[list[str], Path]:
+    """Make a ``kind`` break to one input or the argv of ``command`` under ``d``.
+
+    Returns the argv to run and the path a failed run must leave as it found it.
     """
     inputs = _inputs(command)
     out = d / _OUT[command]
-    kinds = ["remove", "out_is_dir"] + ["json"] * bool(inputs["json"])
-    kinds += ["truncate", "overwrite", "grow"] * bool(inputs["binary"])
-    kinds += ["argv", "out_in_missing_dir"]
-    kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "argv":
         argv = _break_argv(data, command, _argv(command, d, out))
         note(f"argv {argv[1:]}")
-        return argv, out, kind
+        return argv, out
     if kind == "out_in_missing_dir":
         note(kind)
-        return _argv(command, d, d / "missing" / _OUT[command]), d / "missing", kind
+        return _argv(command, d, d / "missing" / _OUT[command]), d / "missing"
     if kind == "out_is_dir":  # synth writes into a directory, so its --out becomes a file
         if command == "synth":
             out.write_text("in the way\n")
@@ -184,7 +187,7 @@ def _mutate(data, d: Path, command: str) -> tuple[list[str], Path, str]:
             raw += data.draw(st.binary(min_size=1, max_size=12), label="bytes")
         (d / name).write_bytes(raw)
         note(f"{kind} {name}")
-    return _argv(command, d, out), out, kind
+    return _argv(command, d, out), out
 
 
 def _state(path: Path):
@@ -194,16 +197,18 @@ def _state(path: Path):
     return path.read_bytes() if path.exists() else None
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(command=st.sampled_from(sorted(_OUT)), data=st.data())
-def test_every_mutated_input_keeps_the_cli_contract(base_dir, command, data):
+# every kind of break runs for every command: 25 pairs of 16 examples each
+@pytest.mark.parametrize("command, kind", [(c, k) for c in sorted(_OUT) for k in _kinds(c)])
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_mutated_input_keeps_the_cli_contract(base_dir, command, kind, data):
     with tempfile.TemporaryDirectory(dir=base_dir) as tmp:
         d = Path(tmp)
         for item in base_dir.iterdir():
             if item.name in ("scene", *_JSON_INPUTS):
                 copy = shutil.copytree if item.is_dir() else shutil.copyfile
                 copy(item, d / item.name)
-        argv, out, kind = _mutate(data, d, command)
+        argv, out = _mutate(data, d, command, kind)
         before = _state(out)
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught:

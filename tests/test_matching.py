@@ -23,7 +23,11 @@ from queryshift.matching import (
     optimal_match,
 )
 
-from oracles import brute_force_match, recursive_lex_smallest_tight_matching
+from oracles import (
+    brute_force_match,
+    numpy_solve_min_cost,
+    recursive_lex_smallest_tight_matching,
+)
 
 
 def _frame(rows):
@@ -262,29 +266,66 @@ def test_totals_match_scipy_linear_sum_assignment(n, seed, ties):
     assert abs(total - values[rows, cols].sum()) <= 1e-9
 
 
+def _solver_case(kind, n, seed):
+    """An (N, N) similarity matrix: random, row-scaled, rounded, surplus-equal or cosine."""
+    rng = np.random.default_rng(seed)
+    if kind == "cosine":  # frame 1 permutes frame 0's queries, plus noise
+        a = rng.standard_normal((n, 16))
+        b = a[rng.permutation(n)] + rng.uniform(0.0, 1.0) * rng.standard_normal((n, 16))
+        return cosine_similarity(_frame(a), _frame(b))
+    sim = rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "scaled":  # rows of different magnitudes, so the order of rounding shows
+        return sim * 10.0 ** rng.uniform(-3.0, 0.0, (n, 1))
+    if kind != "random":
+        sim = np.round(sim, int(rng.integers(2)))
+    if kind == "surplus":  # the last n - k queries are alike: equal rows and columns
+        k = int(rng.integers(n + 1))
+        sim[k:, :] = rng.choice([0.0, 0.5])
+        sim[:, k:] = rng.choice([0.0, 0.5])
+    return sim
+
+
+@given(
+    kind=st.sampled_from(["random", "scaled", "rounded", "surplus", "cosine"]),
+    n=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="cosine", n=100, seed=0)
+@example(kind="rounded", n=130, seed=1)
+@example(kind="surplus", n=90, seed=2)
+@example(kind="random", n=60, seed=3)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_solver_equals_the_numpy_oracle(kind, n, seed):
+    # same IEEE operations in the same order, so the same bits: the assignment
+    # and both potentials, signs of zeros included
+    cost = 1.0 - _solver_case(kind, n, seed)
+    assignment, u, v = _solve_min_cost(cost.tolist())
+    want_assignment, want_u, want_v = numpy_solve_min_cost(cost)
+    assert assignment == want_assignment
+    for got, want in ((np.array(u), want_u), (np.array(v), want_v)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _tight_start(sim):
     """The tight lists and the Hungarian assignment ``optimal_match`` starts its lex pass from."""
     cost = 1.0 - sim
-    assignment, u, v = _solve_min_cost(cost)
-    reduced = cost - u[:, None] - v[None, :]
-    return [list(np.flatnonzero(row <= _TIGHT_TOL)) for row in reduced], list(assignment)
+    assignment, u, v = _solve_min_cost(cost.tolist())
+    reduced = cost - np.array(u)[:, None] - np.array(v)
+    return [np.flatnonzero(row <= _TIGHT_TOL).tolist() for row in reduced], assignment
 
 
 @st.composite
 def _tie_heavy_graphs(draw):
     """A tight graph and a perfect matching inside it, with many ties."""
     n = draw(st.integers(1, 14))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
     kind = draw(st.sampled_from(["rounded", "surplus", "permutations"]))
     if kind == "permutations":  # a union of random perfect matchings, from the first
+        rng = np.random.default_rng(seed)
         perms = [rng.permutation(n) for _ in range(draw(st.integers(1, 4)))]
         return [sorted({int(p[i]) for p in perms}) for i in range(n)], [int(j) for j in perms[0]]
-    sim = np.round(rng.uniform(-1.0, 1.0, (n, n)), draw(st.integers(0, 1)))
-    if kind == "surplus":  # the last n - k queries are alike: equal rows and columns
-        k = draw(st.integers(0, n))
-        sim[k:, :] = draw(st.sampled_from([0.0, 0.5]))
-        sim[:, k:] = draw(st.sampled_from([0.0, 0.5]))
-    return _tight_start(sim)
+    return _tight_start(_solver_case(kind, n, seed))
 
 
 @given(_tie_heavy_graphs())
@@ -403,6 +444,9 @@ def test_alignment_type_validation():
         ClipAlignment([ident, ident], (3.0, 3.0))  # count mismatch
     with pytest.raises(ValueError, match="T-1"):
         ClipAlignment([ident, ident], ())
+    for total in (float("nan"), float("inf"), -float("inf")):  # no matching gives these totals
+        with pytest.raises(ValueError, match="pair_totals"):
+            ClipAlignment(np.array([[0, 1], [1, 0]]), (total,))
     ClipAlignment.identity(3, 4)  # well-formed
     one = ClipAlignment([ident], ())  # one frame, from plain lists
     assert one.adjacent.shape == (0, 3)
