@@ -8,79 +8,20 @@ matcher that repairs index order first, and a synthetic evaluation pipeline
 that measures what happens when the matching step is skipped.
 """
 
-from .core import (
-    ClipQueryTensor,
-    FrameQuerySet,
-    NonFiniteTensorError,
-    PixelEmbeddingMap,
-    TensorFormatError,
-    TensorFrames,
-    TruncatedTensorError,
-    WrongMagicError,
-    read_labelmap,
-    read_tensor,
-    write_frames,
-    write_labelmap,
-    write_tensor,
-)
-from .matching import (
-    ClipAlignment,
-    align_clip,
-    cosine_similarity,
-    optimal_match,
-)
-from .metrics import evaluate_clip
-from .pipeline import decode_masks, run_clip, semantic_inference, shift_with_matching
-from .rng import Rng
-from .shift import BoundaryPolicy, ShiftConfig, feature_shift, plan_shift
-from .synth import (
-    InfeasibleSceneError,
-    SceneClip,
-    SceneSpec,
-    class_head_for,
-    generate_scene,
-    load_scene,
-    recovery_rate,
-    save_scene,
-)
+# each module's __all__ is its public API, and the package re-exports all seven
+from . import core, matching, metrics, pipeline, rng, shift, synth
+from .core import *
+from .matching import *
+from .metrics import *
+from .pipeline import *
+from .rng import *
+from .shift import *
+from .synth import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryPolicy",
-    "ClipAlignment",
-    "ClipQueryTensor",
-    "FrameQuerySet",
-    "InfeasibleSceneError",
-    "NonFiniteTensorError",
-    "PixelEmbeddingMap",
-    "Rng",
-    "SceneClip",
-    "SceneSpec",
-    "ShiftConfig",
-    "TensorFormatError",
-    "TensorFrames",
-    "TruncatedTensorError",
-    "WrongMagicError",
-    "align_clip",
-    "class_head_for",
-    "cosine_similarity",
-    "decode_masks",
-    "evaluate_clip",
-    "feature_shift",
-    "generate_scene",
-    "load_scene",
-    "optimal_match",
-    "plan_shift",
-    "read_labelmap",
-    "read_tensor",
-    "recovery_rate",
-    "run_clip",
-    "save_scene",
-    "semantic_inference",
-    "shift_with_matching",
-    "write_frames",
-    "write_labelmap",
-    "write_tensor",
+    *(name for module in (core, matching, metrics, pipeline, rng, shift, synth)
+      for name in module.__all__),
     "__version__",
 ]

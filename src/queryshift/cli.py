@@ -190,29 +190,33 @@ def _cmd_match(args) -> int:
 
 def _sweep_seed(
     spec: SceneSpec, shifts: list[ShiftConfig], matchings: list[bool]
-) -> list[list[str]]:
-    """One seed's scene, every cell scored once by ``_score``; a CSV row per cell."""
-    rows = []
-    grid = itertools.product(shifts, matchings)
-    for (shift, matching), scores in zip(grid, _score(generate_scene(spec), shifts, matchings)):
-        tc = scores["temporal_consistency"]
-        rows.append([  # the columns of _CSV_HEADER
-            str(shift.fraction), str(shift.channels_shifted), "on" if matching else "off",
-            str(spec.seed), repr(scores["miou"]), repr(scores["pixel_accuracy"]),
-            "" if tc is None else repr(tc), repr(scores["recovery"]),
-        ])
-    return rows
+) -> list[dict[str, float | int | None]]:
+    """One seed's scene, every cell scored once by ``_score``; each cell's scores and seed."""
+    return [cell | {"seed": spec.seed} for cell in _score(generate_scene(spec), shifts, matchings)]
 
 
-def _sweep_summary(rows: list[list[str]]) -> str:
-    """Per-cell means with deltas against the fraction-0 cell of the same mode."""
-    means = {}  # (fraction, mode) -> [mean miou, mean consistency or None]
-    # each cell's rows, one per seed, are contiguous
-    for key, cell in itertools.groupby(rows, lambda row: (row[0], row[2])):
-        cell = list(cell)
-        columns = ([float(row[i]) for row in cell if row[i] != ""] for i in (4, 6))
-        means[key] = [sum(v) / len(v) if v else None for v in columns]
-    lines = ["summary (means over seeds):"]
+def _sweep_output(
+    shifts: list[ShiftConfig], matchings: list[bool], per_seed: list[list[dict]]
+) -> tuple[list[str], str]:
+    """The CSV lines and the summary of a sweep whose seed r scored cell i as ``per_seed[r][i]``.
+
+    The CSV lists fraction, then matching, then seed.  The summary gives each
+    cell's means over seeds, with deltas against the fraction-0 cell of the same mode.
+    """
+    lines, means = [], {}  # means: (fraction, mode) -> [mean miou, mean consistency or None]
+    for (shift, matching), seeds in zip(itertools.product(shifts, matchings), zip(*per_seed)):
+        frac, mode = str(shift.fraction), "on" if matching else "off"
+        for s in seeds:
+            tc = s["temporal_consistency"]
+            lines.append(",".join([  # the columns of _CSV_HEADER
+                frac, str(shift.channels_shifted), mode, str(s["seed"]), repr(s["miou"]),
+                repr(s["pixel_accuracy"]), "" if tc is None else repr(tc), repr(s["recovery"]),
+            ]) + "\n")
+        columns = (
+            [s[k] for s in seeds if s[k] is not None] for k in ("miou", "temporal_consistency")
+        )
+        means[frac, mode] = [sum(v) / len(v) if v else None for v in columns]
+    summary = ["summary (means over seeds):"]
     for (frac, mode), pair in means.items():
         base = means.get(("0", mode), [None, None])
         parts = [f"fraction {frac:>5}", f"matching={mode:<3}"]
@@ -221,8 +225,8 @@ def _sweep_summary(rows: list[list[str]]) -> str:
             if mean is not None and base_mean is not None and frac != "0":
                 text += f" ({mean - base_mean:+.6f})"
             parts.append(f"{name}={text}")
-        lines.append("  " + "  ".join(parts))
-    return "\n".join(lines) + "\n"
+        summary.append("  " + "  ".join(parts))
+    return lines, "\n".join(summary) + "\n"
 
 
 def _cmd_sweep(args) -> int:
@@ -260,17 +264,16 @@ def _cmd_sweep(args) -> int:
                         if len(pending) == 2 * workers:
                             per_seed.append(pending.pop(0).result())
                     per_seed += [future.result() for future in pending]
-            # per_seed is seed-major; the CSV lists fraction, then matching, then seed
-            rows = [row for cell in zip(*per_seed) for row in cell]
+            lines, summary = _sweep_output(shifts, matchings, per_seed)
             f.write(_CSV_HEADER + "\n")
-            f.writelines(",".join(row) + "\n" for row in rows)
+            f.writelines(lines)
             f.flush()
         except BaseException:
             # a failed sweep leaves no partial CSV; /dev/null or a FIFO stays in place
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 os.unlink(args.out)
             raise
-    sys.stdout.write(_sweep_summary(rows))
+    sys.stdout.write(summary)
     return 0
 
 

@@ -59,7 +59,7 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_M1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_M2 = 0x94D049BB133111EB
 
-__all__ = ["Rng", "splitmix64", "MASK64"]
+__all__ = ["Rng"]
 
 
 def splitmix64(state: int) -> tuple[int, int]:

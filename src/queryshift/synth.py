@@ -88,9 +88,6 @@ __all__ = [
     "class_head_for",
     "save_scene",
     "load_scene",
-    "load_json",
-    "check_keys",
-    "json_value",
 ]
 
 # movement directions cycled over tracks; multiplied by spec.motion
@@ -166,8 +163,18 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
-        object.__setattr__(self, "seed", int(self.seed) & MASK64)
+        """Exact types first, as JSON gives them: ``True`` is not an int, 64.9 not a row count."""
+        for name in _INT_FIELDS:
+            json_value(name, getattr(self, name), int)
+        grid = json_value("grid", self.grid, list, tuple)
+        if len(grid) != 2:
+            raise ValueError(f"grid must be a [rows, cols] pair, got {grid!r}")
+        rows, cols = json_value("grid rows", grid[0], int), json_value("grid cols", grid[1], int)
+        object.__setattr__(self, "grid", (rows, cols))
+        sigma = float(json_value("noise_sigma", self.noise_sigma, int, float))
+        object.__setattr__(self, "noise_sigma", sigma)
+        json_value("permute_per_frame", self.permute_per_frame, bool)
+        object.__setattr__(self, "seed", self.seed & MASK64)
         t, k, n, d, c = (
             self.t_len,
             self.n_tracks,
@@ -217,27 +224,17 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
-        """Parse a JSON object; unknown keys and inexact types are errors."""
+        """Parse a JSON object; unknown keys are errors, and the constructor checks exact types."""
         if not isinstance(d, dict):
             raise ValueError(f"scene spec must be a JSON object, got {d!r}")
         check_keys("scene spec", d, [f.name for f in fields(cls)])
-        d = {f.name: f.default for f in fields(cls) if f.default is not MISSING} | d
-        try:
-            sizes = {k: json_value(k, d[k], int) for k in _INT_FIELDS}
-            grid = json_value("grid", d["grid"], list, tuple)
-        except KeyError as exc:
-            raise ValueError(f"scene spec needs a {exc} field") from None
-        if len(grid) != 2:
-            raise ValueError(f"grid must be a [rows, cols] pair, got {grid!r}")
-        sigma = float(json_value("noise_sigma", d["noise_sigma"], int, float))
-        if not math.isfinite(sigma):  # JSON NaN/Infinity is broken input, not a scene
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ValueError(f"scene spec needs a {f.name!r} field")
+        sigma = d.get("noise_sigma")
+        if type(sigma) is float and not math.isfinite(sigma):  # JSON NaN/Infinity: broken input
             raise ValueError(f"noise_sigma must be finite, got {sigma}")
-        return cls(
-            **sizes,
-            grid=(json_value("grid rows", grid[0], int), json_value("grid cols", grid[1], int)),
-            noise_sigma=sigma,
-            permute_per_frame=json_value("permute_per_frame", d["permute_per_frame"], bool),
-        )
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -446,43 +443,30 @@ def class_head_for(scene: SceneClip) -> np.ndarray:
     the shift still perturbs them through the prototypes' outer-channel
     signature energy.
     """
-    k = scene.spec.n_tracks
-    c = scene.spec.num_classes
-    d = scene.spec.dim
-    track_classes = scene.spec.track_classes
+    spec = scene.spec
+    k, c, d, rho = spec.n_tracks, spec.num_classes, spec.dim, spec.signature_scale
     weights = np.zeros((d, c), dtype=np.float64)
     if c == 1:
         return weights
 
-    if scene.spec.noise_sigma > 0.0:
-        for track, cls in enumerate(track_classes):
-            weights[:, cls] += _HEAD_PEAK_LOGIT * scene.prototypes[track]
+    peak = _HEAD_PEAK_LOGIT
+    noisy = spec.noise_sigma > 0.0
+    if noisy or rho is None:
+        for track, cls in enumerate(spec.track_classes):
+            weights[:, cls] += peak * scene.prototypes[track]
+    else:
+        angles = _signature_angles(k)
+        for cls in range(c - 1):  # track cls is the first of its class, as c - 1 <= k
+            weights[0, cls] = peak / rho * math.cos(angles[cls])
+            weights[d - 1, cls] = peak / rho * math.sin(angles[cls])
+    if noisy:
         return weights
 
-    counts: dict[int, int] = {}
-    for cls in track_classes:
-        counts[cls] = counts.get(cls, 0) + 1
-    m_star = max(counts.values())
+    m_star = -(-k // (c - 1))  # the most tracks that share one class
     lower = m_star / (k + m_star)
     upper = _SIGMOID_1 / (2.0 * _SIGMOID_1 + 0.5 * (k - 1))
     eta = 0.5 * (lower + upper) if lower < upper else 0.5 * upper
-
-    peak = _HEAD_PEAK_LOGIT
     gamma_bg = peak + math.log(eta / (1.0 - eta))
-
-    rho = scene.spec.signature_scale
-    if rho is not None:
-        angles = _signature_angles(k)
-        for cls in range(c - 1):
-            if cls not in counts:
-                continue
-            k_c = track_classes.index(cls)
-            weights[0, cls] = peak / rho * math.cos(angles[k_c])
-            weights[d - 1, cls] = peak / rho * math.sin(angles[k_c])
-    else:
-        for track, cls in enumerate(track_classes):
-            weights[:, cls] += peak * scene.prototypes[track]
-
     proto_sum = scene.prototypes.sum(axis=0)
     gains = scene.prototypes @ proto_sum
     weights[:, c - 1] = (gamma_bg / float(gains.mean())) * proto_sum

@@ -16,7 +16,15 @@ from queryshift.matching import ClipAlignment, _checked_similarity, _matched
 from queryshift.pipeline import decode_masks, semantic_inference
 from queryshift.rng import Rng
 from queryshift.shift import ShiftConfig, feature_shift
-from queryshift.synth import InfeasibleSceneError, SceneSpec, class_head_for, load_scene
+from queryshift.synth import (
+    _HEAD_PEAK_LOGIT,
+    _SIGMOID_1,
+    InfeasibleSceneError,
+    SceneClip,
+    SceneSpec,
+    class_head_for,
+    load_scene,
+)
 
 _BRUTE_FORCE_LIMIT = 9
 
@@ -426,3 +434,55 @@ def _build_prototypes(rng: Rng, spec: SceneSpec) -> tuple[list[list[float]], lis
     protos = basis[:n_tracks]
     no_obj = basis[n_tracks] if want_no_object else None
     return protos, no_obj
+
+
+# ---------------------------------------------------------------------------
+# the class head with a per-class count table and a separate loop per
+# layout: the reference for synth.class_head_for, which must give the same bits
+# ---------------------------------------------------------------------------
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_class_head_for(scene: SceneClip) -> np.ndarray:
+    """``class_head_for`` as first written; see its docstring for the design."""
+    k = scene.spec.n_tracks
+    c = scene.spec.num_classes
+    d = scene.spec.dim
+    track_classes = scene.spec.track_classes
+    weights = np.zeros((d, c), dtype=np.float64)
+    if c == 1:
+        return weights
+
+    if scene.spec.noise_sigma > 0.0:
+        for track, cls in enumerate(track_classes):
+            weights[:, cls] += _HEAD_PEAK_LOGIT * scene.prototypes[track]
+        return weights
+
+    counts: dict[int, int] = {}
+    for cls in track_classes:
+        counts[cls] = counts.get(cls, 0) + 1
+    m_star = max(counts.values())
+    lower = m_star / (k + m_star)
+    upper = _SIGMOID_1 / (2.0 * _SIGMOID_1 + 0.5 * (k - 1))
+    eta = 0.5 * (lower + upper) if lower < upper else 0.5 * upper
+
+    peak = _HEAD_PEAK_LOGIT
+    gamma_bg = peak + math.log(eta / (1.0 - eta))
+
+    rho = scene.spec.signature_scale
+    if rho is not None:
+        angles = _signature_angles(k)
+        for cls in range(c - 1):
+            if cls not in counts:
+                continue
+            k_c = track_classes.index(cls)
+            weights[0, cls] = peak / rho * math.cos(angles[k_c])
+            weights[d - 1, cls] = peak / rho * math.sin(angles[k_c])
+    else:
+        for track, cls in enumerate(track_classes):
+            weights[:, cls] += peak * scene.prototypes[track]
+
+    proto_sum = scene.prototypes.sum(axis=0)
+    gains = scene.prototypes @ proto_sum
+    weights[:, c - 1] = (gamma_bg / float(gains.mean())) * proto_sum
+    return weights

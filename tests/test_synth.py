@@ -12,7 +12,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import _build_prototypes, _cholesky_lower, _orthonormal_rows
+from oracles import (
+    _build_prototypes,
+    _cholesky_lower,
+    _orthonormal_rows,
+    reference_class_head_for,
+)
 from queryshift import synth
 from queryshift.core import PixelEmbeddingMap
 from queryshift.matching import ClipAlignment, align_clip
@@ -84,6 +89,34 @@ def test_spec_misc_bounds():
         _spec(noise_sigma=float("nan"))
     with pytest.raises(InfeasibleSceneError):
         _spec(motion=-1)
+
+
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        ({"grid": (64.9, 8.2)}, "grid rows must be of type int"),
+        ({"grid": (8, np.int64(8))}, "grid cols must be of type int"),
+        ({"grid": (8, 8, 8)}, "grid must be a \\[rows, cols\\] pair"),
+        ({"grid": 8}, "grid must be of type list or tuple"),
+        ({"permute_per_frame": "no"}, "permute_per_frame must be of type bool"),
+        ({"t_len": True}, "t_len must be of type int"),
+        ({"seed": 1.0}, "seed must be of type int"),
+        ({"noise_sigma": "0.1"}, "noise_sigma must be of type int or float"),
+        ({"noise_sigma": False}, "noise_sigma must be of type int or float"),
+    ],
+    ids=["float_grid", "numpy_grid", "grid_triple", "int_grid", "string_permute", "bool_t_len",
+         "float_seed", "string_sigma", "bool_sigma"],
+)
+def test_spec_constructor_rejects_inexact_types(change, fragment):
+    # broken input, not an infeasible scene: a library caller gets what from_dict gives
+    with pytest.raises(ValueError, match=fragment) as info:
+        _spec(**change)
+    assert type(info.value) is ValueError
+
+
+def test_spec_stores_an_int_sigma_as_a_float():
+    spec = _spec(noise_sigma=1)
+    assert type(spec.noise_sigma) is float and spec == _spec(noise_sigma=1.0)
 
 
 def test_spec_dict_round_trip():
@@ -388,6 +421,26 @@ def test_class_head_separates_prototypes_at_zero_noise():
     for track, cls in enumerate(scene.spec.track_classes):
         row = logits[track]
         assert int(np.argmax(row)) == cls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 12),
+    surplus=st.integers(0, 3),
+    extra_dim=st.integers(0, 40),  # small ones leave no room for the signature layout
+    classes=st.integers(0, 12),
+    sigma=st.sampled_from([0.0, 0.1]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_class_head_equals_the_reference_bit_for_bit(k, surplus, extra_dim, classes, sigma, seed):
+    n = k + surplus
+    spec = _spec(
+        t_len=1, n_tracks=k, n_queries=n, dim=n + extra_dim, num_classes=1 + classes % (k + 1),
+        grid=(4, 4), noise_sigma=sigma, seed=seed,
+    )
+    event("fallback" if spec.signature_scale is None else "signature")
+    scene = generate_scene(spec)
+    assert _same_bits(class_head_for(scene), reference_class_head_for(scene))
 
 
 @pytest.mark.parametrize(
