@@ -77,9 +77,7 @@ def _parse_boundary(value) -> BoundaryPolicy:
 
 def _pipeline_config(cfg: dict, dim: int) -> tuple[ShiftConfig, bool]:
     """A ``run`` config file as its shift plan and matching flag."""
-    check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"))
-    if "fraction" not in cfg:
-        raise ValueError("pipeline config needs a 'fraction' field")
+    check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"), ("fraction",))
     shift = plan_shift(cfg["fraction"], dim, _parse_boundary(cfg.get("boundary", "zero")))
     return shift, _parse_matching(cfg.get("matching", True))
 
@@ -231,9 +229,8 @@ def _sweep_output(
 
 def _cmd_sweep(args) -> int:
     sweep = load_json(args.spec)
-    check_keys("sweep spec", sweep, ("scene", "fractions", "matching", "repeats", "boundary"))
-    if "scene" not in sweep:
-        raise ValueError("sweep spec needs a 'scene' object")
+    keys = ("scene", "fractions", "matching", "repeats", "boundary")
+    check_keys("sweep spec", sweep, keys, ("scene",))
     base_spec = _scene_spec(sweep["scene"], args.seed_override)
 
     boundary = _parse_boundary(args.boundary or sweep.get("boundary", "zero"))

@@ -22,12 +22,12 @@ On-disk formats:
     bytes 0..8    magic "QTNv0001"
     bytes 8..20   three uint32: T, N, D   (all >= 1)
     then          T*N*D float64 values, frame-major, then query, then channel
-    trailing      8 bytes "QTNEND\\0\\0"
+    trailing      8 bytes "QTNEND\\0\\0", the end of a file (a stream may go on)
 
   The smallest legal file (a 1x1x1 tensor) is therefore 36 bytes.
 
 ``.pgm`` -- label maps as binary PGM (P5), maxval 255.  The pixel value IS the
-  class index, which caps the usable class count at 256.
+  class index, which caps the usable class count at 256; the payload ends it.
 """
 
 from __future__ import annotations
@@ -278,6 +278,8 @@ def _read_frames(src: PathOrIO, whole: bool) -> Iterator:
         trailer = _read_exact(f, len(QTN_TRAILER), "trailer")
         if trailer != QTN_TRAILER:
             raise WrongMagicError(f"bad trailer {trailer!r}, expected {QTN_TRAILER!r}")
+        if f is not src and f.read(1):  # a caller's stream may go on to what follows
+            raise TensorFormatError("bytes after the trailer")
 
 
 class TensorFrames:
@@ -357,11 +359,10 @@ def read_labelmap(src: PathOrIO, num_classes: int) -> np.ndarray:
         raise TensorFormatError(f"expected maxval 255, got {maxval}")
     if width < 1 or height < 1:
         raise TensorFormatError(f"bad PGM size {width}x{height}")
-    body = memoryview(data)[pos : pos + width * height]  # a view, not a copy
-    if len(body) < width * height:
-        raise TruncatedTensorError(
-            f"PGM payload holds {len(body)} bytes, needs {width * height}"
-        )
+    body = memoryview(data)[pos:]  # a view, not a copy
+    if len(body) != width * height:  # the payload ends the stream
+        error = TruncatedTensorError if len(body) < width * height else TensorFormatError
+        raise error(f"PGM payload holds {len(body)} bytes, not {width * height}")
     labels = np.frombuffer(body, dtype=np.uint8).reshape(height, width)
     if labels.max() >= num_classes:
         raise ValueError(f"labels must lie in [0, {num_classes}), found {labels.max()}")

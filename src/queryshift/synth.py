@@ -49,8 +49,8 @@ Determinism: every random draw comes from one Rng stream seeded with
 4. query noise: D Gaussians per (frame, query), frame-major, only when
    noise_sigma > 0.
 
-Steps 1-3 are the prefix that ``load_scene`` replays from a saved spec to
-check tracks.json and pixels.qtn against.
+Steps 1-3 give the spec's noiseless scene, ``_spec_scene``: ``generate_scene``
+adds step 4 to it, ``load_scene`` checks the files against it and swaps them in.
 
 The prototype arithmetic (Gram-Schmidt, Cholesky, signature assembly) runs in
 sequential accumulates and elementwise ufuncs, no BLAS reduction, with each
@@ -62,7 +62,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,27 +104,40 @@ class InfeasibleSceneError(ValueError):
     """The scene description cannot be realised."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str | Path) -> dict:
     """The JSON object in the file at ``path``; every failure is a ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
-            loaded = json.load(f)
+            loaded = json.load(f, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}") from None
     except IsADirectoryError:
         raise ValueError(f"expected a file, got a directory: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors and repeated keys alike
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return loaded
 
 
-def check_keys(what: str, d: dict, allowed) -> None:
-    """Reject keys of a parsed JSON object that are not in ``allowed``."""
+def check_keys(what: str, d: dict, allowed, required=()) -> None:
+    """Reject a parsed JSON object's keys not in ``allowed``, then a missing ``required`` one."""
     unknown = sorted(str(k) for k in d if k not in allowed)
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"{what} needs a {key!r} field")
 
 
 def json_value(what: str, value, *kinds: type):
@@ -227,10 +240,8 @@ class SceneSpec:
         """Parse a JSON object; unknown keys are errors, and the constructor checks exact types."""
         if not isinstance(d, dict):
             raise ValueError(f"scene spec must be a JSON object, got {d!r}")
-        check_keys("scene spec", d, [f.name for f in fields(cls)])
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in d:
-                raise ValueError(f"scene spec needs a {f.name!r} field")
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        check_keys("scene spec", d, [f.name for f in fields(cls)], required)
         sigma = d.get("noise_sigma")
         if type(sigma) is float and not math.isfinite(sigma):  # JSON NaN/Infinity: broken input
             raise ValueError(f"noise_sigma must be finite, got {sigma}")
@@ -313,19 +324,17 @@ def _build_prototypes(rng: Rng, spec: SceneSpec) -> np.ndarray:
     return table
 
 
-def _seeded_prefix(spec: SceneSpec):
-    """Steps 1-3 of the module docstring's draw order: everything the spec fixes but noise.
+def _spec_scene(spec: SceneSpec) -> tuple[SceneClip, Rng]:
+    """Steps 1-3 of the module docstring's draw order: the spec's scene without query noise.
 
-    Returns the read-only prototypes, no-object row (or None), gt_tracks,
-    (K + 1, D) palette and (T, H, W) palette index, and the Rng positioned
-    for step 4's query noise.
+    Every array of the scene is read-only; the Rng is positioned for step
+    4's query noise.
     """
     t_len, k, n, d = spec.t_len, spec.n_tracks, spec.n_queries, spec.dim
     h, w = spec.grid
     rng = Rng(spec.seed)
     table = _build_prototypes(rng, spec)
     table.setflags(write=False)  # first, so its row views are read-only too
-    prototypes, no_object = table[:k], (table[k] if n > k else None)
     anchors = [(rng.below(h), rng.below(w)) for _ in range(k)]
     # consecutive frames always rotate by a nonzero delta, so every
     # transition actually exercises the cross-frame disagreement the scene
@@ -339,6 +348,8 @@ def _seeded_prefix(spec: SceneSpec):
     # frame t rotates the first K slots by rotations[t]; surplus slots stay put
     slots = np.arange(n, dtype=np.intp)
     gt_tracks = np.where(slots < k, (slots + np.array(rotations)[:, None]) % k, slots)
+    # row k of the table is the no-object prototype every surplus query takes
+    queries = table[np.minimum(gt_tracks, k)]
 
     # index[t, y, x]: palette row of a pixel, 0 for background, 1 + k for track k
     rh = max(1, h // 5)
@@ -351,36 +362,34 @@ def _seeded_prefix(spec: SceneSpec):
         rows = (r0 + t * vy * spec.motion + np.arange(rh)) % h
         cols = (c0 + t * vx * spec.motion + np.arange(rw)) % w
         index[t[:, :, None], rows[:, :, None], cols[:, None, :]] = 1 + track
-    palette = np.vstack([np.zeros(d), prototypes])
-    # frozen, so every frame's map keeps these objects
-    for arr in (gt_tracks, palette, index):
+    palette = np.vstack([np.zeros(d), table[:k]])
+    labels = np.array([spec.num_classes - 1, *spec.track_classes], dtype=np.uint8)[index]
+    # frozen, so the scene keeps these objects and every frame's map shares them
+    for arr in (gt_tracks, queries, palette, index, labels):
         arr.setflags(write=False)
-    return prototypes, no_object, gt_tracks, palette, index, rng
+    scene = SceneClip(
+        spec=spec,
+        queries=ClipQueryTensor(queries),
+        pixels=tuple(PixelEmbeddingMap(palette, idx) for idx in index),
+        gt_labels=labels,
+        gt_tracks=gt_tracks,
+        prototypes=table[:k],
+        no_object=table[k] if n > k else None,
+    )
+    return scene, rng
 
 
 def generate_scene(spec: SceneSpec) -> SceneClip:
     """Materialise a scene from its spec; same spec, same bits."""
-    prototypes, no_object, gt_tracks, palette, index, rng = _seeded_prefix(spec)
-    # row k of the table is the no-object prototype every surplus query takes
-    table = prototypes if no_object is None else np.vstack([prototypes, no_object])
-    frames = table[np.minimum(gt_tracks, spec.n_tracks)]
-    if spec.noise_sigma > 0.0:
-        # one draw, in (frame, query, channel) order
-        noise = rng.gauss_vector(frames.size).reshape(frames.shape)
-        with np.errstate(over="ignore"):  # an overflow is caught by the clip's finite scan
-            frames = frames + spec.noise_sigma * noise
-    labels = np.array([spec.num_classes - 1, *spec.track_classes], dtype=np.uint8)[index]
-    labels.setflags(write=False)
-
-    return SceneClip(
-        spec=spec,
-        queries=ClipQueryTensor(frames),
-        pixels=tuple(PixelEmbeddingMap(palette, idx) for idx in index),
-        gt_labels=labels,
-        gt_tracks=gt_tracks,
-        prototypes=prototypes,
-        no_object=no_object,
-    )
+    scene, rng = _spec_scene(spec)
+    if spec.noise_sigma == 0.0:
+        return scene
+    frames = scene.queries.data
+    # one draw, in (frame, query, channel) order
+    noise = rng.gauss_vector(frames.size).reshape(frames.shape)
+    with np.errstate(over="ignore"):  # an overflow is caught by the clip's finite scan
+        frames = frames + spec.noise_sigma * noise
+    return replace(scene, queries=ClipQueryTensor(frames))
 
 
 def recovery_rate(alignment: ClipAlignment, scene: SceneClip) -> float:
@@ -478,14 +487,14 @@ def class_head_for(scene: SceneClip) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _derived_keys(spec: SceneSpec, gt_tracks, prototypes, no_object) -> dict:
+def _derived_keys(scene: SceneClip) -> dict:
     """tracks.json's keys other than "spec", as the JSON values save_scene writes."""
     return {
-        "per_frame_tracks": gt_tracks.tolist(),
-        "track_classes": list(spec.track_classes),
-        "prototypes": prototypes.tolist(),
-        "no_object": None if no_object is None else no_object.tolist(),
-        "signature_scale": spec.signature_scale,
+        "per_frame_tracks": scene.gt_tracks.tolist(),
+        "track_classes": list(scene.spec.track_classes),
+        "prototypes": scene.prototypes.tolist(),
+        "no_object": None if scene.no_object is None else scene.no_object.tolist(),
+        "signature_scale": scene.spec.signature_scale,
     }
 
 
@@ -523,9 +532,7 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
         write_labelmap(labels, lpath)
         written.append(lpath)
 
-    meta = {"spec": scene.spec.to_dict()} | _derived_keys(
-        scene.spec, scene.gt_tracks, scene.prototypes, scene.no_object
-    )
+    meta = {"spec": scene.spec.to_dict()} | _derived_keys(scene)
     tpath = out / "tracks.json"
     with open(tpath, "w") as f:
         json.dump(meta, f, sort_keys=True, indent=1)
@@ -538,11 +545,11 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
     """Reload a scene written by :func:`save_scene`.
 
     tracks.json's keys other than "spec" must be, with exact JSON types,
-    what the spec's seeded draws give (steps 1-3 of the module docstring).
-    A pixels.qtn frame whose rows are exactly that frame of the spec's
-    palette and index shares both, as a generated scene does; any other
-    frame keeps its (H*W, D) rows as an identity palette.  queries.qtn and
-    labels_<t>.pgm are data.
+    what the spec's scene gives (steps 1-3 of the module docstring), which is
+    returned with the files' data swapped in.  A pixels.qtn frame whose rows
+    are exactly the spec's frame keeps the spec's pixel map, as a generated
+    scene does; any other frame keeps its (H*W, D) rows as an identity
+    palette.  queries.qtn and labels_<t>.pgm are data.
     """
     src = Path(scene_dir)
     meta = load_json(src / "tracks.json")
@@ -567,8 +574,8 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
                 f"{spec.t_len}-frame {h}x{w} grid of dim {spec.dim}"
             )
         # the spec agrees with both headers before anything of its size is built
-        prototypes, no_object, gt_tracks, palette, index, _ = _seeded_prefix(spec)
-        want = _derived_keys(spec, gt_tracks, prototypes, no_object)
+        truth, _ = _spec_scene(spec)
+        want = _derived_keys(truth)
         check_keys("tracks.json", meta, ["spec", *want])
         differ = [key for key in want if key not in meta or not _same_json(meta[key], want[key])]
         if differ:
@@ -576,11 +583,12 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
         identity = np.arange(h * w, dtype=np.intp)
         identity.setflags(write=False)
         gathered = np.empty((h * w, spec.dim))
-        for t, rows in enumerate(frames):  # one reused buffer; the trailer is checked last
+        # one reused buffer; frames goes first in zip, so it runs on to its trailer check
+        for rows, p in zip(frames, truth.pixels):
             rows = rows.reshape(h * w, spec.dim)
-            np.take(palette, index[t].reshape(h * w), axis=0, out=gathered, mode="clip")
+            np.take(p.palette, p.index.reshape(h * w), axis=0, out=gathered, mode="clip")
             if np.array_equal(gathered, rows):
-                pixels.append(PixelEmbeddingMap(palette, index[t]))
+                pixels.append(p)
             else:  # not the spec's frame: each pixel its own palette row
                 own = ClipQueryTensor(rows[None]).data[0]  # a copy; fails as a clip read would
                 pixels.append(PixelEmbeddingMap(own, identity.reshape(h, w)))
@@ -591,12 +599,4 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
             raise ValueError(f"labels_{t}.pgm is {labels[t].shape}, not the {h}x{w} grid")
     labels = np.stack(labels)
     labels.setflags(write=False)
-    return SceneClip(
-        spec=spec,
-        queries=queries,
-        pixels=tuple(pixels),
-        gt_labels=labels,
-        gt_tracks=gt_tracks,
-        prototypes=prototypes,
-        no_object=no_object,
-    )
+    return replace(truth, queries=queries, pixels=tuple(pixels), gt_labels=labels)

@@ -437,6 +437,86 @@ def _build_prototypes(rng: Rng, spec: SceneSpec) -> tuple[list[list[float]], lis
 
 
 # ---------------------------------------------------------------------------
+# the scene as first built, from a tuple of what the spec fixes: the reference
+# for synth.generate_scene, which must give the same bits
+# ---------------------------------------------------------------------------
+
+# movement directions cycled over tracks; multiplied by spec.motion
+_DIRS = ((0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, -1), (1, -1), (-1, 1))
+
+
+def seeded_prefix(spec: SceneSpec):
+    """Steps 1-3 of the ``queryshift.synth`` docstring's draw order: everything but noise.
+
+    Returns the read-only prototypes, no-object row (or None), gt_tracks,
+    (K + 1, D) palette and (T, H, W) palette index, and the Rng positioned
+    for step 4's query noise.
+    """
+    t_len, k, n, d = spec.t_len, spec.n_tracks, spec.n_queries, spec.dim
+    h, w = spec.grid
+    rng = Rng(spec.seed)
+    protos, no_obj = _build_prototypes(rng, spec)
+    table = np.array(protos if no_obj is None else [*protos, no_obj])
+    table.setflags(write=False)  # first, so its row views are read-only too
+    prototypes, no_object = table[:k], (table[k] if n > k else None)
+    anchors = [(rng.below(h), rng.below(w)) for _ in range(k)]
+    # consecutive frames always rotate by a nonzero delta, so every
+    # transition actually exercises the cross-frame disagreement the scene
+    # exists to model; K = 1 has no nontrivial rotation and draws nothing
+    rotations = [0] * t_len
+    if spec.permute_per_frame and k >= 2:
+        rotations[0] = rng.below(k)
+        for t in range(1, t_len):
+            rotations[t] = (rotations[t - 1] + 1 + rng.below(k - 1)) % k
+
+    # frame t rotates the first K slots by rotations[t]; surplus slots stay put
+    slots = np.arange(n, dtype=np.intp)
+    gt_tracks = np.where(slots < k, (slots + np.array(rotations)[:, None]) % k, slots)
+
+    # index[t, y, x]: palette row of a pixel, 0 for background, 1 + k for track k
+    rh = max(1, h // 5)
+    rw = max(1, w // 5)
+    t = np.arange(t_len)[:, None]
+    index = np.zeros((t_len, h, w), dtype=np.intp)
+    for track in range(k):  # later tracks paint on top
+        vy, vx = _DIRS[track % len(_DIRS)]
+        r0, c0 = anchors[track]
+        rows = (r0 + t * vy * spec.motion + np.arange(rh)) % h
+        cols = (c0 + t * vx * spec.motion + np.arange(rw)) % w
+        index[t[:, :, None], rows[:, :, None], cols[:, None, :]] = 1 + track
+    palette = np.vstack([np.zeros(d), prototypes])
+    # frozen, so every frame's map keeps these objects
+    for arr in (gt_tracks, palette, index):
+        arr.setflags(write=False)
+    return prototypes, no_object, gt_tracks, palette, index, rng
+
+
+def reference_generate_scene(spec: SceneSpec) -> SceneClip:
+    """The reference for ``generate_scene``: the scene made from ``seeded_prefix``'s tuple."""
+    prototypes, no_object, gt_tracks, palette, index, rng = seeded_prefix(spec)
+    # row k of the table is the no-object prototype every surplus query takes
+    table = prototypes if no_object is None else np.vstack([prototypes, no_object])
+    frames = table[np.minimum(gt_tracks, spec.n_tracks)]
+    if spec.noise_sigma > 0.0:
+        # one draw, in (frame, query, channel) order
+        noise = rng.gauss_vector(frames.size).reshape(frames.shape)
+        with np.errstate(over="ignore"):  # an overflow is caught by the clip's finite scan
+            frames = frames + spec.noise_sigma * noise
+    labels = np.array([spec.num_classes - 1, *spec.track_classes], dtype=np.uint8)[index]
+    labels.setflags(write=False)
+
+    return SceneClip(
+        spec=spec,
+        queries=ClipQueryTensor(frames),
+        pixels=tuple(PixelEmbeddingMap(palette, idx) for idx in index),
+        gt_labels=labels,
+        gt_tracks=gt_tracks,
+        prototypes=prototypes,
+        no_object=no_object,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the class head with a per-class count table and a separate loop per
 # layout: the reference for synth.class_head_for, which must give the same bits
 # ---------------------------------------------------------------------------

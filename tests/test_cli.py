@@ -134,6 +134,35 @@ def test_synth_bad_json_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, name, at, pair",
+    [
+        ("synth", "spec.json", "{", '"t_len": 2'),  # 2 frames, then 3
+        ("sweep", "sweep.json", '"scene": {', '"seed": 0'),  # nested, the same value twice
+        ("run", "cfg.json", "{", '"matching": true'),
+        ("run", "scene/tracks.json", '"spec": {', '"seed": 0'),
+    ],
+    ids=["synth_spec", "sweep_scene", "run_config", "run_tracks_spec"],
+)
+def test_a_repeated_json_key_exits_2_naming_file_and_key(
+    scene_dir, tmp_path, capsys, command, name, at, pair
+):
+    _write_json(tmp_path / "spec.json", _scene_spec())
+    _write_json(tmp_path / "sweep.json", {"scene": _scene_spec(), "fractions": ["0"]})
+    _write_json(tmp_path / "cfg.json", {"fraction": "1/4", "matching": True})
+    path = tmp_path / name
+    path.write_text(path.read_text().replace(at, at + pair + ", ", 1))  # pair first in that object
+    argv = {
+        "synth": ["synth", "--spec", str(path), "--out", str(tmp_path / "out")],
+        "sweep": ["sweep", "--spec", str(path), "--out", str(tmp_path / "grid.csv")],
+        "run": ["run", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json")],
+    }[command]
+    key = pair.split(":")[0].strip('"')
+    line = _assert_one_line_error(capsys, argv, f"is not valid JSON: repeated key {key!r}")
+    assert str(path) in line
+    assert not (tmp_path / "out").exists() and not (tmp_path / "grid.csv").exists()
+
+
 def test_synth_missing_file_exits_2(tmp_path):
     assert main(["synth", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 2
 
@@ -1171,8 +1200,8 @@ def test_sweep_rejects_bad_parallel(tmp_path, capsys):
 
 def test_sweep_missing_scene_key_exits_2(tmp_path, capsys):
     spec = _write_json(tmp_path / "sweep.json", {"fractions": ["0"]})
-    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
-    capsys.readouterr()
+    argv = ["sweep", "--spec", spec, "--out", str(tmp_path / "x.csv")]
+    _assert_one_line_error(capsys, argv, "sweep spec needs a 'scene' field")
 
 
 @pytest.mark.parametrize(

@@ -4,14 +4,18 @@ Every ``synth``/``run``/``match``/``sweep`` call on a small scene, with one
 input or its argv broken in a drawn way, must end in exit code 0, 1, 2 or 3,
 never let a traceback out of ``main``, leave exactly one stderr line when it
 fails, and leave its ``--out`` as it found it when it fails: no partial CSV,
-no new file or directory.  A broken argv is a usage error: exit 1.
+no new file or directory.  A broken argv is a usage error: exit 1.  A JSON
+object that repeats a key, and a binary file with bytes after its end, are
+broken input: exit 2.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import shutil
 import tempfile
 import warnings
@@ -102,6 +106,10 @@ def _paths(value, at=()):
         yield from _paths(child, (*at, key))
 
 
+def _at(value, path):
+    return functools.reduce(operator.getitem, path, value)
+
+
 def _replace(value, path, new):
     if not path:
         return new
@@ -132,7 +140,7 @@ def _break_argv(data, command: str, argv: list[str]) -> list[str]:
 def _kinds(command: str) -> list[str]:
     """The kinds of break ``_mutate`` can make to ``command``'s inputs or argv."""
     inputs = _inputs(command)
-    kinds = ["remove", "out_is_dir"] + ["json"] * bool(inputs["json"])
+    kinds = ["remove", "out_is_dir"] + ["json", "json_dup"] * bool(inputs["json"])
     kinds += ["truncate", "overwrite", "grow"] * bool(inputs["binary"])
     return kinds + ["argv", "out_in_missing_dir"]
 
@@ -174,6 +182,19 @@ def _mutate(data, d: Path, command: str, kind: str) -> tuple[list[str], Path]:
         new = data.draw(_JSON_VALUES, label="value")
         (d / name).write_text(json.dumps(_replace(value, path, new)))
         note(f"{name} at {path} := {new!r}")
+    elif kind == "json_dup":
+        name = data.draw(st.sampled_from(inputs["json"]), label="file")
+        value = json.loads((d / name).read_text())
+        objects = [p for p in _paths(value) if isinstance(_at(value, p), dict) and _at(value, p)]
+        path = data.draw(st.sampled_from(objects), label="object")
+        obj = _at(value, path)
+        key = data.draw(st.sampled_from(sorted(obj)), label="key")
+        again = data.draw(st.just(obj[key]) | _JSON_VALUES, label="value")
+        pairs = [json.dumps(k) + ": " + json.dumps(v) for k, v in [*obj.items(), (key, again)]]
+        marker = "repeated key goes here"
+        text = json.dumps(_replace(value, path, marker))
+        (d / name).write_text(text.replace(json.dumps(marker), "{" + ", ".join(pairs) + "}"))
+        note(f"{name} at {path} repeats {key!r} as {again!r}")
     else:
         name = data.draw(st.sampled_from(inputs["binary"]), label="file")
         raw = (d / name).read_bytes()
@@ -197,7 +218,7 @@ def _state(path: Path):
     return path.read_bytes() if path.exists() else None
 
 
-# every kind of break runs for every command: 25 pairs of 16 examples each
+# every kind of break runs for every command: 28 pairs of 16 examples each
 @pytest.mark.parametrize("command, kind", [(c, k) for c in sorted(_OUT) for k in _kinds(c)])
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
@@ -218,7 +239,7 @@ def test_every_mutated_input_keeps_the_cli_contract(base_dir, command, kind, dat
         err = stderr.getvalue()
         note(f"exit {code}: {err!r}")
         event(f"{command} {kind} exit {code}")
-        assert code in ((1,) if kind == "argv" else (0, 1, 2, 3))
+        assert code in {"argv": (1,), "json_dup": (2,), "grow": (2,)}.get(kind, (0, 1, 2, 3))
         assert [str(w.message) for w in caught] == []
         assert "Traceback" not in err
         if code == 0:

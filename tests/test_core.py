@@ -110,6 +110,22 @@ def test_round_trip_through_file(tmp_path):
     assert np.array_equal(back.data, clip.data)
 
 
+@pytest.mark.parametrize("by_frame", [False, True], ids=["whole", "by_frame"])
+def test_a_file_ends_at_its_trailer(tmp_path, by_frame):
+    path = tmp_path / "clip.qtn"
+    path.write_bytes(_qtn_bytes(_clip(2, 2, 3)) + b"\x00")
+    with pytest.raises(TensorFormatError, match="bytes after the trailer"):
+        list(read_tensor(path, by_frame=True)) if by_frame else read_tensor(path)
+
+
+def test_a_caller_stream_is_left_just_after_the_trailer():
+    first, second = _clip(1, 2, 3, seed=1), _clip(2, 1, 2, seed=2)
+    src = io.BytesIO(_qtn_bytes(first) + _qtn_bytes(second) + b"rest")
+    assert np.array_equal(read_tensor(src).data, first.data)
+    assert np.array_equal(read_tensor(src).data, second.data)
+    assert src.read() == b"rest"
+
+
 def test_round_trip_preserves_special_values():
     arr = np.array([[[0.0, -0.0, 2.0**-1074, 1.7976931348623157e308]]])
     back = read_tensor(io.BytesIO(_qtn_bytes(ClipQueryTensor(arr))))
@@ -542,6 +558,14 @@ def test_pgm_wrong_maxval():
 def test_pgm_truncated_body():
     with pytest.raises(TruncatedTensorError):
         read_labelmap(io.BytesIO(b"P5\n4 4\n255\n" + bytes(5)), 2)
+
+
+def test_pgm_ends_at_its_payload(tmp_path):
+    path = tmp_path / "labels.pgm"
+    path.write_bytes(b"P5\n2 2\n255\n" + bytes(4) + b"\n")
+    with pytest.raises(TensorFormatError, match="PGM payload holds 5 bytes, not 4") as caught:
+        read_labelmap(path, 2)
+    assert type(caught.value) is TensorFormatError  # not a truncation
 
 
 @pytest.mark.parametrize(

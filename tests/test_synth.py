@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -17,15 +18,17 @@ from oracles import (
     _cholesky_lower,
     _orthonormal_rows,
     reference_class_head_for,
+    reference_generate_scene,
 )
 from queryshift import synth
-from queryshift.core import PixelEmbeddingMap
+from queryshift.core import ClipQueryTensor, PixelEmbeddingMap
 from queryshift.matching import ClipAlignment, align_clip
 from queryshift.rng import Rng
 from queryshift.synth import (
     InfeasibleSceneError,
     SceneClip,
     SceneSpec,
+    check_keys,
     class_head_for,
     generate_scene,
     load_scene,
@@ -135,6 +138,14 @@ def test_spec_derives_track_classes_and_signature_scale():
     assert _spec(n_tracks=6, n_queries=6, dim=8, num_classes=7).signature_scale is not None
     assert _spec(n_tracks=6, n_queries=7, dim=8, num_classes=7).signature_scale is None
     assert _spec(n_tracks=2, n_queries=2, dim=2, num_classes=3).signature_scale is None
+
+
+def test_check_keys_names_unknown_keys_then_the_first_missing_one():
+    with pytest.raises(ValueError, match=r"^unknown thing key\(s\): x, y$"):
+        check_keys("thing", {"y": 1, "x": 2}, ["a", "b"], ["a", "b"])
+    with pytest.raises(ValueError, match="^thing needs a 'b' field$"):
+        check_keys("thing", {"a": 1}, ["a", "b", "c"], ["b", "c"])
+    check_keys("thing", {"b": 1, "c": 2}, ["a", "b", "c"], ["b", "c"])
 
 
 def test_spec_from_dict_rejects_garbage():
@@ -459,6 +470,61 @@ def test_class_head_background_column_is_zero_under_noise(kw, sigma):
     head = class_head_for(generate_scene(_spec(noise_sigma=sigma, **kw)))
     assert head.shape[1] >= 2 and np.array_equal(head[:, -1], np.zeros(head.shape[0]))
     assert np.any(head[:, :-1])
+
+
+def _field_arrays(value) -> list[np.ndarray]:
+    """The arrays one SceneClip field holds, in order: a pixel map gives palette then index."""
+    if isinstance(value, ClipQueryTensor):
+        return [value.data]
+    if isinstance(value, tuple):
+        return [a for p in value for a in (p.palette, p.index)]
+    return [] if value is None else [value]
+
+
+def _assert_same_scene(got: SceneClip, want: SceneClip) -> None:
+    """Every field equal under ==, sign bit, dtype and write flag."""
+    for f in dataclasses.fields(SceneClip):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "spec":
+            assert g == w
+            continue
+        assert (g is None) == (w is None), f.name
+        for a, b in zip(_field_arrays(g), _field_arrays(w), strict=True):
+            assert a.dtype == b.dtype and a.flags.writeable == b.flags.writeable, f.name
+            assert _same_bits(a, b), f.name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 8),
+    surplus=st.integers(0, 3),
+    extra_dim=st.integers(0, 24),  # small ones leave no room for the signature layout
+    classes=st.integers(0, 8),
+    sigma=st.sampled_from([0.0, 0.1, 0.3]),
+    permute=st.booleans(),
+    motion=st.integers(0, 3),
+    t_len=st.integers(1, 6),
+    grid=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_scene_equals_the_reference_bit_for_bit(
+    k, surplus, extra_dim, classes, sigma, permute, motion, t_len, grid, seed
+):
+    n = k + surplus
+    spec = SceneSpec(
+        t_len=t_len, n_tracks=k, n_queries=n, dim=n + extra_dim,
+        num_classes=1 + classes % (k + 1), grid=grid, noise_sigma=sigma,
+        permute_per_frame=permute, motion=motion, seed=seed,
+    )
+    event("fallback" if spec.signature_scale is None else "signature")
+    scene = generate_scene(spec)
+    _assert_same_scene(scene, reference_generate_scene(spec))
+    if sigma == 0.0:
+        with tempfile.TemporaryDirectory() as tmp:
+            save_scene(scene, tmp)
+            loaded = load_scene(tmp)
+        _assert_same_scene(loaded, scene)
+        assert all(p.palette is loaded.pixels[0].palette for p in loaded.pixels)
 
 
 # ---------------------------------------------------------------------------
