@@ -24,18 +24,17 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import read_tensor
+from .core import json_value, read_tensor
 from .matching import ClipAlignment, align_clip
 from .metrics import evaluate_clip
 from .pipeline import run_clip
-from .shift import BoundaryPolicy, ShiftConfig, plan_shift
+from .shift import ShiftConfig
 from .synth import (
     InfeasibleSceneError,
     SceneClip,
     SceneSpec,
     check_keys,
     generate_scene,
-    json_value,
     load_json,
     load_scene,
     recovery_rate,
@@ -68,17 +67,10 @@ def _parse_matching(value) -> bool:
     raise ValueError(f"matching must be true/false or 'on'/'off', got {value!r}")
 
 
-def _parse_boundary(value) -> BoundaryPolicy:
-    try:
-        return BoundaryPolicy(value)
-    except ValueError:
-        raise ValueError(f"boundary must be 'zero' or 'hold', got {value!r}") from None
-
-
 def _pipeline_config(cfg: dict, dim: int) -> tuple[ShiftConfig, bool]:
     """A ``run`` config file as its shift plan and matching flag."""
     check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"), ("fraction",))
-    shift = plan_shift(cfg["fraction"], dim, _parse_boundary(cfg.get("boundary", "zero")))
+    shift = ShiftConfig(cfg["fraction"], dim, cfg.get("boundary", "zero"))
     return shift, _parse_matching(cfg.get("matching", True))
 
 
@@ -233,9 +225,9 @@ def _cmd_sweep(args) -> int:
     check_keys("sweep spec", sweep, keys, ("scene",))
     base_spec = _scene_spec(sweep["scene"], args.seed_override)
 
-    boundary = _parse_boundary(args.boundary or sweep.get("boundary", "zero"))
+    boundary = args.boundary or sweep.get("boundary", "zero")
     shifts = _grid_axis(
-        sweep, "fractions", _DEFAULT_FRACTIONS, lambda f: plan_shift(f, base_spec.dim, boundary)
+        sweep, "fractions", _DEFAULT_FRACTIONS, lambda f: ShiftConfig(f, base_spec.dim, boundary)
     )
     matchings = _grid_axis(sweep, "matching", (False, True), _parse_matching)
     repeats = json_value("repeats", sweep.get("repeats", 1), int)

@@ -84,6 +84,14 @@ class NonFiniteTensorError(TensorFormatError):
     """A payload value is NaN or infinite."""
 
 
+def json_value(what: str, value, *kinds: type):
+    """``value`` if its exact type is one of ``kinds``; ``True`` is not an int here."""
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{what} must be of type {names}, got {value!r}")
+    return value
+
+
 def _frozen(arr) -> bool:
     """Whether ``arr`` and every array down its ``.base`` chain are read-only."""
     while isinstance(arr, np.ndarray) and not arr.flags.writeable:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClipQueryTensor, FrameQuerySet
+from .core import ClipQueryTensor, FrameQuerySet, json_value
 
 __all__ = [
     "ClipAlignment",
@@ -226,7 +226,8 @@ class ClipAlignment:
             t_len = n = 0
         if t_len == 0 or n == 0:
             raise ValueError("per_frame must be a non-empty (T, N) array")
-        totals = tuple(float(x) for x in self.pair_totals)
+        totals = json_value("pair_totals", self.pair_totals, tuple, list)
+        totals = tuple(float(json_value("pair_totals", x, int, float)) for x in totals)
         if len(totals) != t_len - 1:
             raise ValueError(f"need exactly T-1 = {t_len - 1} pair totals, got {len(totals)}")
         if not all(map(math.isfinite, totals)):

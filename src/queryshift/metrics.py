@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import json_value
+
 __all__ = ["evaluate_clip"]
 
 
@@ -38,7 +40,8 @@ def evaluate_clip(
     "pixel_accuracy", "temporal_consistency"}``, the last None unless T > 1
     and a pixel is static, comes from one joint count.
     """
-    gt, c, classes = np.asarray(gt_labels), num_classes, np.asarray(classes)
+    gt, classes = np.asarray(gt_labels), np.asarray(classes)
+    c = json_value("num_classes", num_classes, int)
     if gt.ndim != 3 or gt.dtype.kind not in "iu" or gt.size == 0:
         raise ValueError(f"gt labels must be a non-empty (T, H, W) integer array, got {gt.shape}")
     if gt.min() < 0 or gt.max() >= c:

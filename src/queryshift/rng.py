@@ -50,6 +50,8 @@ import math
 
 import numpy as np
 
+from .core import json_value
+
 MASK64 = (1 << 64) - 1
 _GAUSS_BLOCK = 1024  # Box-Muller pairs per block: bounds gauss_vector's scratch lists
 # words per table block: a 264 KB table built in ~2 ms; a 1 MB one (512) costs set-up and RSS
@@ -94,7 +96,7 @@ class Rng:
     __slots__ = ("_s0", "_s1", "_gauss_spare")
 
     def __init__(self, seed: int):
-        sm, s0 = splitmix64(seed & MASK64)
+        sm, s0 = splitmix64(json_value("seed", seed, int) & MASK64)
         _, s1 = splitmix64(sm)
         if s0 == 0 and s1 == 0:  # all-zero state would be a fixed point
             s1 = 1
@@ -124,7 +126,7 @@ class Rng:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
-        if n <= 0:
+        if json_value("n", n, int) <= 0:
             raise ValueError("below() requires n >= 1")
         return ((self.next_u64() >> 11) * n) >> 53
 
@@ -134,7 +136,7 @@ class Rng:
         Box-Muller runs over blocks of pairs of table-made words; ``log``,
         ``sin`` and ``cos`` go through ``math``: numpy's differ in the last bit.
         """
-        out = np.empty(np.intp(n))  # an absurd n fails here, before any draw
+        out = np.empty(np.intp(json_value("n", n, int)))  # an absurd n fails here, before any draw
         done = 0
         if out.size and self._gauss_spare is not None:
             out[0], self._gauss_spare, done = self._gauss_spare, None, 1

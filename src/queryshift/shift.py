@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ClipQueryTensor
+from .core import ClipQueryTensor, json_value
 
-__all__ = ["BoundaryPolicy", "ShiftConfig", "plan_shift", "feature_shift"]
+__all__ = ["BoundaryPolicy", "ShiftConfig", "feature_shift"]
 
 _FRACTION_LIMIT = 1000  # characters of a fraction's text, and its |decimal exponent|
 
@@ -40,9 +40,15 @@ class BoundaryPolicy(enum.Enum):
 class ShiftConfig:
     """Validated shift plan for a fixed channel count.
 
-    The channel counts are derived from the fraction: the budget
-    ``floor(fraction * dim)`` is rounded down to an even number and split
-    half/half, so ``d_forward == floor(fraction * dim) // 2`` channels go each way.
+    ``fraction`` is a ``Fraction``, an int, a float or a string such as
+    ``"1/8"``, read by its text, so the float 0.3 is 3/10; it is stored as a
+    ``Fraction`` in [0, 1/2].  ``dim`` is an int >= 1 and ``boundary`` a
+    ``BoundaryPolicy`` or its value, ``"zero"`` or ``"hold"``.  The channel
+    counts are derived from the fraction: the budget ``floor(fraction * dim)``
+    is rounded down to an even number and split half/half, so
+    ``d_forward == floor(fraction * dim) // 2`` channels go each way.  E.g.
+    fraction 1/128 at dim 256 gives one channel each way, and any fraction
+    below 2/dim degenerates to a no-op shift.
     """
 
     fraction: Fraction
@@ -50,10 +56,29 @@ class ShiftConfig:
     boundary: BoundaryPolicy = BoundaryPolicy.ZERO_FILL
 
     def __post_init__(self):
-        if not 0 <= self.fraction <= Fraction(1, 2):
-            raise ValueError(f"shift fraction must lie in [0, 1/2], got {self.fraction}")
-        if self.dim < 1:
+        text = str(self.fraction)
+        # Fraction computes 10**exponent; the limit keeps that fast and every
+        # accepted value printable (Python prints ints of up to 4,300 digits)
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
+        if len(text) > _FRACTION_LIMIT or (exponent and abs(int(exponent[1])) > _FRACTION_LIMIT):
+            raise ValueError(
+                f"bad shift fraction {text[:40]!r}: over {_FRACTION_LIMIT} characters "
+                f"or a decimal exponent beyond ±{_FRACTION_LIMIT}"
+            )
+        try:
+            fraction = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad shift fraction {self.fraction!r}: {exc}") from None
+        if not 0 <= fraction <= Fraction(1, 2):
+            raise ValueError(f"shift fraction must lie in [0, 1/2], got {fraction}")
+        if json_value("dim", self.dim, int) < 1:
             raise ValueError("dim must be >= 1")
+        try:
+            boundary = BoundaryPolicy(self.boundary)
+        except ValueError:
+            raise ValueError(f"boundary must be 'zero' or 'hold', got {self.boundary!r}") from None
+        object.__setattr__(self, "fraction", fraction)
+        object.__setattr__(self, "boundary", boundary)
 
     @property
     def d_forward(self) -> int:
@@ -62,34 +87,6 @@ class ShiftConfig:
     @property
     def channels_shifted(self) -> int:
         return 2 * self.d_forward
-
-
-def plan_shift(
-    fraction,
-    dim: int,
-    boundary: BoundaryPolicy = BoundaryPolicy.ZERO_FILL,
-) -> ShiftConfig:
-    """Read a shift fraction as written and plan the shift for ``dim`` channels.
-
-    ``fraction`` is a ``Fraction``, an int, a float or a string such as
-    ``"1/8"``; a float is read by its decimal text, so 0.3 is 3/10.  E.g.
-    fraction 1/128 at dim 256 gives one channel each way, and any fraction
-    below 2/dim degenerates to a no-op shift.
-    """
-    text = str(fraction)
-    # Fraction computes 10**exponent; the limit keeps that fast and every
-    # accepted value printable (Python prints ints of up to 4,300 digits)
-    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
-    if len(text) > _FRACTION_LIMIT or (exponent and abs(int(exponent[1])) > _FRACTION_LIMIT):
-        raise ValueError(
-            f"bad shift fraction {text[:40]!r}: over {_FRACTION_LIMIT} characters "
-            f"or a decimal exponent beyond ±{_FRACTION_LIMIT}"
-        )
-    try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad shift fraction {fraction!r}: {exc}") from None
-    return ShiftConfig(frac, dim, boundary)
 
 
 def feature_shift(clip: ClipQueryTensor, config: ShiftConfig) -> ClipQueryTensor:

@@ -70,6 +70,7 @@ import numpy as np
 from .core import (
     ClipQueryTensor,
     PixelEmbeddingMap,
+    json_value,
     read_labelmap,
     read_tensor,
     write_frames,
@@ -138,14 +139,6 @@ def check_keys(what: str, d: dict, allowed, required=()) -> None:
     for key in required:
         if key not in d:
             raise ValueError(f"{what} needs a {key!r} field")
-
-
-def json_value(what: str, value, *kinds: type):
-    """``value`` if its exact type is one of ``kinds``; ``True`` is not an int here."""
-    if type(value) not in kinds:
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"{what} must be of type {names}, got {value!r}")
-    return value
 
 
 def _same_json(a, b) -> bool:

@@ -27,7 +27,7 @@ from queryshift.matching import (
 )
 from queryshift.core import ClipQueryTensor
 from queryshift.pipeline import run_clip
-from queryshift.shift import BoundaryPolicy, feature_shift, plan_shift
+from queryshift.shift import BoundaryPolicy, ShiftConfig, feature_shift
 from queryshift.synth import SceneSpec, generate_scene, recovery_rate
 
 from oracles import accumulate, brute_force_match, miou, temporal_consistency
@@ -106,7 +106,7 @@ def test_criterion_2_shift_matches_naive_reference():
         clip = ClipQueryTensor(arr)
         frac = Fraction(int(rng.integers(0, 257)), 512)
         for boundary in (ZERO, HOLD):
-            cfg = plan_shift(frac, d, boundary)
+            cfg = ShiftConfig(frac, d, boundary)
             got = feature_shift(clip, cfg).data
             want = np.array(
                 _naive_shift_lists(
@@ -155,7 +155,7 @@ def test_criterion_3_exact_recovery_experiment():
             )
         )
         for frac in _RECOVERY_FRACTIONS:
-            shift = plan_shift(Fraction(frac), 64, HOLD)
+            shift = ShiftConfig(Fraction(frac), 64, HOLD)
             alignment = align_clip(scene.queries)
             rows, classes = run_clip(scene, [shift], [alignment, ClipAlignment.identity(6, 8)])
             assert recovery_rate(alignment, scene) == 1.0, (seed, frac)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from queryshift.matching import ClipAlignment, align_clip
 from queryshift.metrics import evaluate_clip
 from queryshift.pipeline import run_clip
-from queryshift.shift import BoundaryPolicy, plan_shift
+from queryshift.shift import BoundaryPolicy, ShiftConfig
 from queryshift.synth import SceneSpec, generate_scene, load_scene, save_scene
 
 from oracles import (
@@ -520,7 +520,7 @@ def test_tally_of_a_loaded_scene_counts_palette_rows(tmp_path):
     save_scene(generate_scene(spec), tmp_path)
     scene = load_scene(tmp_path)
     identity = ClipAlignment.identity(spec.t_len, spec.n_queries)
-    rows, classes = run_clip(scene, [plan_shift("0", spec.dim)], [identity])
+    rows, classes = run_clip(scene, [ShiftConfig("0", spec.dim)], [identity])
     # frame t's K + 1 palette rows follow the frames before it, and its grid reaches them all
     k, c = spec.n_tracks + 1, spec.num_classes
     assert classes.shape == (1, 1, spec.t_len * k)
@@ -664,7 +664,7 @@ def _scene_cases(draw):
         seed=draw(st.integers(0, 2**32)),
     )
     boundary = draw(st.sampled_from(list(BoundaryPolicy)))
-    shift = plan_shift(draw(st.sampled_from(["0", "1/8", "1/4", "1/2"])), spec.dim, boundary)
+    shift = ShiftConfig(draw(st.sampled_from(["0", "1/8", "1/4", "1/2"])), spec.dim, boundary)
     return spec, shift, draw(st.booleans()), draw(st.booleans())
 
 

@@ -91,6 +91,19 @@ ONE_FRAME_SWEEP_PINS = {
 }
 
 
+# the paper's configuration: 90 tracks in 100 queries of 256 channels, 20 classes, a 256 x 512 grid
+PAPER_SCENE = {
+    "t_len": 6, "n_tracks": 90, "n_queries": 100, "dim": 256, "num_classes": 20,
+    "grid": [256, 512], "noise_sigma": 0.1, "permute_per_frame": True,
+    "motion": 1, "seed": 0,
+}
+PAPER_PINS = {
+    "csv": "5e9f309fdc08a7345dc714d1e82f26d337d71581e947ab98aaaf4beb48c441eb",
+    "stdout": "1c66c90fe88a81c27f3bdc743c620981df7c00a652ce3e709a1d093d01a1d860",
+    "match": "06be905aeb2bfb1c833d1a2e622e232c0ae3328b0274e077527d39ae32ea3a22",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -178,7 +191,7 @@ def test_noisy_scene_predicts_no_background_pixel():
     # accuracy is that constant penalty, which cancels in matched-vs-unmatched deltas
     synth = importlib.import_module("queryshift.synth")
     scene = synth.generate_scene(synth.SceneSpec.from_dict(NOISY_SCENE))
-    shift = importlib.import_module("queryshift.shift").plan_shift("0", scene.spec.dim)
+    shift = importlib.import_module("queryshift.shift").ShiftConfig("0", scene.spec.dim)
     alignment = importlib.import_module("queryshift.matching").align_clip(scene.queries)
     rows, classes = importlib.import_module("queryshift.pipeline").run_clip(
         scene, [shift], [alignment]
@@ -199,3 +212,25 @@ def test_one_frame_sweep_matches_pin(tmp_path, parallel):
     assert ",,1.0\n" in table.read_text()  # no temporal consistency with one frame
     assert _sha(table.read_bytes()) == ONE_FRAME_SWEEP_PINS["csv"]
     assert _sha(stdout.getvalue().encode()) == ONE_FRAME_SWEEP_PINS["stdout"]
+
+
+def test_paper_sized_sweep_and_match_match_pins(tmp_path):
+    main = importlib.import_module("queryshift.cli").main
+    synth = importlib.import_module("queryshift.synth")
+    table = tmp_path / "table.csv"
+    argv = ["sweep", "--spec", _write_json(tmp_path / "sweep.json", {"scene": PAPER_SCENE})]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv + ["--out", str(table)]) == 0
+    # the queries alone: synth would also write a 1.6 GB pixels.qtn at this grid
+    queries = tmp_path / "queries.qtn"
+    scene = synth.generate_scene(synth.SceneSpec.from_dict(PAPER_SCENE))
+    importlib.import_module("queryshift.core").write_tensor(scene.queries, queries)
+    alignment = tmp_path / "alignment.json"
+    assert main(["match", "--queries", str(queries), "--out", str(alignment)]) == 0
+    got = {
+        "csv": _sha(table.read_bytes()),
+        "stdout": _sha(stdout.getvalue().encode()),
+        "match": _sha(alignment.read_bytes()),
+    }
+    assert got == PAPER_PINS

@@ -40,7 +40,7 @@ from queryshift.pipeline import (
     semantic_inference,
     shift_with_matching,
 )
-from queryshift.shift import BoundaryPolicy, feature_shift, plan_shift
+from queryshift.shift import BoundaryPolicy, ShiftConfig, feature_shift
 from queryshift.synth import SceneSpec, class_head_for, generate_scene, load_scene, save_scene
 
 ZERO = BoundaryPolicy.ZERO_FILL
@@ -48,7 +48,7 @@ HOLD = BoundaryPolicy.HOLD
 
 
 def _shift(fraction, dim, boundary=ZERO):
-    return plan_shift(Fraction(fraction), dim, boundary)
+    return ShiftConfig(Fraction(fraction), dim, boundary)
 
 
 def _aligned(clip, matching):
@@ -321,7 +321,7 @@ def _shift_lists(draw):
     alignment = ClipAlignment(np.array(per_frame), (0.0,) * (t_len - 1))
     fractions = st.sampled_from(["0", "1/8", "1/4", "3/8", "1/2"])
     plans = draw(st.lists(st.tuples(fractions, st.sampled_from([ZERO, HOLD])), max_size=8))
-    shifts = [plan_shift(f, d, b) for f, b in plans]
+    shifts = [ShiftConfig(f, d, b) for f, b in plans]
     return clip, shifts, alignment
 
 
@@ -502,7 +502,7 @@ def _palette_cases(draw):
     )
     fraction = draw(st.sampled_from(["0", "1/8", "1/4", "1/2"]))
     boundary = draw(st.sampled_from([ZERO, HOLD]))
-    return spec, plan_shift(fraction, spec.dim, boundary), draw(st.booleans())
+    return spec, ShiftConfig(fraction, spec.dim, boundary), draw(st.booleans())
 
 
 @given(_palette_cases())

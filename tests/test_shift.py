@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryshift.core import ClipQueryTensor
-from queryshift.shift import BoundaryPolicy, ShiftConfig, feature_shift, plan_shift
+from queryshift.shift import BoundaryPolicy, ShiftConfig, feature_shift
 
 ZERO = BoundaryPolicy.ZERO_FILL
 HOLD = BoundaryPolicy.HOLD
@@ -49,67 +49,67 @@ def _clip(t, n, d, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# plan_shift
+# planning: ShiftConfig reads a fraction as written
 # ---------------------------------------------------------------------------
 
 
 def test_plan_1_128_of_256():
-    cfg = plan_shift(Fraction(1, 128), 256)
+    cfg = ShiftConfig(Fraction(1, 128), 256)
     assert cfg.d_forward == 1
     assert cfg.channels_shifted == 2
     assert cfg.fraction == Fraction(1, 128)
 
 
 def test_plan_1_4_of_256():
-    cfg = plan_shift(Fraction(1, 4), 256)
+    cfg = ShiftConfig(Fraction(1, 4), 256)
     assert cfg.d_forward == 32
     assert cfg.channels_shifted == 64
 
 
 def test_plan_zero_fraction():
-    cfg = plan_shift(0, 256)
+    cfg = ShiftConfig(0, 256)
     assert cfg.d_forward == 0
 
 
 def test_plan_table_column_for_256():
     fractions = ["0", "1/128", "1/64", "1/32", "1/16", "1/8", "1/4"]
-    channels = [plan_shift(Fraction(f), 256).channels_shifted for f in fractions]
+    channels = [ShiftConfig(Fraction(f), 256).channels_shifted for f in fractions]
     assert channels == [0, 2, 4, 8, 16, 32, 64]
 
 
 def test_plan_odd_budget_rounds_down_to_even():
     # floor(5/256 * 256) = 5 -> 4 channels -> 2 each way
-    cfg = plan_shift(Fraction(5, 256), 256)
+    cfg = ShiftConfig(Fraction(5, 256), 256)
     assert cfg.d_forward == 2
     # floor(1/64 * 64) = 1 -> no-op
-    cfg = plan_shift(Fraction(1, 64), 64)
+    cfg = ShiftConfig(Fraction(1, 64), 64)
     assert cfg.d_forward == 0
 
 
 def test_plan_small_dims_degenerate_to_noop():
     for frac in ("1/128", "1/64"):
-        cfg = plan_shift(Fraction(frac), 64)
+        cfg = ShiftConfig(Fraction(frac), 64)
         assert cfg.channels_shifted == 0
 
 
 def test_plan_accepts_string_and_int():
-    assert plan_shift("1/8", 256).channels_shifted == 32
-    assert plan_shift(0, 8).channels_shifted == 0
+    assert ShiftConfig("1/8", 256).channels_shifted == 32
+    assert ShiftConfig(0, 8).channels_shifted == 0
 
 
 def test_plan_rejects_out_of_range_fraction():
     with pytest.raises(ValueError):
-        plan_shift(Fraction(3, 4), 256)
+        ShiftConfig(Fraction(3, 4), 256)
     with pytest.raises(ValueError):
-        plan_shift(Fraction(-1, 128), 256)
+        ShiftConfig(Fraction(-1, 128), 256)
     with pytest.raises(ValueError):
-        plan_shift(Fraction(1, 8), 0)
+        ShiftConfig(Fraction(1, 8), 0)
 
 
 def test_plan_reads_numbers_as_written():
     # a float is read by its decimal text, as the CLI reads a JSON number
     for value in (0.3, "3/10", Fraction(3, 10)):
-        cfg = plan_shift(value, 20)
+        cfg = ShiftConfig(value, 20)
         assert cfg.fraction == Fraction(3, 10)
         assert cfg.channels_shifted == 6
 
@@ -117,7 +117,7 @@ def test_plan_reads_numbers_as_written():
 def test_plan_rejects_unparsable_fraction():
     for value in ("1/0", None, [1]):
         with pytest.raises(ValueError, match="bad shift fraction"):
-            plan_shift(value, 20)
+            ShiftConfig(value, 20)
 
 
 def test_config_derives_channel_counts():
@@ -127,13 +127,32 @@ def test_config_derives_channel_counts():
     assert ShiftConfig(Fraction(5, 256), 256).channels_shifted == 4
 
 
+def test_config_reads_a_float_by_its_text():
+    # 0.29 * 200 is 57.99999999999999 in floats; read as written it is 58
+    cfg = ShiftConfig(0.29, 200)
+    assert cfg.fraction == Fraction(29, 100) and type(cfg.fraction) is Fraction
+    assert (cfg.d_forward, cfg.channels_shifted) == (29, 58)
+
+
+def test_config_reads_the_boundary_by_its_value():
+    assert ShiftConfig("1/8", 64, "hold") == ShiftConfig(0.125, 64, HOLD)
+    assert ShiftConfig("1/8", 64, "hold").boundary is HOLD
+    clip = _clip(3, 2, 8, seed=4)
+    by_value = feature_shift(clip, ShiftConfig(Fraction(1, 4), 8, "zero"))
+    by_member = feature_shift(clip, ShiftConfig(Fraction(1, 4), 8, ZERO))
+    assert by_value.data.tobytes() == by_member.data.tobytes()
+    assert np.all(by_value.data[0, :, :1] == 0.0) and np.all(by_value.data[-1, :, -1:] == 0.0)
+    with pytest.raises(ValueError, match="boundary must be 'zero' or 'hold', got 'Zero'"):
+        ShiftConfig("1/8", 64, "Zero")
+
+
 @given(
     st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=512),
     st.integers(min_value=1, max_value=512),
 )
 @settings(max_examples=200, deadline=None)
 def test_plan_properties(fraction, dim):
-    cfg = plan_shift(fraction, dim)
+    cfg = ShiftConfig(fraction, dim)
     assert cfg.channels_shifted % 2 == 0
     assert cfg.channels_shifted <= int(fraction * dim)
     assert int(fraction * dim) - cfg.channels_shifted <= 1
@@ -190,7 +209,7 @@ def test_single_frame_zero_fill_blanks_both_bands():
 
 def test_zero_fraction_is_identity_bit_exact():
     clip = _clip(4, 5, 16, seed=7)
-    out = feature_shift(clip, plan_shift(0, 16))
+    out = feature_shift(clip, ShiftConfig(0, 16))
     assert np.array_equal(
         out.data.view(np.uint64), clip.data.view(np.uint64)
     )
@@ -207,7 +226,7 @@ def test_input_not_mutated():
 def test_dim_mismatch_rejected():
     clip = _clip(2, 2, 8)
     with pytest.raises(ValueError):
-        feature_shift(clip, plan_shift(Fraction(1, 4), 16))
+        feature_shift(clip, ShiftConfig(Fraction(1, 4), 16))
 
 
 @given(
@@ -230,7 +249,7 @@ def test_matches_naive_reference(t, n, d, seed, boundary):
 
 def test_untouched_band_bit_identical():
     clip = _clip(5, 4, 32, seed=3)
-    cfg = plan_shift(Fraction(1, 8), 32, ZERO)  # 2 channels each way
+    cfg = ShiftConfig(Fraction(1, 8), 32, ZERO)  # 2 channels each way
     out = feature_shift(clip, cfg).data
     z = clip.data
     assert np.array_equal(
@@ -269,7 +288,7 @@ def test_commutes_with_query_permutation():
     rng = np.random.default_rng(13)
     z = rng.standard_normal((4, 6, 16))
     perm = rng.permutation(6)
-    cfg = plan_shift(Fraction(1, 4), 16, HOLD)
+    cfg = ShiftConfig(Fraction(1, 4), 16, HOLD)
     shifted_then_permuted = feature_shift(ClipQueryTensor(z), cfg).data[
         :, perm, :
     ]
