@@ -136,7 +136,11 @@ class Rng:
         Box-Muller runs over blocks of pairs of table-made words; ``log``,
         ``sin`` and ``cos`` go through ``math``: numpy's differ in the last bit.
         """
-        out = np.empty(np.intp(json_value("n", n, int)))  # an absurd n fails here, before any draw
+        n = json_value("n", n, int)
+        try:  # an absurd n fails here, before any draw; a MemoryError passes as it is
+            out = np.empty(np.intp(n))
+        except (ValueError, OverflowError) as exc:  # numpy's message names no argument
+            raise ValueError(f"gauss_vector() cannot make an array of n={n} draws: {exc}") from None
         done = 0
         if out.size and self._gauss_spare is not None:
             out[0], self._gauss_spare, done = self._gauss_spare, None, 1

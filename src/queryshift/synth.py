@@ -141,15 +141,6 @@ def check_keys(what: str, d: dict, allowed, required=()) -> None:
             raise ValueError(f"{what} needs a {key!r} field")
 
 
-def _same_json(a, b) -> bool:
-    """Whether two parsed JSON values are equal with exact types: 1 is not 1.0, true or -0.0."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    return a == b and (type(a) is not float or math.copysign(1.0, a) == math.copysign(1.0, b))
-
-
 _INT_FIELDS = ("t_len", "n_tracks", "n_queries", "dim", "num_classes", "motion", "seed")
 
 
@@ -492,52 +483,52 @@ def _derived_keys(scene: SceneClip) -> dict:
 
 
 def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
-    """Write a scene as queries.qtn, pixels.qtn, labels_<t>.pgm, tracks.json."""
-    h, w = scene.spec.grid
-    for t, p in enumerate(scene.pixels):  # before any file is written or replaced
-        if p.index.shape != (h, w) or p.dim != scene.spec.dim:
+    """Write a scene as queries.qtn, pixels.qtn, labels_<t>.pgm, tracks.json.
+
+    A field that does not fit the spec is a ValueError naming it, before any file is written.
+    """
+    spec, labels = scene.spec, scene.gt_labels
+    t_len, (h, w), dim = spec.t_len, spec.grid, spec.dim
+    for field, shape, fits in (
+        ("queries", scene.queries.data.shape, (t_len, spec.n_queries, dim)),
+        ("pixels", (len(scene.pixels),), (t_len,)),
+        ("gt_labels", labels.shape, (t_len, h, w)),
+    ):
+        if shape != fits:
+            raise ValueError(f"{field} shape {shape} does not match the spec's {fits}")
+    if labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < spec.num_classes:
+        raise ValueError(f"gt_labels must hold integer classes in [0, {spec.num_classes})")
+    for t, p in enumerate(scene.pixels):
+        if p.index.shape != (h, w) or p.dim != dim:
             raise ValueError(
                 f"pixel map {t} is a {p.height}x{p.width} grid of dim {p.dim}, "
-                f"not the spec's {h}x{w} grid of dim {scene.spec.dim}"
+                f"not the spec's {h}x{w} grid of dim {dim}"
             )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    qpath = out / "queries.qtn"
-    write_tensor(scene.queries, qpath)
-    written.append(qpath)
-
+    labelmaps = [f"labels_{t}.pgm" for t in range(t_len)]
+    written = [out / name for name in ("queries.qtn", "pixels.qtn", *labelmaps, "tracks.json")]
+    write_tensor(scene.queries, written[0])
     # gather each frame's per-pixel rows into one reused buffer as it is
     # written; finite and in range because every pixel map is checked when
     # made.  mode="raise" would buffer each gather (~4x slower)
-    rows = np.empty((h * w, scene.spec.dim))
+    rows = np.empty((h * w, dim))
     gathered = (
         np.take(p.palette, p.index.reshape(h * w), axis=0, out=rows, mode="clip")
         for p in scene.pixels
     )
-    ppath = out / "pixels.qtn"
-    write_frames(ppath, (len(scene.pixels), h * w, scene.spec.dim), gathered)
-    written.append(ppath)
-
-    for t, labels in enumerate(scene.gt_labels):
-        lpath = out / f"labels_{t}.pgm"
-        write_labelmap(labels, lpath)
-        written.append(lpath)
-
-    meta = {"spec": scene.spec.to_dict()} | _derived_keys(scene)
-    tpath = out / "tracks.json"
-    with open(tpath, "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=1)
-        f.write("\n")
-    written.append(tpath)
+    write_frames(written[1], (t_len, h * w, dim), gathered)
+    for frame, path in zip(labels, written[2:-1]):
+        write_labelmap(frame, path)
+    meta = {"spec": spec.to_dict()} | _derived_keys(scene)
+    written[-1].write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return written
 
 
 def load_scene(scene_dir: str | Path) -> SceneClip:
     """Reload a scene written by :func:`save_scene`.
 
-    tracks.json's keys other than "spec" must be, with exact JSON types,
+    tracks.json's keys other than "spec" must be, as the same JSON text,
     what the spec's scene gives (steps 1-3 of the module docstring), which is
     returned with the files' data swapped in.  A pixels.qtn frame whose rows
     are exactly the spec's frame keeps the spec's pixel map, as a generated
@@ -570,7 +561,8 @@ def load_scene(scene_dir: str | Path) -> SceneClip:
         truth, _ = _spec_scene(spec)
         want = _derived_keys(truth)
         check_keys("tracks.json", meta, ["spec", *want])
-        differ = [key for key in want if key not in meta or not _same_json(meta[key], want[key])]
+        # the same JSON text, so 1, 1.0, true and -0.0 stay apart
+        differ = [k for k in want if k not in meta or json.dumps(meta[k]) != json.dumps(want[k])]
         if differ:
             raise ValueError(f"tracks.json {', '.join(differ)} must be what the spec gives")
         identity = np.arange(h * w, dtype=np.intp)

@@ -316,6 +316,15 @@ def identity_palette_scene(scene_dir):
     )
 
 
+def _same_json(a, b) -> bool:
+    """Whether two parsed JSON values are equal with exact types: 1 is not 1.0, true or -0.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b and (type(a) is not float or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
 class ScalarGauss:
     """Box-Muller one draw at a time over ``rng.next_u64``: the reference for ``gauss_vector``.
 

@@ -514,6 +514,7 @@ _SURPLUS_SCENE = dict(n_tracks=3, num_classes=4)  # a no_object row for the four
         (lambda meta: meta["prototypes"].insert(0, meta["prototypes"].pop(1)), "prototypes"),
         (_nudge("prototypes"), "prototypes"),
         (lambda meta: meta["prototypes"].__setitem__(1, meta["prototypes"][0]), "prototypes"),
+        (lambda meta: meta["prototypes"][1].__setitem__(1, -0.0), "prototypes"),
     ]] + [(_SURPLUS_SCENE, _nudge("no_object"), "no_object")],
     indirect=["scene_dir"],
     ids=[
@@ -558,6 +559,7 @@ _SURPLUS_SCENE = dict(n_tracks=3, num_classes=4)  # a no_object row for the four
         "prototypes_swapped",
         "prototypes_nextafter",
         "prototypes_duplicate_row",
+        "prototype_negative_zero",
         "no_object_nextafter",
     ],
 )
@@ -565,6 +567,25 @@ def test_run_rejects_malformed_tracks(scene_dir, tmp_path, capsys, edit, fragmen
     _edit_tracks(scene_dir, edit)
     cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
     _assert_one_line_error(capsys, ["run", "--scene", str(scene_dir), "--config", cfg], fragment)
+
+
+@pytest.mark.parametrize(
+    "key", ["per_frame_tracks", "track_classes", "prototypes", "no_object", "signature_scale"]
+)
+def test_the_deepest_nesting_that_parses_is_a_one_line_error(scene_dir, tmp_path, capsys, key):
+    # comparing the key with the spec's value must not recurse past what parsing it did
+    cfg = _write_json(tmp_path / "cfg.json", {"fraction": "1/4"})
+    argv = ["run", "--scene", str(scene_dir), "--config", cfg]
+    _edit_tracks(scene_dir, _set(**{key: "@"}))
+    template = (scene_dir / "tracks.json").read_text()
+    limit = sys.getrecursionlimit()
+    for depth in range(limit, 0, -1):  # deepest first, down to the first that parses
+        (scene_dir / "tracks.json").write_text(template.replace('"@"', "[" * depth + "]" * depth))
+        err = _assert_one_line_error(capsys, argv, "tracks.json")
+        if "is not valid JSON" not in err:
+            break
+    assert depth < limit
+    assert err == f"error: tracks.json {key} must be what the spec gives\n"
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 64), (3, 5, 64), (3, 4, 63)], ids=["T", "N", "D"])

@@ -212,3 +212,13 @@ def test_gauss_vector_scratch_is_bounded():
         tracemalloc.stop()
     assert out.nbytes == 8 * 2 * 10**5
     assert peak < 1.5 * out.nbytes
+
+
+@pytest.mark.parametrize("n", [-1, 2**62, 2**63], ids=["negative", "too_big", "past_intp"])
+def test_gauss_vector_names_a_count_no_array_can_hold(n):
+    rng, twin = Rng(4), Rng(4)
+    assert rng.gauss_vector(1)[0] == twin.gauss_vector(1)[0]  # leaves a cached sine
+    with pytest.raises(ValueError, match=rf"\bn={n} draws: "):
+        rng.gauss_vector(n)
+    # refused before any draw: the cached sine and the stream are where they were
+    assert rng.gauss_vector(3).tolist() == twin.gauss_vector(3).tolist()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import struct
 import tempfile
@@ -17,6 +18,7 @@ from oracles import (
     _build_prototypes,
     _cholesky_lower,
     _orthonormal_rows,
+    _same_json,
     reference_class_head_for,
     reference_generate_scene,
 )
@@ -678,6 +680,96 @@ def test_save_scene_rejects_a_mismatched_pixel_map_before_writing(tmp_path, bad)
     broken = dataclasses.replace(scene, pixels=[*scene.pixels[:-1], wrong])
     with pytest.raises(ValueError, match=f"^pixel map 3 is a {shape}, not the spec's 8x8 grid"):
         save_scene(broken, tmp_path)
+    # the earlier scene's files are all still there, unchanged
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# any value load_json can give: bools, ints of any size, NaN, infinities, -0.0, nesting
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner),
+    max_leaves=10,
+)
+# values shaped like tracks.json's derived keys: rows of ints, rows of floats with both zeros,
+# null and one float
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, 2.0])
+_DERIVED_VALUES = st.one_of(
+    st.none(),
+    _FLOATS,
+    st.lists(st.integers(0, 3), max_size=4),
+    st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=3),
+    st.lists(_FLOATS, max_size=4),
+    st.lists(st.lists(_FLOATS, max_size=4), max_size=3),
+)
+
+
+def _near(value):
+    """``value``, a row shorter, or each leaf kept or retyped: 1 as 1.0 or true, 0.0 as -0.0."""
+    if type(value) is list:
+        return st.tuples(*map(_near, value)).map(list) | st.just(value[:-1])
+    twins = [value]
+    if type(value) in (int, float) and math.isfinite(value) and value == int(value):
+        twins += [int(value), float(value), -float(value), bool(value)]
+    return st.sampled_from(twins)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), b=_DERIVED_VALUES)
+def test_same_json_text_is_the_exact_type_oracle(data, b):
+    a = data.draw(st.one_of(_near(b), _JSON_VALUES, _DERIVED_VALUES), label="a")
+    same = json.dumps(a) == json.dumps(b)
+    event(f"same: {same}")
+    assert same == _same_json(a, b)
+
+
+def _with_labels(labels):
+    return lambda scene: dataclasses.replace(scene, gt_labels=labels(scene.gt_labels))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda scene: dataclasses.replace(
+                scene, queries=ClipQueryTensor(scene.queries.data[:, [0, 1, 2, 3, 0]])
+            ),
+            "queries shape (4, 5, 16) does not match the spec's (4, 4, 16)",
+        ),
+        (
+            lambda scene: dataclasses.replace(scene, pixels=scene.pixels[:1]),
+            "pixels shape (1,) does not match the spec's (4,)",
+        ),
+        (
+            _with_labels(lambda labels: np.where(labels == 0, np.uint8(5), labels)),
+            "gt_labels must hold integer classes in [0, 5)",
+        ),
+        (
+            _with_labels(lambda labels: labels.astype(np.int64) - 1),
+            "gt_labels must hold integer classes in [0, 5)",
+        ),
+        (
+            _with_labels(lambda labels: labels.astype(np.float64)),
+            "gt_labels must hold integer classes in [0, 5)",
+        ),
+        (
+            _with_labels(lambda labels: labels[:, :7]),
+            "gt_labels shape (4, 7, 8) does not match the spec's (4, 8, 8)",
+        ),
+        (
+            _with_labels(lambda labels: labels[:1]),
+            "gt_labels shape (1, 8, 8) does not match the spec's (4, 8, 8)",
+        ),
+    ],
+    ids=["queries_extra_slot", "pixels_one_map", "labels_class_5_of_5", "labels_negative",
+         "labels_float", "labels_short_grid", "labels_one_frame"],
+)
+def test_save_scene_refuses_what_load_scene_would_refuse_before_writing(tmp_path, edit, message):
+    scene = generate_scene(_spec())
+    save_scene(scene, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError) as exc:
+        save_scene(edit(scene), tmp_path)
+    assert str(exc.value) == message
     # the earlier scene's files are all still there, unchanged
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
