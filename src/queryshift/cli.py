@@ -67,10 +67,10 @@ def _parse_matching(value) -> bool:
     raise ValueError(f"matching must be true/false or 'on'/'off', got {value!r}")
 
 
-def _pipeline_config(cfg: dict, dim: int) -> tuple[ShiftConfig, bool]:
-    """A ``run`` config file as its shift plan and matching flag."""
+def _pipeline_config(cfg: dict) -> tuple[ShiftConfig, bool]:
+    """A ``run`` config file as its shift and matching flag."""
     check_keys("pipeline config", cfg, ("fraction", "matching", "boundary"), ("fraction",))
-    shift = ShiftConfig(cfg["fraction"], dim, cfg.get("boundary", "zero"))
+    shift = ShiftConfig(cfg["fraction"], cfg.get("boundary", "zero"))
     return shift, _parse_matching(cfg.get("matching", True))
 
 
@@ -144,13 +144,13 @@ def _cmd_run(args) -> int:
     cfg = load_json(args.config)
     if args.boundary is not None:
         cfg["boundary"] = args.boundary
-    shift, matching = _pipeline_config(cfg, scene.spec.dim)
+    shift, matching = _pipeline_config(cfg)
     (scores,) = _score(scene, [shift], [matching])
     echo = {
         "scene": scene.spec.to_dict(),
         "fraction": str(shift.fraction),
-        "channels_shifted": shift.channels_shifted,
-        "boundary": shift.boundary.value,
+        "channels_shifted": 2 * shift.d_forward(scene.spec.dim),
+        "boundary": shift.boundary,
         "matching": matching,
     }
     _write_text(args.out, json.dumps(scores | {"config": echo}, sort_keys=True, indent=1) + "\n")
@@ -186,7 +186,7 @@ def _sweep_seed(
 
 
 def _sweep_output(
-    shifts: list[ShiftConfig], matchings: list[bool], per_seed: list[list[dict]]
+    shifts: list[ShiftConfig], matchings: list[bool], dim: int, per_seed: list[list[dict]]
 ) -> tuple[list[str], str]:
     """The CSV lines and the summary of a sweep whose seed r scored cell i as ``per_seed[r][i]``.
 
@@ -199,7 +199,7 @@ def _sweep_output(
         for s in seeds:
             tc = s["temporal_consistency"]
             lines.append(",".join([  # the columns of _CSV_HEADER
-                frac, str(shift.channels_shifted), mode, str(s["seed"]), repr(s["miou"]),
+                frac, str(2 * shift.d_forward(dim)), mode, str(s["seed"]), repr(s["miou"]),
                 repr(s["pixel_accuracy"]), "" if tc is None else repr(tc), repr(s["recovery"]),
             ]) + "\n")
         columns = (
@@ -226,9 +226,7 @@ def _cmd_sweep(args) -> int:
     base_spec = _scene_spec(sweep["scene"], args.seed_override)
 
     boundary = args.boundary or sweep.get("boundary", "zero")
-    shifts = _grid_axis(
-        sweep, "fractions", _DEFAULT_FRACTIONS, lambda f: ShiftConfig(f, base_spec.dim, boundary)
-    )
+    shifts = _grid_axis(sweep, "fractions", _DEFAULT_FRACTIONS, lambda f: ShiftConfig(f, boundary))
     matchings = _grid_axis(sweep, "matching", (False, True), _parse_matching)
     repeats = json_value("repeats", sweep.get("repeats", 1), int)
     if repeats < 1:
@@ -253,7 +251,7 @@ def _cmd_sweep(args) -> int:
                         if len(pending) == 2 * workers:
                             per_seed.append(pending.pop(0).result())
                     per_seed += [future.result() for future in pending]
-            lines, summary = _sweep_output(shifts, matchings, per_seed)
+            lines, summary = _sweep_output(shifts, matchings, base_spec.dim, per_seed)
             f.write(_CSV_HEADER + "\n")
             f.writelines(lines)
             f.flush()

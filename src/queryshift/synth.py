@@ -320,6 +320,9 @@ def _spec_scene(spec: SceneSpec) -> tuple[SceneClip, Rng]:
     table = _build_prototypes(rng, spec)
     table.setflags(write=False)  # first, so its row views are read-only too
     anchors = [(rng.below(h), rng.below(w)) for _ in range(k)]
+    # index[t, y, x]: palette row of a pixel, 0 for background, 1 + k for track k.
+    # Allocated before any per-frame draw, so a t_len too large for memory fails at once
+    index = np.zeros((t_len, h, w), dtype=np.intp)
     # consecutive frames always rotate by a nonzero delta, so every
     # transition actually exercises the cross-frame disagreement the scene
     # exists to model; K = 1 has no nontrivial rotation and draws nothing
@@ -335,11 +338,9 @@ def _spec_scene(spec: SceneSpec) -> tuple[SceneClip, Rng]:
     # row k of the table is the no-object prototype every surplus query takes
     queries = table[np.minimum(gt_tracks, k)]
 
-    # index[t, y, x]: palette row of a pixel, 0 for background, 1 + k for track k
     rh = max(1, h // 5)
     rw = max(1, w // 5)
     t = np.arange(t_len)[:, None]
-    index = np.zeros((t_len, h, w), dtype=np.intp)
     for track in range(k):  # later tracks paint on top
         vy, vx = _DIRS[track % len(_DIRS)]
         r0, c0 = anchors[track]
@@ -482,10 +483,21 @@ def _derived_keys(scene: SceneClip) -> dict:
     }
 
 
+def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether ``a`` is written as ``b`` is: both None, or one shape, dtype kind, values, signs."""
+    if a is None or b is None:
+        return a is b
+    return (
+        a.shape == b.shape and a.dtype.kind == b.dtype.kind and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
 def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
     """Write a scene as queries.qtn, pixels.qtn, labels_<t>.pgm, tracks.json.
 
-    A field that does not fit the spec is a ValueError naming it, before any file is written.
+    A field that does not fit the spec is a ValueError naming it, before any file is written;
+    ``prototypes``, ``no_object`` and ``gt_tracks`` must be what the spec gives.
     """
     spec, labels = scene.spec, scene.gt_labels
     t_len, (h, w), dim = spec.t_len, spec.grid, spec.dim
@@ -504,6 +516,10 @@ def save_scene(scene: SceneClip, out_dir: str | Path) -> list[Path]:
                 f"pixel map {t} is a {p.height}x{p.width} grid of dim {p.dim}, "
                 f"not the spec's {h}x{w} grid of dim {dim}"
             )
+    truth, _ = _spec_scene(spec)  # what load_scene checks tracks.json against
+    for field in ("prototypes", "no_object", "gt_tracks"):
+        if not _same_array(getattr(scene, field), getattr(truth, field)):
+            raise ValueError(f"{field} must be what the spec gives")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labelmaps = [f"labels_{t}.pgm" for t in range(t_len)]

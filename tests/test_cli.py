@@ -237,6 +237,40 @@ def test_huge_dim_fails_fast_with_one_line(tmp_path, capsys, command, dim, fragm
     assert time.perf_counter() - start < 1.0
 
 
+def _run_capped(argv, cap_bytes=1536 * 2**20, timeout=5.0):
+    """``python -m queryshift.cli *argv`` in a child with its address space capped at ``cap_bytes``.
+
+    For inputs that must fail fast: a regression that builds something huge
+    fails inside the cap, or by ``subprocess.TimeoutExpired`` (the child is
+    killed), instead of taking the host's memory.  Skips where there is no
+    ``resource`` module to set the cap with.
+    """
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+
+    # one BLAS thread, so the cap is not spent on per-thread buffers
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    command = [sys.executable, "-m", "queryshift.cli", *argv]
+    return subprocess.run(
+        command, capture_output=True, text=True, env=env, preexec_fn=cap, timeout=timeout
+    )
+
+
+def test_huge_t_len_fails_fast_with_one_line(tmp_path):
+    # the (T, H, W) pixel index is sized before any per-frame draw: 4.77 GiB here
+    spec = _write_json(tmp_path / "spec.json", _scene_spec(t_len=10**7, grid=[8, 8]))
+    done = _run_capped(["synth", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: Unable to allocate") and done.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "change, fragment",
     [

@@ -16,13 +16,13 @@ import pytest
 from queryshift.matching import ClipAlignment
 from queryshift.metrics import evaluate_clip
 from queryshift.rng import Rng
-from queryshift.shift import BoundaryPolicy, ShiftConfig
+from queryshift.shift import ShiftConfig
 
 # each entry point and well-formed keyword arguments for it
 ENTRY_POINTS = {
-    "ShiftConfig": (
-        ShiftConfig,
-        {"fraction": Fraction(1, 4), "dim": 8, "boundary": BoundaryPolicy.ZERO_FILL},
+    "ShiftConfig": (  # a shift's two settings, and the clip dim it plans for
+        lambda fraction, boundary, dim: ShiftConfig(fraction, boundary).d_forward(dim),
+        {"fraction": Fraction(1, 4), "boundary": "zero", "dim": 8},
     ),
     "Rng": (Rng, {"seed": 1}),
     "Rng.below": (lambda n: Rng(1).below(n), {"n": 2}),

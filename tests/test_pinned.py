@@ -191,7 +191,7 @@ def test_noisy_scene_predicts_no_background_pixel():
     # accuracy is that constant penalty, which cancels in matched-vs-unmatched deltas
     synth = importlib.import_module("queryshift.synth")
     scene = synth.generate_scene(synth.SceneSpec.from_dict(NOISY_SCENE))
-    shift = importlib.import_module("queryshift.shift").ShiftConfig("0", scene.spec.dim)
+    shift = importlib.import_module("queryshift.shift").ShiftConfig("0")
     alignment = importlib.import_module("queryshift.matching").align_clip(scene.queries)
     rows, classes = importlib.import_module("queryshift.pipeline").run_clip(
         scene, [shift], [alignment]

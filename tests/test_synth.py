@@ -759,9 +759,33 @@ def _with_labels(labels):
             _with_labels(lambda labels: labels[:1]),
             "gt_labels shape (1, 8, 8) does not match the spec's (4, 8, 8)",
         ),
+        (
+            lambda scene: dataclasses.replace(scene, prototypes=scene.prototypes * 2),
+            "prototypes must be what the spec gives",
+        ),
+        (
+            lambda scene: dataclasses.replace(
+                scene, prototypes=np.where(scene.prototypes == 0.0, -0.0, scene.prototypes)
+            ),
+            "prototypes must be what the spec gives",
+        ),
+        (
+            lambda scene: dataclasses.replace(scene, no_object=scene.prototypes[0]),
+            "no_object must be what the spec gives",
+        ),
+        (
+            lambda scene: dataclasses.replace(scene, gt_tracks=np.roll(scene.gt_tracks, 1, axis=1)),
+            "gt_tracks must be what the spec gives",
+        ),
+        (
+            lambda scene: dataclasses.replace(scene, gt_tracks=scene.gt_tracks.astype(np.float64)),
+            "gt_tracks must be what the spec gives",
+        ),
     ],
     ids=["queries_extra_slot", "pixels_one_map", "labels_class_5_of_5", "labels_negative",
-         "labels_float", "labels_short_grid", "labels_one_frame"],
+         "labels_float", "labels_short_grid", "labels_one_frame", "prototypes_doubled",
+         "prototypes_negative_zero", "no_object_where_the_spec_has_none", "gt_tracks_rolled",
+         "gt_tracks_float"],
 )
 def test_save_scene_refuses_what_load_scene_would_refuse_before_writing(tmp_path, edit, message):
     scene = generate_scene(_spec())
