@@ -78,8 +78,8 @@ class ShiftConfig:
 def feature_shift(clip: ClipQueryTensor, config: ShiftConfig) -> ClipQueryTensor:
     """Apply the temporal shift to every query index of a clip.
 
-    Pure: the input tensor is untouched.  A plan that shifts no channels
-    returns the (immutable) input itself.
+    Pure: the input tensor is untouched.  A shift that moves none of the
+    clip's channels returns the (immutable) input itself.
     """
     d = config.d_forward(clip.dim)  # as many channels go each way
     if d == 0:
