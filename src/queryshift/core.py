@@ -1,19 +1,18 @@
 """Core data types and on-disk formats.
 
 Everything downstream (shifting, matching, decoding, metrics) works on the
-three float64 array types defined here; ground-truth classes are plain
+two float64 array types defined here; ground-truth classes are plain
 read-only integer grids.  Every wrapped array is frozen after validation, so
 a constructed value can be shared freely between threads and between
 pipeline stages without defensive copies.  The public constructors are the
 only way to make one: they always check rank, size and finiteness, and copy
 an input unless it is float64 (intp for an index) and frozen, that is,
 read-only down its whole ``.base`` chain.  A stage freezes what it builds to
-hand it on uncopied; a clip's frames are read-only views of one array.  A
-pixel map is a (P, D) palette of embeddings and an (H, W) index into it, so
-decoding runs once per palette row.  ``write_frames`` and
-``read_tensor(src, by_frame=True)`` stream a .qtn payload a frame at a time
-through one buffer; ``write_tensor`` and ``read_tensor`` move a whole clip
-through the same framing code.
+hand it on uncopied.  A pixel map is a (P, D) palette of embeddings and an
+(H, W) index into it, so decoding runs once per palette row.
+``write_frames`` and ``read_tensor(src, by_frame=True)`` stream a .qtn
+payload a frame at a time through one buffer; ``write_tensor`` and
+``read_tensor`` move a whole clip through the same framing code.
 
 On-disk formats:
 
@@ -48,7 +47,6 @@ __all__ = [
     "WrongMagicError",
     "TruncatedTensorError",
     "NonFiniteTensorError",
-    "FrameQuerySet",
     "ClipQueryTensor",
     "PixelEmbeddingMap",
     "TensorFrames",
@@ -115,24 +113,6 @@ def _frozen_f64(data, shape_rank: int, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FrameQuerySet:
-    """N query vectors of one frame, as an (N, D) float64 matrix."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f64(self.data, 2, "query matrix"))
-
-    @property
-    def n_queries(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
 class ClipQueryTensor:
     """T frames of N queries with D channels, as one (T, N, D) float64 array."""
 
@@ -152,11 +132,6 @@ class ClipQueryTensor:
     @property
     def dim(self) -> int:
         return self.data.shape[2]
-
-    @property
-    def frames(self) -> tuple[FrameQuerySet, ...]:
-        """One read-only view per frame; no copy."""
-        return tuple(FrameQuerySet(frame) for frame in self.data)
 
 
 @dataclass(frozen=True)
@@ -216,7 +191,10 @@ def write_frames(dest: PathOrIO, shape: tuple[int, int, int], frames: Iterable) 
     """Write a (T, N, D) .qtn whose payload is the values of ``frames``, T*N*D in all.
 
     Each item is written as it comes, so ``frames`` may refill one buffer per frame.
+    ``shape`` is checked before ``dest`` is opened: three ints in [1, 2**32).
     """
+    if len(shape) != 3 or not all(type(n) is int and 0 < n < 1 << 32 for n in shape):
+        raise ValueError(f"shape must be three ints in [1, 2**32), got {shape!r}")
     with _opened(dest, "wb") as sink:
         sink.write(QTN_MAGIC + struct.pack("<III", *shape))
         written = 0

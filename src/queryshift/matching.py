@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClipQueryTensor, FrameQuerySet, json_value
+from .core import ClipQueryTensor, json_value
 
 __all__ = [
     "ClipAlignment",
@@ -58,21 +58,18 @@ def _unit_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scaled / np.where(norm == 0.0, 1.0, norm)[:, None], norm == 0.0
 
 
-def cosine_similarity(a: FrameQuerySet, b: FrameQuerySet) -> np.ndarray:
-    """Pairwise cosine similarity between two frames' queries, a read-only (N, N) array.
+def cosine_similarity(clip: ClipQueryTensor) -> np.ndarray:
+    """Each frame's queries against the next frame's by cosine: a read-only (T-1, N, N) stack.
 
-    Entry (i, j) compares query i of ``a`` with query j of ``b``.  A
+    Entry (t, i, j) compares query i of frame t with query j of frame t+1.  A
     zero-norm query has no direction, so its row/column is 0 by convention.
     Results are clipped to [-1, 1] to absorb last-ulp rounding.
     """
-    if a.n_queries != b.n_queries or a.dim != b.dim:
-        raise ValueError(
-            f"frame shapes differ: {a.data.shape} vs {b.data.shape}"
-        )
-    (ua, za), (ub, zb) = _unit_rows(a.data), _unit_rows(b.data)
-    sims = ua @ ub.T
-    sims[za, :] = 0.0
-    sims[:, zb] = 0.0
+    unit, zero = _unit_rows(clip.data.reshape(-1, clip.dim))
+    unit, zero = unit.reshape(clip.data.shape), zero.reshape(clip.t_len, clip.n_queries)
+    sims = unit[:-1] @ unit[1:].swapaxes(1, 2)
+    sims[zero[:-1]] = 0.0
+    sims.swapaxes(1, 2)[zero[1:]] = 0.0
     np.clip(sims, -1.0, 1.0, out=sims)
     sims.setflags(write=False)
     return sims
@@ -246,6 +243,7 @@ class ClipAlignment:
 
     @classmethod
     def identity(cls, t_len: int, n: int) -> "ClipAlignment":
+        t_len, n = json_value("t_len", t_len, int), json_value("n", n, int)
         ident = np.broadcast_to(np.arange(n), (t_len, n))
         return cls(ident, (float(n),) * (t_len - 1))
 
@@ -272,12 +270,11 @@ def align_clip(clip: ClipQueryTensor) -> ClipAlignment:
     For a single-frame clip the alignment is the bare identity anchor.
     """
     n = clip.n_queries
-    frames = clip.frames
     per_frame = np.empty((clip.t_len, n), dtype=np.intp)
     per_frame[0] = np.arange(n)
     totals: list[float] = []
-    for t in range(clip.t_len - 1):
-        adjacent, total = optimal_match(cosine_similarity(frames[t], frames[t + 1]))
+    for t, sim in enumerate(cosine_similarity(clip)):
+        adjacent, total = optimal_match(sim)
         totals.append(total)
         # query adjacent[i] of frame t+1 continues query i of frame t
         per_frame[t + 1, adjacent] = per_frame[t]

@@ -11,10 +11,11 @@ which is the ablation the evaluation compares against.  The caller makes the
 alignment (``align_clip`` or ``ClipAlignment.identity``), so one alignment
 serves every shift run on the same clip.
 
-Decode and vote pass plain arrays: ``decode_masks`` returns (N, P) mask
-scores and (N, C) class logits, and ``semantic_inference`` votes them into a
-class per palette row, one call per palette for all of ``run_clip``'s cells.
-No per-pixel label map is built; ``classes[rows]`` is one when needed.
+Decode and vote pass plain arrays: ``decode_masks`` returns (T*N, P) mask
+scores and (T*N, C) class logits for a clip's T*N queries, and
+``semantic_inference`` votes them into a class per palette row, one call per
+palette for all of ``run_clip``'s cells.  No per-pixel label map is built;
+``classes[rows]`` is one when needed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClipQueryTensor, FrameQuerySet, PixelEmbeddingMap
+from .core import ClipQueryTensor, PixelEmbeddingMap
 from .matching import ClipAlignment
 from .shift import ShiftConfig, feature_shift
 from .synth import SceneClip, class_head_for
@@ -40,12 +41,8 @@ _SCORE_CEIL = np.nextafter(1.0, 0.0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))  # never overflows: exp(-x) for x >= 0, exp(x) below
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -55,15 +52,16 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def decode_masks(
-    queries: FrameQuerySet, pixels: PixelEmbeddingMap, class_head: np.ndarray
+    queries: ClipQueryTensor, pixels: PixelEmbeddingMap, class_head: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dot every query against every palette row of ``pixels``; sigmoid to (0, 1).
+    """Dot every query of the clip against every palette row of ``pixels``; sigmoid to (0, 1).
 
-    Returns read-only (N, P) ``scores``, clamped strictly inside (0, 1) even
-    when saturated (``scores[:, pixels.index]`` is the per-pixel mask stack),
-    and (N, C) ``logits`` from the (D, C) weight matrix ``class_head``.
+    Returns read-only (T*N, P) ``scores``, row t*N + i for query i of frame t,
+    clamped strictly inside (0, 1) even when saturated
+    (``scores[:, pixels.index]`` is the per-pixel mask stack), and (T*N, C)
+    ``logits`` from the (D, C) weight matrix ``class_head``.
     """
-    q = queries.data
+    q = queries.data.reshape(-1, queries.dim)
     if pixels.dim != queries.dim:
         raise ValueError(
             f"channel mismatch: queries have {queries.dim}, pixels have {pixels.dim}"
@@ -154,7 +152,8 @@ def run_clip(
     stack.setflags(write=False)  # so each palette group's queries view it, uncopied
     head, by_frame, lo = class_head_for(scene), {}, 0  # by_frame: frame t -> (S, A, P_t)
     for frames in groups.values():
-        queries = FrameQuerySet(stack[lo : lo + len(frames)].reshape(-1, d))
+        # one frame of all the group's queries: perfbench counts decode flops by n_queries
+        queries = ClipQueryTensor(stack[lo : lo + len(frames)].reshape(1, -1, d))
         lo += len(frames)
         scores, logits = decode_masks(queries, scene.pixels[frames[0]], head)
         labels = semantic_inference(*(x.reshape(-1, n, x.shape[1]) for x in (scores, logits)))

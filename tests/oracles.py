@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from queryshift.core import ClipQueryTensor, PixelEmbeddingMap, read_tensor
-from queryshift.matching import ClipAlignment, _checked_similarity, _matched
+from queryshift.matching import ClipAlignment, _checked_similarity, _matched, _unit_rows
 from queryshift.pipeline import decode_masks, semantic_inference
 from queryshift.rng import Rng
 from queryshift.shift import ShiftConfig, feature_shift
@@ -48,6 +48,34 @@ def brute_force_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
     perms = _perm_table(n)
     totals = sim[np.arange(n), perms].sum(axis=1)
     return _matched(sim, perms[int(np.argmax(totals))])  # first occurrence wins on ties
+
+
+def pairwise_cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of two (N, D) query sets, one frame pair per call.
+
+    The body ``matching.cosine_similarity`` had before it took a whole clip:
+    entry (i, j) compares row i of ``a`` with row j of ``b``, a zero-norm row's
+    row/column is 0, and the result is clipped to [-1, 1].
+    """
+    (ua, za), (ub, zb) = _unit_rows(a), _unit_rows(b)
+    sims = ua @ ub.T
+    sims[za, :] = 0.0
+    sims[:, zb] = 0.0
+    np.clip(sims, -1.0, 1.0, out=sims)
+    return sims
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function by sign, one gather and scatter per side.
+
+    The body ``pipeline._sigmoid`` had before its one-pass form.
+    """
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def numpy_solve_min_cost(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -296,10 +324,9 @@ def per_frame_run_clip(scene, cells) -> tuple[tuple[np.ndarray, ...], ...]:
     head = class_head_for(scene)
     return tuple(
         tuple(
-            semantic_inference(*decode_masks(queries, pixels, head))
-            for queries, pixels in zip(
-                ClipQueryTensor(shift_one(scene.queries, shift, alignment)).frames, scene.pixels
-            )
+            semantic_inference(*decode_masks(ClipQueryTensor(shifted[t : t + 1]), pixels, head))
+            for shifted in [shift_one(scene.queries, shift, alignment)]
+            for t, pixels in enumerate(scene.pixels)
         )
         for shift, alignment in cells
     )

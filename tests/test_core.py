@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from queryshift import core
 from queryshift.core import (
     ClipQueryTensor,
-    FrameQuerySet,
     NonFiniteTensorError,
     PixelEmbeddingMap,
     TensorFormatError,
@@ -96,10 +95,7 @@ def test_round_trip_bit_exact(t, n, d, seed):
     clip = _clip(t, n, d, seed)
     back = read_tensor(io.BytesIO(_qtn_bytes(clip)))
     assert back.t_len == t and back.n_queries == n and back.dim == d
-    for f_in, f_out in zip(clip.frames, back.frames):
-        assert np.array_equal(
-            f_in.data.view(np.uint64), f_out.data.view(np.uint64)
-        )
+    assert np.array_equal(clip.data.view(np.uint64), back.data.view(np.uint64))
 
 
 def test_round_trip_through_file(tmp_path):
@@ -208,6 +204,22 @@ def test_write_frames_from_one_refilled_buffer_gives_the_tensor_bytes():
 def test_write_frames_rejects_a_payload_of_another_size(values):
     with pytest.raises(ValueError, match=f"{values} values written for a \\(1, 4, 5\\) tensor"):
         write_frames(io.BytesIO(), (1, 4, 5), [np.zeros(values)])
+
+
+# a zero, a value past uint32, a negative, a float, a bool, too few and too many dimensions
+_BAD_SHAPES = [
+    (0, 4, 5), (2**32, 1, 1), (1, -1, 1), (1, 4.0, 5), (True, 4, 5), (1, 20), (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("shape", _BAD_SHAPES)
+def test_write_frames_refuses_a_bad_shape_before_opening_dest(tmp_path, shape):
+    dest = tmp_path / "kept.qtn"
+    dest.write_bytes(b"earlier bytes")
+    with pytest.raises(ValueError, match=r"shape must be three ints in \[1, 2\*\*32\)") as caught:
+        write_frames(dest, shape, [])
+    assert repr(shape) in str(caught.value)
+    assert dest.read_bytes() == b"earlier bytes"  # not truncated
 
 
 @pytest.mark.parametrize("chunk", [core._QTN_CHUNK, 5], ids=["one_buffer", "grown"])
@@ -335,12 +347,6 @@ def test_all_failures_are_format_errors():
 # ---------------------------------------------------------------------------
 
 
-def test_frames_are_frozen():
-    clip = _clip(2, 3, 4)
-    with pytest.raises(ValueError):
-        clip.frames[0].data[0, 0] = 9.0
-
-
 def _palette_map(palette):
     return PixelEmbeddingMap(palette, np.zeros((2, 3), dtype=np.intp))
 
@@ -349,10 +355,9 @@ def _palette_map(palette):
     "make, field, shape",
     [
         (ClipQueryTensor, "data", (2, 3, 4)),
-        (FrameQuerySet, "data", (3, 4)),
         (_palette_map, "palette", (3, 4)),
     ],
-    ids=["clip", "frame", "pixels"],
+    ids=["clip", "pixels"],
 )
 def test_public_constructors_copy_freeze_and_scan(make, field, shape):
     origin = (0,) * len(shape)
@@ -384,17 +389,6 @@ def test_public_constructors_copy_freeze_and_scan(make, field, shape):
         assert copied[0, 0] == 0 and not copied.flags.writeable
         index.setflags(write=False)
         assert PixelEmbeddingMap(frozen, index).index is index
-
-
-def test_clip_frames_are_read_only_views_of_one_array():
-    clip = _clip(3, 2, 4)
-    assert not clip.data.flags.writeable
-    assert clip.data.shape == (clip.t_len, clip.n_queries, clip.dim) == (3, 2, 4)
-    for t, frame in enumerate(clip.frames):
-        assert isinstance(frame, FrameQuerySet)
-        assert not frame.data.flags.writeable
-        assert np.shares_memory(frame.data, clip.data)
-        assert np.array_equal(frame.data, clip.data[t])
 
 
 def test_clip_rejects_ragged_or_misshapen_input():

@@ -37,6 +37,7 @@ ENTRY_POINTS = {
         },
     ),
     "ClipAlignment": (ClipAlignment, {"per_frame": [[0, 1], [1, 0]], "pair_totals": (1.0,)}),
+    "ClipAlignment.identity": (ClipAlignment.identity, {"t_len": 2, "n": 3}),
 }
 
 # (entry point, argument, wrong-typed value)
@@ -49,6 +50,7 @@ CASES = [
     *(("Rng.gauss_vector", "n", v) for v in (2.5, True, "2", None)),
     *(("evaluate_clip", "num_classes", v) for v in (2.5, 2.0, True, "2", None)),
     *(("ClipAlignment", "pair_totals", v) for v in (None, 1.0, ("1.0",), (True,), (None,))),
+    *(("ClipAlignment.identity", arg, v) for arg in ("t_len", "n") for v in (2.5, True)),
 ]
 
 

@@ -9,7 +9,7 @@ import queryshift
 SRC = Path(queryshift.__file__).parent
 
 MAX_LINE = 100
-MAX_LINES = 2150  # the line budget in ROADMAP.md
+MAX_LINES = 2125  # the line budget in ROADMAP.md
 
 
 def test_no_source_line_is_longer_than_the_limit():

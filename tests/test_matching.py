@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from queryshift.cli import main
-from queryshift.core import ClipQueryTensor, FrameQuerySet, write_tensor
+from queryshift.core import ClipQueryTensor, write_tensor
 from queryshift.matching import (
     _TIGHT_TOL,
     ClipAlignment,
@@ -26,12 +26,14 @@ from queryshift.matching import (
 from oracles import (
     brute_force_match,
     numpy_solve_min_cost,
+    pairwise_cosine_similarity,
     recursive_lex_smallest_tight_matching,
 )
 
 
-def _frame(rows):
-    return FrameQuerySet(np.asarray(rows, dtype=np.float64))
+def _pair_sim(a, b):
+    """The (N, N) similarity of two frames' query rows, from the two-frame clip of them."""
+    return cosine_similarity(ClipQueryTensor(np.array([a, b], dtype=np.float64)))[0]
 
 
 def _random_orthonormal(n, d, seed):
@@ -46,39 +48,27 @@ def _random_orthonormal(n, d, seed):
 
 
 def test_cosine_orthonormal_identity():
-    a = _frame(np.eye(3))
-    sim = cosine_similarity(a, a)
+    sim = _pair_sim(np.eye(3), np.eye(3))
     assert np.array_equal(sim, np.eye(3))
 
 
 def test_cosine_antipodal_diagonal():
-    a = _frame(np.eye(3) * 2.5)
-    b = _frame(np.eye(3) * -0.5)
-    sim = cosine_similarity(a, b)
+    sim = _pair_sim(np.eye(3) * 2.5, np.eye(3) * -0.5)
     assert np.allclose(np.diag(sim), -1.0)
 
 
 def test_cosine_closed_form_2x2():
     s = math.sqrt(0.5)
-    a = _frame([(1.0, 0.0), (0.0, 1.0)])
-    b = _frame([(s, s), (s, -s)])
-    sim = cosine_similarity(a, b)
+    sim = _pair_sim([(1.0, 0.0), (0.0, 1.0)], [(s, s), (s, -s)])
     want = np.array([[s, s], [s, -s]])
     assert np.max(np.abs(sim - want)) <= 1e-12
 
 
 def test_cosine_zero_norm_rows_give_zero():
-    a = _frame([(0.0, 0.0), (1.0, 0.0)])
-    b = _frame([(0.0, 1.0), (0.0, 0.0)])
-    sim = cosine_similarity(a, b)
+    sim = _pair_sim([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (0.0, 0.0)])
     assert sim[0].tolist() == [0.0, 0.0]
     assert sim[:, 1].tolist() == [0.0, 0.0]
     assert sim[1, 0] == 0.0
-
-
-def test_cosine_shape_mismatch():
-    with pytest.raises(ValueError):
-        cosine_similarity(_frame(np.eye(2)), _frame(np.eye(3)))
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -88,8 +78,8 @@ def test_cosine_scale_invariance(seed):
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((5, 7))
     scales_a = rng.uniform(0.1, 10.0, size=(5, 1))
-    s1 = cosine_similarity(_frame(a), _frame(b))
-    s2 = cosine_similarity(_frame(a * scales_a), _frame(b * 3.7))
+    s1 = _pair_sim(a, b)
+    s2 = _pair_sim(a * scales_a, b * 3.7)
     assert np.allclose(s1, s2, atol=1e-12)
 
 
@@ -151,10 +141,40 @@ def test_scaling_a_frame_by_a_power_of_two_keeps_the_alignment(seed, t_len, n, d
 
 
 def test_cosine_similarity_is_a_read_only_array():
-    sim = cosine_similarity(_frame(np.eye(3)), _frame(np.eye(3)))
-    assert isinstance(sim, np.ndarray) and sim.dtype == np.float64 and sim.shape == (3, 3)
+    sim = cosine_similarity(ClipQueryTensor(np.stack([np.eye(3)] * 3)))
+    assert isinstance(sim, np.ndarray) and sim.dtype == np.float64 and sim.shape == (2, 3, 3)
     with pytest.raises(ValueError):
-        sim[0, 0] = 0.5
+        sim[0, 0, 0] = 0.5
+    assert cosine_similarity(ClipQueryTensor(np.ones((1, 4, 2)))).shape == (0, 4, 4)
+
+
+def _similarity_clip(t_len, n, d, seed):
+    """A (T, N, D) clip with zero rows, exact ties and row scales from subnormal to 1e300."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((t_len, n, d))
+    if rng.random() < 0.3:  # ties within a frame
+        data = np.round(data)
+    if rng.random() < 0.3 and t_len > 1:  # frame 1 a permutation of frame 0: ties across frames
+        data[1] = data[0][rng.permutation(n)]
+    data *= rng.choice([1.0, 1e300, 1e-300, 1e-310], size=(t_len, n, 1))
+    data[rng.random((t_len, n)) < 0.2] = 0.0
+    return ClipQueryTensor(data)
+
+
+@given(st.integers(1, 5), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+@example(t_len=3, n=100, d=256, seed=0)
+@example(t_len=4, n=1, d=5, seed=1)
+@example(t_len=4, n=6, d=1, seed=2)
+@example(t_len=1, n=3, d=4, seed=3)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_stacked_similarity_equals_the_pairwise_oracle(t_len, n, d, seed):
+    clip = _similarity_clip(t_len, n, d, seed)
+    sims = cosine_similarity(clip)
+    assert sims.shape == (t_len - 1, n, n)
+    for t, got in enumerate(sims):
+        want = pairwise_cosine_similarity(clip.data[t], clip.data[t + 1])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_similarity_matrix_validation():
@@ -272,7 +292,7 @@ def _solver_case(kind, n, seed):
     if kind == "cosine":  # frame 1 permutes frame 0's queries, plus noise
         a = rng.standard_normal((n, 16))
         b = a[rng.permutation(n)] + rng.uniform(0.0, 1.0) * rng.standard_normal((n, 16))
-        return cosine_similarity(_frame(a), _frame(b))
+        return _pair_sim(a, b)
     sim = rng.uniform(-1.0, 1.0, (n, n))
     if kind == "scaled":  # rows of different magnitudes, so the order of rounding shows
         return sim * 10.0 ** rng.uniform(-3.0, 0.0, (n, 1))
@@ -405,13 +425,14 @@ def test_align_composition_invariant(seed):
     rng = np.random.default_rng(seed)
     clip = ClipQueryTensor(rng.standard_normal((5, 4, 6)))
     alignment = align_clip(clip)
+    sims = cosine_similarity(clip)
     assert np.array_equal(alignment.per_frame[0], np.arange(4))
     for t in range(alignment.t_len - 1):
         assert np.array_equal(
             alignment.per_frame[t + 1, alignment.adjacent[t]], alignment.per_frame[t]
         )
         # the derived match is the one the solver returned for the pair
-        mapping, _ = optimal_match(cosine_similarity(clip.frames[t], clip.frames[t + 1]))
+        mapping, _ = optimal_match(sims[t])
         assert np.array_equal(alignment.adjacent[t], mapping)
 
 

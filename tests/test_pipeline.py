@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import (
     evaluate_one,
     identity_palette_scene,
+    masked_sigmoid,
     per_frame_run_clip,
     per_frame_tally_clip,
     shift_one,
@@ -23,7 +24,6 @@ from oracles import (
 from queryshift import cli, pipeline
 from queryshift.core import (
     ClipQueryTensor,
-    FrameQuerySet,
     PixelEmbeddingMap,
     read_tensor,
     write_tensor,
@@ -67,7 +67,7 @@ def _frame_pixels(data):
 
 
 def test_decode_orthogonal_gives_half():
-    queries = FrameQuerySet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    queries = ClipQueryTensor(np.eye(2)[None])
     pixels = _frame_pixels(np.zeros((3, 4, 2)))
     scores, logits = decode_masks(queries, pixels, np.zeros((2, 5)))
     assert np.all(scores == 0.5)
@@ -78,7 +78,7 @@ def test_decode_orthogonal_gives_half():
 def test_decode_saturation():
     q = np.array([[2.0, 1.0]])  # norm^2 = 5
     pixels = _frame_pixels((4.0 * q).reshape(1, 1, 2))  # dot = 20
-    scores, _ = decode_masks(FrameQuerySet(q), pixels, np.zeros((2, 1)))
+    scores, _ = decode_masks(ClipQueryTensor(q[None]), pixels, np.zeros((2, 1)))
     s = scores[:, pixels.index][0, 0, 0]
     assert s > 1.0 - 1e-6
     assert s < 1.0  # clamped inside the open interval
@@ -87,7 +87,7 @@ def test_decode_saturation():
 def test_decode_never_leaves_open_interval():
     q = np.array([[1e4], [-1e4]])
     pixels = _frame_pixels(np.array([[[1.0]], [[-1.0]]]))
-    scores, _ = decode_masks(FrameQuerySet(q), pixels, np.zeros((1, 3)))
+    scores, _ = decode_masks(ClipQueryTensor(q[None]), pixels, np.zeros((1, 3)))
     assert np.all(scores > 0.0)
     assert np.all(scores < 1.0)
 
@@ -95,7 +95,7 @@ def test_decode_never_leaves_open_interval():
 def test_decode_two_query_diagonal():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.6, 0.8, 0.0])
-    queries = FrameQuerySet(np.stack([a, b]))
+    queries = ClipQueryTensor(np.stack([a, b])[None])
     pixels = _frame_pixels(np.stack([a, b]).reshape(2, 1, 3))
     scores, _ = decode_masks(queries, pixels, np.zeros((3, 2)))
     scores = scores[:, pixels.index]
@@ -112,27 +112,39 @@ def test_decode_matrix_head_is_linear_map():
     rng = np.random.default_rng(0)
     q = rng.standard_normal((4, 6))
     head = rng.standard_normal((6, 3))
-    _, logits = decode_masks(FrameQuerySet(q), _frame_pixels(np.zeros((2, 2, 6))), head)
+    _, logits = decode_masks(ClipQueryTensor(q[None]), _frame_pixels(np.zeros((2, 2, 6))), head)
     assert np.allclose(logits, q @ head, atol=1e-12)
 
 
 def test_decode_dimension_mismatch():
     with pytest.raises(ValueError):
         decode_masks(
-            FrameQuerySet(np.ones((2, 4))),
+            ClipQueryTensor(np.ones((1, 2, 4))),
             _frame_pixels(np.zeros((1, 1, 5))),
             np.zeros((4, 2)),
         )
     with pytest.raises(ValueError):
         decode_masks(
-            FrameQuerySet(np.ones((2, 4))),
+            ClipQueryTensor(np.ones((1, 2, 4))),
             _frame_pixels(np.zeros((1, 1, 4))),
             np.zeros((5, 2)),
         )
 
 
+def test_decode_masks_stacks_a_clips_frames_in_order():
+    rng = np.random.default_rng(0)
+    clip = ClipQueryTensor(rng.standard_normal((3, 4, 6)))
+    pixels, head = _frame_pixels(rng.standard_normal((2, 5, 6))), rng.standard_normal((6, 3))
+    scores, logits = decode_masks(clip, pixels, head)
+    assert (scores.shape, logits.shape) == ((3 * 4, 10), (3 * 4, 3))
+    for t in range(3):  # rows t*N .. t*N + N - 1 are frame t's queries, decoded alone
+        one = decode_masks(ClipQueryTensor(clip.data[t : t + 1]), pixels, head)
+        assert scores[4 * t : 4 * t + 4].tobytes() == one[0].tobytes()
+        assert logits[4 * t : 4 * t + 4].tobytes() == one[1].tobytes()
+
+
 def test_decode_masks_returns_read_only_arrays():
-    queries = FrameQuerySet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    queries = ClipQueryTensor(np.eye(2)[None])
     scores, logits = decode_masks(queries, _frame_pixels(np.ones((2, 3, 2))), np.ones((2, 4)))
     assert (scores.shape, logits.shape) == ((2, 6), (2, 4))
     for arr in (scores, logits):
@@ -421,7 +433,8 @@ def test_run_clip_fraction_zero_matches_frame_independent():
     preds = _run_one(scene, _shift(0, HOLD), align_clip(scene.queries))
     head = class_head_for(scene)
     for t, pred in enumerate(preds):
-        solo = semantic_inference(*decode_masks(scene.queries.frames[t], scene.pixels[t], head))
+        queries = ClipQueryTensor(scene.queries.data[t : t + 1])
+        solo = semantic_inference(*decode_masks(queries, scene.pixels[t], head))
         assert np.array_equal(pred, solo)
 
 
@@ -437,9 +450,10 @@ def test_row_labels_are_read_only_votes_per_palette_row():
     assert rows.shape == (4, 32, 32) and classes.shape == (1, 1, 4 * k)
     for arr in (rows, classes):
         assert arr.dtype == np.intp and not arr.flags.writeable
-    for t, (queries, pixels) in enumerate(zip(shifted.frames, scene.pixels)):
+    for t, pixels in enumerate(scene.pixels):
         assert np.array_equal(rows[t], pixels.index + t * k)
-        votes = semantic_inference(*decode_masks(queries, pixels, head))
+        frame = ClipQueryTensor(shifted.data[t : t + 1])
+        votes = semantic_inference(*decode_masks(frame, pixels, head))
         assert np.array_equal(classes[0, 0, t * k : (t + 1) * k], votes)
 
 
@@ -476,12 +490,29 @@ def test_run_clip_matched_is_exact_unmatched_is_not():
 
 
 def _per_pixel_decode(queries, pixels, head):
-    """The per-pixel reference: every query dotted with every pixel's embedding."""
-    raw = np.einsum("nd,hwd->nhw", queries.data, pixels.palette[pixels.index])
+    """The per-pixel reference: every (N, D) query dotted with every pixel's embedding."""
+    raw = np.einsum("nd,hwd->nhw", queries, pixels.palette[pixels.index])
     scores = np.clip(_sigmoid(raw), _SCORE_FLOOR, _SCORE_CEIL)
-    probs = _softmax_rows(np.einsum("nd,dc->nc", queries.data, head))
+    probs = _softmax_rows(np.einsum("nd,dc->nc", queries, head))
     votes = np.einsum("nc,nhw->chw", probs, scores)
     return scores, np.argmax(votes, axis=0)
+
+
+# signed zeros, infinities, subnormals, the edges of exp's range and NaN
+_SIGMOID_EDGES = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308],
+    np.linspace(744.0, 746.0, 41), -np.linspace(744.0, 746.0, 41), [709.8, -709.8, 710.0, -710.0],
+])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 10.0, 100.0, 800.0]))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_sigmoid_equals_the_masked_oracle(seed, scale):
+    x = np.concatenate([np.random.default_rng(seed).standard_normal(2000) * scale, _SIGMOID_EDGES])
+    got, want = _sigmoid(x), masked_sigmoid(x)
+    assert np.array_equal(got, want, equal_nan=True)  # NaN gives NaN, of either sign
+    known = ~np.isnan(x)
+    assert np.array_equal(np.signbit(got[known]), np.signbit(want[known]))
 
 
 @st.composite
@@ -515,8 +546,8 @@ def test_palette_decode_is_bit_identical_to_per_pixel(case):
     shifted = _shifted(scene.queries, shift, alignment)
     rows = _run_one(scene, shift, alignment)
     assert scene.pixels[0].palette.shape == (spec.n_tracks + 1, spec.dim)
-    for queries, pixels, r in zip(shifted.frames, scene.pixels, rows):
-        scores, _ = decode_masks(queries, pixels, head)
+    for queries, pixels, r in zip(shifted.data, scene.pixels, rows):
+        scores, _ = decode_masks(ClipQueryTensor(queries[None]), pixels, head)
         ref_scores, ref_labels = _per_pixel_decode(queries, pixels, head)
         assert scores[:, pixels.index].tobytes() == ref_scores.tobytes()
         assert np.array_equal(r[pixels.index], ref_labels)
@@ -765,11 +796,11 @@ def test_run_clip_decodes_a_view_of_its_stack(monkeypatch):
     cells = ([_shift(f, HOLD) for f in ("0", "1/4")], [_aligned(scene.queries, True)])
     run_clip(scene, *cells)
     (queries,) = seen  # one palette, one decode
-    assert queries.data.shape == (2 * 3 * 5, 64)
+    assert queries.data.shape == (1, 2 * 3 * 5, 64)  # one frame of the whole group
     assert not queries.data.flags.owndata  # the frozen stack, neither copied nor rebuilt
     seen.clear()
     run_clip(_regroup_palettes(scene, [0, 1, 0]), *cells)  # frames 0 and 2 share a palette
-    assert [q.data.shape for q in seen] == [(2 * 2 * 5, 64), (2 * 1 * 5, 64)]
+    assert [q.data.shape for q in seen] == [(1, 2 * 2 * 5, 64), (1, 2 * 1 * 5, 64)]
     assert not any(q.data.flags.owndata for q in seen)  # each group a block of the stack
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from queryshift.core import FrameQuerySet, PixelEmbeddingMap
+from queryshift.core import ClipQueryTensor, PixelEmbeddingMap
 from queryshift.pipeline import decode_masks
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -42,7 +42,7 @@ def test_every_traced_name_is_a_queryshift_callable():
 def test_decode_flops_count_every_query_pixel_product():
     n, (h, w), d, p = 3, (5, 7), 4, 2
     rng = np.random.default_rng(0)
-    queries = FrameQuerySet(rng.standard_normal((n, d)))
+    queries = ClipQueryTensor(rng.standard_normal((1, n, d)))  # one frame, as run_clip passes
     pixels = PixelEmbeddingMap(rng.standard_normal((p, d)), rng.integers(0, p, (h, w)))
     args = (queries, pixels, np.zeros((d, 2)))
     result = decode_masks(*args)
