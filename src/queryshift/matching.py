@@ -4,8 +4,8 @@ A query decoder gives no guarantee that query index i refers to the same
 object in consecutive frames.  Before channels are shifted along the time
 axis, each frame's queries are therefore matched to the next frame's by
 maximising total cosine similarity over all one-to-one assignments.  The
-per-pair matches are composed into a clip-wide alignment anchored at frame 0,
-which places every query of every frame into a common "track" index space.
+alignment keeps these matches, which the shift follows, and chains them into
+tracks anchored at frame 0.
 
 The assignment is solved exactly by an O(N^3) shortest-augmenting-path
 Hungarian method on ``1 - sim`` over Python floats, which beats numpy calls
@@ -16,7 +16,7 @@ small tolerance break to the lexicographically smallest mapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,47 +205,54 @@ def optimal_match(sim: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class ClipAlignment:
-    """Clip-wide query correspondence, anchored at frame 0.
+    """Clip-wide query correspondence: the T-1 matches between adjacent frames.
 
-    ``per_frame[t, i]`` is the track slot of frame t's query i, where the
-    track space is frame 0's own index space (``per_frame[0]`` is always the
-    identity), a read-only (T, N) intp array.  ``pair_totals[t]`` is the total
-    similarity of the frame-t -> frame-(t+1) match.
+    ``adjacent[t, i]`` is the query of frame t+1 matched to query i of frame
+    t, a read-only (T-1, N) intp array; ``pair_totals[t]`` is that match's
+    total similarity.  ``per_frame`` chains them into tracks: frame t's query
+    i sits in slot ``per_frame[t, i]`` of frame 0's index space, (T, N) intp.
     """
 
-    per_frame: np.ndarray
+    adjacent: np.ndarray
     pair_totals: tuple[float, ...]
+    per_frame: np.ndarray = field(init=False)
 
     def __post_init__(self):
         try:
-            t_len, n = np.shape(self.per_frame)
+            pairs, n = np.shape(self.adjacent)
         except ValueError:  # ragged, or not two-dimensional
-            t_len = n = 0
-        if t_len == 0 or n == 0:
-            raise ValueError("per_frame must be a non-empty (T, N) array")
+            pairs = n = 0
+        if n == 0:
+            raise ValueError("adjacent must be a (T-1, N) array with N >= 1")
         totals = json_value("pair_totals", self.pair_totals, tuple, list)
         totals = tuple(float(json_value("pair_totals", x, int, float)) for x in totals)
-        if len(totals) != t_len - 1:
-            raise ValueError(f"need exactly T-1 = {t_len - 1} pair totals, got {len(totals)}")
+        if len(totals) != pairs:
+            raise ValueError(f"need exactly T-1 = {pairs} pair totals, got {len(totals)}")
         if not all(map(math.isfinite, totals)):
             raise ValueError(f"pair_totals must be finite, got {totals}")
-        per_frame = np.array(self.per_frame)  # a copy; np.shape ruled out ragged rows
-        if per_frame.dtype.kind not in "iu":
-            raise ValueError(f"per_frame must be {t_len} rows of {n} integers")
-        if not np.all(np.sort(per_frame, axis=1) == np.arange(n)):
-            raise ValueError(f"per_frame: every row must permute 0..{n - 1}")
-        per_frame = per_frame.astype(np.intp, copy=False)
-        per_frame.setflags(write=False)
-        if not np.array_equal(per_frame[0], np.arange(n)):
-            raise ValueError("frame 0 must map to itself (anchor frame)")
-        object.__setattr__(self, "per_frame", per_frame)
+        adjacent = np.array(self.adjacent)  # a copy; np.shape ruled out ragged rows
+        if adjacent.dtype.kind not in "iu":
+            raise ValueError(f"adjacent must be {pairs} rows of {n} integers")
+        if not np.all(np.sort(adjacent, axis=1) == np.arange(n)):
+            raise ValueError(f"adjacent: every row must permute 0..{n - 1}")
+        adjacent = adjacent.astype(np.intp, copy=False)
+        per_frame = np.empty((pairs + 1, n), dtype=np.intp)
+        per_frame[0] = np.arange(n)
+        for t, nxt in enumerate(adjacent):
+            # query nxt[i] of frame t+1 continues query i of frame t
+            per_frame[t + 1, nxt] = per_frame[t]
+        for name, arr in (("adjacent", adjacent), ("per_frame", per_frame)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "pair_totals", totals)
 
     @classmethod
     def identity(cls, t_len: int, n: int) -> "ClipAlignment":
         t_len, n = json_value("t_len", t_len, int), json_value("n", n, int)
-        ident = np.broadcast_to(np.arange(n), (t_len, n))
-        return cls(ident, (float(n),) * (t_len - 1))
+        for name, value in (("t_len", t_len), ("n", n)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        return cls(np.broadcast_to(np.arange(n), (t_len - 1, n)), (float(n),) * (t_len - 1))
 
     @property
     def t_len(self) -> int:
@@ -255,27 +262,9 @@ class ClipAlignment:
     def n_queries(self) -> int:
         return self.per_frame.shape[1]
 
-    @property
-    def adjacent(self) -> np.ndarray:
-        """Read-only (T-1, N) intp matches: ``per_frame[t + 1, adjacent[t]] == per_frame[t]``."""
-        pf = self.per_frame
-        adjacent = np.take_along_axis(np.argsort(pf[1:], axis=1), pf[:-1], axis=1)
-        adjacent.setflags(write=False)
-        return adjacent
-
 
 def align_clip(clip: ClipQueryTensor) -> ClipAlignment:
-    """Match every adjacent frame pair and compose into track space.
-
-    For a single-frame clip the alignment is the bare identity anchor.
-    """
-    n = clip.n_queries
-    per_frame = np.empty((clip.t_len, n), dtype=np.intp)
-    per_frame[0] = np.arange(n)
-    totals: list[float] = []
-    for t, sim in enumerate(cosine_similarity(clip)):
-        adjacent, total = optimal_match(sim)
-        totals.append(total)
-        # query adjacent[i] of frame t+1 continues query i of frame t
-        per_frame[t + 1, adjacent] = per_frame[t]
-    return ClipAlignment(per_frame, tuple(totals))
+    """Match every adjacent frame pair; a single-frame clip has no pairs."""
+    pairs = [optimal_match(sim) for sim in cosine_similarity(clip)]
+    adjacent = np.array([m for m, _ in pairs], dtype=np.intp).reshape(len(pairs), clip.n_queries)
+    return ClipAlignment(adjacent, tuple(total for _, total in pairs))

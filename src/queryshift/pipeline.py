@@ -1,15 +1,15 @@
 """End-to-end clip processing: match, shift, decode, label.
 
 The order of operations is the point of this module.  ``feature_shift``
-blends channel values across consecutive frames BY QUERY INDEX, so it is only
-meaningful if index i refers to the same object in every frame.  The pipeline
-therefore first aligns the clip (cross-frame matching), re-indexes every
-frame into frame 0's index space, shifts there, and maps the result back to
-each frame's native order.  With matching disabled the alignment is the
-identity and the result is bit-for-bit a plain shift of the raw clip,
-which is the ablation the evaluation compares against.  The caller makes the
-alignment (``align_clip`` or ``ClipAlignment.identity``), so one alignment
-serves every shift run on the same clip.
+blends channel values across consecutive frames, so each query must know
+which query of the next frame is the same object.  The pipeline therefore
+first aligns the clip (cross-frame matching), then shifts each query's
+channels along its matches, every frame keeping its own query order.  With
+matching disabled the alignment is the identity and the result is
+bit-for-bit a plain shift of the raw clip by query index, which is the
+ablation the evaluation compares against.  The caller makes the alignment
+(``align_clip`` or ``ClipAlignment.identity``), so one alignment serves
+every shift run on the same clip.
 
 Decode and vote pass plain arrays: ``decode_masks`` returns (T*N, P) mask
 scores and (T*N, C) class logits for a clip's T*N queries, and
@@ -91,8 +91,10 @@ def semantic_inference(scores: np.ndarray, logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if scores.ndim != 2 and not scores.ndim == logits.ndim == 3:
         raise ValueError(f"scores must be (N, P), or (G, N, P) with 3-D logits, got {scores.shape}")
-    if logits.ndim != scores.ndim or logits.shape[:-1] != scores.shape[:-1]:
-        raise ValueError(f"logits must be (N, C) matching scores, or (G, N, C), got {logits.shape}")
+    if logits.ndim != scores.ndim or logits.shape[:-1] != scores.shape[:-1] or not logits.shape[-1]:
+        raise ValueError(
+            f"logits must be (N, C) matching scores, or (G, N, C), with C >= 1, got {logits.shape}"
+        )
     if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(logits))):
         raise ValueError("scores and logits must be finite")
     labels = np.argmax(np.einsum("...nc,...np->...cp", _softmax_rows(logits), scores), axis=-2)
@@ -103,26 +105,14 @@ def semantic_inference(scores: np.ndarray, logits: np.ndarray) -> np.ndarray:
 def shift_with_matching(
     clip: ClipQueryTensor, shifts: Sequence[ShiftConfig], alignment: ClipAlignment
 ) -> np.ndarray:
-    """Each shift in the aligned index space, then each frame's query order restored.
+    """Every shift of ``clip`` along ``alignment``: a read-only (S, T, N, D) array.
 
-    Returns a read-only (S, T, N, D) array: entry s lists every frame's
-    queries in their ORIGINAL order, and with the identity alignment equals
-    ``feature_shift(clip, shifts[s]).data`` exactly.  The clip is permuted
-    into track space once for all the shifts.
+    Entry s is ``feature_shift(clip, shifts[s], alignment).data``, every
+    frame's queries in their original order.
     """
-    if alignment.per_frame.shape != (clip.t_len, clip.n_queries):
-        raise ValueError(
-            f"alignment shape {alignment.per_frame.shape} does not match the clip's "
-            f"{(clip.t_len, clip.n_queries)}"
-        )
-    rows = np.arange(clip.t_len)[:, None]
-    # track slot j of frame t holds the query i with per_frame[t, i] == j
-    tracks = clip.data[rows, np.argsort(alignment.per_frame, axis=1)]
-    tracks.setflags(write=False)
-    tracks = ClipQueryTensor(tracks)
     out = np.empty((len(shifts),) + clip.data.shape)
     for s, shift in enumerate(shifts):
-        out[s] = feature_shift(tracks, shift).data[rows, alignment.per_frame]
+        out[s] = feature_shift(clip, shift, alignment).data
     out.setflags(write=False)
     return out
 

@@ -1,12 +1,11 @@
-"""Temporal channel shift for clip query tensors.
+"""Temporal channel shift for clip query tensors, along the cross-frame matches.
 
 Out of each D-channel query vector, the first ``d_forward`` channels are
-shifted forward in time (frame t receives frame t-1's values), as many of the
-last channels are shifted backward (frame t receives frame t+1's values), and
-the middle band is copied through untouched.  The shift mixes
-information between temporally adjacent queries AT THE SAME INDEX; whether
-that index actually tracks the same object across frames is exactly what the
-matching stage is for.
+shifted forward in time, as many of the last channels backward, and the
+middle band is copied through untouched.  Query i of frame t sends its
+forward band to query ``adjacent[t, i]`` of frame t+1, the query the
+alignment matched it to, and takes that query's backward band in return.
+Under ``ClipAlignment.identity`` this is the plain shift by query index.
 
 Boundary cells (the forward band of the first frame, the backward band of the
 last) have no source frame.  Two policies are supported:
@@ -24,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import ClipQueryTensor, json_value
+from .matching import ClipAlignment
 
 __all__ = ["ShiftConfig", "feature_shift"]
 
@@ -75,19 +75,27 @@ class ShiftConfig:
         return int(self.fraction * dim) // 2  # exact rational floor, then halve
 
 
-def feature_shift(clip: ClipQueryTensor, config: ShiftConfig) -> ClipQueryTensor:
-    """Apply the temporal shift to every query index of a clip.
+def feature_shift(
+    clip: ClipQueryTensor, config: ShiftConfig, alignment: ClipAlignment
+) -> ClipQueryTensor:
+    """Shift a clip's channels along ``alignment``'s matches; frames keep their query order.
 
     Pure: the input tensor is untouched.  A shift that moves none of the
     clip's channels returns the (immutable) input itself.
     """
+    if alignment.per_frame.shape != (clip.t_len, clip.n_queries):
+        raise ValueError(
+            f"alignment shape {alignment.per_frame.shape} does not match the clip's "
+            f"{(clip.t_len, clip.n_queries)}"
+        )
     d = config.d_forward(clip.dim)  # as many channels go each way
-    if d == 0:
+    if d == 0:  # nothing moves, and the -0: slices below would take every channel
         return clip
     z = clip.data
     out = z.copy()
-    out[1:, :, :d] = z[:-1, :, :d]
-    out[:-1, :, -d:] = z[1:, :, -d:]
+    rows, nxt = np.arange(1, clip.t_len)[:, None], alignment.adjacent
+    out[rows, nxt, :d] = z[:-1, :, :d]
+    out[:-1, :, -d:] = z[rows, nxt, -d:]
     if config.boundary == "zero":
         out[0, :, :d] = 0.0
         out[-1, :, -d:] = 0.0

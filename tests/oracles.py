@@ -259,8 +259,25 @@ def shift_one(clip: ClipQueryTensor, shift: ShiftConfig, alignment: ClipAlignmen
     idx = alignment.per_frame[:, :, None]  # idx[t, i, 0]: the track slot of frame t's query i
     aligned = np.empty_like(clip.data)
     np.put_along_axis(aligned, idx, clip.data, axis=1)
-    shifted = feature_shift(ClipQueryTensor(aligned), shift)
+    plain = ClipAlignment.identity(clip.t_len, clip.n_queries)
+    shifted = feature_shift(ClipQueryTensor(aligned), shift, plain)
     return np.take_along_axis(shifted.data, idx, axis=1)
+
+
+def adjacent_of(per_frame: np.ndarray) -> np.ndarray:
+    """The adjacent matches a (T, N) track-slot array implies, by argsort: (T-1, N)."""
+    pf = np.asarray(per_frame)
+    return np.take_along_axis(np.argsort(pf[1:], axis=1), pf[:-1], axis=1)
+
+
+def composed_per_frame(adjacent: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Adjacent matches composed one frame at a time into (T, N) track slots, anchored at 0."""
+    per_frame = np.empty((len(adjacent) + 1, n), dtype=np.intp)
+    per_frame[0] = np.arange(n)
+    for t, mapping in enumerate(adjacent):
+        # query mapping[i] of frame t+1 continues query i of frame t
+        per_frame[t + 1, mapping] = per_frame[t]
+    return per_frame
 
 
 def evaluate_one(tally: tuple, row_labels: Sequence[np.ndarray]) -> dict[str, float | None]:

@@ -107,7 +107,7 @@ def test_criterion_2_shift_matches_naive_reference():
         frac = Fraction(int(rng.integers(0, 257)), 512)
         for boundary in (ZERO, HOLD):
             cfg = ShiftConfig(frac, boundary)
-            got = feature_shift(clip, cfg).data
+            got = feature_shift(clip, cfg, ClipAlignment.identity(t, n)).data
             want = np.array(
                 _naive_shift_lists(
                     arr.tolist(), cfg.d_forward(d), cfg.d_forward(d), boundary == HOLD

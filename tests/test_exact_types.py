@@ -36,7 +36,7 @@ ENTRY_POINTS = {
             "classes": np.zeros((1, 1), np.intp),
         },
     ),
-    "ClipAlignment": (ClipAlignment, {"per_frame": [[0, 1], [1, 0]], "pair_totals": (1.0,)}),
+    "ClipAlignment": (ClipAlignment, {"adjacent": [[1, 0]], "pair_totals": (1.0,)}),
     "ClipAlignment.identity": (ClipAlignment.identity, {"t_len": 2, "n": 3}),
 }
 

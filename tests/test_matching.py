@@ -24,7 +24,9 @@ from queryshift.matching import (
 )
 
 from oracles import (
+    adjacent_of,
     brute_force_match,
+    composed_per_frame,
     numpy_solve_min_cost,
     pairwise_cosine_similarity,
     recursive_lex_smallest_tight_matching,
@@ -458,47 +460,70 @@ def test_permuting_a_frame_permutes_its_adjacent_matches(seed, t_len, n):
 
 def test_alignment_type_validation():
     ident = [0, 1, 2]
-    swap = [1, 0, 2]
-    with pytest.raises(ValueError, match="anchor"):
-        ClipAlignment([swap, ident], (3.0,))
     with pytest.raises(ValueError, match="T-1"):
-        ClipAlignment([ident, ident], (3.0, 3.0))  # count mismatch
+        ClipAlignment([ident], (3.0, 3.0))  # count mismatch
     with pytest.raises(ValueError, match="T-1"):
-        ClipAlignment([ident, ident], ())
+        ClipAlignment([ident], ())
     for total in (float("nan"), float("inf"), -float("inf")):  # no matching gives these totals
         with pytest.raises(ValueError, match="pair_totals"):
-            ClipAlignment(np.array([[0, 1], [1, 0]]), (total,))
+            ClipAlignment(np.array([[1, 0]]), (total,))
     ClipAlignment.identity(3, 4)  # well-formed
-    one = ClipAlignment([ident], ())  # one frame, from plain lists
-    assert one.adjacent.shape == (0, 3)
+    one = ClipAlignment(np.empty((0, 3), np.intp), ())  # one frame: no pairs, but an N
+    assert one.adjacent.shape == (0, 3) and one.t_len == 1
+    assert np.array_equal(one.per_frame, [ident])
 
 
 @pytest.mark.parametrize(
-    "per_frame, fragment",
+    "adjacent, fragment",
     [
         ([[0, 0], [0, 1]], "every row must permute 0..1"),
         ([[0, 1], [1, 2]], "every row must permute 0..1"),
         ([[0, 1], [0, -1]], "every row must permute 0..1"),
-        ([[]], "non-empty (T, N)"),
-        ([], "non-empty (T, N)"),
+        ([[]], "(T-1, N)"),
+        ([], "(T-1, N)"),
         ([[0, 1], [0.0, 1.0]], "2 rows of 2 integers"),
         ([[True, False], [False, True]], "2 rows of 2 integers"),
-        ([[0, 1], [1]], "non-empty (T, N)"),
+        ([[0, 1], [1]], "(T-1, N)"),
     ],
     ids=["repeated", "out_of_range", "negative", "empty_row", "no_rows", "float", "bool",
          "ragged"],
 )
-def test_alignment_rejects_non_permutations(per_frame, fragment):
+def test_alignment_rejects_non_permutations(adjacent, fragment):
     # the permutation checks that used to live on a per-mapping class
     with pytest.raises(ValueError) as exc:
-        ClipAlignment(per_frame, (2.0,))
+        ClipAlignment(adjacent, (2.0, 2.0))
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("t_len, n", [(-1, 3), (2, -1), (0, 3), (2, 0)])
+def test_identity_refuses_a_count_below_one_by_name(t_len, n):
+    name, value = ("t_len", t_len) if t_len < 1 else ("n", n)
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
+        ClipAlignment.identity(t_len, n)
+
+
+@given(st.integers(1, 8), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@example(t_len=1, n=1, seed=0)
+@example(t_len=8, n=12, seed=1)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_alignment_chains_its_matches_as_the_oracles_do(t_len, n, seed):
+    rng = np.random.default_rng(seed)
+    adjacent = np.array([rng.permutation(n) for _ in range(t_len - 1)], np.intp).reshape(-1, n)
+    alignment = ClipAlignment(adjacent, (0.0,) * (t_len - 1))
+    assert np.array_equal(alignment.adjacent, adjacent)
+    assert np.array_equal(adjacent_of(alignment.per_frame), adjacent)
+    assert np.array_equal(alignment.per_frame, composed_per_frame(adjacent, n))
+    # the matcher's own alignment composes as the oracle composes its matches
+    clip = ClipQueryTensor(rng.standard_normal((t_len, n, 4)))
+    matches = [optimal_match(sim)[0] for sim in cosine_similarity(clip)]
+    assert np.array_equal(align_clip(clip).per_frame, composed_per_frame(matches, n))
+
+
 def test_alignment_arrays_are_read_only_copies():
-    per_frame = np.array([[0, 1, 2], [2, 0, 1]])
-    alignment = ClipAlignment(per_frame, (1.0,))
-    per_frame[1] = [1, 2, 0]
+    adjacent = np.array([[1, 2, 0]])
+    alignment = ClipAlignment(adjacent, (1.0,))
+    adjacent[0] = [2, 0, 1]
+    assert np.array_equal(alignment.adjacent[0], [1, 2, 0])
     assert np.array_equal(alignment.per_frame[1], [2, 0, 1])
     assert alignment.per_frame.dtype == np.intp and alignment.adjacent.dtype == np.intp
     with pytest.raises(ValueError):

@@ -298,7 +298,7 @@ def test_shift_matching_off_equals_plain_shift():
     for boundary in (ZERO, HOLD):
         shift = _shift("1/4", boundary)
         out = _shifted(clip, shift, _aligned(clip, False))
-        plain = feature_shift(clip, shift)
+        plain = feature_shift(clip, shift, ClipAlignment.identity(5, 4))
         assert np.array_equal(
             out.data.view(np.uint64), plain.data.view(np.uint64)
         )
@@ -309,6 +309,8 @@ def test_shift_rejects_alignment_of_another_shape():
     for t_len, n in ((2, 4), (3, 5)):
         with pytest.raises(ValueError, match="does not match the clip"):
             shift_with_matching(clip, [_shift("1/4")], ClipAlignment.identity(t_len, n))
+        with pytest.raises(ValueError, match="does not match the clip"):
+            feature_shift(clip, _shift(0), ClipAlignment.identity(t_len, n))  # a no-op shift too
 
 
 def test_shift_restores_original_order():
@@ -324,28 +326,57 @@ def test_shift_restores_original_order():
 
 @st.composite
 def _shift_lists(draw):
-    """A random clip, a random alignment of it and a list of shifts, repeats and 0 included."""
+    """A random clip, random adjacent matches of it and a list of shifts, repeats and 0 included."""
     t_len, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
     d = draw(st.sampled_from([1, 2, 8, 16, 33]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     clip = ClipQueryTensor(rng.standard_normal((t_len, n, d)))
-    per_frame = [np.arange(n)] + [rng.permutation(n) for _ in range(t_len - 1)]
-    alignment = ClipAlignment(np.array(per_frame), (0.0,) * (t_len - 1))
+    adjacent = np.array([rng.permutation(n) for _ in range(t_len - 1)], np.intp).reshape(-1, n)
+    alignment = ClipAlignment(adjacent, (0.0,) * (t_len - 1))
     fractions = st.sampled_from(["0", "1/8", "1/4", "3/8", "1/2"])
     plans = draw(st.lists(st.tuples(fractions, st.sampled_from([ZERO, HOLD])), max_size=8))
     shifts = [ShiftConfig(f, b) for f, b in plans]
     return clip, shifts, alignment
 
 
-@given(_shift_lists())
-@settings(max_examples=150, deadline=None)
-def test_shift_with_matching_equals_one_shift_at_a_time(case):
-    clip, shifts, alignment = case
+def _assert_shifts_equal_the_oracle(clip, shifts, alignment):
     got = shift_with_matching(clip, shifts, alignment)
     assert got.shape == (len(shifts),) + clip.data.shape and got.dtype == np.float64
     assert not got.flags.writeable
     for out, shift in zip(got, shifts):
-        assert out.tobytes() == shift_one(clip, shift, alignment).tobytes()
+        want = shift_one(clip, shift, alignment).tobytes()
+        assert feature_shift(clip, shift, alignment).data.tobytes() == want
+        assert out.tobytes() == want
+
+
+@given(_shift_lists())
+@settings(max_examples=150, deadline=None)
+def test_shift_with_matching_equals_one_shift_at_a_time(case):
+    _assert_shifts_equal_the_oracle(*case)
+
+
+_EVERY_SHIFT = [ShiftConfig(f, b) for f in ("0", "1/8", "1/4", "1/2") for b in (ZERO, HOLD)]
+
+
+@pytest.mark.parametrize("t_len, n, d", [(1, 5, 8), (4, 1, 8), (4, 5, 1)], ids=["T1", "N1", "D1"])
+def test_matched_shift_equals_the_oracle_at_edge_sizes(t_len, n, d):
+    rng = np.random.default_rng(t_len + 10 * n + 100 * d)
+    clip = ClipQueryTensor(rng.standard_normal((t_len, n, d)))
+    matched = align_clip(clip)
+    assert matched.adjacent.shape == (t_len - 1, n)
+    _assert_shifts_equal_the_oracle(clip, _EVERY_SHIFT, matched)
+    _assert_shifts_equal_the_oracle(clip, _EVERY_SHIFT, ClipAlignment.identity(t_len, n))
+
+
+def test_matched_shift_equals_the_oracle_at_paper_shape():
+    # the paper's T6 N100 D256 queries at sigma 0.1; the grid does not reach the queries
+    scene = generate_scene(SceneSpec(
+        t_len=6, n_tracks=90, n_queries=100, dim=256, num_classes=20, grid=(16, 32),
+        noise_sigma=0.1, permute_per_frame=True, motion=1, seed=0,
+    ))
+    alignment = align_clip(scene.queries)
+    assert np.any(alignment.adjacent != np.arange(100))  # the matches really permute
+    _assert_shifts_equal_the_oracle(scene.queries, _EVERY_SHIFT, alignment)
 
 
 def test_shift_with_matching_leaves_the_clip_alone():
@@ -824,6 +855,16 @@ def test_grouped_vote_equals_one_vote_per_group(g, n, p, c, seed, coarse):
         probs = probs / probs.sum(axis=1, keepdims=True)
         solo = np.argmax(np.einsum("nc,np->cp", probs, scores[i]), axis=0)
         assert np.array_equal(labels[i], one) and np.array_equal(one, solo)
+
+
+def test_vote_refuses_an_empty_class_axis_by_name():
+    clip = _random_clip(2, 3, 4, seed=11)
+    pixels = _frame_pixels(np.random.default_rng(12).standard_normal((2, 2, 4)))
+    scores, logits = decode_masks(clip, pixels, np.zeros((4, 0)))
+    assert logits.shape == (6, 0)
+    for s, c in ((scores, logits), (scores[None], logits[None])):
+        with pytest.raises(ValueError, match=r"^logits must be \(N, C\) .*C >= 1, got"):
+            semantic_inference(s, c)
 
 
 def test_grouped_vote_validation():

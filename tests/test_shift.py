@@ -11,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryshift.core import ClipQueryTensor
+from queryshift.matching import ClipAlignment
 from queryshift.shift import ShiftConfig, feature_shift
 
 ZERO = "zero"
 HOLD = "hold"
+
+
+def plain_shift(clip, cfg):
+    """The shift without matching: ``feature_shift`` under the identity alignment."""
+    return feature_shift(clip, cfg, ClipAlignment.identity(clip.t_len, clip.n_queries))
 
 
 def naive_shift(z, d_f, d_b, boundary):
@@ -131,7 +137,7 @@ def test_one_config_shifts_each_clip_by_its_own_dim(dim):
     clip = _clip(3, 2, dim, seed=dim)
     d = int(Fraction(1, 4) * dim) // 2
     assert cfg.d_forward(dim) == d
-    got = feature_shift(clip, cfg).data
+    got = plain_shift(clip, cfg).data
     want = naive_shift(clip.data, d, d, HOLD)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # exactly d channels move each way: only they differ from the input
@@ -151,8 +157,8 @@ def test_config_reads_the_boundary_by_its_value():
     assert ShiftConfig("1/8", "hold").boundary == HOLD
     assert len({ShiftConfig("1/8", HOLD), ShiftConfig(0.125, HOLD), ShiftConfig("1/8")}) == 2
     clip = _clip(3, 2, 8, seed=4)
-    by_value = feature_shift(clip, ShiftConfig(Fraction(1, 4), "zero"))
-    by_default = feature_shift(clip, ShiftConfig(Fraction(1, 4)))
+    by_value = plain_shift(clip, ShiftConfig(Fraction(1, 4), "zero"))
+    by_default = plain_shift(clip, ShiftConfig(Fraction(1, 4)))
     assert by_value.data.tobytes() == by_default.data.tobytes()
     assert np.all(by_value.data[0, :, :1] == 0.0) and np.all(by_value.data[-1, :, -1:] == 0.0)
     with pytest.raises(ValueError, match="boundary must be 'zero' or 'hold', got 'Zero'"):
@@ -193,7 +199,7 @@ def test_worked_example_zero_fill():
         for c in range(d):
             z[t, 0, c] = 10 * (t + 1) + (c + 1)
     cfg = ShiftConfig(Fraction(2, d), ZERO)
-    out = feature_shift(ClipQueryTensor(z), cfg).data
+    out = plain_shift(ClipQueryTensor(z), cfg).data
     assert out[:, 0, 0].tolist() == [0.0, 11.0, 21.0]
     assert out[:, 0, 3].tolist() == [24.0, 34.0, 0.0]
     # middle channels unchanged
@@ -207,7 +213,7 @@ def test_worked_example_hold():
         for c in range(d):
             z[t, 0, c] = 10 * (t + 1) + (c + 1)
     cfg = ShiftConfig(Fraction(2, d), HOLD)
-    out = feature_shift(ClipQueryTensor(z), cfg).data
+    out = plain_shift(ClipQueryTensor(z), cfg).data
     assert out[:, 0, 0].tolist() == [11.0, 11.0, 21.0]
     assert out[:, 0, 3].tolist() == [24.0, 34.0, 34.0]
 
@@ -215,14 +221,14 @@ def test_worked_example_hold():
 def test_single_frame_hold_is_identity():
     clip = _clip(1, 3, 8)
     cfg = ShiftConfig(Fraction(4, 8), HOLD)
-    out = feature_shift(clip, cfg)
+    out = plain_shift(clip, cfg)
     assert np.array_equal(out.data, clip.data)
 
 
 def test_single_frame_zero_fill_blanks_both_bands():
     clip = _clip(1, 3, 8)
     cfg = ShiftConfig(Fraction(4, 8), ZERO)
-    out = feature_shift(clip, cfg).data
+    out = plain_shift(clip, cfg).data
     assert np.all(out[0, :, :2] == 0.0)
     assert np.all(out[0, :, -2:] == 0.0)
     assert np.array_equal(out[0, :, 2:-2], clip.data[0, :, 2:-2])
@@ -230,7 +236,7 @@ def test_single_frame_zero_fill_blanks_both_bands():
 
 def test_zero_fraction_is_identity_bit_exact():
     clip = _clip(4, 5, 16, seed=7)
-    out = feature_shift(clip, ShiftConfig(0))
+    out = plain_shift(clip, ShiftConfig(0))
     assert np.array_equal(
         out.data.view(np.uint64), clip.data.view(np.uint64)
     )
@@ -240,7 +246,7 @@ def test_zero_fraction_is_identity_bit_exact():
 def test_input_not_mutated():
     clip = _clip(3, 2, 6, seed=9)
     before = clip.data.copy()
-    feature_shift(clip, ShiftConfig(Fraction(2, 6), ZERO))
+    plain_shift(clip, ShiftConfig(Fraction(2, 6), ZERO))
     assert np.array_equal(clip.data, before)
 
 
@@ -257,7 +263,7 @@ def test_matches_naive_reference(t, n, d, seed, boundary):
     half = int(np.random.default_rng(seed + 1).integers(0, d // 4 + 1))
     cfg = ShiftConfig(Fraction(2 * half, d), boundary)
     assert cfg.d_forward(d) == half
-    got = feature_shift(clip, cfg).data
+    got = plain_shift(clip, cfg).data
     want = naive_shift(clip.data, half, half, boundary)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -265,7 +271,7 @@ def test_matches_naive_reference(t, n, d, seed, boundary):
 def test_untouched_band_bit_identical():
     clip = _clip(5, 4, 32, seed=3)
     cfg = ShiftConfig(Fraction(1, 8), ZERO)  # 2 channels each way
-    out = feature_shift(clip, cfg).data
+    out = plain_shift(clip, cfg).data
     z = clip.data
     assert np.array_equal(
         out[:, :, 2:-2].view(np.uint64), z[:, :, 2:-2].view(np.uint64)
@@ -275,7 +281,7 @@ def test_untouched_band_bit_identical():
 def test_hold_conserves_channel_multisets():
     clip = _clip(6, 3, 10, seed=5)
     cfg = ShiftConfig(Fraction(4, 10), HOLD)
-    out = feature_shift(clip, cfg).data
+    out = plain_shift(clip, cfg).data
     z = clip.data
     for i in range(3):
         for c in range(2, 8):
@@ -295,7 +301,7 @@ def test_zero_fill_zero_count():
     # strictly positive input so injected zeros are identifiable
     z = rng.uniform(0.5, 1.5, size=(t_len, n, d))
     cfg = ShiftConfig(Fraction(6, d), ZERO)
-    out = feature_shift(ClipQueryTensor(z), cfg).data
+    out = plain_shift(ClipQueryTensor(z), cfg).data
     assert int((out == 0.0).sum()) == n * 2 * cfg.d_forward(d)
 
 
@@ -304,10 +310,21 @@ def test_commutes_with_query_permutation():
     z = rng.standard_normal((4, 6, 16))
     perm = rng.permutation(6)
     cfg = ShiftConfig(Fraction(1, 4), HOLD)
-    shifted_then_permuted = feature_shift(ClipQueryTensor(z), cfg).data[
+    shifted_then_permuted = plain_shift(ClipQueryTensor(z), cfg).data[
         :, perm, :
     ]
-    permuted_then_shifted = feature_shift(
+    permuted_then_shifted = plain_shift(
         ClipQueryTensor(z[:, perm, :]), cfg
     ).data
     assert np.array_equal(shifted_then_permuted, permuted_then_shifted)
+
+
+def test_shift_follows_the_adjacent_matches():
+    # frame 0's query i is matched to frame 1's query 1 - i: the bands cross over
+    z = np.arange(1.0, 17.0).reshape(2, 2, 4)
+    alignment = ClipAlignment([[1, 0]], (0.0,))
+    out = feature_shift(ClipQueryTensor(z), ShiftConfig(Fraction(2, 4), HOLD), alignment).data
+    assert out[1, :, 0].tolist() == [z[0, 1, 0], z[0, 0, 0]]  # forward band from the match
+    assert out[0, :, 3].tolist() == [z[1, 1, 3], z[1, 0, 3]]  # backward band from the match
+    assert np.array_equal(out[0, :, :3], z[0, :, :3]) and np.array_equal(out[1, :, 1:], z[1, :, 1:])
+
